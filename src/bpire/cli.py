@@ -10,8 +10,11 @@ Exit codes:
 
 * 0 -- success;
 * 1 -- malformed config (JSON syntax, unknown or missing keys, bad types);
-* 2 -- validation failure (environment checks, or an experiment
-  precondition such as a zero-variance environment in a rate experiment);
+* 2 -- validation failure: a law parameter out of its domain (such as a
+  Poisson immigration mean ``nu`` above ``POISSON_NU_MAX``, about 708.4),
+  a failed environment check, or an unmet precondition of any experiment
+  kind (such as a zero-variance environment in a rate experiment, ``r <= 0``
+  for moments, ``q <= 0`` for decay or ``p <= 1`` for validate);
 * 3 -- statistics inconclusive or a statistical gate failed (decay SE gate,
   decay CI including 1, unstable Berry-Esseen constant, exploding Laplace
   column, unbounded moment ratio);
@@ -29,23 +32,21 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .env_model import (
     EnvAtom,
     EnvironmentModel,
     GeometricImmigration,
-    ImmigrationLaw,
     NoImmigration,
-    OffspringLaw,
     PoissonImmigration,
     ShiftedGeometric,
     ShiftedPoisson,
     non_lattice_heuristic,
     validate,
 )
-from .analytics import hypothesis_report, log_mean_moments
+from .analytics import hypothesis_report
 from .mc_verify import (
     ElogWConfig,
     berry_esseen_sup,
@@ -57,17 +58,6 @@ from .mc_verify import (
     walk_oracle_rate,
 )
 from .sampler import PROMOTION_THRESHOLD
-
-KINDS = (
-    "rate",
-    "walk-oracle",
-    "elogw",
-    "decay",
-    "berry-esseen",
-    "laplace",
-    "moments",
-    "validate",
-)
 
 
 class ConfigError(Exception):
@@ -115,6 +105,19 @@ class ExperimentConfig:
     threads: int = 0
 
 
+#: Law dataclasses of each atom field, keyed by the config ``kind`` string.
+#: A law's config keys are ``kind`` plus its dataclass fields.
+LAWS: dict[str, dict[str, type]] = {
+    "offspring": {"shifted_poisson": ShiftedPoisson, "shifted_geometric": ShiftedGeometric},
+    "immigration": {
+        "poisson": PoissonImmigration,
+        "geometric": GeometricImmigration,
+        "none": NoImmigration,
+    },
+}
+_LAW_KIND = {cls: kind for laws in LAWS.values() for kind, cls in laws.items()}
+
+
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
     for key in obj:
         if key not in allowed:
@@ -125,6 +128,12 @@ def _require(obj: dict, key: str, where: str) -> Any:
     if key not in obj:
         raise ConfigError(f"missing key {key!r} in {where}")
     return obj[key]
+
+
+def _as_object(obj: Any, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    return obj
 
 
 def _as_number(v: Any, where: str) -> float:
@@ -139,65 +148,68 @@ def _as_int(v: Any, where: str) -> int:
     return v
 
 
-def _parse_offspring(obj: Any, where: str) -> OffspringLaw:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    kind = _require(obj, "kind", where)
-    if kind == "shifted_poisson":
-        _check_keys(obj, {"kind", "lam"}, where)
-        return ShiftedPoisson(lam=_as_number(_require(obj, "lam", where), f"{where}.lam"))
-    if kind == "shifted_geometric":
-        _check_keys(obj, {"kind", "q"}, where)
-        return ShiftedGeometric(q=_as_number(_require(obj, "q", where), f"{where}.q"))
-    raise ConfigError(
-        f"{where}.kind must be 'shifted_poisson' or 'shifted_geometric', got {kind!r}"
-    )
+def _parse_fields(cls: type, obj: Any, where: str, extra: frozenset = frozenset()) -> Any:
+    """Build dataclass ``cls`` from the numeric keys of object ``obj`` named
+    by its fields; ``extra`` names further keys ``obj`` may hold."""
+    names = [f.name for f in fields(cls)]
+    _check_keys(_as_object(obj, where), extra | set(names), where)
+    return cls(**{n: _as_number(_require(obj, n, where), f"{where}.{n}") for n in names})
 
 
-def _parse_immigration(obj: Any, where: str) -> ImmigrationLaw:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
+def _parse_law(atom: dict, role: str, atom_where: str) -> Any:
+    where = f"{atom_where}.{role}"
+    obj = _as_object(_require(atom, role, atom_where), where)
+    laws = LAWS[role]
     kind = _require(obj, "kind", where)
-    if kind == "poisson":
-        _check_keys(obj, {"kind", "nu"}, where)
-        return PoissonImmigration(nu=_as_number(_require(obj, "nu", where), f"{where}.nu"))
-    if kind == "geometric":
-        _check_keys(obj, {"kind", "s"}, where)
-        return GeometricImmigration(s=_as_number(_require(obj, "s", where), f"{where}.s"))
-    if kind == "none":
-        _check_keys(obj, {"kind"}, where)
-        return NoImmigration()
-    raise ConfigError(
-        f"{where}.kind must be 'poisson', 'geometric' or 'none', got {kind!r}"
-    )
+    if not isinstance(kind, str) or kind not in laws:
+        *rest, last = (repr(k) for k in laws)
+        raise ConfigError(f"{where}.kind must be {', '.join(rest)} or {last}, got {kind!r}")
+    return _parse_fields(laws[kind], obj, where, frozenset({"kind"}))
 
 
 def _parse_environment(obj: Any, where: str = "environment") -> EnvironmentModel:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _check_keys(obj, {"atoms"}, where)
+    _check_keys(_as_object(obj, where), {"atoms"}, where)
     atoms_obj = _require(obj, "atoms", where)
     if not isinstance(atoms_obj, list) or not atoms_obj:
         raise ConfigError(f"{where}.atoms must be a nonempty array")
     atoms = []
     for i, a in enumerate(atoms_obj):
         aw = f"{where}.atoms[{i}]"
-        if not isinstance(a, dict):
-            raise ConfigError(f"{aw} must be an object")
-        _check_keys(a, {"offspring", "immigration", "prob"}, aw)
+        _check_keys(_as_object(a, aw), {"offspring", "immigration", "prob"}, aw)
         try:
             atoms.append(
                 EnvAtom(
-                    offspring=_parse_offspring(_require(a, "offspring", aw), f"{aw}.offspring"),
-                    immigration=_parse_immigration(
-                        _require(a, "immigration", aw), f"{aw}.immigration"
-                    ),
+                    offspring=_parse_law(a, "offspring", aw),
+                    immigration=_parse_law(a, "immigration", aw),
                     prob=_as_number(_require(a, "prob", aw), f"{aw}.prob"),
                 )
             )
         except ValueError as exc:  # law parameter out of domain
             raise ValidationFailure(f"{aw}: {exc}") from exc
     return EnvironmentModel(atoms=tuple(atoms))
+
+
+#: Optional scalar config fields, in parse order: how to read each one, the
+#: condition its value must meet, and the complaint when it does not.
+_SCALARS: dict[str, tuple[Callable[[Any, str], Any], Callable[[Any], bool], str]] = {
+    "replicates": (_as_int, lambda v: v >= 1, "must be at least 1"),
+    "master_seed": (_as_int, lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer"),
+    "horizon": (_as_int, lambda v: v >= 0, "must be nonnegative"),
+    "q": (_as_number, lambda v: True, ""),
+    "r": (_as_number, lambda v: True, ""),
+    "delta": (_as_number, lambda v: True, ""),
+    "p": (_as_number, lambda v: True, ""),
+    "promotion_threshold": (_as_int, lambda v: v >= 2, "must be at least 2"),
+    "threads": (_as_int, lambda v: v >= 0, "must be nonnegative (0 = auto)"),
+}
+
+
+def _scalar(key: str, value: Any, where: str) -> Any:
+    convert, ok, complaint = _SCALARS[key]
+    value = convert(value, where)
+    if not ok(value):
+        raise ConfigError(f"{where} {complaint}")
+    return value
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -215,15 +227,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
 
     x_grid = None
     if "x_grid" in doc:
-        g = doc["x_grid"]
-        if not isinstance(g, dict):
-            raise ConfigError("config.x_grid must be an object")
-        _check_keys(g, {"min", "max", "step"}, "config.x_grid")
-        x_grid = GridSpec(
-            min=_as_number(_require(g, "min", "config.x_grid"), "config.x_grid.min"),
-            max=_as_number(_require(g, "max", "config.x_grid"), "config.x_grid.max"),
-            step=_as_number(_require(g, "step", "config.x_grid"), "config.x_grid.step"),
-        )
+        x_grid = _parse_fields(GridSpec, doc["x_grid"], "config.x_grid")
 
     n_list = None
     if "n_list" in doc:
@@ -232,58 +236,12 @@ def parse_config(doc: Any) -> ExperimentConfig:
             raise ConfigError("config.n_list must be a nonempty array of integers")
         n_list = tuple(_as_int(v, "config.n_list entry") for v in raw)
 
-    kwargs: dict[str, Any] = {}
-    if "replicates" in doc:
-        kwargs["replicates"] = _as_int(doc["replicates"], "config.replicates")
-        if kwargs["replicates"] < 1:
-            raise ConfigError("config.replicates must be at least 1")
-    if "master_seed" in doc:
-        seed = _as_int(doc["master_seed"], "config.master_seed")
-        if not (0 <= seed < 2**64):
-            raise ConfigError("config.master_seed must be an unsigned 64-bit integer")
-        kwargs["master_seed"] = seed
-    if "horizon" in doc:
-        kwargs["horizon"] = _as_int(doc["horizon"], "config.horizon")
-        if kwargs["horizon"] < 0:
-            raise ConfigError("config.horizon must be nonnegative")
-    if "q" in doc:
-        kwargs["q"] = _as_number(doc["q"], "config.q")
-    if "r" in doc:
-        kwargs["r"] = _as_number(doc["r"], "config.r")
-    if "delta" in doc:
-        kwargs["delta"] = _as_number(doc["delta"], "config.delta")
-    if "p" in doc:
-        kwargs["p"] = _as_number(doc["p"], "config.p")
-    if "promotion_threshold" in doc:
-        kwargs["promotion_threshold"] = _as_int(
-            doc["promotion_threshold"], "config.promotion_threshold"
-        )
-        if kwargs["promotion_threshold"] < 2:
-            raise ConfigError("config.promotion_threshold must be at least 2")
-    if "threads" in doc:
-        kwargs["threads"] = _as_int(doc["threads"], "config.threads")
-        if kwargs["threads"] < 0:
-            raise ConfigError("config.threads must be nonnegative (0 = auto)")
-
+    kwargs = {key: _scalar(key, doc[key], f"config.{key}") for key in _SCALARS if key in doc}
     return ExperimentConfig(kind=kind, environment=env, x_grid=x_grid, n_list=n_list, **kwargs)
 
 
-def _serialize_offspring(law: OffspringLaw) -> dict:
-    if isinstance(law, ShiftedPoisson):
-        return {"kind": "shifted_poisson", "lam": law.lam}
-    if isinstance(law, ShiftedGeometric):
-        return {"kind": "shifted_geometric", "q": law.q}
-    raise TypeError(f"unknown offspring law {law!r}")
-
-
-def _serialize_immigration(law: ImmigrationLaw) -> dict:
-    if isinstance(law, PoissonImmigration):
-        return {"kind": "poisson", "nu": law.nu}
-    if isinstance(law, GeometricImmigration):
-        return {"kind": "geometric", "s": law.s}
-    if isinstance(law, NoImmigration):
-        return {"kind": "none"}
-    raise TypeError(f"unknown immigration law {law!r}")
+def _serialize_law(law: Any) -> dict:
+    return {"kind": _LAW_KIND[type(law)], **dataclasses.asdict(law)}
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
@@ -292,29 +250,16 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
         "kind": cfg.kind,
         "environment": {
             "atoms": [
-                {
-                    "offspring": _serialize_offspring(a.offspring),
-                    "immigration": _serialize_immigration(a.immigration),
-                    "prob": a.prob,
-                }
+                {**{role: _serialize_law(getattr(a, role)) for role in LAWS}, "prob": a.prob}
                 for a in cfg.environment.atoms
             ]
         },
-        "replicates": cfg.replicates,
-        "master_seed": cfg.master_seed,
-        "horizon": cfg.horizon,
-        "q": cfg.q,
-        "delta": cfg.delta,
-        "p": cfg.p,
-        "promotion_threshold": cfg.promotion_threshold,
-        "threads": cfg.threads,
     }
+    doc.update((key, getattr(cfg, key)) for key in _SCALARS if getattr(cfg, key) is not None)
     if cfg.x_grid is not None:
-        doc["x_grid"] = {"min": cfg.x_grid.min, "max": cfg.x_grid.max, "step": cfg.x_grid.step}
+        doc["x_grid"] = dataclasses.asdict(cfg.x_grid)
     if cfg.n_list is not None:
         doc["n_list"] = list(cfg.n_list)
-    if cfg.r is not None:
-        doc["r"] = cfg.r
     return doc
 
 
@@ -322,245 +267,231 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _cell(v: Any) -> str:
+    """CSV text of one value: integers as is, booleans as true/false, floats
+    with 17 significant digits (lossless float64 round-trip)."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return _fmt(v)
 
 
-def _need(cfg: ExperimentConfig, field: str) -> Any:
-    value = getattr(cfg, field)
-    if value is None:
-        raise ConfigError(f"config.{field} is required for kind {cfg.kind!r}")
-    return value
+def _row_fields(result: Any) -> list[tuple]:
+    return [dataclasses.astuple(row) for row in result.rows]
 
 
-def _validate_environment(cfg: ExperimentConfig) -> None:
+class Csv(NamedTuple):
+    """One CSV artifact: file name, comma-separated header, and the rows of
+    values a result gives -- by default the fields of each of its row
+    dataclasses, in declaration order."""
+
+    name: str
+    header: str
+    rows: Callable[[Any], list[tuple]] = _row_fields
+
+
+class Kind(NamedTuple):
+    """How one experiment kind runs.
+
+    ``run`` maps the config to a result; a ``ValueError`` from it is an
+    unmet precondition (exit 2).  ``outcome`` maps the result to the exit
+    status (3 when a statistical gate fails) and the text printed on
+    stdout.  Every kind but ``validate`` first requires the environment to
+    pass the validation checks the simulation relies on; then each field in
+    ``requires`` must be set.  The runners name the estimators at call
+    time, so a rebound module global reaches them.
+    """
+
+    requires: tuple[str, ...]
+    run: Callable[[ExperimentConfig], Any]
+    csvs: tuple[Csv, ...]
+    outcome: Callable[[Any], tuple[int, str]]
+    checks_environment: bool = True
+
+
+def _common_args(cfg: ExperimentConfig) -> dict[str, Any]:
+    """Arguments every branching estimator takes from the config."""
+    return {
+        "env": cfg.environment,
+        "replicates": cfg.replicates,
+        "master_seed": cfg.master_seed,
+        "threads": cfg.threads,
+        "threshold": cfg.promotion_threshold,
+    }
+
+
+def _gate(passed: bool, ok_text: str, failed_text: str) -> tuple[int, str]:
+    return (0, ok_text) if passed else (3, failed_text)
+
+
+def _rate_kind(name: str, run: Callable[[ExperimentConfig], Any]) -> Kind:
+    return Kind(
+        ("x_grid", "n_list"),
+        run,
+        (Csv(name, "x,n,dhat,se,g_pred,q_pred"),),
+        lambda c: (0, f"wrote {name} ({len(c.rows)} rows); E log W = {_fmt(c.e_log_w)}"),
+    )
+
+
+def _decay_outcome(series: Any) -> tuple[int, str]:
+    if series.status != "ok":
+        return 3, "decay fit inconclusive: fewer than 3 rows pass the 5-SE gate"
+    if series.rho_ci[0] <= 1.0:
+        return 3, f"decay fit rho CI {series.rho_ci} does not exclude 1"
+    return 0, (
+        f"wrote decay.csv and fit.csv: rho_hat = {_fmt(series.rho_hat)}, "
+        f"99% CI ({_fmt(series.rho_ci[0])}, {_fmt(series.rho_ci[1])})"
+    )
+
+
+def _validate_report(cfg: ExperimentConfig) -> tuple[int, str]:
+    """The validation, hypothesis-audit and lattice reports, and exit 2 when
+    a validation check fails."""
     report = validate(cfg.environment)
-    required = {"prob_sum", "mean_log_positive", "offspring_nondegenerate"}
-    bad = [c for c in report.failures() if c.name in required]
-    if bad:
-        msgs = "; ".join(f"{c.name}: {c.detail}" for c in bad)
-        raise ValidationFailure(f"environment failed validation: {msgs}")
+    hyp = hypothesis_report(
+        cfg.environment, p=cfg.p, delta=cfg.delta, r=cfg.r if cfg.r is not None else 3.0
+    )
+    lat = non_lattice_heuristic(cfg.environment)
+    lines = ["validation checks:"]
+    lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.checks]
+    lines.append("hypothesis audit:")
+    lines += [
+        f"  [{'ok' if e.passed else 'FAIL'}] {e.name} = {e.value:.6g} ({e.detail})"
+        for e in hyp.entries
+    ]
+    lines.append(f"lattice heuristic: {lat.status}")
+    lines += [
+        f"  atoms {pair.atom_i},{pair.atom_j}: log-mean ratio "
+        f"{pair.ratio:.12g} ~ {pair.numerator}/{pair.denominator}"
+        for pair in lat.pairs
+    ]
+    return (0 if report.ok else 2), "\n".join(lines)
+
+
+_KINDS: dict[str, Kind] = {
+    "rate": _rate_kind(
+        "rate.csv",
+        lambda cfg: clt_rate_experiment(
+            x_grid=cfg.x_grid.values(),
+            n_list=cfg.n_list,
+            e_log_w_config=ElogWConfig(horizon=cfg.horizon, replicates=cfg.replicates),
+            **_common_args(cfg),
+        ),
+    ),
+    "walk-oracle": _rate_kind(
+        "walk_oracle.csv",
+        lambda cfg: walk_oracle_rate(
+            cfg.environment,
+            cfg.x_grid.values(),
+            cfg.n_list,
+            cfg.replicates,
+            cfg.master_seed,
+            threads=cfg.threads,
+        ),
+    ),
+    "elogw": Kind(
+        (),
+        lambda cfg: estimate_elogw(horizon=cfg.horizon, **_common_args(cfg)),
+        (
+            Csv(
+                "elogw.csv",
+                "N,mean,se,last_increment_estimate,last_increment_se",
+                lambda e: [(e.horizon, e.mean, e.se, e.increment_estimate, e.increment_se)],
+            ),
+        ),
+        lambda e: (0, f"wrote elogw.csv: mean = {_fmt(e.mean)} +- {_fmt(e.se)}"),
+    ),
+    "decay": Kind(
+        ("n_list",),
+        lambda cfg: increment_decay(q=cfg.q, n_range=cfg.n_list, **_common_args(cfg)),
+        (
+            Csv("decay.csv", "n,estimate,se,qualifies"),
+            Csv(
+                "fit.csv",
+                "slope,rho_hat,ci_lo,ci_hi",
+                lambda s: [(s.slope, s.rho_hat, *s.rho_ci)] if s.status == "ok" else [],
+            ),
+        ),
+        _decay_outcome,
+    ),
+    "berry-esseen": Kind(
+        ("n_list", "x_grid"),
+        lambda cfg: berry_esseen_sup(
+            n_list=cfg.n_list, grid=cfg.x_grid.values(), **_common_args(cfg)
+        ),
+        (Csv("berry_esseen.csv", "n,sup_dev,se_max,c_fit"),),
+        lambda b: _gate(
+            b.stable,
+            f"wrote berry_esseen.csv: C = {_fmt(b.c)} (stable)",
+            "berry-esseen constant not stable within factor 2 across n",
+        ),
+    ),
+    "laplace": Kind(
+        ("x_grid",),
+        lambda cfg: laplace_decay(
+            t_grid=[math.exp(x) for x in cfg.x_grid.values()],
+            horizon=cfg.horizon,
+            r=cfg.r if cfg.r is not None else 2.0,
+            **_common_args(cfg),
+        ),
+        (Csv("laplace.csv", "t,phi_hat,se,logt_pow_r_times_phi"),),
+        lambda lp: _gate(
+            lp.bounded,
+            f"wrote laplace.csv ({len(lp.rows)} rows), bounded",
+            "laplace weighted column explodes across the grid",
+        ),
+    ),
+    "moments": Kind(
+        ("n_list",),
+        lambda cfg: moment_stability(
+            r=cfg.r if cfg.r is not None else 2.0, n_list=cfg.n_list, **_common_args(cfg)
+        ),
+        (
+            Csv(
+                "moments.csv",
+                "n,r,estimate,se",
+                lambda m: [(row.n, m.r, row.estimate, row.se) for row in m.rows],
+            ),
+        ),
+        lambda m: _gate(
+            m.bounded,
+            f"wrote moments.csv ({len(m.rows)} rows), bounded",
+            f"moment ratio {m.ratio:.3g} exceeds 2 beyond SE slack",
+        ),
+    ),
+    "validate": Kind((), _validate_report, (), lambda result: result, checks_environment=False),
+}
+KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Run one configured experiment, write artifacts, return the exit code."""
     t0 = time.monotonic()
     out_dir.mkdir(parents=True, exist_ok=True)
-    status = 0
-
-    if cfg.kind == "validate":
-        report = validate(cfg.environment)
-        print("validation checks:")
-        for c in report.checks:
-            print(f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-        hyp = hypothesis_report(
-            cfg.environment, p=cfg.p, delta=cfg.delta, r=cfg.r if cfg.r is not None else 3.0
-        )
-        print("hypothesis audit:")
-        for e in hyp.entries:
-            print(f"  [{'ok' if e.passed else 'FAIL'}] {e.name} = {e.value:.6g} ({e.detail})")
-        lat = non_lattice_heuristic(cfg.environment)
-        print(f"lattice heuristic: {lat.status}")
-        for pair in lat.pairs:
-            print(
-                f"  atoms {pair.atom_i},{pair.atom_j}: log-mean ratio "
-                f"{pair.ratio:.12g} ~ {pair.numerator}/{pair.denominator}"
-            )
-        status = 0 if report.ok else 2
-    elif cfg.kind in ("rate", "walk-oracle"):
-        _validate_environment(cfg)
-        x_values = _need(cfg, "x_grid").values()
-        n_list = _need(cfg, "n_list")
-        try:
-            if cfg.kind == "rate":
-                curve = clt_rate_experiment(
-                    cfg.environment,
-                    x_values,
-                    n_list,
-                    cfg.replicates,
-                    cfg.master_seed,
-                    e_log_w_config=ElogWConfig(
-                        horizon=cfg.horizon, replicates=cfg.replicates
-                    ),
-                    threads=cfg.threads,
-                    threshold=cfg.promotion_threshold,
-                )
-            else:
-                curve = walk_oracle_rate(
-                    cfg.environment,
-                    x_values,
-                    n_list,
-                    cfg.replicates,
-                    cfg.master_seed,
-                    threads=cfg.threads,
-                )
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
-        for w in curve.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        name = "rate.csv" if cfg.kind == "rate" else "walk_oracle.csv"
-        _write_csv(
-            out_dir / name,
-            ["x", "n", "dhat", "se", "g_pred", "q_pred"],
-            [
-                [_fmt(r.x), str(r.n), _fmt(r.dhat), _fmt(r.se), _fmt(r.g), _fmt(r.q_only)]
-                for r in curve.rows
-            ],
-        )
-        print(f"wrote {name} ({len(curve.rows)} rows); E log W = {_fmt(curve.e_log_w)}")
-    elif cfg.kind == "elogw":
-        _validate_environment(cfg)
-        est = estimate_elogw(
-            cfg.environment,
-            horizon=cfg.horizon,
-            replicates=cfg.replicates,
-            master_seed=cfg.master_seed,
-            threads=cfg.threads,
-            threshold=cfg.promotion_threshold,
-        )
-        _write_csv(
-            out_dir / "elogw.csv",
-            ["N", "mean", "se", "last_increment_estimate", "last_increment_se"],
-            [
-                [
-                    str(est.horizon),
-                    _fmt(est.mean),
-                    _fmt(est.se),
-                    _fmt(est.increment_estimate),
-                    _fmt(est.increment_se),
-                ]
-            ],
-        )
-        print(f"wrote elogw.csv: mean = {_fmt(est.mean)} +- {_fmt(est.se)}")
-    elif cfg.kind == "decay":
-        _validate_environment(cfg)
-        series = increment_decay(
-            cfg.environment,
-            cfg.q,
-            _need(cfg, "n_list"),
-            cfg.replicates,
-            cfg.master_seed,
-            threads=cfg.threads,
-            threshold=cfg.promotion_threshold,
-        )
-        _write_csv(
-            out_dir / "decay.csv",
-            ["n", "estimate", "se", "qualifies"],
-            [
-                [str(r.n), _fmt(r.estimate), _fmt(r.se), "true" if r.qualifies else "false"]
-                for r in series.rows
-            ],
-        )
-        fit_rows = []
-        if series.status == "ok":
-            fit_rows.append(
-                [
-                    _fmt(series.slope),
-                    _fmt(series.rho_hat),
-                    _fmt(series.rho_ci[0]),
-                    _fmt(series.rho_ci[1]),
-                ]
-            )
-        _write_csv(out_dir / "fit.csv", ["slope", "rho_hat", "ci_lo", "ci_hi"], fit_rows)
-        if series.status != "ok":
-            print("decay fit inconclusive: fewer than 3 rows pass the 5-SE gate")
-            status = 3
-        elif series.rho_ci[0] <= 1.0:
-            print(f"decay fit rho CI {series.rho_ci} does not exclude 1")
-            status = 3
-        else:
-            print(
-                f"wrote decay.csv and fit.csv: rho_hat = {_fmt(series.rho_hat)}, "
-                f"99% CI ({_fmt(series.rho_ci[0])}, {_fmt(series.rho_ci[1])})"
-            )
-    elif cfg.kind == "berry-esseen":
-        _validate_environment(cfg)
-        try:
-            result = berry_esseen_sup(
-                cfg.environment,
-                _need(cfg, "n_list"),
-                cfg.replicates,
-                _need(cfg, "x_grid").values(),
-                cfg.master_seed,
-                threads=cfg.threads,
-                threshold=cfg.promotion_threshold,
-            )
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
-        for w in result.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        _write_csv(
-            out_dir / "berry_esseen.csv",
-            ["n", "sup_dev", "se_max", "c_fit"],
-            [
-                [str(r.n), _fmt(r.sup_dev), _fmt(r.se_max), _fmt(r.c_fit)]
-                for r in result.rows
-            ],
-        )
-        if not result.stable:
-            print("berry-esseen constant not stable within factor 2 across n")
-            status = 3
-        else:
-            print(f"wrote berry_esseen.csv: C = {_fmt(result.c)} (stable)")
-    elif cfg.kind == "laplace":
-        _validate_environment(cfg)
-        t_values = [math.exp(x) for x in _need(cfg, "x_grid").values()]
-        try:
-            result = laplace_decay(
-                cfg.environment,
-                t_values,
-                cfg.horizon,
-                cfg.replicates,
-                cfg.master_seed,
-                r=cfg.r if cfg.r is not None else 2.0,
-                threads=cfg.threads,
-                threshold=cfg.promotion_threshold,
-            )
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
-        _write_csv(
-            out_dir / "laplace.csv",
-            ["t", "phi_hat", "se", "logt_pow_r_times_phi"],
-            [
-                [_fmt(r.t), _fmt(r.phi_hat), _fmt(r.se), _fmt(r.weighted)]
-                for r in result.rows
-            ],
-        )
-        if not result.bounded:
-            print("laplace weighted column explodes across the grid")
-            status = 3
-        else:
-            print(f"wrote laplace.csv ({len(result.rows)} rows), bounded")
-    elif cfg.kind == "moments":
-        _validate_environment(cfg)
-        r_value = cfg.r if cfg.r is not None else 2.0
-        result = moment_stability(
-            cfg.environment,
-            r_value,
-            _need(cfg, "n_list"),
-            cfg.replicates,
-            cfg.master_seed,
-            threads=cfg.threads,
-            threshold=cfg.promotion_threshold,
-        )
-        _write_csv(
-            out_dir / "moments.csv",
-            ["n", "r", "estimate", "se"],
-            [
-                [str(row.n), _fmt(r_value), _fmt(row.estimate), _fmt(row.se)]
-                for row in result.rows
-            ],
-        )
-        if not result.bounded:
-            print(f"moment ratio {result.ratio:.3g} exceeds 2 beyond SE slack")
-            status = 3
-        else:
-            print(f"wrote moments.csv ({len(result.rows)} rows), bounded")
-    else:  # pragma: no cover - kind checked at parse time
-        raise ConfigError(f"unhandled kind {cfg.kind!r}")
+    kind = _KINDS[cfg.kind]
+    if kind.checks_environment:
+        required = {"prob_sum", "mean_log_positive", "offspring_nondegenerate"}
+        bad = [c for c in validate(cfg.environment).failures() if c.name in required]
+        if bad:
+            msgs = "; ".join(f"{c.name}: {c.detail}" for c in bad)
+            raise ValidationFailure(f"environment failed validation: {msgs}")
+    for field in kind.requires:
+        if getattr(cfg, field) is None:
+            raise ConfigError(f"config.{field} is required for kind {cfg.kind!r}")
+    try:
+        result = kind.run(cfg)
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
+    for w in getattr(result, "warnings", ()):
+        print(f"warning: {w}", file=sys.stderr)
+    for spec in kind.csvs:
+        with open(out_dir / spec.name, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(spec.header.split(","))
+            writer.writerows([_cell(v) for v in row] for row in spec.rows(result))
+    status, text = kind.outcome(result)
+    print(text)
 
     manifest = {
         "config": serialize_config(cfg),
@@ -606,21 +537,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(doc)
         if args.seed is not None:
-            if not (0 <= args.seed < 2**64):
-                raise ConfigError("--seed must be an unsigned 64-bit integer")
-            cfg = dataclasses.replace(cfg, master_seed=args.seed)
+            cfg = dataclasses.replace(cfg, master_seed=_scalar("master_seed", args.seed, "--seed"))
         if args.threads is not None:
-            if args.threads < 0:
-                raise ConfigError("--threads must be nonnegative (0 = auto)")
-            cfg = dataclasses.replace(cfg, threads=args.threads)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+            cfg = dataclasses.replace(cfg, threads=_scalar("threads", args.threads, "--threads"))
         return run_experiment(cfg, Path(args.out))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

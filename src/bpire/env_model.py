@@ -13,6 +13,7 @@ one descendant (``P(X = 0) = 0``), which keeps the population alive and makes
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -67,15 +68,27 @@ class ShiftedGeometric:
 OffspringLaw = Union[ShiftedPoisson, ShiftedGeometric]
 
 
+#: Largest Poisson immigration mean whose ``P(Y = 0) = exp(-nu)`` is still a
+#: normal double (about 708.4): the immigration CDF table starts from that
+#: term, and a subnormal or zero start loses the whole table.
+POISSON_NU_MAX = -math.log(sys.float_info.min)
+
+
 @dataclass(frozen=True)
 class PoissonImmigration:
-    """``Y ~ Poisson(nu)`` immigrants per generation, ``nu >= 0``."""
+    """``Y ~ Poisson(nu)`` immigrants per generation,
+    ``0 <= nu <= POISSON_NU_MAX``."""
 
     nu: float
 
     def __post_init__(self) -> None:
         if not (self.nu >= 0.0) or not math.isfinite(self.nu):
             raise ValueError(f"PoissonImmigration requires nu >= 0, got {self.nu}")
+        if self.nu > POISSON_NU_MAX:
+            raise ValueError(
+                f"PoissonImmigration requires nu <= {POISSON_NU_MAX:.4g} so that "
+                f"P(Y = 0) = exp(-nu) is a normal double, got {self.nu}"
+            )
 
     @property
     def mean(self) -> float:

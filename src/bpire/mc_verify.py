@@ -5,7 +5,9 @@ them to summary statistics with binomial or sample standard errors, and
 attaches the analytic predictions from :mod:`bpire.analytics`.  All outputs
 are deterministic functions of ``(environment, parameters, master_seed)``;
 standardisation always uses the analytic ``mu`` and ``sigma`` of the
-environment, never sample moments.
+environment, never sample moments.  The fields of ``RatePoint``,
+``DecayRow``, ``BerryEsseenRow`` and ``LaplaceRow``, in declaration order,
+are the columns of the CLI's CSV files.
 """
 
 from __future__ import annotations
@@ -150,6 +152,21 @@ def _require_sigma_positive(env: EnvironmentModel, what: str) -> MomentSummary:
     return log_mean_moments(env)
 
 
+def _rate_inputs(n_list: Sequence[int], replicates: int) -> tuple[list[int], list[str]]:
+    """Check a rate curve's generations and warn when R is too small for
+    its confidence intervals."""
+    n_list = list(n_list)
+    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list) or n_list[0] < 1:
+        raise ValueError("n_list must be ascending positive generations")
+    warnings: list[str] = []
+    if replicates < 10**4:
+        warnings.append(
+            f"replicates={replicates} is below 10^4; binomial confidence "
+            "intervals on dhat are too wide for rate comparisons"
+        )
+    return n_list, warnings
+
+
 @dataclass(frozen=True)
 class ElogWConfig:
     """How to estimate ``E log W`` inside clt_rate_experiment: the horizon N
@@ -231,15 +248,7 @@ def clt_rate_experiment(
     function of ``(env, parameters, master_seed)``.
     """
     moments = _require_sigma_positive(env, "clt_rate_experiment")
-    n_list = list(n_list)
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list) or n_list[0] < 1:
-        raise ValueError("n_list must be ascending positive generations")
-    warnings: list[str] = []
-    if replicates < 10**4:
-        warnings.append(
-            f"replicates={replicates} is below 10^4; binomial confidence "
-            "intervals on dhat are too wide for rate comparisons"
-        )
+    n_list, warnings = _rate_inputs(n_list, replicates)
     batch = simulate_batch(
         env,
         n_list[-1],
@@ -287,15 +296,7 @@ def walk_oracle_rate(
     curve isolates the ``-pdf(x) E log W / sigma`` contribution.
     """
     moments = _require_sigma_positive(env, "walk_oracle_rate")
-    n_list = list(n_list)
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list) or n_list[0] < 1:
-        raise ValueError("n_list must be ascending positive generations")
-    warnings: list[str] = []
-    if replicates < 10**4:
-        warnings.append(
-            f"replicates={replicates} is below 10^4; binomial confidence "
-            "intervals on dhat are too wide for rate comparisons"
-        )
+    n_list, warnings = _rate_inputs(n_list, replicates)
     batch = simulate_walk_batch(
         env, n_list[-1], replicates, master_seed, record=tuple(n_list), threads=threads
     )

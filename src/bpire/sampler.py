@@ -101,18 +101,25 @@ class RngStream:
         self.generator = Generator(Philox(key=[self.master_seed, self.stream_id]))
 
 
-def rekey_generator(gen: Generator, master_seed: int, stream_id: int) -> Generator:
-    """Reset a Philox-backed generator to the exact state a fresh
-    ``RngStream(master_seed, stream_id)`` would start from.
+def rekey_generator(
+    gen: Generator, master_seed: int, stream_id: int, substream: int = 0
+) -> Generator:
+    """Reset a Philox-backed generator to the start of substream
+    ``substream`` of the key ``(master_seed, stream_id)``.
 
-    Batch drivers call this to avoid re-allocating generator objects in the
-    per-replicate loop; the output stream is bit-identical to a fresh one.
+    Substream 0 is the exact state a fresh ``RngStream(master_seed,
+    stream_id)`` starts from.  Substream k starts with the highest counter
+    word set to k, i.e. ``k * 2**192`` positions into the key's period --
+    unreachable by sequential drawing, so substreams never overlap.  Batch
+    drivers call this to avoid re-allocating generator objects in the
+    per-replicate loop.
     """
     bg = gen.bit_generator
     st = bg.state
     st["state"]["key"][0] = master_seed
     st["state"]["key"][1] = stream_id
     st["state"]["counter"][:] = 0
+    st["state"]["counter"][3] = substream
     st["buffer_pos"] = 4
     st["has_uint32"] = 0
     st["uinteger"] = 0
@@ -240,63 +247,35 @@ def sample_atom(env: EnvironmentModel, rng: RngStream) -> int:
     return int(np.searchsorted(cum, u, side="right"))
 
 
-def immigration_cdf_table(law: ImmigrationLaw, tail: float = 1e-18) -> np.ndarray:
-    """CDF table ``[P(Y<=0), P(Y<=1), ...]`` truncated once the remaining
-    tail mass drops below ``tail``.
+def immigration_cdf_table(law: ImmigrationLaw) -> np.ndarray:
+    """CDF table ``[P(Y<=0), P(Y<=1), ...]`` for inverting a uniform on
+    [0, 1).
 
-    Used by the trajectory driver for vectorised inversion from pre-drawn
-    uniforms; draws beyond the table (probability below ``tail`` each) are
-    resolved exactly by :func:`immigration_inverse_tail`.
+    The running sum stops growing once the next pmf term no longer changes
+    it in floating point; its last entry is then forced to 1.0, as in
+    :func:`atom_cumulative`, so every uniform below 1 inverts inside the
+    table.  A float sum may stall a few ulps below 1, so the loop must not
+    wait for it to reach 1 on its own.
     """
     if isinstance(law, NoImmigration):
         return np.array([1.0])
     if isinstance(law, PoissonImmigration):
         if law.nu == 0.0:
             return np.array([1.0])
-        pmf = math.exp(-law.nu)
-        cdf = [pmf]
-        k = 0
-        while 1.0 - cdf[-1] > tail:
-            k += 1
-            pmf *= law.nu / k
-            cdf.append(cdf[-1] + pmf)
-        return np.array(cdf)
-    if isinstance(law, GeometricImmigration):
+        pmf, ratio = math.exp(-law.nu), lambda k: law.nu / k
+    elif isinstance(law, GeometricImmigration):
         if law.s >= 1.0:
             return np.array([1.0])
-        pmf = law.s
-        cdf = [pmf]
-        while 1.0 - cdf[-1] > tail:
-            pmf *= 1.0 - law.s
-            cdf.append(cdf[-1] + pmf)
-        return np.array(cdf)
-    raise TypeError(f"unknown immigration law {law!r}")
-
-
-def immigration_inverse_tail(law: ImmigrationLaw, cdf_end: float, k_end: int, u: float) -> int:
-    """Exact inversion for a uniform beyond a truncated CDF table.
-
-    Continues the pmf recursion from table position ``k_end`` (whose
-    cumulative mass is ``cdf_end``) until the running CDF passes ``u``.
-    """
-    if isinstance(law, PoissonImmigration):
-        pmf = math.exp(-law.nu + k_end * math.log(law.nu) - math.lgamma(k_end + 1))
-        cdf, k = cdf_end, k_end
-        while cdf <= u:
-            k += 1
-            pmf *= law.nu / k
-            cdf += pmf
-            if pmf == 0.0:  # float underflow: u is in the lost tail mass
-                return k
-        return k
-    if isinstance(law, GeometricImmigration):
-        pmf = law.s * (1.0 - law.s) ** k_end
-        cdf, k = cdf_end, k_end
-        while cdf <= u:
-            k += 1
-            pmf *= 1.0 - law.s
-            cdf += pmf
-            if pmf == 0.0:
-                return k
-        return k
-    return 0
+        pmf, ratio = law.s, lambda k: 1.0 - law.s
+    else:
+        raise TypeError(f"unknown immigration law {law!r}")
+    cdf = [pmf]
+    k = 0
+    while cdf[-1] < 1.0:
+        k += 1
+        pmf *= ratio(k)
+        if cdf[-1] + pmf == cdf[-1]:
+            break
+        cdf.append(cdf[-1] + pmf)
+    cdf[-1] = 1.0
+    return np.array(cdf)

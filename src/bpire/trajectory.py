@@ -70,7 +70,7 @@ from .sampler import (
     RngStream,
     atom_cumulative,
     immigration_cdf_table,
-    immigration_inverse_tail,
+    rekey_generator,
 )
 
 #: Replicates per worker task.  Fixed so the partition of a batch into tasks
@@ -184,8 +184,7 @@ class _EnvTables:
         self.logm = [math.log(v) for v in self.m]
         self.sqrt_v = [math.sqrt(a.offspring.variance) for a in env.atoms]
         self.logm_np = np.array(self.logm)
-        self.imm_laws = [a.immigration for a in env.atoms]
-        self.imm_cdfs = [immigration_cdf_table(law) for law in self.imm_laws]
+        self.imm_cdfs = [immigration_cdf_table(a.immigration) for a in env.atoms]
         self.any_immigration = any(len(c) > 1 for c in self.imm_cdfs)
 
 
@@ -193,29 +192,10 @@ def _fresh_generator() -> Generator:
     return Generator(Philox(key=[0, 0]))
 
 
-def _rekey(gen: Generator, master_seed: int, stream_id: int, substream: int) -> None:
-    """Point ``gen`` at the start of a replicate substream.
-
-    Substreams are disjoint blocks of the Philox counter space: substream k
-    starts with the highest counter word set to k, i.e. ``k * 2**192``
-    positions into the key's period -- unreachable by sequential drawing.
-    """
-    bg = gen.bit_generator
-    st = bg.state
-    st["state"]["key"][0] = master_seed
-    st["state"]["key"][1] = stream_id
-    st["state"]["counter"][:] = 0
-    st["state"]["counter"][3] = substream
-    st["buffer_pos"] = 4
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    bg.state = st
-
-
 def _immigration_counts(tab: _EnvTables, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Invert per-generation immigration counts from uniforms, vectorised
-    per atom; uniforms beyond a truncated CDF table (mass < 1e-18 each) fall
-    back to exact scalar tail inversion."""
+    per atom.  Every table ends at 1.0 and every uniform is below 1, so each
+    inversion lands inside its table."""
     y = np.zeros(len(idx), dtype=np.int64)
     if not tab.any_immigration:
         return y
@@ -223,18 +203,8 @@ def _immigration_counts(tab: _EnvTables, idx: np.ndarray, u: np.ndarray) -> np.n
         if len(cdf) == 1:
             continue
         mask = idx == a
-        if not mask.any():
-            continue
-        pos = np.searchsorted(cdf, u[mask], side="right")
-        over = pos == len(cdf)
-        if over.any():
-            law = tab.imm_laws[a]
-            uu = u[mask][over]
-            pos[over] = [
-                immigration_inverse_tail(law, float(cdf[-1]), len(cdf) - 1, float(v))
-                for v in uu
-            ]
-        y[mask] = pos
+        if mask.any():
+            y[mask] = np.searchsorted(cdf, u[mask], side="right")
     return y
 
 
@@ -248,11 +218,11 @@ def _record_positions(record: Sequence[int], n: int) -> list[int]:
 
 
 def _simulate_chunk(
+    start_sid: int,
+    count: int,
     env: EnvironmentModel,
     n: int,
     master_seed: int,
-    start_sid: int,
-    count: int,
     record: tuple[int, ...],
     couple: bool,
     threshold: int,
@@ -277,12 +247,12 @@ def _simulate_chunk(
 
     for col in range(count):
         sid = start_sid + col
-        _rekey(gen0, master_seed, sid, 0)
+        rekey_generator(gen0, master_seed, sid)
         u_atoms = gen0.random(n)
         g1 = gen0.standard_normal(n)
         u_imm = gen0.random(n)
         if couple:
-            _rekey(gen1, master_seed, sid, 1)
+            rekey_generator(gen1, master_seed, sid, substream=1)
             g2 = gen1.standard_normal(n)
 
         idx = np.searchsorted(tab.cum, u_atoms, side="right")
@@ -426,11 +396,11 @@ def _simulate_chunk(
 
 
 def _walk_chunk(
+    start_sid: int,
+    count: int,
     env: EnvironmentModel,
     n: int,
     master_seed: int,
-    start_sid: int,
-    count: int,
     record: tuple[int, ...],
 ) -> dict[str, np.ndarray]:
     """Environment walk only: consumes just the atom block of the layout."""
@@ -440,7 +410,7 @@ def _walk_chunk(
     out_s = np.empty((len(record), count))
     gen0 = _fresh_generator()
     for col in range(count):
-        _rekey(gen0, master_seed, start_sid + col, 0)
+        rekey_generator(gen0, master_seed, start_sid + col)
         u_atoms = gen0.random(n)
         idx = np.searchsorted(tab.cum, u_atoms, side="right")
         s_full = np.cumsum(tab.logm_np[idx])
@@ -465,13 +435,10 @@ def _run_chunks(worker, static_args: tuple, replicates: int, stream_offset: int,
     results: list[dict[str, np.ndarray]] = [None] * len(chunks)  # type: ignore[list-item]
     if threads <= 1 or len(chunks) == 1:
         for i, (sid, cnt) in enumerate(chunks):
-            results[i] = worker(*static_args[:3], sid, cnt, *static_args[3:])
+            results[i] = worker(sid, cnt, *static_args)
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(worker, *static_args[:3], sid, cnt, *static_args[3:])
-                for sid, cnt in chunks
-            ]
+            futures = [pool.submit(worker, sid, cnt, *static_args) for sid, cnt in chunks]
             for i, f in enumerate(futures):
                 results[i] = f.result()
 
@@ -496,8 +463,7 @@ def simulate_path(
         raise ValueError(f"n must be nonnegative, got {n}")
     record = tuple(range(n + 1))
     out = _simulate_chunk(
-        env, n, rng.master_seed, rng.stream_id, 1, record,
-        couple_no_immigration, threshold,
+        rng.stream_id, 1, env, n, rng.master_seed, record, couple_no_immigration, threshold
     )
     log_z = out["log_z"][:, 0]
     s = out["s"][:, 0]

@@ -3,9 +3,14 @@ byte-level determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bpire
 from bpire.cli import (
     ConfigError,
     ExperimentConfig,
@@ -217,6 +222,30 @@ def test_bad_probability_mass_exits_two(tmp_path, capsys):
     code = main(["--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "prob_sum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "moments", "r": -1.0, "n_list": [2]},
+        {"kind": "decay", "q": 0.0, "n_list": [2, 3, 4]},
+        {"kind": "validate", "p": 1.0},
+    ],
+    ids=["moments-r", "decay-q", "validate-p"],
+)
+def test_failed_precondition_exits_two_without_traceback(tmp_path, doc):
+    doc = {**doc, "environment": _env_doc(), "replicates": 50}
+    src = str(Path(bpire.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bpire.cli", "--config", _write(tmp_path, doc),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_unreadable_config_exits_four(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
 
 from bpire import (
@@ -25,7 +26,6 @@ from bpire.sampler import (
     atom_cumulative,
     gaussian_log_step,
     immigration_cdf_table,
-    immigration_inverse_tail,
     rekey_generator,
 )
 from conftest import make_env_a
@@ -190,6 +190,13 @@ def test_rekey_matches_fresh_stream():
     np.testing.assert_array_equal(
         gen.standard_normal(16), fresh.standard_normal(16)
     )
+    # Substream 1 starts at the highest counter word.
+    rekey_generator(gen, 99, 123, substream=1)
+    fresh = Generator(Philox(key=[99, 123], counter=[0, 0, 0, 1]))
+    np.testing.assert_array_equal(gen.random(16), fresh.random(16))
+    np.testing.assert_array_equal(
+        gen.standard_normal(16), fresh.standard_normal(16)
+    )
 
 
 def test_atom_cumulative_ends_at_one():
@@ -225,14 +232,22 @@ def test_immigration_cdf_table_no_immigration():
     assert tab[0] == 1.0
 
 
-def test_immigration_inverse_tail_matches_quantile():
-    law = PoissonImmigration(nu=1.0)
-    k_end = 5
-    cdf_end = float(stats.poisson.cdf(k_end, 1.0))
-    for u in [0.99995, 0.999999, 1.0 - 1e-12]:
-        assert u > cdf_end
-        got = immigration_inverse_tail(law, cdf_end, k_end, u)
-        assert got == int(stats.poisson.ppf(u, 1.0))
+@pytest.mark.parametrize(
+    "law, size",
+    # Laws whose float CDF sum stalls a few ulps below 1.
+    [(GeometricImmigration(s=0.25), 126), (PoissonImmigration(nu=1.5), 21)],
+)
+def test_immigration_cdf_table_stops_when_the_sum_stalls(law, size):
+    tab = immigration_cdf_table(law)
+    assert tab.size == size
+    assert tab[-1] == 1.0
+    assert np.all(np.diff(tab) > 0)
+
+
+def test_poisson_immigration_rejects_underflowing_mean():
+    assert immigration_cdf_table(PoissonImmigration(nu=708.0))[-1] == 1.0
+    with pytest.raises(ValueError, match="normal double"):
+        PoissonImmigration(nu=709.0)
 
 
 def test_sample_immigration_means():
