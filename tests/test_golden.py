@@ -1,6 +1,9 @@
 """Golden outputs: every CLI kind, run through ``cli.main`` at small R, must
 reproduce recorded sha256 digests of its CSVs, its stdout and stderr, and its
-``run_manifest.json`` (with the ``wall_time_s`` line removed).
+``run_manifest.json`` (with the ``wall_time_s`` line removed).  The library
+cases cover the simulator paths no CLI kind reaches (the coupled shadow
+population, low promotion thresholds, ``simulate_path``); their digests are
+of the raw bytes of every array they return.
 
 A change that alters outputs on purpose updates ``GOLDEN`` and gives the
 reason in CHANGES.md.  To print the digests of the current tree::
@@ -14,9 +17,12 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bpire.cli import main
+from bpire import RngStream, simulate_batch, simulate_path
+from bpire.cli import _parse_environment, main
+from conftest import make_env_a
 
 # Two atoms that between them use every law kind but "none": geometric
 # offspring with geometric immigration, Poisson offspring with Poisson
@@ -107,6 +113,34 @@ CASES = {
         "environment": {"atoms": [{**_MIXED_ENV["atoms"][1], "prob": 1.0}]},
     },
 }
+
+
+def _batch(env, threshold: int = 2**40):
+    batch = simulate_batch(
+        env, 48, 256, master_seed=11, record=(0, 1, 7, 20, 48),
+        couple_no_immigration=True, threshold=threshold,
+    )
+    return {"log_z": batch.log_z, "s": batch.s, "log_zbar": batch.log_zbar}
+
+
+def _path(couple: bool):
+    traj = simulate_path(
+        _parse_environment(_MIXED_ENV), 40, RngStream(master_seed=5, stream_id=3),
+        couple_no_immigration=couple, threshold=2**10,
+    )
+    return {"log_z": traj.log_z, "s": traj.s, "log_zbar": traj.log_zbar}
+
+
+# Library cases: each returns the arrays whose raw bytes are digested.  At
+# threshold 2**10 the exact regime uses its Gaussian tail before promotion.
+CASES.update({
+    "lib-coupled-env-a": lambda: _batch(make_env_a()),
+    "lib-coupled-env-a-t1024": lambda: _batch(make_env_a(), 2**10),
+    "lib-coupled-mixed": lambda: _batch(_parse_environment(_MIXED_ENV)),
+    "lib-coupled-mixed-t1024": lambda: _batch(_parse_environment(_MIXED_ENV), 2**10),
+    "lib-path": lambda: _path(False),
+    "lib-path-coupled": lambda: _path(True),
+})
 
 # Recorded before the CLI was rebuilt around one table of kinds.
 GOLDEN = {
@@ -211,12 +245,51 @@ GOLDEN = {
     }
 }
 
+# Recorded before the generation step was folded into one function.
+GOLDEN.update({
+    "lib-coupled-env-a": {
+        "log_z": "629d477641a258a689bc6c557fc128de2e36dd92b4320d664800db74f1e72b2e",
+        "log_zbar": "6580b808560372746a4ba7136bdd19182d368a86666fb1a9b9d47036143bda0f",
+        "s": "afaaeaf66d930c0ec3afc33776fcdc0d8da3c141c30d2cad117ca17143e9fd0f"
+    },
+    "lib-coupled-env-a-t1024": {
+        "log_z": "9a09dcb39123ade2d58cdc11819daf71db0ab9d26166d3da4ff1e98e96bcb1cf",
+        "log_zbar": "f2a97b4fe3df82dc3e92291ec2e7f0c47e0912aa5977a63b81ade6066a24e064",
+        "s": "afaaeaf66d930c0ec3afc33776fcdc0d8da3c141c30d2cad117ca17143e9fd0f"
+    },
+    "lib-coupled-mixed": {
+        "log_z": "8238c22c06487f205483a5dee190bad9f47036804d2ab0628a4d5a8361892d5f",
+        "log_zbar": "5af8d209870448a8df73837fe1a808818e78dc2900639745f7899f0a89c5319a",
+        "s": "3709bcd8899c2b0d68f6cd485b86ea2ecf82504a4e662679276e978e8c7475c2"
+    },
+    "lib-coupled-mixed-t1024": {
+        "log_z": "c8e4c05a37e88b10e4ebfe63874f4aa18fc92b013afd18e10e61da0e15bdf542",
+        "log_zbar": "8aed03e853d6644b37d6a52caa61177f97959d436ef91bb3bf140666ebd886a7",
+        "s": "3709bcd8899c2b0d68f6cd485b86ea2ecf82504a4e662679276e978e8c7475c2"
+    },
+    "lib-path": {
+        "log_z": "84700d95edf4009863c313bdb555e5be6b3fb120aa7e850edbd9e4c8a67ada5f",
+        "s": "d24bd40687f6da901f7399fd7462fd76e727a931ac0b6f347e14e7c88d31da13"
+    },
+    "lib-path-coupled": {
+        "log_z": "30e40547ae3ade2c8f4558e61699222bbe2c0f565a364e79d2131881a8e86798",
+        "log_zbar": "67704d9090139d5b0c484767aee54f2b133dc182d1a4030766bd01f1456f8783",
+        "s": "d24bd40687f6da901f7399fd7462fd76e727a931ac0b6f347e14e7c88d31da13"
+    }
+})
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def _digests(case: str, tmp_path: Path) -> dict:
+    if callable(CASES[case]):
+        arrays = CASES[case]()
+        return {
+            name: _sha(np.ascontiguousarray(a).tobytes())
+            for name, a in sorted(arrays.items()) if a is not None
+        }
     doc = {"replicates": _R, "master_seed": 7, "threads": 1, **CASES[case]}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
