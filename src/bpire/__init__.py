@@ -24,15 +24,7 @@ from .env_model import (
     non_lattice_heuristic,
     validate,
 )
-from .sampler import (
-    PROMOTION_THRESHOLD,
-    Count,
-    RngStream,
-    sample_atom,
-    sample_immigration,
-    sample_offspring_total,
-    sample_poisson,
-)
+from .sampler import PROMOTION_THRESHOLD, RngStream
 from .trajectory import (
     BatchResult,
     Trajectory,
@@ -90,12 +82,7 @@ __all__ = [
     "non_lattice_heuristic",
     "validate",
     "PROMOTION_THRESHOLD",
-    "Count",
     "RngStream",
-    "sample_atom",
-    "sample_immigration",
-    "sample_offspring_total",
-    "sample_poisson",
     "BatchResult",
     "Trajectory",
     "WalkBatch",

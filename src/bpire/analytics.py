@@ -11,6 +11,7 @@ statistical experiments treat its outputs as ground truth.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .env_model import (
@@ -143,6 +144,8 @@ def _power_series_moment(
     pmf_ratio,
     power: float,
     shift: int,
+    log_pmf=None,
+    mode: int = 0,
     rtol: float = 1e-12,
     max_terms: int = 10**6,
 ) -> float:
@@ -153,9 +156,38 @@ def _power_series_moment(
     is strictly decreasing in k, so once it drops below 1 the tail is
     bounded by the geometric series ``term * ratio / (1 - ratio)``; the sum
     stops when that bound falls below ``rtol`` times the partial sum.
+
+    A first term below the smallest normal double (a Poisson mean above
+    about 708) would carry no mass into the later terms, so then the sum
+    starts at ``max(first_k, mode)`` with ``exp(log_pmf(k))`` and runs in
+    both directions; going down, the term ratio only shrinks, so the same
+    geometric bound ends that half.
     """
-    k = first_k
-    pmf = first_pmf
+    if first_pmf >= sys.float_info.min or log_pmf is None:
+        return _sum_upward(first_k, first_pmf, pmf_ratio, power, shift, rtol, max_terms)
+    k = max(first_k, mode)
+    pmf = math.exp(log_pmf(k))
+    total = _sum_upward(k, pmf, pmf_ratio, power, shift, rtol, max_terms)
+    term = (shift + k) ** power * pmf
+    for _ in range(max_terms):
+        if k == first_k:
+            return total
+        ratio = ((shift + k - 1) / (shift + k)) ** power / pmf_ratio(k - 1)
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) <= rtol * total:
+            return total
+        k -= 1
+        pmf /= pmf_ratio(k)
+        term = (shift + k) ** power * pmf
+        total += term
+    raise SeriesDivergence(
+        f"series did not reach rtol={rtol} within {max_terms} terms"
+    )
+
+
+def _sum_upward(k: int, pmf: float, pmf_ratio, power: float, shift: int,
+                rtol: float, max_terms: int) -> float:
+    """The terms of :func:`_power_series_moment` from ``k`` (with
+    ``pmf(k) = pmf``) upward."""
     term = (shift + k) ** power * pmf
     total = term
     for _ in range(max_terms):
@@ -178,7 +210,8 @@ def _offspring_power_moment(law, power: float) -> float:
     if isinstance(law, ShiftedPoisson):
         lam = law.lam
         return _power_series_moment(
-            0, math.exp(-lam), lambda k: lam / (k + 1), power, shift=1
+            0, math.exp(-lam), lambda k: lam / (k + 1), power, shift=1,
+            log_pmf=lambda k: k * math.log(lam) - lam - math.lgamma(k + 1), mode=int(lam),
         )
     if isinstance(law, ShiftedGeometric):
         q = law.q

@@ -9,7 +9,9 @@ config is the archivable record of what ran.
 Exit codes:
 
 * 0 -- success;
-* 1 -- malformed config (JSON syntax, unknown or missing keys, bad types);
+* 1 -- malformed config (JSON syntax, unknown or missing keys, bad types,
+  a scalar out of its range such as ``promotion_threshold`` below
+  ``MIN_PROMOTION_THRESHOLD`` = 2**10);
 * 2 -- validation failure: a law parameter out of its domain (such as a
   Poisson immigration mean ``nu`` above ``POISSON_NU_MAX``, about 708.4),
   a failed environment check, or an unmet precondition of any experiment
@@ -57,7 +59,7 @@ from .mc_verify import (
     moment_stability,
     walk_oracle_rate,
 )
-from .sampler import PROMOTION_THRESHOLD
+from .sampler import MIN_PROMOTION_THRESHOLD, PROMOTION_THRESHOLD
 
 
 class ConfigError(Exception):
@@ -199,7 +201,12 @@ _SCALARS: dict[str, tuple[Callable[[Any, str], Any], Callable[[Any], bool], str]
     "r": (_as_number, lambda v: True, ""),
     "delta": (_as_number, lambda v: True, ""),
     "p": (_as_number, lambda v: True, ""),
-    "promotion_threshold": (_as_int, lambda v: v >= 2, "must be at least 2"),
+    "promotion_threshold": (
+        _as_int,
+        lambda v: v >= MIN_PROMOTION_THRESHOLD,
+        f"must be at least {MIN_PROMOTION_THRESHOLD}: below it the Gaussian log step "
+        "is not guaranteed to stay in its domain",
+    ),
     "threads": (_as_int, lambda v: v >= 0, "must be nonnegative (0 = auto)"),
 }
 

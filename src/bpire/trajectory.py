@@ -42,6 +42,13 @@ immigration sequences, and the exact-regime draws stay aligned until each
 population individually promotes.  That is what keeps trajectories
 threshold-consistent to within the log-regime noise floor.
 
+One function, ``_population``, runs every population through all its
+generations.  A coupled replicate runs ``Zbar`` to completion and then ``D``
+instead of interleaving their generations; that replays the same draws,
+because substream 0's on-demand draws belong only to ``Zbar`` and substream
+1's only to ``D``.  A population stops at the last recorded generation:
+later draws could reach no output.
+
 Coupling
 --------
 With ``couple=True`` the replicate maintains two populations: the coupled
@@ -66,6 +73,7 @@ from numpy.random import Generator, Philox
 
 from .env_model import EnvironmentModel, ShiftedGeometric, ShiftedPoisson
 from .sampler import (
+    MIN_PROMOTION_THRESHOLD,
     PROMOTION_THRESHOLD,
     RngStream,
     atom_cumulative,
@@ -161,11 +169,19 @@ class WalkBatch:
         return self.s[self.record.index(generation)]
 
 
+def _walk_tables(env: EnvironmentModel) -> tuple[np.ndarray, np.ndarray]:
+    """The atom-inversion CDF and the atoms' log offspring means: all the
+    environment walk needs."""
+    return atom_cumulative(env), np.array([math.log(a.offspring.mean) for a in env.atoms])
+
+
 class _EnvTables:
-    """Per-environment constants unpacked into loop-friendly lists."""
+    """Per-environment constants unpacked into loop-friendly lists.  Built
+    once per batch and handed to every chunk."""
 
     def __init__(self, env: EnvironmentModel):
-        self.cum = atom_cumulative(env)
+        self.cum, self.logm_np = _walk_tables(env)
+        self.logm = self.logm_np.tolist()
         kinds: list[int] = []
         p1: list[float] = []
         for a in env.atoms:
@@ -181,9 +197,7 @@ class _EnvTables:
         self.kind = kinds
         self.p1 = p1
         self.m = [a.offspring.mean for a in env.atoms]
-        self.logm = [math.log(v) for v in self.m]
         self.sqrt_v = [math.sqrt(a.offspring.variance) for a in env.atoms]
-        self.logm_np = np.array(self.logm)
         self.imm_cdfs = [immigration_cdf_table(a.immigration) for a in env.atoms]
         self.any_immigration = any(len(c) > 1 for c in self.imm_cdfs)
 
@@ -217,10 +231,86 @@ def _record_positions(record: Sequence[int], n: int) -> list[int]:
     return rec
 
 
+def _check_threshold(threshold: int) -> None:
+    if threshold < MIN_PROMOTION_THRESHOLD:
+        raise ValueError(
+            f"promotion threshold must be at least {MIN_PROMOTION_THRESHOLD}: below it "
+            "the Gaussian log step and tail are not guaranteed a positive argument"
+        )
+
+
+def _population(
+    z: int,
+    gen: Generator,
+    idx_l: list[int],
+    g_l: list[float],
+    y_l: list[int],
+    tab: _EnvTables,
+    threshold: int,
+    rec: list[int],
+) -> list[float]:
+    """Grow one population from ``z`` individuals and return its log size
+    at each generation in ``rec`` (all >= 1, increasing), ``-inf`` while it
+    is empty.
+
+    Step k takes generation k to k+1 under atom ``idx_l[k]`` and adds the
+    ``y_l[k]`` immigrants.  Exact phase: the offspring total of z parents is
+    ``z + Poisson(z*lam)`` (shifted Poisson) or ``z + Poisson(Gamma(z,
+    (1-q)/q))`` (shifted geometric), drawn on demand from ``gen``; a Poisson
+    mean at or above ``threshold`` is drawn as ``mean + sqrt(mean) * G``
+    instead.  Once the size reaches ``threshold`` the population moves to
+    log space for good: with the pre-drawn normal ``g = g_l[k]``,
+    ``log Z' = log Z + log m + log1p(g * sqrt(v) * Z**-0.5 / m)``, i.e.
+    ``log(Z*m + g*sqrt(Z*v))``, followed by ``log1p(y / Z')`` for immigrants.
+    """
+    kind_l, p1_l, m_l, logm_l, sv_l = tab.kind, tab.p1, tab.m, tab.logm, tab.sqrt_v
+    log, log1p, exp, sqrt = math.log, math.log1p, math.exp, math.sqrt
+    pois, norm, gam = gen.poisson, gen.standard_normal, gen.gamma
+    out: list[float] = []
+    pending = iter(rec)
+    nxt = next(pending, 0)
+    for k in range(rec[-1] if rec else 0):
+        if z:
+            a = idx_l[k]
+            if kind_l[a]:
+                mean = float(gam(z, p1_l[a]))
+            else:
+                mean = z * p1_l[a]
+            if mean < threshold:
+                z = z + int(pois(mean)) + y_l[k]
+            else:
+                val = mean + sqrt(mean) * float(norm())
+                if val < 1.0:
+                    val = 1.0
+                z = z + int(val) + y_l[k]
+        else:
+            z = y_l[k]
+        if k + 1 == nxt:
+            out.append(log(z) if z else -math.inf)
+            nxt = next(pending, 0)
+        if z >= threshold:
+            break
+    else:
+        return out
+
+    zlog = log(z)
+    k += 1
+    for r in rec[len(out):]:
+        for j in range(k, r):
+            a = idx_l[j]
+            zlog += logm_l[a] + log1p(g_l[j] * sv_l[a] * exp(-0.5 * zlog) / m_l[a])
+            yj = y_l[j]
+            if yj:
+                zlog += log1p(yj * exp(-zlog))
+        out.append(zlog)
+        k = r
+    return out
+
+
 def _simulate_chunk(
     start_sid: int,
     count: int,
-    env: EnvironmentModel,
+    tab: _EnvTables,
     n: int,
     master_seed: int,
     record: tuple[int, ...],
@@ -229,165 +319,48 @@ def _simulate_chunk(
 ) -> dict[str, np.ndarray]:
     """Simulate ``count`` replicates with consecutive stream ids and return
     recorded rows.  This is the unit of work handed to pool workers."""
-    tab = _EnvTables(env)
-    rec = list(record)
-    n_rec = len(rec)
-    out_logz = np.empty((n_rec, count))
-    out_s = np.empty((n_rec, count))
-    out_logzbar = np.empty((n_rec, count)) if couple else None
+    rec = [g for g in record if g > 0]
+    first = len(record) - len(rec)  # 1 when generation 0 (log Z_0 = 0) is recorded
+    walk_at = np.array(rec, dtype=np.int64) - 1
+    out_logz = np.zeros((len(record), count))
+    out_s = np.zeros((len(record), count))
+    out_logzbar = np.zeros((len(record), count)) if couple else None
 
     gen0 = _fresh_generator()
     gen1 = _fresh_generator() if couple else None
-
-    # Loop-local bindings.
-    kind_l, p1_l, m_l, logm_l, sv_l = tab.kind, tab.p1, tab.m, tab.logm, tab.sqrt_v
-    log, log1p, exp, sqrt = math.log, math.log1p, math.exp, math.sqrt
-    rec_arr = np.array(rec, dtype=np.int64)
-    rec_from = 1 if rec and rec[0] == 0 else 0  # generation 0 is deterministic
+    no_immigrants = [0] * n
+    log1p, exp = math.log1p, math.exp
 
     for col in range(count):
         sid = start_sid + col
         rekey_generator(gen0, master_seed, sid)
         u_atoms = gen0.random(n)
-        g1 = gen0.standard_normal(n)
+        g1_l = gen0.standard_normal(n).tolist()
         u_imm = gen0.random(n)
-        if couple:
-            rekey_generator(gen1, master_seed, sid, substream=1)
-            g2 = gen1.standard_normal(n)
 
         idx = np.searchsorted(tab.cum, u_atoms, side="right")
-        s_full = np.cumsum(tab.logm_np[idx])
-        y_seq = _immigration_counts(tab, idx, u_imm)
-
+        out_s[first:, col] = np.cumsum(tab.logm_np[idx])[walk_at]
         idx_l = idx.tolist()
-        y_l = y_seq.tolist()
-        g1_l = g1.tolist()
-
-        pois0 = gen0.poisson
-        norm0 = gen0.standard_normal
-        gam0 = gen0.gamma
-
-        # Record bookkeeping: rec_i walks the sorted record list.
-        rec_i = rec_from
-        next_rec = rec[rec_i] if rec_i < n_rec else n + 1
-        if rec_from:
-            out_logz[0, col] = 0.0
-            if couple:
-                out_logzbar[0, col] = 0.0
+        y_l = _immigration_counts(tab, idx, u_imm).tolist()
 
         if not couple:
-            z = 1
-            zlog = 0.0
-            is_log = False
-            for k in range(n):
-                a = idx_l[k]
-                if is_log:
-                    m = m_l[a]
-                    zlog += logm_l[a] + log1p(g1_l[k] * sv_l[a] * exp(-0.5 * zlog) / m)
-                    yk = y_l[k]
-                    if yk:
-                        zlog += log1p(yk * exp(-zlog))
-                else:
-                    if kind_l[a]:
-                        mean = float(gam0(z, p1_l[a]))
-                    else:
-                        mean = z * p1_l[a]
-                    if mean < threshold:
-                        z = z + int(pois0(mean)) + y_l[k]
-                    else:
-                        val = mean + sqrt(mean) * float(norm0())
-                        if val < 1.0:
-                            val = 1.0
-                        z = z + int(val) + y_l[k]
-                    if z >= threshold:
-                        is_log = True
-                        zlog = log(z)
-                if k + 1 == next_rec:
-                    out_logz[rec_i, col] = zlog if is_log else log(z)
-                    rec_i += 1
-                    next_rec = rec[rec_i] if rec_i < n_rec else n + 1
-        else:
-            g2_l = g2.tolist()
-            pois1 = gen1.poisson
-            norm1 = gen1.standard_normal
-            gam1 = gen1.gamma
-            zb = 1
-            zb_log = 0.0
-            zb_is_log = False
-            d = 0
-            d_log = 0.0
-            d_is_log = False
-            for k in range(n):
-                a = idx_l[k]
-                # Coupled (no-immigration) population.
-                if zb_is_log:
-                    m = m_l[a]
-                    zb_log += logm_l[a] + log1p(g1_l[k] * sv_l[a] * exp(-0.5 * zb_log) / m)
-                else:
-                    if kind_l[a]:
-                        mean = float(gam0(zb, p1_l[a]))
-                    else:
-                        mean = zb * p1_l[a]
-                    if mean < threshold:
-                        zb = zb + int(pois0(mean))
-                    else:
-                        val = mean + sqrt(mean) * float(norm0())
-                        if val < 1.0:
-                            val = 1.0
-                        zb = zb + int(val)
-                    if zb >= threshold:
-                        zb_is_log = True
-                        zb_log = log(zb)
-                # Surplus population; immigrants join here.
-                yk = y_l[k]
-                if d_is_log:
-                    m = m_l[a]
-                    d_log += logm_l[a] + log1p(g2_l[k] * sv_l[a] * exp(-0.5 * d_log) / m)
-                    if yk:
-                        d_log += log1p(yk * exp(-d_log))
-                else:
-                    if d:
-                        if kind_l[a]:
-                            mean = float(gam1(d, p1_l[a]))
-                        else:
-                            mean = d * p1_l[a]
-                        if mean < threshold:
-                            d = d + int(pois1(mean)) + yk
-                        else:
-                            val = mean + sqrt(mean) * float(norm1())
-                            if val < 1.0:
-                                val = 1.0
-                            d = d + int(val) + yk
-                    else:
-                        d = yk
-                    if d >= threshold:
-                        d_is_log = True
-                        d_log = log(d)
-                if k + 1 == next_rec:
-                    zbl = zb_log if zb_is_log else log(zb)
-                    if d_is_log:
-                        dl = d_log
-                    elif d:
-                        dl = log(d)
-                    else:
-                        dl = None
-                    if dl is None:
-                        lz = zbl
-                    elif zbl >= dl:
-                        lz = zbl + log1p(exp(dl - zbl))
-                    else:
-                        lz = dl + log1p(exp(zbl - dl))
-                    out_logz[rec_i, col] = lz
-                    out_logzbar[rec_i, col] = zbl
-                    rec_i += 1
-                    next_rec = rec[rec_i] if rec_i < n_rec else n + 1
+            logz = _population(1, gen0, idx_l, g1_l, y_l, tab, threshold, rec)
+            for i, lz in enumerate(logz, first):
+                out_logz[i, col] = lz
+            continue
 
-        # Walk values at the recorded generations (S_0 = 0).
-        s_vals = np.zeros(n_rec)
-        nz = rec_arr > 0
-        if nz.any():
-            s_vals[nz] = s_full[rec_arr[nz] - 1]
-        out_s[:, col] = s_vals
+        rekey_generator(gen1, master_seed, sid, substream=1)
+        g2_l = gen1.standard_normal(n).tolist()
+        zbar = _population(1, gen0, idx_l, g1_l, no_immigrants, tab, threshold, rec)
+        surplus = _population(0, gen1, idx_l, g2_l, y_l, tab, threshold, rec)
+        for i, zbl, dl in zip(range(first, len(record)), zbar, surplus):
+            # log(Zbar + D); D = 0 (dl = -inf) leaves zbl unchanged.
+            if zbl >= dl:
+                lz = zbl + log1p(exp(dl - zbl))
+            else:
+                lz = dl + log1p(exp(zbl - dl))
+            out_logz[i, col] = lz
+            out_logzbar[i, col] = zbl
 
     result = {"log_z": out_logz, "s": out_s}
     if couple:
@@ -398,26 +371,22 @@ def _simulate_chunk(
 def _walk_chunk(
     start_sid: int,
     count: int,
-    env: EnvironmentModel,
+    cum: np.ndarray,
+    logm: np.ndarray,
     n: int,
     master_seed: int,
     record: tuple[int, ...],
 ) -> dict[str, np.ndarray]:
     """Environment walk only: consumes just the atom block of the layout."""
-    tab = _EnvTables(env)
-    rec_arr = np.array(record, dtype=np.int64)
-    nz = rec_arr > 0
-    out_s = np.empty((len(record), count))
+    rec = [g for g in record if g > 0]
+    first = len(record) - len(rec)
+    walk_at = np.array(rec, dtype=np.int64) - 1
+    out_s = np.zeros((len(record), count))
     gen0 = _fresh_generator()
     for col in range(count):
         rekey_generator(gen0, master_seed, start_sid + col)
-        u_atoms = gen0.random(n)
-        idx = np.searchsorted(tab.cum, u_atoms, side="right")
-        s_full = np.cumsum(tab.logm_np[idx])
-        s_vals = np.zeros(len(record))
-        if nz.any():
-            s_vals[nz] = s_full[rec_arr[nz] - 1]
-        out_s[:, col] = s_vals
+        idx = np.searchsorted(cum, gen0.random(n), side="right")
+        out_s[first:, col] = np.cumsum(logm[idx])[walk_at]
     return {"s": out_s}
 
 
@@ -461,9 +430,11 @@ def simulate_path(
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    _check_threshold(threshold)
     record = tuple(range(n + 1))
     out = _simulate_chunk(
-        rng.stream_id, 1, env, n, rng.master_seed, record, couple_no_immigration, threshold
+        rng.stream_id, 1, _EnvTables(env), n, rng.master_seed, record,
+        couple_no_immigration, threshold,
     )
     log_z = out["log_z"][:, 0]
     s = out["s"][:, 0]
@@ -497,11 +468,12 @@ def simulate_batch(
     """
     if replicates <= 0:
         raise ValueError(f"replicates must be positive, got {replicates}")
+    _check_threshold(threshold)
     rec = tuple(_record_positions(record if record is not None else (n,), n))
     keys = ["log_z", "s"] + (["log_zbar"] if couple_no_immigration else [])
     out = _run_chunks(
         _simulate_chunk,
-        (env, n, master_seed, rec, couple_no_immigration, threshold),
+        (_EnvTables(env), n, master_seed, rec, couple_no_immigration, threshold),
         replicates,
         stream_offset,
         threads,
@@ -537,7 +509,7 @@ def simulate_walk_batch(
     rec = tuple(_record_positions(record if record is not None else (n,), n))
     out = _run_chunks(
         _walk_chunk,
-        (env, n, master_seed, rec),
+        (*_walk_tables(env), n, master_seed, rec),
         replicates,
         stream_offset,
         threads,

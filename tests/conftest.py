@@ -1,14 +1,20 @@
 """Shared environment builders for the test suite."""
 
+import math
+
+import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from bpire import (
+    PROMOTION_THRESHOLD,
     EnvAtom,
     EnvironmentModel,
     NoImmigration,
     PoissonImmigration,
     ShiftedPoisson,
 )
+from bpire.trajectory import _EnvTables, _population
 
 
 def make_env_a(immigration: bool = True) -> EnvironmentModel:
@@ -41,6 +47,25 @@ def make_skewed_env() -> EnvironmentModel:
             ),
         )
     )
+
+
+def one_atom_tables(offspring, immigration=NoImmigration()) -> _EnvTables:
+    """Simulator tables of the environment whose only atom has these laws."""
+    return _EnvTables(
+        EnvironmentModel(atoms=(EnvAtom(offspring=offspring, immigration=immigration, prob=1.0),))
+    )
+
+
+def one_generation_totals(law, z: int, master_seed: int, draws: int) -> np.ndarray:
+    """``draws`` successive offspring totals of ``z`` individuals under
+    ``law``, each one exact generation of the simulator's own step, drawn
+    on demand from the Philox stream ``(master_seed, 0)``."""
+    tab = one_atom_tables(law)
+    gen = Generator(Philox(key=[master_seed, 0]))
+    return np.array([
+        round(math.exp(_population(z, gen, [0], [0.0], [0], tab, PROMOTION_THRESHOLD, [1])[0]))
+        for _ in range(draws)
+    ])
 
 
 @pytest.fixture

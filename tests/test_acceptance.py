@@ -25,7 +25,6 @@ import pytest
 from scipy import stats
 
 from bpire import (
-    RngStream,
     ShiftedGeometric,
     ShiftedPoisson,
     berry_esseen_sup,
@@ -35,7 +34,6 @@ from bpire import (
     increment_decay,
     log_mean_moments,
     moment_stability,
-    sample_offspring_total,
     simulate_batch,
     std_normal_cdf,
     std_normal_pdf,
@@ -43,7 +41,7 @@ from bpire import (
 )
 from bpire.cli import main as cli_main
 from bpire.mc_verify import ELOGW_STREAM_OFFSET, ElogWConfig
-from conftest import make_env_a, make_skewed_env
+from conftest import make_env_a, make_skewed_env, one_generation_totals
 
 X_GRID = [-1.0, 0.0, 1.0]
 N_LIST = [16, 64, 256]
@@ -121,10 +119,7 @@ def test_criterion_01_sampler_oracle_equivalence(capsys):
             max_tv = max(max_tv, 0.5 * float(np.abs(conv - closed).sum()))
 
             draws = 100_000
-            rng = RngStream(master_seed=7_000 + z, stream_id=0)
-            totals = np.array(
-                [sample_offspring_total(z, law, rng).value for _ in range(draws)]
-            )
+            totals = one_generation_totals(law, z, 7_000 + z, draws)
             excess = totals - z
             expected = excess_pmf(law, z, int(excess.max()) + 50) * draws
             observed = np.bincount(excess, minlength=expected.size)

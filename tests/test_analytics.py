@@ -246,6 +246,35 @@ def test_hypothesis_report_rejects_bad_exponents():
         hypothesis_report(env, p=2.0, delta=2.0, r=2.5)
 
 
+def _mp_shifted_poisson_moment(lam: float, power: float, dps: int = 50):
+    """E (1+K)^power for K ~ Poisson(lam), summed over lam +- 40 sd."""
+    with mp.workdps(dps):
+        lam_mp, half = mp.mpf(lam), int(40 * math.sqrt(lam)) + 40
+        return mp.fsum(
+            (1 + k) ** mp.mpf(power) * mp.exp(k * mp.log(lam_mp) - lam_mp - mp.loggamma(k + 1))
+            for k in range(max(0, int(lam) - half), int(lam) + half)
+        )
+
+
+@pytest.mark.parametrize("lam", [700.0, 800.0, 5000.0])
+def test_large_poisson_mean_moment_does_not_underflow(lam):
+    # exp(-lam) is a normal double at 700, 0 at 800 and 5000
+    for power in (2.0, 2.5):
+        got = analytics._offspring_power_moment(ShiftedPoisson(lam=lam), power)
+        assert got == pytest.approx(float(_mp_shifted_poisson_moment(lam, power)), rel=1e-10)
+    # the hypothesis audit averages both atoms instead of dropping the big one
+    env = EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=ShiftedPoisson(lam=v), immigration=NoImmigration(), prob=0.5)
+        for v in (2.0, lam)
+    ))
+    expected = sum(
+        0.5 * float((_mp_shifted_poisson_moment(v, 2.0) / (1 + v) ** 2) ** 2) for v in (2.0, lam)
+    )
+    entry = hypothesis_report(env, p=2.0, delta=2.0).entry("E(E_xi(X0/m0)^p)^delta")
+    assert entry.value == pytest.approx(expected, rel=1e-10)
+    assert entry.value > 1.0
+
+
 def test_hypothesis_report_series_divergence_entry(monkeypatch):
     def boom(law, power):
         raise SeriesDivergence("series did not converge within the term cap")

@@ -234,18 +234,35 @@ def test_bad_probability_mass_exits_two(tmp_path, capsys):
     ids=["moments-r", "decay-q", "validate-p"],
 )
 def test_failed_precondition_exits_two_without_traceback(tmp_path, doc):
-    doc = {**doc, "environment": _env_doc(), "replicates": 50}
+    proc = _run_cli(tmp_path, {**doc, "environment": _env_doc(), "replicates": 50})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def _run_cli(tmp_path, doc) -> subprocess.CompletedProcess:
+    """Run the CLI on ``doc`` in a fresh interpreter."""
     src = str(Path(bpire.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "bpire.cli", "--config", _write(tmp_path, doc),
          "--out", str(tmp_path / "o")],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 2, proc.stderr
+
+
+def test_threshold_below_minimum_exits_one_with_reason(tmp_path):
+    doc = {"kind": "elogw", "environment": _env_doc(), "replicates": 50, "horizon": 40}
+    proc = _run_cli(tmp_path, {**doc, "promotion_threshold": 3})
+    assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert "promotion_threshold must be at least 1024" in proc.stderr
+    assert "log step" in proc.stderr
     assert "Traceback" not in proc.stderr
+    with pytest.raises(ConfigError, match="promotion_threshold"):
+        parse_config({**doc, "promotion_threshold": 2**10 - 1})
+    assert parse_config({**doc, "promotion_threshold": 2**10}).promotion_threshold == 2**10
 
 
 def test_unreadable_config_exits_four(tmp_path, capsys):

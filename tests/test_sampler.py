@@ -1,5 +1,6 @@
-"""Sampling layer: closed-form generation aggregation against brute-force
-convolution oracles, count promotion, stream reproducibility."""
+"""Sampling layer: the simulator's generation step against brute-force
+convolution oracles, its promotion rule and log step, atom and immigration
+inversion, stream keys."""
 
 import math
 
@@ -10,25 +11,21 @@ from scipy import stats
 
 from bpire import (
     PROMOTION_THRESHOLD,
-    Count,
     GeometricImmigration,
     NoImmigration,
     PoissonImmigration,
     RngStream,
     ShiftedGeometric,
     ShiftedPoisson,
-    sample_atom,
-    sample_immigration,
-    sample_offspring_total,
-    sample_poisson,
+    simulate_walk_batch,
 )
 from bpire.sampler import (
     atom_cumulative,
-    gaussian_log_step,
     immigration_cdf_table,
     rekey_generator,
 )
-from conftest import make_env_a
+from bpire.trajectory import _immigration_counts, _population
+from conftest import make_env_a, one_atom_tables, one_generation_totals
 
 # Truncation length for single-individual excess pmfs in the convolution
 # oracle; the neglected tail is ~1e-31 or smaller for every law below.
@@ -83,10 +80,7 @@ def test_aggregate_pmf_matches_convolution(law, z):
 def test_aggregate_draws_pass_chi_square(law):
     z = 4
     draws = 100_000
-    rng = RngStream(master_seed=2024, stream_id=0)
-    totals = np.array(
-        [sample_offspring_total(z, law, rng).value for _ in range(draws)]
-    )
+    totals = one_generation_totals(law, z, 2024, draws)
     assert totals.min() >= z  # every individual leaves at least one child
     excess = totals - z
 
@@ -105,73 +99,76 @@ def test_aggregate_draws_pass_chi_square(law):
     assert pvalue > 1e-3
 
 
+def _log_step(z: float, law, g: float) -> float:
+    """log(z*m + g*sqrt(z*v)), the log of a Gaussian generation total."""
+    return math.log(z * law.mean + g * math.sqrt(z * law.variance))
+
+
 def test_count_promotion_rule():
+    # Immigrants into an empty population fix generation 1 exactly.  At
+    # 1023 < 2**10 generation 2 is an exact step drawn on demand; at 1024
+    # the population is in log space for good and steps with the pre-drawn
+    # normals only, so the stream is never touched.
     t = 2**10
-    small = Count.of(1023, threshold=t)
-    big = Count.of(1024, threshold=t)
-    assert small.is_exact and small.value == 1023
-    assert not big.is_exact
-    assert big.log == pytest.approx(math.log(1024.0))
-    assert float(small) == 1023.0
-    assert float(big) == pytest.approx(1024.0)
+    law = ShiftedPoisson(lam=1.0)
+    tab = one_atom_tables(law)
+    for y0, promoted in ((1023, False), (1024, True)):
+        gen = Generator(Philox(key=[3, 0]))
+        out = _population(0, gen, [0, 0, 0], [0.0, 1.7, -0.4], [y0, 0, 0], tab, t, [1, 2, 3])
+        assert out[0] == math.log(y0)
+        untouched = gen.random() == Generator(Philox(key=[3, 0])).random()
+        assert untouched is promoted
+        if promoted:
+            assert out[1] == pytest.approx(_log_step(y0, law, 1.7), rel=1e-14)
+            assert out[2] == pytest.approx(_log_step(math.exp(out[1]), law, -0.4), rel=1e-14)
+        else:  # every individual leaves at least one child
+            assert round(math.exp(out[1])) >= 2 * y0
 
 
 def test_sample_poisson_exact_regime_distribution():
-    rng = RngStream(master_seed=5, stream_id=0)
-    vals = np.array([sample_poisson(3.0, rng).value for _ in range(50_000)])
+    # one exact generation from one ShiftedPoisson(3) individual: 1 + Poisson(3)
+    vals = one_generation_totals(ShiftedPoisson(lam=3.0), 1, 5, 50_000) - 1
     assert vals.mean() == pytest.approx(3.0, abs=5 * math.sqrt(3.0 / 50_000))
 
 
 def test_sample_poisson_gaussian_tail_band():
-    # far above the promotion threshold the draw is mean + sqrt(mean) * G
-    mean = 2.0**50
-    rng = RngStream(master_seed=7, stream_id=0)
+    # 2**39 parents with lam = 2**11: the Poisson mean 2**50 is above the
+    # threshold, so the excess is mean + sqrt(mean) * G and the total promotes
+    z, lam = 2**39, 2.0**11
+    mean = z * lam
+    law = ShiftedPoisson(lam=lam)
+    tab = one_atom_tables(law)
+    gen = Generator(Philox(key=[7, 0]))
     for _ in range(200):
-        c = sample_poisson(mean, rng)
-        assert not c.is_exact
-        dev = (math.exp(c.log) - mean) / math.sqrt(mean)
+        log_z1, log_z2 = _population(z, gen, [0, 0], [0.0, 0.0], [0, 0], tab, 2**40, [1, 2])
+        dev = (math.exp(log_z1) - z - mean) / math.sqrt(mean)
         assert abs(dev) < 8.0
-
-
-def test_sample_poisson_rejects_bad_mean():
-    rng = RngStream(master_seed=0, stream_id=0)
-    with pytest.raises(ValueError):
-        sample_poisson(-1.0, rng)
-    with pytest.raises(ValueError):
-        sample_poisson(math.inf, rng)
+        # promoted: generation 2 is the log step with G = 0
+        assert log_z2 == log_z1 + math.log(law.mean)
 
 
 def test_offspring_total_log_regime_matches_direct_formula():
     law = ShiftedPoisson(lam=1.0)  # m = 2, v = 1
-    z = Count.from_log(math.log(1e9))
-    rng = RngStream(master_seed=11, stream_id=0)
-    out = sample_offspring_total(z, law, rng, threshold=2**20)
-    assert not out.is_exact
-    # reconstruct: the one normal consumed by the step
-    g = (math.exp(out.log - z.log) - law.mean) * math.sqrt(1e9 / law.variance)
-    expected = gaussian_log_step(
-        z.log, law.mean, math.sqrt(law.variance), g
+    tab = one_atom_tables(law)
+    g = float(Generator(Philox(key=[11, 0])).standard_normal())
+    z = 10**9
+    out = _population(0, Generator(Philox(key=[11, 1])), [0, 0], [0.0, g], [z, 0], tab,
+                      2**20, [1, 2])
+    expected = (
+        math.log(z) + math.log(law.mean)
+        + math.log1p(g * math.sqrt(law.variance) * math.exp(-0.5 * math.log(z)) / law.mean)
     )
-    assert out.log == pytest.approx(expected, rel=1e-12)
+    assert out[1] == pytest.approx(expected, rel=1e-12)
     assert abs(g) < 8.0
 
 
 def test_gaussian_log_step_algebra():
     # log(z*m + g*sqrt(z*v)) computed stably in log space
-    z = 1e6
-    m, v, g = 2.0, 1.0, 1.7
-    direct = math.log(z * m + g * math.sqrt(z * v))
-    assert gaussian_log_step(math.log(z), m, math.sqrt(v), g) == pytest.approx(
-        direct, rel=1e-14
-    )
-
-
-def test_stream_reproducibility_and_independence():
-    a = RngStream(master_seed=42, stream_id=3).generator.random(8)
-    b = RngStream(master_seed=42, stream_id=3).generator.random(8)
-    c = RngStream(master_seed=42, stream_id=4).generator.random(8)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
+    law = ShiftedPoisson(lam=1.0)  # m = 2, v = 1
+    z, g = 10**6, 1.7
+    out = _population(0, Generator(Philox(key=[0, 0])), [0, 0], [0.0, g], [z, 0],
+                      one_atom_tables(law), 2**10, [2])
+    assert out[0] == pytest.approx(_log_step(z, law, g), rel=1e-14)
 
 
 def test_stream_rejects_out_of_range_keys():
@@ -182,10 +179,10 @@ def test_stream_rejects_out_of_range_keys():
 
 
 def test_rekey_matches_fresh_stream():
-    gen = RngStream(master_seed=1, stream_id=0).generator
+    gen = Generator(Philox(key=[1, 0]))
     gen.random(17)  # drift the state before rekeying
     rekey_generator(gen, 99, 123)
-    fresh = RngStream(master_seed=99, stream_id=123).generator
+    fresh = Generator(Philox(key=[99, 123]))
     np.testing.assert_array_equal(gen.random(16), fresh.random(16))
     np.testing.assert_array_equal(
         gen.standard_normal(16), fresh.standard_normal(16)
@@ -207,9 +204,9 @@ def test_atom_cumulative_ends_at_one():
 
 
 def test_sample_atom_frequencies():
-    env = make_env_a()
-    rng = RngStream(master_seed=3, stream_id=0)
-    draws = np.array([sample_atom(env, rng) for _ in range(20_000)])
+    # S_1 is log 2 or log 3: the log-mean of the atom of generation 0
+    s1 = simulate_walk_batch(make_env_a(), 1, 20_000, master_seed=3).s_at(1)
+    draws = np.searchsorted([math.log(2.0), math.log(3.0)], s1)
     assert set(draws) == {0, 1}
     # p = 1/2 each; 5 sigma band
     assert abs(draws.mean() - 0.5) < 5 * 0.5 / math.sqrt(20_000)
@@ -251,15 +248,16 @@ def test_poisson_immigration_rejects_underflowing_mean():
 
 
 def test_sample_immigration_means():
-    rng = RngStream(master_seed=13, stream_id=0)
-    assert sample_immigration(NoImmigration(), rng) == 0
-    pois = np.array(
-        [sample_immigration(PoissonImmigration(nu=2.0), rng) for _ in range(20_000)]
-    )
+    gen = Generator(Philox(key=[13, 0]))
+
+    def counts(law):
+        tab = one_atom_tables(ShiftedPoisson(lam=1.0), law)
+        return _immigration_counts(tab, np.zeros(20_000, dtype=np.int64), gen.random(20_000))
+
+    assert not counts(NoImmigration()).any()
+    pois = counts(PoissonImmigration(nu=2.0))
     assert pois.mean() == pytest.approx(2.0, abs=5 * math.sqrt(2.0 / 20_000))
-    geo = np.array(
-        [sample_immigration(GeometricImmigration(s=0.5), rng) for _ in range(20_000)]
-    )
+    geo = counts(GeometricImmigration(s=0.5))
     # mean (1-s)/s = 1
     assert geo.mean() == pytest.approx(1.0, abs=5 * math.sqrt(2.0 / 20_000))
     assert geo.min() >= 0

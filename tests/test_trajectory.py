@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import bpire.trajectory as trajectory
 from bpire import (
     RngStream,
     simulate_batch,
@@ -25,9 +26,7 @@ def test_path_generation_zero(env_a):
 
 
 def test_path_is_pure_function_of_key(env_a):
-    rng = RngStream(master_seed=9, stream_id=4)
-    rng.generator.random(31)  # drift the stream position
-    a = simulate_path(env_a, 12, rng)
+    a = simulate_path(env_a, 12, RngStream(master_seed=9, stream_id=4))
     b = simulate_path(env_a, 12, RngStream(master_seed=9, stream_id=4))
     np.testing.assert_array_equal(a.log_z, b.log_z)
     np.testing.assert_array_equal(a.s, b.s)
@@ -187,3 +186,34 @@ def test_replicate_count_and_rows(env_a):
     assert batch.row(0) == 0 and batch.row(2) == 1 and batch.row(4) == 2
     np.testing.assert_array_equal(batch.log_z_at(0), np.zeros(7))
     np.testing.assert_array_equal(batch.s_at(0), np.zeros(7))
+
+
+def test_threshold_below_minimum_is_rejected(env_a):
+    for run in (
+        lambda t: simulate_batch(env_a, 5, 10, master_seed=1, threshold=t),
+        lambda t: simulate_path(env_a, 5, RngStream(master_seed=1, stream_id=0), threshold=t),
+    ):
+        with pytest.raises(ValueError, match="at least 1024.*log step"):
+            run(2**10 - 1)
+        run(2**10)
+
+
+def test_tables_are_built_once_per_batch(monkeypatch, env_a):
+    one_chunk = simulate_batch(env_a, 3, 12, master_seed=2, couple_no_immigration=True)
+    calls = []
+    build = trajectory.immigration_cdf_table
+
+    def counting(law):
+        calls.append(law)
+        return build(law)
+
+    monkeypatch.setattr(trajectory, "immigration_cdf_table", counting)
+    monkeypatch.setattr(trajectory, "_CHUNK", 4)
+    batch = simulate_batch(env_a, 3, 12, master_seed=2, couple_no_immigration=True)
+    assert len(calls) == len(env_a.atoms)
+    # three chunks of 4 replicates give the bytes of one chunk of 12
+    np.testing.assert_array_equal(batch.log_z, one_chunk.log_z)
+    np.testing.assert_array_equal(batch.log_zbar, one_chunk.log_zbar)
+    calls.clear()
+    simulate_walk_batch(env_a, 3, 12, master_seed=2)
+    assert calls == []
