@@ -19,8 +19,9 @@ from .env_model import (
     PoissonImmigration,
     ShiftedGeometric,
     ShiftedPoisson,
+    MomentSummary,
     ValidationReport,
-    mean_offspring,
+    log_mean_moments,
     non_lattice_heuristic,
     validate,
 )
@@ -35,12 +36,10 @@ from .trajectory import (
 )
 from .analytics import (
     HypothesisReport,
-    MomentSummary,
     SeriesDivergence,
     edgeworth_q,
     hypothesis_report,
     limit_curve,
-    log_mean_moments,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "ShiftedGeometric",
     "ShiftedPoisson",
     "ValidationReport",
-    "mean_offspring",
     "non_lattice_heuristic",
     "validate",
     "PROMOTION_THRESHOLD",

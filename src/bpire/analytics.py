@@ -1,8 +1,9 @@
 """Exact analytic quantities for finite-atom environments.
 
 Everything here is closed-form or a convergent series with a certified tail
-bound: moments of ``log m_0`` are finite sums over atoms, the standard
-normal CDF comes from the complementary error function, and the Edgeworth
+bound: moments of ``log m_0`` are finite sums over atoms (computed by
+:func:`bpire.env_model.log_mean_moments`, which this module re-exports), the
+standard normal CDF comes from the complementary error function, and the Edgeworth
 correction term and the limit curve of the exact-rate CLT are direct formula
 evaluations.  No Monte Carlo enters this module, which is what lets the
 statistical experiments treat its outputs as ground truth.
@@ -19,48 +20,17 @@ from .env_model import (
     GeometricImmigration,
     ImmigrationLaw,
     LatticeDiagnostic,
+    MomentSummary,
     NoImmigration,
     PoissonImmigration,
     ShiftedGeometric,
     ShiftedPoisson,
+    log_mean_moments,
     non_lattice_heuristic,
 )
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    """Moments of ``log m_0`` under the atom mixture.
-
-    ``mu``, ``sigma2`` and ``mu3`` are the mean and the second and third
-    central moments; ``atom_log_means`` keeps the underlying ``(prob,
-    log m)`` pairs so arbitrary absolute moments stay available.  All values
-    are exact finite sums over atoms (float rounding only).
-    """
-
-    mu: float
-    sigma2: float
-    mu3: float
-    atom_log_means: tuple[tuple[float, float], ...]
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
-
-    def abs_moment_r(self, r: float) -> float:
-        """``E |log m_0|^r`` for any ``r > 0``."""
-        return math.fsum(p * abs(lm) ** r for p, lm in self.atom_log_means)
-
-
-def log_mean_moments(env: EnvironmentModel) -> MomentSummary:
-    """Exact mean and central moments of ``log m_0`` over the atoms."""
-    pairs = tuple((a.prob, math.log(a.offspring.mean)) for a in env.atoms)
-    mu = math.fsum(p * lm for p, lm in pairs)
-    sigma2 = math.fsum(p * (lm - mu) ** 2 for p, lm in pairs)
-    mu3 = math.fsum(p * (lm - mu) ** 3 for p, lm in pairs)
-    return MomentSummary(mu=mu, sigma2=sigma2, mu3=mu3, atom_log_means=pairs)
 
 
 def std_normal_cdf(x: float) -> float:

@@ -45,7 +45,6 @@ from .env_model import (
     PoissonImmigration,
     ShiftedGeometric,
     ShiftedPoisson,
-    non_lattice_heuristic,
     validate,
 )
 from .analytics import hypothesis_report
@@ -359,7 +358,7 @@ def _validate_report(cfg: ExperimentConfig) -> tuple[int, str]:
     hyp = hypothesis_report(
         cfg.environment, p=cfg.p, delta=cfg.delta, r=cfg.r if cfg.r is not None else 3.0
     )
-    lat = non_lattice_heuristic(cfg.environment)
+    lat = hyp.lattice
     lines = ["validation checks:"]
     lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.checks]
     lines.append("hypothesis audit:")

@@ -166,9 +166,37 @@ class EnvironmentModel:
         return any(a.immigration.mean > 0.0 for a in self.atoms)
 
 
-def mean_offspring(atom: EnvAtom) -> float:
-    """Conditional offspring mean ``m = E[X | atom]``."""
-    return atom.offspring.mean
+@dataclass(frozen=True)
+class MomentSummary:
+    """Moments of ``log m_0`` under the atom mixture.
+
+    ``mu``, ``sigma2`` and ``mu3`` are the mean and the second and third
+    central moments; ``atom_log_means`` keeps the underlying ``(prob,
+    log m)`` pairs so arbitrary absolute moments stay available.  All values
+    are exact finite sums over atoms (float rounding only).
+    """
+
+    mu: float
+    sigma2: float
+    mu3: float
+    atom_log_means: tuple[tuple[float, float], ...]
+
+    @property
+    def sigma(self) -> float:
+        return math.sqrt(self.sigma2)
+
+    def abs_moment_r(self, r: float) -> float:
+        """``E |log m_0|^r`` for any ``r > 0``."""
+        return math.fsum(p * abs(lm) ** r for p, lm in self.atom_log_means)
+
+
+def log_mean_moments(env: EnvironmentModel) -> MomentSummary:
+    """Exact mean and central moments of ``log m_0`` over the atoms."""
+    pairs = tuple((a.prob, math.log(a.offspring.mean)) for a in env.atoms)
+    mu = math.fsum(p * lm for p, lm in pairs)
+    sigma2 = math.fsum(p * (lm - mu) ** 2 for p, lm in pairs)
+    mu3 = math.fsum(p * (lm - mu) ** 3 for p, lm in pairs)
+    return MomentSummary(mu=mu, sigma2=sigma2, mu3=mu3, atom_log_means=pairs)
 
 
 @dataclass(frozen=True)
@@ -231,10 +259,8 @@ def validate(env: EnvironmentModel) -> ValidationReport:
         )
     )
 
-    # Moments of log m under the atom mixture.
-    logm = [math.log(a.offspring.mean) for a in env.atoms]
-    mu = math.fsum(p * lm for p, lm in zip(env.probs, logm))
-    var = math.fsum(p * (lm - mu) ** 2 for p, lm in zip(env.probs, logm))
+    moments = log_mean_moments(env)
+    mu, var = moments.mu, moments.sigma2
     checks.append(
         ValidationCheck(
             "mean_log_positive",
@@ -289,8 +315,8 @@ class LatticeDiagnostic:
     ``status`` is one of:
 
     * ``"inapplicable"`` -- fewer than two distinct values of ``log m``;
-    * ``"warning"``      -- some ratio of log-means is within ``tol`` of a
-      rational with denominator at most ``max_denominator``;
+    * ``"warning"``      -- some ratio of log-means is within ``LATTICE_TOL``
+      of a rational with denominator at most ``LATTICE_MAX_DENOMINATOR``;
     * ``"ok"``           -- no such pair found.
 
     This is a heuristic, not a proof.  It only inspects pairwise ratios
@@ -308,24 +334,28 @@ class LatticeDiagnostic:
         return self.status == "warning"
 
 
-def non_lattice_heuristic(
-    env: EnvironmentModel,
-    max_denominator: int = 64,
-    tol: float = 1e-9,
-) -> LatticeDiagnostic:
+#: Largest denominator, and tolerance, of the rationals that
+#: :func:`non_lattice_heuristic` compares log-mean ratios against.
+LATTICE_MAX_DENOMINATOR = 64
+LATTICE_TOL = 1e-9
+
+
+def non_lattice_heuristic(env: EnvironmentModel) -> LatticeDiagnostic:
     """Flag environments whose ``log m`` values have near-rational ratios.
 
     For every pair of distinct log-means the ratio ``r = log m_i / log m_j``
     (ordered so ``|r| <= 1``) is compared against fractions ``p/d`` for
-    ``d <= max_denominator``; a match within ``tol`` produces a warning pair.
+    ``d <= LATTICE_MAX_DENOMINATOR``; a match within ``LATTICE_TOL``
+    produces a warning pair.
     """
-    logm = sorted({math.log(a.offspring.mean) for a in env.atoms})
+    atom_logm = [lm for _, lm in log_mean_moments(env).atom_log_means]
+    logm = sorted(set(atom_logm))
     if len(logm) < 2:
         return LatticeDiagnostic(status="inapplicable")
 
     index_of = {}
-    for i, a in enumerate(env.atoms):
-        index_of.setdefault(math.log(a.offspring.mean), i)
+    for i, lm in enumerate(atom_logm):
+        index_of.setdefault(lm, i)
 
     pairs: list[LatticePair] = []
     for i in range(len(logm)):
@@ -334,9 +364,9 @@ def non_lattice_heuristic(
             if big == 0.0:
                 continue
             ratio = small / big
-            for d in range(1, max_denominator + 1):
+            for d in range(1, LATTICE_MAX_DENOMINATOR + 1):
                 p = round(ratio * d)
-                if abs(ratio - p / d) < tol and math.gcd(abs(p), d) == 1:
+                if abs(ratio - p / d) < LATTICE_TOL and math.gcd(abs(p), d) == 1:
                     pairs.append(
                         LatticePair(
                             atom_i=index_of[small],

@@ -19,15 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import special, stats
 
-from .analytics import (
-    MomentSummary,
-    edgeworth_q,
-    limit_curve,
-    log_mean_moments,
-    std_normal_cdf,
-    std_normal_pdf,
-)
-from .env_model import EnvironmentModel, validate
+from .analytics import edgeworth_q, limit_curve, std_normal_cdf, std_normal_pdf
+from .env_model import EnvironmentModel, MomentSummary, log_mean_moments
 from .sampler import PROMOTION_THRESHOLD
 from .trajectory import simulate_batch, simulate_walk_batch
 
@@ -142,14 +135,30 @@ def _standardize(values: np.ndarray, n: int, moments: MomentSummary) -> np.ndarr
 
 
 def _require_sigma_positive(env: EnvironmentModel, what: str) -> MomentSummary:
-    report = validate(env)
-    if not report.check("sigma_positive").passed:
+    moments = log_mean_moments(env)
+    if not moments.sigma2 > 0.0:
         raise ValueError(
             f"{what} requires an environment with Var(log m0) > 0 "
             "(standardisation divides by sigma); "
-            + report.check("sigma_positive").detail
+            f"Var(log m) = {moments.sigma2!r} (all atoms share one offspring mean)"
         )
-    return log_mean_moments(env)
+    return moments
+
+
+def _mean_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean of ``vals`` and its standard error."""
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+
+def _generations(n_list: Sequence[int], lowest: int, name: str) -> list[int]:
+    """The distinct generations of ``n_list`` in ascending order, all at
+    least ``lowest`` (0 or 1)."""
+    ns = sorted(set(int(n) for n in n_list))
+    if not ns or ns[0] < lowest:
+        raise ValueError(
+            f"{name} must contain {'positive' if lowest else 'nonnegative'} generations"
+        )
+    return ns
 
 
 def _rate_inputs(n_list: Sequence[int], replicates: int) -> tuple[list[int], list[str]]:
@@ -218,14 +227,15 @@ def estimate_elogw(
         threshold=threshold,
     )
     w_n = batch.log_w_at(horizon)
-    inc = np.abs(batch.log_w_at(horizon + 1) - w_n)
+    mean, se = _mean_se(w_n)
+    increment_estimate, increment_se = _mean_se(np.abs(batch.log_w_at(horizon + 1) - w_n))
     return ElogWEstimate(
-        mean=float(np.mean(w_n)),
-        se=float(np.std(w_n, ddof=1) / math.sqrt(replicates)),
+        mean=mean,
+        se=se,
         horizon=horizon,
         replicates=replicates,
-        increment_estimate=float(np.mean(inc)),
-        increment_se=float(np.std(inc, ddof=1) / math.sqrt(replicates)),
+        increment_estimate=increment_estimate,
+        increment_se=increment_se,
     )
 
 
@@ -327,10 +337,6 @@ class DecaySeries:
     rho_hat: float | None = None
     rho_ci: tuple[float, float] | None = None
 
-    @property
-    def qualifying_rows(self) -> tuple[DecayRow, ...]:
-        return tuple(r for r in self.rows if r.qualifies)
-
 
 def increment_decay(
     env: EnvironmentModel,
@@ -352,9 +358,7 @@ def increment_decay(
     """
     if not (q > 0.0):
         raise ValueError(f"q must be positive, got {q}")
-    ns = sorted(set(int(n) for n in n_range))
-    if not ns or ns[0] < 0:
-        raise ValueError("n_range must contain nonnegative generations")
+    ns = _generations(n_range, 0, "n_range")
     record = sorted({n for n in ns} | {n + 1 for n in ns})
     batch = simulate_batch(
         env,
@@ -367,9 +371,7 @@ def increment_decay(
     )
     rows: list[DecayRow] = []
     for n in ns:
-        inc = np.abs(batch.log_w_at(n + 1) - batch.log_w_at(n)) ** q
-        est = float(np.mean(inc))
-        se = float(np.std(inc, ddof=1) / math.sqrt(replicates))
+        est, se = _mean_se(np.abs(batch.log_w_at(n + 1) - batch.log_w_at(n)) ** q)
         rows.append(DecayRow(n=n, estimate=est, se=se, qualifies=est > 5.0 * se))
 
     fit_rows = [r for r in rows if r.qualifies and r.estimate > 0.0]
@@ -480,9 +482,7 @@ def berry_esseen_sup(
     normal, per n, with the implied constants ``sup * sqrt(n)`` and their
     stability across ``n_list`` (within a factor 2)."""
     moments = _require_sigma_positive(env, "berry_esseen_sup")
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns or ns[0] < 1:
-        raise ValueError("n_list must contain positive generations")
+    ns = _generations(n_list, 1, "n_list")
     batch = simulate_batch(
         env, ns[-1], replicates, master_seed, record=tuple(ns), threads=threads,
         threshold=threshold,
@@ -555,9 +555,7 @@ def laplace_decay(
     w = np.exp(batch.log_w_at(horizon))
     rows: list[LaplaceRow] = []
     for t in ts:
-        vals = np.exp(-t * w)
-        phi_hat = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(replicates))
+        phi_hat, se = _mean_se(np.exp(-t * w))
         weighted = math.log(t) ** r * phi_hat if t > 1.0 else math.nan
         rows.append(LaplaceRow(t=t, phi_hat=phi_hat, se=se, weighted=weighted))
 
@@ -615,23 +613,12 @@ def moment_stability(
     """Per-n estimates of ``E |log W_n|^r`` with a stability flag."""
     if not (r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns or ns[0] < 0:
-        raise ValueError("n_list must contain nonnegative generations")
+    ns = _generations(n_list, 0, "n_list")
     batch = simulate_batch(
-        env, ns[-1] if ns[-1] > 0 else 0, replicates, master_seed,
+        env, ns[-1], replicates, master_seed,
         record=tuple(ns), threads=threads, threshold=threshold,
     )
-    rows: list[MomentRow] = []
-    for n in ns:
-        vals = np.abs(batch.log_w_at(n)) ** r
-        rows.append(
-            MomentRow(
-                n=n,
-                estimate=float(np.mean(vals)),
-                se=float(np.std(vals, ddof=1) / math.sqrt(replicates)),
-            )
-        )
+    rows = [MomentRow(n, *_mean_se(np.abs(batch.log_w_at(n)) ** r)) for n in ns]
     tail = [row for row in rows if row.n >= 10]
     if len(tail) >= 2:
         hi = max(tail, key=lambda row: row.estimate)

@@ -94,7 +94,7 @@ class Trajectory:
     ``log_zbar`` is present only for coupled runs and dominates nothing:
     it is the coupled no-immigration path with ``log_zbar <= log_z``
     pathwise.  ``log_w = log_z - s`` holds exactly (it is computed as that
-    subtraction), and ``log_wbar = log_zbar - s`` likewise when coupled.
+    subtraction).
     """
 
     master_seed: int
@@ -107,12 +107,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return len(self.log_z) - 1
-
-    @property
-    def log_wbar(self) -> np.ndarray | None:
-        if self.log_zbar is None:
-            return None
-        return self.log_zbar - self.s
 
 
 @dataclass(frozen=True)
@@ -199,7 +193,6 @@ class _EnvTables:
         self.m = [a.offspring.mean for a in env.atoms]
         self.sqrt_v = [math.sqrt(a.offspring.variance) for a in env.atoms]
         self.imm_cdfs = [immigration_cdf_table(a.immigration) for a in env.atoms]
-        self.any_immigration = any(len(c) > 1 for c in self.imm_cdfs)
 
 
 def _fresh_generator() -> Generator:
@@ -211,8 +204,6 @@ def _immigration_counts(tab: _EnvTables, idx: np.ndarray, u: np.ndarray) -> np.n
     per atom.  Every table ends at 1.0 and every uniform is below 1, so each
     inversion lands inside its table."""
     y = np.zeros(len(idx), dtype=np.int64)
-    if not tab.any_immigration:
-        return y
     for a, cdf in enumerate(tab.imm_cdfs):
         if len(cdf) == 1:
             continue
@@ -229,14 +220,6 @@ def _record_positions(record: Sequence[int], n: int) -> list[int]:
     if rec and (rec[0] < 0 or rec[-1] > n):
         raise ValueError(f"record generations must lie in [0, {n}]")
     return rec
-
-
-def _check_threshold(threshold: int) -> None:
-    if threshold < MIN_PROMOTION_THRESHOLD:
-        raise ValueError(
-            f"promotion threshold must be at least {MIN_PROMOTION_THRESHOLD}: below it "
-            "the Gaussian log step and tail are not guaranteed a positive argument"
-        )
 
 
 def _population(
@@ -344,9 +327,7 @@ def _simulate_chunk(
         y_l = _immigration_counts(tab, idx, u_imm).tolist()
 
         if not couple:
-            logz = _population(1, gen0, idx_l, g1_l, y_l, tab, threshold, rec)
-            for i, lz in enumerate(logz, first):
-                out_logz[i, col] = lz
+            out_logz[first:, col] = _population(1, gen0, idx_l, g1_l, y_l, tab, threshold, rec)
             continue
 
         rekey_generator(gen1, master_seed, sid, substream=1)
@@ -423,28 +404,23 @@ def simulate_path(
 ) -> Trajectory:
     """Simulate one path of length ``n`` and return every generation.
 
-    The path is a pure function of ``(rng.master_seed, rng.stream_id)`` and
-    the remaining arguments; the stream object's current position is neither
-    consulted nor advanced (the driver re-derives its substreams from the
-    key so that replay is exact).
+    The path is the one column of :func:`simulate_batch` with one replicate
+    at ``stream_offset = rng.stream_id``: a pure function of
+    ``(rng.master_seed, rng.stream_id)`` and the remaining arguments, equal
+    to that replicate's column in any batch.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    _check_threshold(threshold)
-    record = tuple(range(n + 1))
-    out = _simulate_chunk(
-        rng.stream_id, 1, _EnvTables(env), n, rng.master_seed, record,
-        couple_no_immigration, threshold,
+    batch = simulate_batch(
+        env, n, 1, rng.master_seed, record=range(n + 1),
+        couple_no_immigration=couple_no_immigration, threshold=threshold,
+        stream_offset=rng.stream_id,
     )
-    log_z = out["log_z"][:, 0]
-    s = out["s"][:, 0]
     return Trajectory(
         master_seed=rng.master_seed,
         stream_id=rng.stream_id,
-        log_z=log_z,
-        s=s,
-        log_w=log_z - s,
-        log_zbar=out["log_zbar"][:, 0] if couple_no_immigration else None,
+        log_z=batch.log_z[:, 0],
+        s=batch.s[:, 0],
+        log_w=batch.log_w[:, 0],
+        log_zbar=batch.log_zbar[:, 0] if couple_no_immigration else None,
     )
 
 
@@ -466,9 +442,15 @@ def simulate_batch(
     Output is bit-identical for any ``threads`` value (0 = one worker per
     CPU) because the chunk partition and per-replicate streams are fixed.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if replicates <= 0:
         raise ValueError(f"replicates must be positive, got {replicates}")
-    _check_threshold(threshold)
+    if threshold < MIN_PROMOTION_THRESHOLD:
+        raise ValueError(
+            f"promotion threshold must be at least {MIN_PROMOTION_THRESHOLD}: below it "
+            "the Gaussian log step and tail are not guaranteed a positive argument"
+        )
     rec = tuple(_record_positions(record if record is not None else (n,), n))
     keys = ["log_z", "s"] + (["log_zbar"] if couple_no_immigration else [])
     out = _run_chunks(
