@@ -10,13 +10,16 @@ Exit codes:
 
 * 0 -- success;
 * 1 -- malformed config (JSON syntax, unknown or missing keys, bad types,
-  a scalar out of its range such as ``promotion_threshold`` below
-  ``MIN_PROMOTION_THRESHOLD`` = 2**10);
+  a non-finite number, an ``x_grid`` of more than ``MAX_GRID_POINTS`` =
+  10**6 points, a scalar out of its range such as ``promotion_threshold``
+  below ``MIN_PROMOTION_THRESHOLD`` = 2**10);
 * 2 -- validation failure: a law parameter out of its domain (such as a
-  Poisson immigration mean ``nu`` above ``POISSON_NU_MAX``, about 708.4),
-  a failed environment check, or an unmet precondition of any experiment
-  kind (such as a zero-variance environment in a rate experiment, ``r <= 0``
-  for moments, ``q <= 0`` for decay or ``p <= 1`` for validate);
+  Poisson immigration mean ``nu`` above ``POISSON_NU_MAX``, about 708.4, or
+  a geometric immigration ``s`` below ``GEOMETRIC_S_MIN`` = 1e-4), a failed
+  environment check, an unmet precondition of any experiment kind (such as
+  a zero-variance environment in a rate experiment, ``r <= 0`` for moments,
+  ``q <= 0`` for decay or ``p <= 1`` for validate), or an arithmetic error
+  in a run (such as a Laplace ``t = exp(x)`` beyond the float range);
 * 3 -- statistics inconclusive or a statistical gate failed (decay SE gate,
   decay CI including 1, unstable Berry-Esseen constant, exploding Laplace
   column, unbounded moment ratio);
@@ -69,10 +72,14 @@ class ValidationFailure(Exception):
     """Semantically invalid model or unmet experiment precondition: exit 2."""
 
 
+#: Most points an ``x_grid`` may have.
+MAX_GRID_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Arithmetic grid ``min, min+step, ..., max`` (inclusive within half a
-    step of float slack)."""
+    step of float slack), at most ``MAX_GRID_POINTS`` points."""
 
     min: float
     max: float
@@ -83,9 +90,15 @@ class GridSpec:
             raise ConfigError(f"x_grid.step must be positive, got {self.step}")
         if self.max < self.min:
             raise ConfigError("x_grid.max must not be below x_grid.min")
+        # counted in float: an int() of an infinite span would overflow
+        if not self._steps() < MAX_GRID_POINTS:
+            raise ConfigError(f"x_grid must have at most {MAX_GRID_POINTS} points")
+
+    def _steps(self) -> float:
+        return (self.max - self.min) / self.step + 1e-9
 
     def values(self) -> list[float]:
-        count = int(math.floor((self.max - self.min) / self.step + 1e-9)) + 1
+        count = int(math.floor(self._steps())) + 1
         return [self.min + i * self.step for i in range(count)]
 
 
@@ -140,6 +153,9 @@ def _as_object(obj: Any, where: str) -> dict:
 def _as_number(v: Any, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number, got {v!r}")
+    # math.isfinite, but exact for integers beyond the float range too
+    if not -sys.float_info.max <= v <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -487,7 +503,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             raise ConfigError(f"config.{field} is required for kind {cfg.kind!r}")
     try:
         result = kind.run(cfg)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ValidationFailure(str(exc)) from exc
     for w in getattr(result, "warnings", ()):
         print(f"warning: {w}", file=sys.stderr)

@@ -73,6 +73,11 @@ OffspringLaw = Union[ShiftedPoisson, ShiftedGeometric]
 #: term, and a subnormal or zero start loses the whole table.
 POISSON_NU_MAX = -math.log(sys.float_info.min)
 
+#: Smallest geometric immigration parameter ``s``: the immigration CDF table
+#: has about ``28 / s`` entries (282,182 at ``1e-4``, 2.6 million at
+#: ``1e-5``), built once per batch and sent to every pool task.
+GEOMETRIC_S_MIN = 1e-4
+
 
 @dataclass(frozen=True)
 class PoissonImmigration:
@@ -97,13 +102,19 @@ class PoissonImmigration:
 
 @dataclass(frozen=True)
 class GeometricImmigration:
-    """``P(Y = k) = s (1-s)^k`` immigrants per generation, ``0 < s <= 1``."""
+    """``P(Y = k) = s (1-s)^k`` immigrants per generation,
+    ``GEOMETRIC_S_MIN <= s <= 1``."""
 
     s: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.s <= 1.0):
             raise ValueError(f"GeometricImmigration requires 0 < s <= 1, got {self.s}")
+        if self.s < GEOMETRIC_S_MIN:
+            raise ValueError(
+                f"GeometricImmigration requires s >= {GEOMETRIC_S_MIN:g} so that its "
+                f"immigration table stays below 3*10^5 entries, got {self.s}"
+            )
 
     @property
     def mean(self) -> float:

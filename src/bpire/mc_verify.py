@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .analytics import edgeworth_q, limit_curve, std_normal_cdf, std_normal_pdf
 from .env_model import EnvironmentModel, MomentSummary, log_mean_moments
@@ -338,6 +338,19 @@ class DecaySeries:
     rho_ci: tuple[float, float] | None = None
 
 
+def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of ``ys`` on ``xs`` (at least three points, not
+    all ``xs`` equal) and its standard error, in the arithmetic of
+    ``scipy.stats.linregress``; equal ``ys`` give a NaN error, as there."""
+    ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+    if ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(xs) - 2))
+    return float(ssxym / ssxm), float(stderr)
+
+
 def increment_decay(
     env: EnvironmentModel,
     q: float,
@@ -378,19 +391,19 @@ def increment_decay(
     if len(fit_rows) < 3:
         return DecaySeries(q=q, rows=tuple(rows), status="inconclusive")
 
-    xs = np.array([r.n for r in fit_rows], dtype=np.float64)
-    ys = np.array([math.log(r.estimate) for r in fit_rows])
-    fit = stats.linregress(xs, ys)
-    dof = len(fit_rows) - 2
-    t99 = float(stats.t.ppf(0.995, dof))
-    lo = fit.slope - t99 * fit.stderr
-    hi = fit.slope + t99 * fit.stderr
+    slope, stderr = _ols(
+        np.array([r.n for r in fit_rows], dtype=np.float64),
+        np.array([math.log(r.estimate) for r in fit_rows]),
+    )
+    t99 = float(special.stdtrit(len(fit_rows) - 2, 0.995))
+    lo = slope - t99 * stderr
+    hi = slope + t99 * stderr
     return DecaySeries(
         q=q,
         rows=tuple(rows),
         status="ok",
-        slope=float(fit.slope),
-        rho_hat=math.exp(-fit.slope),
+        slope=slope,
+        rho_hat=math.exp(-slope),
         rho_ci=(math.exp(-hi), math.exp(-lo)),
     )
 

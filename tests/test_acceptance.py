@@ -288,6 +288,40 @@ def test_criterion_05_decomposition_identity(rate_run, control_walk_run, capsys)
     assert elapsed < 1500
 
 
+def _walk_cdf_bracket(env, x: float, n: int) -> tuple[float, float]:
+    """Exact CDF of the standardised two-atom walk at ``x``.
+
+    ``S_n = (n - K) a + K b`` with ``a < b`` the log-means and ``K`` the
+    Binomial(n, P(b)) count of b-steps, so ``S_n <= n mu + x sqrt(n) sigma``
+    exactly when ``K <= k*``.  When that bound falls on a lattice point,
+    float rounding decides its side and the bracket is ``(P(K < k*),
+    P(K <= k*))``; elsewhere both ends are ``P(K <= k*)``.
+    """
+    m = log_mean_moments(env)
+    (pa, a), (pb, b) = sorted(m.atom_log_means, key=lambda atom: atom[1])
+    t = (n * m.mu + x * math.sqrt(n) * m.sigma - n * a) / (b - a)
+    on_atom = abs(t - round(t)) < 1e-9
+    k = round(t) if on_atom else math.floor(t)
+
+    def cdf(j: int) -> float:
+        return math.fsum(math.comb(n, i) * pb**i * pa ** (n - i) for i in range(j + 1))
+
+    return (cdf(k - 1) if on_atom else cdf(k)), cdf(k)
+
+
+def test_walk_runs_match_exact_binomial_cdf(skewed_walk_run, control_walk_run):
+    # The exact law behind the red criteria 3 and 5: both R = 10^6 walk runs
+    # sit within 4 binomial SE of it at every grid point.
+    n = 256
+    for (curve, _), env in ((skewed_walk_run, make_skewed_env()), (control_walk_run, make_env_a())):
+        for x in X_GRID:
+            row = curve.at(x, n)
+            fhat = std_normal_cdf(x) + row.dhat / math.sqrt(n)
+            se = row.se / math.sqrt(n)
+            lo, hi = _walk_cdf_bracket(env, x, n)
+            assert lo - 4.0 * se <= fhat <= hi + 4.0 * se, (x, fhat, lo, hi, se)
+
+
 def test_criterion_06_berry_esseen_stability(capsys):
     t0 = time.monotonic()
     grid = [-4.0 + 0.05 * i for i in range(161)]

@@ -12,6 +12,7 @@ import pytest
 
 import bpire
 from bpire.cli import (
+    MAX_GRID_POINTS,
     ConfigError,
     ExperimentConfig,
     GridSpec,
@@ -84,6 +85,9 @@ def test_grid_spec_values():
         GridSpec(min=0.0, max=1.0, step=0.0)
     with pytest.raises(ConfigError):
         GridSpec(min=1.0, max=0.0, step=0.1)
+    assert len(GridSpec(min=0.0, max=MAX_GRID_POINTS - 1.0, step=1.0).values()) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="at most"):
+        GridSpec(min=0.0, max=float(MAX_GRID_POINTS), step=1.0)
 
 
 @pytest.mark.parametrize(
@@ -240,16 +244,74 @@ def test_failed_precondition_exits_two_without_traceback(tmp_path, doc):
     assert "Traceback" not in proc.stderr
 
 
-def _run_cli(tmp_path, doc) -> subprocess.CompletedProcess:
-    """Run the CLI on ``doc`` in a fresh interpreter."""
+def _with_lam(lam) -> dict:
+    env = _env_doc()
+    env["atoms"][0]["offspring"]["lam"] = lam
+    return env
+
+
+@pytest.mark.parametrize(
+    "doc, code, named",
+    [
+        ({"x_grid": {"min": -math.inf, "max": 1.0, "step": 1.0}}, 1, "x_grid.min"),
+        ({"x_grid": {"min": -1.0, "max": 1.0, "step": 1e-320}}, 1, "x_grid"),
+        ({"x_grid": {"min": -4.0, "max": 4.0, "step": 1e-12}}, 1, "x_grid"),
+        ({"kind": "moments", "r": math.inf}, 1, "config.r"),
+        ({"kind": "validate", "environment": _with_lam(math.nan)}, 1, "offspring.lam"),
+        ({"kind": "validate", "environment": _with_lam(10**400)}, 1, "offspring.lam"),
+        (
+            {
+                "kind": "laplace",
+                "environment": _env_doc("none"),
+                "x_grid": {"min": 1.0, "max": 1000.0, "step": 999.0},
+            },
+            2,
+            "range",
+        ),
+        (
+            {
+                "kind": "validate",
+                "environment": {"atoms": [{**_env_doc()["atoms"][0], "prob": 1.0,
+                                           "immigration": {"kind": "geometric", "s": 1e-5}}]},
+            },
+            2,
+            "s >= 0.0001",
+        ),
+    ],
+    ids=["grid-min-inf", "grid-step-underflow", "grid-too-many-points", "moments-r-inf",
+         "lam-nan", "lam-beyond-float", "laplace-t-overflow", "geometric-s-too-small"],
+)
+def test_accepted_number_exits_with_its_code_without_traceback(tmp_path, doc, code, named):
+    base = {"kind": "walk-oracle", "environment": _env_doc(), "n_list": [2], "replicates": 50,
+            "horizon": 2}
+    proc = _run_cli(tmp_path, {**base, **doc})
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's ``bpire``."""
     src = str(Path(bpire.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-m", "bpire.cli", "--config", _write(tmp_path, doc),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
+
+
+def _run_cli(tmp_path, doc) -> subprocess.CompletedProcess:
+    """Run the CLI on ``doc`` in a fresh interpreter."""
+    return _python(
+        "-m", "bpire.cli", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")
+    )
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of the CLI's start-up; only scipy.special is needed
+    proc = _python("-c", "import sys, bpire.cli; print('scipy.stats' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_threshold_below_minimum_exits_one_with_reason(tmp_path):

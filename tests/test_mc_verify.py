@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bpire import (
     EnvAtom,
@@ -25,7 +26,7 @@ from bpire import (
     std_normal_pdf,
     walk_oracle_rate,
 )
-from bpire.mc_verify import Z_99, ElogWConfig
+from bpire.mc_verify import Z_99, ElogWConfig, _ols
 from conftest import make_env_a, make_skewed_env
 
 
@@ -340,3 +341,16 @@ def test_moment_stability_flat_on_reference_env(env_a):
 def test_moment_stability_rejects_bad_order(env_a):
     with pytest.raises(ValueError):
         moment_stability(env_a, 0.0, [4], 100, master_seed=0)
+
+
+def test_ols_matches_linregress_bitwise():
+    rng = np.random.default_rng(3)
+    xs = np.arange(5.0, 26.0)
+    cases = [rng.normal(size=xs.size) - 0.44 * xs for _ in range(200)]
+    cases += [np.full(xs.size, -1.25), xs[:3] * 2.0 + 1.0]
+    for ys in cases:
+        x = xs[: ys.size]
+        fit = stats.linregress(x, ys)
+        slope, stderr = _ols(x, ys)
+        assert slope == fit.slope
+        assert stderr == fit.stderr or (math.isnan(stderr) and math.isnan(fit.stderr))

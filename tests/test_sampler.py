@@ -19,6 +19,7 @@ from bpire import (
     ShiftedPoisson,
     simulate_walk_batch,
 )
+from bpire.env_model import GEOMETRIC_S_MIN
 from bpire.sampler import (
     atom_cumulative,
     immigration_cdf_table,
@@ -245,6 +246,12 @@ def test_poisson_immigration_rejects_underflowing_mean():
     assert immigration_cdf_table(PoissonImmigration(nu=708.0))[-1] == 1.0
     with pytest.raises(ValueError, match="normal double"):
         PoissonImmigration(nu=709.0)
+
+
+def test_geometric_immigration_rejects_oversized_table():
+    assert immigration_cdf_table(GeometricImmigration(s=GEOMETRIC_S_MIN)).size < 3 * 10**5
+    with pytest.raises(ValueError, match="immigration table"):
+        GeometricImmigration(s=GEOMETRIC_S_MIN / 2)
 
 
 def test_sample_immigration_means():
