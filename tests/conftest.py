@@ -10,8 +10,10 @@ from bpire import (
     PROMOTION_THRESHOLD,
     EnvAtom,
     EnvironmentModel,
+    GeometricImmigration,
     NoImmigration,
     PoissonImmigration,
+    ShiftedGeometric,
     ShiftedPoisson,
 )
 from bpire.trajectory import _EnvTables, _population
@@ -25,6 +27,36 @@ def make_env_a(immigration: bool = True) -> EnvironmentModel:
         atoms=(
             EnvAtom(offspring=ShiftedPoisson(lam=1.0), immigration=imm, prob=0.5),
             EnvAtom(offspring=ShiftedPoisson(lam=2.0), immigration=imm, prob=0.5),
+        )
+    )
+
+
+def make_mixed_env() -> EnvironmentModel:
+    """The golden tests' mixed environment: geometric offspring (q = .4) with
+    geometric immigration (s = .5) w.p. .3, shifted Poisson offspring
+    (lam = 1) with Poisson immigration (nu = 2) w.p. .7."""
+    return EnvironmentModel(
+        atoms=(
+            EnvAtom(
+                offspring=ShiftedGeometric(q=0.4),
+                immigration=GeometricImmigration(s=0.5),
+                prob=0.3,
+            ),
+            EnvAtom(
+                offspring=ShiftedPoisson(lam=1.0),
+                immigration=PoissonImmigration(nu=2.0),
+                prob=0.7,
+            ),
+        )
+    )
+
+
+def without_immigration(env: EnvironmentModel) -> EnvironmentModel:
+    """``env`` with every atom's immigration law replaced by none."""
+    return EnvironmentModel(
+        atoms=tuple(
+            EnvAtom(offspring=a.offspring, immigration=NoImmigration(), prob=a.prob)
+            for a in env.atoms
         )
     )
 

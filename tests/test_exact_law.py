@@ -1,0 +1,82 @@
+"""The simulator against the exact annealed law of ``Z_n`` (``exact_law``):
+chi-square tests of ``Z_5`` on three environments, coupled and uncoupled,
+and ``estimate_elogw`` against the exact ``E log W_5``.
+
+Seeds and replicate counts were fixed before any result was seen."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from bpire import estimate_elogw, simulate_batch
+from conftest import make_env_a, make_mixed_env, without_immigration
+from exact_law import law_of_z_exact
+
+N = 5
+CAP = 4000
+R = 40_000
+ENVS = {"A": make_env_a, "mixed": make_mixed_env, "pure": lambda: make_env_a(immigration=False)}
+
+
+@functools.lru_cache(maxsize=None)
+def _law(name: str, immigration: bool = True):
+    env = ENVS[name]()
+    law = law_of_z_exact(env if immigration else without_immigration(env), N, CAP)
+    assert law.dropped < 1e-12
+    return law
+
+
+def _chi_square_p(z: np.ndarray, pmf: np.ndarray, bins: int = 40) -> float:
+    """p-value of the counts of ``z`` in consecutive support bins of
+    probability at least ``1 / bins`` each; the last bin takes the tail."""
+    edges = [0]
+    mass = 0.0
+    for k, p in enumerate(pmf):
+        mass += p
+        if mass >= 1.0 / bins:
+            edges.append(k + 1)
+            mass = 0.0
+    edges[-1] = pmf.size  # fold a light remainder into the last bin
+    expected = np.array([pmf[a:b].sum() for a, b in zip(edges, edges[1:])])
+    expected[-1] += 1.0 - expected.sum()  # the tail beyond the support
+    counts = np.bincount(np.minimum(z, pmf.size - 1), minlength=pmf.size)
+    observed = np.array([counts[a:b].sum() for a, b in zip(edges, edges[1:])])
+    assert observed.sum() == z.size
+    return float(stats.chisquare(observed, expected * z.size).pvalue)
+
+
+def _counts(log_z: np.ndarray) -> np.ndarray:
+    z = np.rint(np.exp(log_z)).astype(np.int64)
+    np.testing.assert_allclose(np.log(z), log_z, rtol=0, atol=1e-12)  # exact counts
+    return z
+
+
+@pytest.mark.parametrize("couple", [False, True], ids=["uncoupled", "coupled"])
+@pytest.mark.parametrize("name, seed", [("A", 601), ("mixed", 603), ("pure", 605)])
+def test_z_n_follows_exact_law(name, seed, couple):
+    batch = simulate_batch(
+        ENVS[name](), N, R, master_seed=seed + couple, record=(N,), couple_no_immigration=couple
+    )
+    p = _chi_square_p(_counts(batch.log_z_at(N)), _law(name).pmf)
+    assert p > 1e-3, f"Z_{N} on {name}: chi-square p = {p:.3g}"
+    if couple:  # the shadow is the chain without immigration
+        p = _chi_square_p(_counts(batch.log_zbar_at(N)), _law(name, immigration=False).pmf)
+        assert p > 1e-3, f"Zbar_{N} on {name}: chi-square p = {p:.3g}"
+
+
+def test_oracle_is_a_martingale_without_immigration():
+    # E W_n = 1 exactly for the pure environment, whatever n
+    law = _law("pure")
+    z = np.arange(CAP)
+    e_w = sum(float(p @ z) * math.exp(-law.s[j]) for j, p in law.joint.items())
+    assert e_w == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("name, seed", [("A", 611), ("mixed", 612)])
+def test_estimate_elogw_matches_exact_mean(name, seed):
+    est = estimate_elogw(ENVS[name](), horizon=N, replicates=50_000, master_seed=seed)
+    exact = _law(name).mean_log_w()
+    assert abs(est.mean - exact) <= 4 * est.se, (est.mean, est.se, exact)
