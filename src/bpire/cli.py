@@ -10,9 +10,13 @@ Exit codes:
 
 * 0 -- success;
 * 1 -- malformed config (JSON syntax, unknown or missing keys, bad types,
-  a non-finite number, an ``x_grid`` of more than ``MAX_GRID_POINTS`` =
-  10**6 points, a scalar out of its range such as ``promotion_threshold``
-  below ``MIN_PROMOTION_THRESHOLD`` = 2**10);
+  an integer of more digits than Python converts (4300 by default), arrays
+  or objects nested deeper than the interpreter's recursion limit, a
+  non-finite number, an ``x_grid`` of more than ``MAX_GRID_POINTS`` =
+  10**6 points, a ``horizon`` or ``n_list`` entry above
+  ``MAX_GENERATIONS`` = 10**5, a scalar out of its range such as
+  ``promotion_threshold`` outside [``MIN_PROMOTION_THRESHOLD`` = 2**10,
+  ``MAX_PROMOTION_THRESHOLD`` = 2**61]);
 * 2 -- validation failure: a law parameter out of its domain (such as a
   Poisson immigration mean ``nu`` above ``POISSON_NU_MAX``, about 708.4, or
   a geometric immigration ``s`` below ``GEOMETRIC_S_MIN`` = 1e-4), a failed
@@ -61,7 +65,8 @@ from .mc_verify import (
     moment_stability,
     walk_oracle_rate,
 )
-from .sampler import MIN_PROMOTION_THRESHOLD, PROMOTION_THRESHOLD
+from .sampler import MAX_PROMOTION_THRESHOLD, MIN_PROMOTION_THRESHOLD, PROMOTION_THRESHOLD
+from .trajectory import DRAW_LAYOUT
 
 
 class ConfigError(Exception):
@@ -74,6 +79,13 @@ class ValidationFailure(Exception):
 
 #: Most points an ``x_grid`` may have.
 MAX_GRID_POINTS = 10**6
+
+#: Largest ``horizon`` and ``n_list`` entry.  Every generation is one array
+#: step per chunk of 8192 replicates, about a millisecond, so 10**5
+#: generations already take minutes per chunk: far beyond the generations
+#: the rate theory is checked at, and a bound that turns a mistyped
+#: ``10**12`` into an error instead of a run of decades.
+MAX_GENERATIONS = 10**5
 
 
 @dataclass(frozen=True)
@@ -211,16 +223,21 @@ def _parse_environment(obj: Any, where: str = "environment") -> EnvironmentModel
 _SCALARS: dict[str, tuple[Callable[[Any, str], Any], Callable[[Any], bool], str]] = {
     "replicates": (_as_int, lambda v: v >= 1, "must be at least 1"),
     "master_seed": (_as_int, lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer"),
-    "horizon": (_as_int, lambda v: v >= 0, "must be nonnegative"),
+    "horizon": (
+        _as_int,
+        lambda v: 0 <= v <= MAX_GENERATIONS,
+        f"must be nonnegative and at most MAX_GENERATIONS = {MAX_GENERATIONS}",
+    ),
     "q": (_as_number, lambda v: True, ""),
     "r": (_as_number, lambda v: True, ""),
     "delta": (_as_number, lambda v: True, ""),
     "p": (_as_number, lambda v: True, ""),
     "promotion_threshold": (
         _as_int,
-        lambda v: v >= MIN_PROMOTION_THRESHOLD,
+        lambda v: MIN_PROMOTION_THRESHOLD <= v <= MAX_PROMOTION_THRESHOLD,
         f"must be at least {MIN_PROMOTION_THRESHOLD}: below it the Gaussian log step "
-        "is not guaranteed to stay in its domain",
+        f"is not guaranteed to stay in its domain; and at most {MAX_PROMOTION_THRESHOLD}: "
+        "above it exact counts may overflow int64",
     ),
     "threads": (_as_int, lambda v: v >= 0, "must be nonnegative (0 = auto)"),
 }
@@ -257,6 +274,10 @@ def parse_config(doc: Any) -> ExperimentConfig:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("config.n_list must be a nonempty array of integers")
         n_list = tuple(_as_int(v, "config.n_list entry") for v in raw)
+        if max(n_list) > MAX_GENERATIONS:
+            raise ConfigError(
+                f"config.n_list entries must be at most MAX_GENERATIONS = {MAX_GENERATIONS}"
+            )
 
     kwargs = {key: _scalar(key, doc[key], f"config.{key}") for key in _SCALARS if key in doc}
     return ExperimentConfig(kind=kind, environment=env, x_grid=x_grid, n_list=n_list, **kwargs)
@@ -518,6 +539,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     manifest = {
         "config": serialize_config(cfg),
         "version": __version__,
+        "draw_layout": DRAW_LAYOUT,
         "wall_time_s": round(time.monotonic() - t0, 3),
         "exit_status": status,
     }
@@ -554,6 +576,9 @@ def main(argv: list[str] | None = None) -> int:
             f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+        return 1
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep a nesting
+        print(f"error: malformed JSON: {str(exc).partition(';')[0]}", file=sys.stderr)
         return 1
 
     try:

@@ -3,16 +3,20 @@
 Reproducibility contract
 ------------------------
 Every random quantity in this package is drawn from a counter-based Philox
-generator keyed directly by the pair ``(master_seed, stream_id)``, which
-:class:`RngStream` validates.  Streams with distinct keys are statistically
-independent, and a stream's output is a pure function of its key: no global
-state, no seeding order, no thread identity is involved.  Re-keying a
-generator with the same pair replays exactly the same draws.
+generator keyed directly by a pair of unsigned 64-bit integers.  The
+simulator keys each chunk of a batch by ``(master_seed, stream_offset +
+first replicate of the chunk)`` and draws each kind of number from its own
+substream of that key (:func:`substream`; the layout is in
+:mod:`bpire.trajectory`).  A replicate is the triple ``(master_seed, chunk
+key, column)``: its numbers are a pure function of that triple and of the
+chunk's size -- no global state, no seeding order, no thread identity is
+involved -- and rebuilding a generator from the same key and substream
+replays exactly the same draws.
 
 Promotion rule
 --------------
 The simulator (:mod:`bpire.trajectory`) keeps each population size as an
-exact Python int until it reaches the promotion threshold ``T`` (default
+exact integer count until it reaches the promotion threshold ``T`` (default
 ``2**40``), and as a log-space float from that generation on; it never
 returns to exact counts.  Above ``T`` the relative resolution of a double
 (about ``2**-52``) is far below the per-generation statistical noise of
@@ -28,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator
+from numpy.random import Generator, Philox
 
 from .env_model import (
     EnvironmentModel,
@@ -49,12 +53,20 @@ PROMOTION_THRESHOLD: int = 2**40
 #: needs a normal beyond 32 standard deviations.
 MIN_PROMOTION_THRESHOLD: int = 2**10
 
+#: Largest accepted promotion threshold.  Exact counts are int64: a count
+#: below ``T``, plus an offspring excess of at most about ``T``, plus the
+#: immigrants stays below ``2**63`` when ``T <= 2**61``, and numpy's Poisson
+#: sampler takes means up to about ``9.2e18``.
+MAX_PROMOTION_THRESHOLD: int = 2**61
+
 _U64 = 2**64
 
 
 @dataclass
 class RngStream:
-    """The validated Philox key ``(master_seed, stream_id)`` of one replicate.
+    """The validated Philox key ``(master_seed, stream_id)`` of one path:
+    :func:`bpire.trajectory.simulate_path` runs the one-column chunk of
+    this key.
 
     Both fields are unsigned 64-bit integers and feed the two words of the
     Philox key directly.
@@ -69,30 +81,20 @@ class RngStream:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v}")
 
 
-def rekey_generator(
-    gen: Generator, master_seed: int, stream_id: int, substream: int = 0
-) -> Generator:
-    """Reset a Philox-backed generator to the start of substream
-    ``substream`` of the key ``(master_seed, stream_id)``.
+def substream(master_seed: int, key: int, index: int) -> Generator:
+    """A fresh generator at the start of substream ``index`` of the Philox
+    key ``(master_seed, key)``.
 
-    Substream 0 is the exact state a fresh ``Generator(Philox(key=[master_seed,
-    stream_id]))`` starts from.  Substream k starts with the highest counter
-    word set to k, i.e. ``k * 2**192`` positions into the key's period --
-    unreachable by sequential drawing, so substreams never overlap.  Batch
-    drivers call this to avoid re-allocating generator objects in the
-    per-replicate loop.
+    Substream 0 is the state ``Generator(Philox(key=[master_seed, key]))``
+    starts from.  Substream k starts with the highest counter word set to k,
+    i.e. ``k * 2**192`` positions into the key's period -- unreachable by
+    sequential drawing, so substreams never overlap.
     """
-    bg = gen.bit_generator
-    st = bg.state
-    st["state"]["key"][0] = master_seed
-    st["state"]["key"][1] = stream_id
-    st["state"]["counter"][:] = 0
-    st["state"]["counter"][3] = substream
-    st["buffer_pos"] = 4
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    bg.state = st
-    return gen
+    # uint64 arrays: numpy would read a list of ints beyond 2**53 as doubles
+    return Generator(Philox(
+        key=np.array([master_seed, key], dtype=np.uint64),
+        counter=np.array([0, 0, 0, index], dtype=np.uint64),
+    ))
 
 
 def atom_cumulative(env: EnvironmentModel) -> np.ndarray:

@@ -11,43 +11,36 @@ atom's immigration law) join the next generation.  Offspring laws satisfy
 Alongside ``log Z_n`` the driver tracks the environment walk
 ``S_n = sum_{k<n} log m(xi_k)`` and ``log W_n = log Z_n - S_n``.
 
-Draw layout (frozen)
---------------------
-Each replicate owns the Philox key ``(master_seed, stream_id)`` and two
-non-overlapping counter blocks of that key: substream 0 starts at counter 0,
-substream 1 starts at counter ``2**192`` (highest counter word = 1).  The
-layout below is part of the reproducibility contract; changing it changes
-every simulated path.
+Draw layout (version 2, ``DRAW_LAYOUT``)
+----------------------------------------
+A batch is cut into chunks of ``_CHUNK`` replicates, and each chunk runs as
+arrays: one array step per generation over all of its columns.  The chunk
+that starts at replicate ``c`` of a batch owns the Philox key
+``(master_seed, stream_offset + c)``; the replicate in its column ``j`` is
+the triple ``(master_seed, stream_offset + c, j)``, replayed by any chunk of
+the same key and size.  Substream k of a key starts with the highest counter
+word set to k (:func:`bpire.sampler.substream`), and each kind of draw has
+its own substream:
 
-Substream 0 draws, in order:
+0. atom uniforms, ``count`` per generation;
+1. immigration uniforms, ``count`` per generation, inverted through each
+   column's atom CDF table (drawn only when some atom has immigrants);
+2. normals of the primary population's log steps, ``count`` per
+   generation whether or not any column has promoted yet;
+3. the primary population's exact-regime draws, per generation in this
+   order: gammas of the geometric-offspring columns, Poissons of the
+   columns whose mean is below the threshold, normals of the Gaussian tail
+   of the others -- each over the exact columns only, in column order;
+4. and 5. the same as 2 and 3 for the surplus population of a coupled run.
 
-1. ``random(n)``            -- atom selection uniforms, generations 0..n-1;
-2. ``standard_normal(n)``   -- log-regime fluctuations of the primary
-   population (the full path when ``couple=False``, the no-immigration
-   coupled path when ``couple=True``);
-3. ``random(n)``            -- immigration uniforms, inverted through the
-   atom's CDF table (always consumed, even for NoImmigration atoms);
-4. on-demand scalar draws for the primary population's exact regime.
-
-Substream 1 (only when ``couple=True``):
-
-1. ``standard_normal(n)``   -- log-regime fluctuations of the surplus
-   population;
-2. on-demand scalar draws for the surplus population's exact regime.
-
-Because immigration and atom indices come from fixed pre-drawn blocks and
-each population's on-demand draws live in their own substream, re-running a
-replicate with a different promotion threshold replays identical atom and
-immigration sequences, and the exact-regime draws stay aligned until each
-population individually promotes.  That is what keeps trajectories
-threshold-consistent to within the log-regime noise floor.
-
-One function, ``_population``, runs every population through all its
-generations.  A coupled replicate runs ``Zbar`` to completion and then ``D``
-instead of interleaving their generations; that replays the same draws,
-because substream 0's on-demand draws belong only to ``Zbar`` and substream
-1's only to ``D``.  A population stops at the last recorded generation:
-later draws could reach no output.
+The primary population is the full path when ``couple=False`` and the
+no-immigration path ``Zbar`` when ``couple=True``.  Draws of substreams 0-2
+and 4 do not depend on the regime, so a run with another promotion
+threshold replays the same atoms, immigrants and log-step normals; only
+the on-demand draws of substreams 3 and 5 shift once some column changes
+regime, which at the default threshold happens at sizes where that shift
+stays below the log-regime noise floor.  A chunk stops at the last
+recorded generation: later draws could reach no output.
 
 Coupling
 --------
@@ -66,25 +59,34 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .env_model import EnvironmentModel, ShiftedGeometric, ShiftedPoisson
 from .sampler import (
+    MAX_PROMOTION_THRESHOLD,
     MIN_PROMOTION_THRESHOLD,
     PROMOTION_THRESHOLD,
     RngStream,
     atom_cumulative,
     immigration_cdf_table,
-    rekey_generator,
+    substream,
 )
 
-#: Replicates per worker task.  Fixed so the partition of a batch into tasks
-#: never depends on the worker count: batch output is a pure function of
-#: (environment, n, replicates, master_seed, record, couple, threshold).
+#: Version of the draw layout described above; every run manifest records
+#: it.  Any change to which draw feeds which number bumps it.
+DRAW_LAYOUT = 2
+
+#: Replicates per chunk, the unit of work handed to pool workers.  Fixed so
+#: the partition of a batch into chunks never depends on the worker count:
+#: batch output is a pure function of (environment, n, replicates,
+#: master_seed, stream_offset, record, couple, threshold).
 _CHUNK = 8192
+
+# Substreams of a chunk key (see "Draw layout").
+_ATOMS, _IMMIGRATION, _NORMALS, _EXACT, _SURPLUS_NORMALS, _SURPLUS_EXACT = range(6)
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,8 @@ class Trajectory:
 @dataclass(frozen=True)
 class BatchResult:
     """Columnar batch output: row g of each array holds generation
-    ``record[g]`` across all replicates (one column per replicate, in
-    stream order: replicate r uses stream_id ``stream_offset + r``)."""
+    ``record[g]`` across all replicates (one column per replicate, chunk
+    after chunk; see :func:`simulate_batch` for the chunk keys)."""
 
     master_seed: int
     stream_offset: int
@@ -148,7 +150,7 @@ class BatchResult:
 @dataclass(frozen=True)
 class WalkBatch:
     """Environment-walk-only batch: ``s[g, r]`` is ``S_{record[g]}`` for
-    replicate r.  Uses the first draw block of the trajectory layout."""
+    replicate r.  Uses substream 0 of the trajectory layout."""
 
     master_seed: int
     stream_offset: int
@@ -163,54 +165,88 @@ class WalkBatch:
         return self.s[self.record.index(generation)]
 
 
-def _walk_tables(env: EnvironmentModel) -> tuple[np.ndarray, np.ndarray]:
-    """The atom-inversion CDF and the atoms' log offspring means: all the
+#: Buckets of the inversion guide tables: a power of two, so ``u * _GUIDE``
+#: is exact and ``floor(u * _GUIDE)`` is the bucket of ``u``.
+_GUIDE = 4096
+
+
+class _Inverse:
+    """Inversion of uniforms through CDF tables that end at 1.0 (one per
+    atom): ``inv(u, rows)[i]`` equals ``searchsorted(cdfs[rows[i]], u[i],
+    side="right")``, and ``inv(u)`` inverts through ``cdfs[0]``.
+
+    A guide table holds, for each bucket ``[b, b + 1) / _GUIDE`` of a row,
+    the first entry above its left end; one comparison with that entry
+    finishes the inversion unless two entries share the bucket, and those
+    few uniforms fall back to a binary search.
+    """
+
+    def __init__(self, cdfs: list[np.ndarray]):
+        self.cdfs = cdfs
+        self.width = max(len(c) for c in cdfs)
+        table = np.ones((len(cdfs), self.width))
+        for a, c in enumerate(cdfs):
+            table[a, :len(c)] = c
+        edges = np.arange(_GUIDE + 1) / _GUIDE
+        lo = np.stack([np.searchsorted(c, edges[:-1], side="right") for c in cdfs])
+        hi = np.stack([np.searchsorted(c, edges[1:], side="left") for c in cdfs])
+        # flat, with row a's entries at a * width (table) and a * _GUIDE (guide)
+        self.table = table.ravel()
+        self.first = (lo + np.arange(len(cdfs))[:, None] * self.width).ravel()
+        self.crowded = (hi - lo > 1).ravel()
+
+    def __call__(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        b = (u * _GUIDE).astype(np.intp)
+        if rows is not None:
+            b += rows * _GUIDE
+        first = self.first[b]
+        y = first + (self.table[first] <= u)
+        if rows is not None:
+            y -= rows * self.width
+        crowded = self.crowded[b]
+        if crowded.any():
+            cols = np.flatnonzero(crowded)
+            row_of = np.zeros(cols.size, dtype=np.intp) if rows is None else rows[cols]
+            for a in np.unique(row_of):
+                i = cols[row_of == a]
+                y[i] = np.searchsorted(self.cdfs[a], u[i], side="right")
+        return y
+
+
+def _walk_tables(env: EnvironmentModel) -> tuple[_Inverse, np.ndarray]:
+    """The atom inversion and the atoms' log offspring means: all the
     environment walk needs."""
-    return atom_cumulative(env), np.array([math.log(a.offspring.mean) for a in env.atoms])
+    return _Inverse([atom_cumulative(env)]), np.array(
+        [math.log(a.offspring.mean) for a in env.atoms]
+    )
 
 
 class _EnvTables:
-    """Per-environment constants unpacked into loop-friendly lists.  Built
-    once per batch and handed to every chunk."""
+    """Per-environment constants, one array entry per atom.  Built once per
+    batch and handed to every chunk."""
 
     def __init__(self, env: EnvironmentModel):
-        self.cum, self.logm_np = _walk_tables(env)
-        self.logm = self.logm_np.tolist()
-        kinds: list[int] = []
-        p1: list[float] = []
+        self.atoms, self.logm = _walk_tables(env)
+        geometric, p1 = [], []
         for a in env.atoms:
             law = a.offspring
             if isinstance(law, ShiftedPoisson):
-                kinds.append(0)
-                p1.append(law.lam)
+                geometric.append(False)
+                p1.append(law.lam)  # Poisson mean per parent
             elif isinstance(law, ShiftedGeometric):
-                kinds.append(1)
+                geometric.append(True)
                 p1.append((1.0 - law.q) / law.q)  # gamma mixing scale
             else:
                 raise TypeError(f"unknown offspring law {law!r}")
-        self.kind = kinds
-        self.p1 = p1
-        self.m = [a.offspring.mean for a in env.atoms]
-        self.sqrt_v = [math.sqrt(a.offspring.variance) for a in env.atoms]
-        self.imm_cdfs = [immigration_cdf_table(a.immigration) for a in env.atoms]
-
-
-def _fresh_generator() -> Generator:
-    return Generator(Philox(key=[0, 0]))
-
-
-def _immigration_counts(tab: _EnvTables, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Invert per-generation immigration counts from uniforms, vectorised
-    per atom.  Every table ends at 1.0 and every uniform is below 1, so each
-    inversion lands inside its table."""
-    y = np.zeros(len(idx), dtype=np.int64)
-    for a, cdf in enumerate(tab.imm_cdfs):
-        if len(cdf) == 1:
-            continue
-        mask = idx == a
-        if mask.any():
-            y[mask] = np.searchsorted(cdf, u[mask], side="right")
-    return y
+        self.geometric = np.array(geometric)
+        self.any_geometric = any(geometric)
+        self.p1 = np.array(p1)
+        self.sd_over_m = np.array(
+            [math.sqrt(a.offspring.variance) / a.offspring.mean for a in env.atoms]
+        )
+        cdfs = [immigration_cdf_table(a.immigration) for a in env.atoms]
+        self.immigration = _Inverse(cdfs)
+        self.immigrates = any(len(cdf) > 1 for cdf in cdfs)
 
 
 def _record_positions(record: Sequence[int], n: int) -> list[int]:
@@ -222,76 +258,110 @@ def _record_positions(record: Sequence[int], n: int) -> list[int]:
     return rec
 
 
-def _population(
-    z: int,
-    gen: Generator,
-    idx_l: list[int],
-    g_l: list[float],
-    y_l: list[int],
-    tab: _EnvTables,
-    threshold: int,
-    rec: list[int],
-) -> list[float]:
-    """Grow one population from ``z`` individuals and return its log size
-    at each generation in ``rec`` (all >= 1, increasing), ``-inf`` while it
-    is empty.
+def _take(y: np.ndarray | None, cols: np.ndarray) -> np.ndarray | None:
+    return None if y is None else y[cols]
 
-    Step k takes generation k to k+1 under atom ``idx_l[k]`` and adds the
-    ``y_l[k]`` immigrants.  Exact phase: the offspring total of z parents is
-    ``z + Poisson(z*lam)`` (shifted Poisson) or ``z + Poisson(Gamma(z,
-    (1-q)/q))`` (shifted geometric), drawn on demand from ``gen``; a Poisson
-    mean at or above ``threshold`` is drawn as ``mean + sqrt(mean) * G``
-    instead.  Once the size reaches ``threshold`` the population moves to
-    log space for good: with the pre-drawn normal ``g = g_l[k]``,
-    ``log Z' = log Z + log m + log1p(g * sqrt(v) * Z**-0.5 / m)``, i.e.
-    ``log(Z*m + g*sqrt(Z*v))``, followed by ``log1p(y / Z')`` for immigrants.
+
+class _Population:
+    """One population in every column of a chunk, grown one generation at
+    a time by :meth:`step`.
+
+    A column holds an exact int64 count until it reaches ``threshold`` and
+    its log size from then on, for good.  Exact step: the offspring total of
+    z parents is ``z + Poisson(z*lam)`` (shifted Poisson) or ``z +
+    Poisson(Gamma(z, (1-q)/q))`` (shifted geometric), drawn from ``gen``; a
+    Poisson mean at or above ``threshold`` is drawn as ``mean + sqrt(mean) *
+    G`` instead (at least 1).  Log step, with the normal ``g`` of the
+    column: ``log Z' = log Z + log m + log1p(g * sqrt(v) * Z**-0.5 / m)``,
+    i.e. ``log(Z*m + g*sqrt(Z*v))``, followed by ``log1p(y / Z')`` for y
+    immigrants.  Counts stay below ``2**63``: an exact column holds less
+    than ``threshold <= 2**61``, and a tail value too large to count
+    promotes its column at once.
     """
-    kind_l, p1_l, m_l, logm_l, sv_l = tab.kind, tab.p1, tab.m, tab.logm, tab.sqrt_v
-    log, log1p, exp, sqrt = math.log, math.log1p, math.exp, math.sqrt
-    pois, norm, gam = gen.poisson, gen.standard_normal, gen.gamma
-    out: list[float] = []
-    pending = iter(rec)
-    nxt = next(pending, 0)
-    for k in range(rec[-1] if rec else 0):
-        if z:
-            a = idx_l[k]
-            if kind_l[a]:
-                mean = float(gam(z, p1_l[a]))
-            else:
-                mean = z * p1_l[a]
-            if mean < threshold:
-                z = z + int(pois(mean)) + y_l[k]
-            else:
-                val = mean + sqrt(mean) * float(norm())
-                if val < 1.0:
-                    val = 1.0
-                z = z + int(val) + y_l[k]
-        else:
-            z = y_l[k]
-        if k + 1 == nxt:
-            out.append(log(z) if z else -math.inf)
-            nxt = next(pending, 0)
-        if z >= threshold:
-            break
-    else:
+
+    def __init__(self, z: int, count: int, tab: _EnvTables, threshold: int, gen: Generator):
+        self.z = np.full(count, z, dtype=np.int64)
+        self.log_z = np.zeros(count)  # meaningful where promoted
+        self.promoted = np.zeros(count, dtype=bool)
+        self.all_promoted = False
+        self.tab = tab
+        self.threshold = threshold
+        self.gen = gen
+
+    def step(self, idx: np.ndarray, y: np.ndarray | None, g: np.ndarray) -> None:
+        """Take every column one generation on under atoms ``idx`` with
+        immigrants ``y`` (``None``: none) and log-step normals ``g``."""
+        if self.all_promoted:
+            self.log_z = self._log_step(self.log_z, idx, y, g)
+            return
+        done = np.flatnonzero(self.promoted)
+        if done.size:
+            self.log_z[done] = self._log_step(self.log_z[done], idx[done], _take(y, done), g[done])
+        cols = np.flatnonzero(~self.promoted)
+        z, size = self._exact_step(self.z[cols], idx[cols], _take(y, cols))
+        self.z[cols] = z
+        up = z >= self.threshold
+        if up.any():
+            self.log_z[cols[up]] = np.log(size[up])
+            self.promoted[cols[up]] = True
+            self.all_promoted = bool(self.promoted.all())
+
+    def _log_step(self, log_z, a, y, g):
+        tab = self.tab
+        log_z = log_z + (tab.logm[a] + np.log1p(g * tab.sd_over_m[a] * np.exp(-0.5 * log_z)))
+        if y is not None:
+            log_z = log_z + np.log1p(y * np.exp(-log_z))
+        return log_z
+
+    def _exact_step(self, z, a, y):
+        """New counts of exact columns ``z`` (at most the threshold when a
+        tail value is too large to count) and their sizes as floats."""
+        tab, gen, threshold = self.tab, self.gen, self.threshold
+        mean = z * tab.p1[a]
+        if tab.any_geometric:
+            geo = tab.geometric[a] & (z > 0)
+            if geo.any():
+                mean[geo] = gen.gamma(z[geo], tab.p1[a[geo]])
+        tail = mean >= threshold
+        if not tail.any():
+            z = z + gen.poisson(mean)
+            if y is not None:
+                z += y
+            return z, z.astype(np.float64)
+        excess = gen.poisson(np.where(tail, 0.0, mean))  # a zero mean draws nothing
+        m = mean[tail]
+        val = np.floor(np.maximum(m + np.sqrt(m) * gen.standard_normal(m.size), 1.0))
+        if not np.isfinite(val).all():
+            raise ValueError("an offspring total overflows a double")
+        excess[tail] = np.minimum(val, threshold)
+        z = z + excess
+        if y is not None:
+            z += y
+        size = z.astype(np.float64)
+        size[tail] += val - excess[tail]
+        return z, size
+
+    def log_size(self) -> np.ndarray:
+        """Log size of every column, ``-inf`` where it is empty."""
+        out = np.full(self.z.size, -np.inf)
+        np.log(self.z, out=out, where=self.z > 0)
+        np.copyto(out, self.log_z, where=self.promoted)
         return out
 
-    zlog = log(z)
-    k += 1
-    for r in rec[len(out):]:
-        for j in range(k, r):
-            a = idx_l[j]
-            zlog += logm_l[a] + log1p(g_l[j] * sv_l[a] * exp(-0.5 * zlog) / m_l[a])
-            yj = y_l[j]
-            if yj:
-                zlog += log1p(yj * exp(-zlog))
-        out.append(zlog)
-        k = r
-    return out
+
+def _walk(atoms: _Inverse, logm: np.ndarray, gen: Generator, count: int,
+          last: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield, for generations 1..``last``, the generation, the atom index of
+    each column's step into it, and the walk ``S`` there."""
+    s = np.zeros(count)
+    for k in range(1, last + 1):
+        idx = atoms(gen.random(count))
+        s = s + logm[idx]
+        yield k, idx, s
 
 
 def _simulate_chunk(
-    start_sid: int,
+    key: int,
     count: int,
     tab: _EnvTables,
     n: int,
@@ -300,74 +370,50 @@ def _simulate_chunk(
     couple: bool,
     threshold: int,
 ) -> dict[str, np.ndarray]:
-    """Simulate ``count`` replicates with consecutive stream ids and return
-    recorded rows.  This is the unit of work handed to pool workers."""
-    rec = [g for g in record if g > 0]
-    first = len(record) - len(rec)  # 1 when generation 0 (log Z_0 = 0) is recorded
-    walk_at = np.array(rec, dtype=np.int64) - 1
-    out_logz = np.zeros((len(record), count))
-    out_s = np.zeros((len(record), count))
-    out_logzbar = np.zeros((len(record), count)) if couple else None
+    """Simulate the ``count`` columns of the chunk with Philox key
+    ``(master_seed, key)`` and return the recorded rows (generation 0 is
+    ``log Z_0 = S_0 = 0``)."""
+    rows = {g: i for i, g in enumerate(record)}
+    keys = ["log_z", "s"] + (["log_zbar"] if couple else [])
+    out = {name: np.zeros((len(record), count)) for name in keys}
+    gens = [substream(master_seed, key, i) for i in range(6)]
+    primary = _Population(1, count, tab, threshold, gens[_EXACT])
+    surplus = _Population(0, count, tab, threshold, gens[_SURPLUS_EXACT]) if couple else None
 
-    gen0 = _fresh_generator()
-    gen1 = _fresh_generator() if couple else None
-    no_immigrants = [0] * n
-    log1p, exp = math.log1p, math.exp
-
-    for col in range(count):
-        sid = start_sid + col
-        rekey_generator(gen0, master_seed, sid)
-        u_atoms = gen0.random(n)
-        g1_l = gen0.standard_normal(n).tolist()
-        u_imm = gen0.random(n)
-
-        idx = np.searchsorted(tab.cum, u_atoms, side="right")
-        out_s[first:, col] = np.cumsum(tab.logm_np[idx])[walk_at]
-        idx_l = idx.tolist()
-        y_l = _immigration_counts(tab, idx, u_imm).tolist()
-
-        if not couple:
-            out_logz[first:, col] = _population(1, gen0, idx_l, g1_l, y_l, tab, threshold, rec)
-            continue
-
-        rekey_generator(gen1, master_seed, sid, substream=1)
-        g2_l = gen1.standard_normal(n).tolist()
-        zbar = _population(1, gen0, idx_l, g1_l, no_immigrants, tab, threshold, rec)
-        surplus = _population(0, gen1, idx_l, g2_l, y_l, tab, threshold, rec)
-        for i, zbl, dl in zip(range(first, len(record)), zbar, surplus):
-            # log(Zbar + D); D = 0 (dl = -inf) leaves zbl unchanged.
-            if zbl >= dl:
-                lz = zbl + log1p(exp(dl - zbl))
-            else:
-                lz = dl + log1p(exp(zbl - dl))
-            out_logz[i, col] = lz
-            out_logzbar[i, col] = zbl
-
-    result = {"log_z": out_logz, "s": out_s}
-    if couple:
-        result["log_zbar"] = out_logzbar
-    return result
+    for k, idx, s in _walk(tab.atoms, tab.logm, gens[_ATOMS], count, record[-1] if record else 0):
+        y = None
+        if tab.immigrates:
+            y = tab.immigration(gens[_IMMIGRATION].random(count), idx)
+        primary.step(idx, None if couple else y, gens[_NORMALS].standard_normal(count))
+        if couple:
+            surplus.step(idx, y, gens[_SURPLUS_NORMALS].standard_normal(count))
+        if k in rows:
+            i = rows[k]
+            out["s"][i] = s
+            out["log_z"][i] = primary.log_size()
+            if couple:
+                out["log_zbar"][i] = out["log_z"][i]
+                # log(Zbar + D); D = 0 (-inf) leaves Zbar unchanged
+                np.logaddexp(out["log_zbar"][i], surplus.log_size(), out=out["log_z"][i])
+    return out
 
 
 def _walk_chunk(
-    start_sid: int,
+    key: int,
     count: int,
-    cum: np.ndarray,
+    atoms: _Inverse,
     logm: np.ndarray,
     n: int,
     master_seed: int,
     record: tuple[int, ...],
 ) -> dict[str, np.ndarray]:
-    """Environment walk only: consumes just the atom block of the layout."""
-    rec = [g for g in record if g > 0]
-    first = len(record) - len(rec)
-    walk_at = np.array(rec, dtype=np.int64) - 1
+    """Environment walk only: consumes just substream 0 of the layout."""
+    rows = {g: i for i, g in enumerate(record)}
     out_s = np.zeros((len(record), count))
-    gen0 = _fresh_generator()
-    for col in range(count):
-        rekey_generator(gen0, master_seed, start_sid + col)
-        idx = np.searchsorted(cum, gen0.random(n), side="right")
-        out_s[first:, col] = np.cumsum(logm[idx])[walk_at]
+    gen = substream(master_seed, key, _ATOMS)
+    for k, _, s in _walk(atoms, logm, gen, count, record[-1] if record else 0):
+        if k in rows:
+            out_s[rows[k]] = s
     return {"s": out_s}
 
 
@@ -405,9 +451,9 @@ def simulate_path(
     """Simulate one path of length ``n`` and return every generation.
 
     The path is the one column of :func:`simulate_batch` with one replicate
-    at ``stream_offset = rng.stream_id``: a pure function of
-    ``(rng.master_seed, rng.stream_id)`` and the remaining arguments, equal
-    to that replicate's column in any batch.
+    at ``stream_offset = rng.stream_id``, i.e. of the one-column chunk keyed
+    ``(rng.master_seed, rng.stream_id)``: a pure function of that key and
+    the remaining arguments.
     """
     batch = simulate_batch(
         env, n, 1, rng.master_seed, record=range(n + 1),
@@ -438,9 +484,10 @@ def simulate_batch(
     """Simulate ``replicates`` independent paths, recording the generations
     in ``record`` (default: only generation ``n``).
 
-    Replicate r draws from stream ``(master_seed, stream_offset + r)``.
-    Output is bit-identical for any ``threads`` value (0 = one worker per
-    CPU) because the chunk partition and per-replicate streams are fixed.
+    Replicate r is column ``r % _CHUNK`` of the chunk keyed
+    ``(master_seed, stream_offset + r - r % _CHUNK)``.  Output is
+    bit-identical for any ``threads`` value (0 = one worker per CPU) because
+    the chunk partition and the chunk keys are fixed.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -450,6 +497,11 @@ def simulate_batch(
         raise ValueError(
             f"promotion threshold must be at least {MIN_PROMOTION_THRESHOLD}: below it "
             "the Gaussian log step and tail are not guaranteed a positive argument"
+        )
+    if threshold > MAX_PROMOTION_THRESHOLD:
+        raise ValueError(
+            f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
+            "exact counts may overflow int64"
         )
     rec = tuple(_record_positions(record if record is not None else (n,), n))
     keys = ["log_z", "s"] + (["log_zbar"] if couple_no_immigration else [])
@@ -483,8 +535,8 @@ def simulate_walk_batch(
 ) -> WalkBatch:
     """Simulate the environment walk ``S_n`` alone (no branching).
 
-    Uses the same per-replicate streams and atom draw block as
-    :func:`simulate_batch`, so determinism guarantees carry over.
+    Uses the same chunk keys and atom substream as :func:`simulate_batch`,
+    so ``S`` agrees with that batch's bitwise, column by column.
     """
     if replicates <= 0:
         raise ValueError(f"replicates must be positive, got {replicates}")

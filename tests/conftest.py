@@ -1,7 +1,5 @@
 """Shared environment builders for the test suite."""
 
-import math
-
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -16,7 +14,7 @@ from bpire import (
     ShiftedGeometric,
     ShiftedPoisson,
 )
-from bpire.trajectory import _EnvTables, _population
+from bpire.trajectory import _EnvTables, _Population
 
 
 def make_env_a(immigration: bool = True) -> EnvironmentModel:
@@ -88,16 +86,28 @@ def one_atom_tables(offspring, immigration=NoImmigration()) -> _EnvTables:
     )
 
 
+def population_path(z, gen, idx_l, g_l, y_l, tab, threshold, rec) -> list[float]:
+    """Log sizes at the generations ``rec`` of one population of ``z``
+    individuals grown by the simulator's array step in a one-column chunk:
+    step k uses atom ``idx_l[k]``, normal ``g_l[k]`` and ``y_l[k]``
+    immigrants, and exact-regime draws come from ``gen``."""
+    pop = _Population(z, 1, tab, threshold, gen)
+    out = []
+    for k in range(rec[-1]):
+        pop.step(np.array([idx_l[k]]), np.array([y_l[k]]), np.array([g_l[k]]))
+        if k + 1 in rec:
+            out.append(float(pop.log_size()[0]))
+    return out
+
+
 def one_generation_totals(law, z: int, master_seed: int, draws: int) -> np.ndarray:
-    """``draws`` successive offspring totals of ``z`` individuals under
-    ``law``, each one exact generation of the simulator's own step, drawn
-    on demand from the Philox stream ``(master_seed, 0)``."""
-    tab = one_atom_tables(law)
-    gen = Generator(Philox(key=[master_seed, 0]))
-    return np.array([
-        round(math.exp(_population(z, gen, [0], [0.0], [0], tab, PROMOTION_THRESHOLD, [1])[0]))
-        for _ in range(draws)
-    ])
+    """``draws`` offspring totals of ``z`` individuals under ``law``: one
+    exact generation of the simulator's own step over ``draws`` columns,
+    drawn from the Philox stream ``(master_seed, 0)``."""
+    pop = _Population(z, draws, one_atom_tables(law), PROMOTION_THRESHOLD,
+                      Generator(Philox(key=[master_seed, 0])))
+    pop.step(np.zeros(draws, dtype=np.int64), None, np.zeros(draws))
+    return pop.z.copy()
 
 
 @pytest.fixture

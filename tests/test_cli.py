@@ -12,6 +12,7 @@ import pytest
 
 import bpire
 from bpire.cli import (
+    MAX_GENERATIONS,
     MAX_GRID_POINTS,
     ConfigError,
     ExperimentConfig,
@@ -43,9 +44,19 @@ def _env_doc(immigration: str = "poisson") -> dict:
     }
 
 
+#: Strings that stand in a config document for JSON text ``json.dumps``
+#: cannot write: an integer of 5,000 digits and an array nested 100,000 deep.
+_LONG_INT = "<5000-digit integer>"
+_DEEP_ARRAY = "<array nested 100000 deep>"
+_RAW_JSON = {_LONG_INT: "9" * 5000, _DEEP_ARRAY: "[" * 100_000 + "]" * 100_000}
+
+
 def _write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc, indent=1))
+    text = json.dumps(doc, indent=1)
+    for stand_in, raw in _RAW_JSON.items():
+        text = text.replace(json.dumps(stand_in), raw)
+    path.write_text(text)
     return str(path)
 
 
@@ -90,6 +101,15 @@ def test_grid_spec_values():
         GridSpec(min=0.0, max=float(MAX_GRID_POINTS), step=1.0)
 
 
+def test_generation_limit():
+    base = {"kind": "moments", "environment": _env_doc()}
+    assert parse_config({**base, "horizon": MAX_GENERATIONS}).horizon == MAX_GENERATIONS
+    assert parse_config({**base, "n_list": [MAX_GENERATIONS]}).n_list == (MAX_GENERATIONS,)
+    for doc in ({"horizon": MAX_GENERATIONS + 1}, {"n_list": [2, MAX_GENERATIONS + 1]}):
+        with pytest.raises(ConfigError, match="MAX_GENERATIONS"):
+            parse_config({**base, **doc})
+
+
 @pytest.mark.parametrize(
     "mutate, named",
     [
@@ -111,6 +131,7 @@ def test_grid_spec_values():
         (lambda d: d["x_grid"].__setitem__("count", 3), "count"),
     ],
 )
+
 def test_unknown_keys_are_named(mutate, named):
     doc = {
         "kind": "rate",
@@ -277,9 +298,17 @@ def _with_lam(lam) -> dict:
             2,
             "s >= 0.0001",
         ),
+        ({"replicates": _LONG_INT}, 1, "4300 digits"),
+        ({"replicates": _DEEP_ARRAY}, 1, "recursion depth"),
+        ({"kind": "elogw", "horizon": 10**12}, 1, "config.horizon"),
+        ({"kind": "moments", "n_list": [10**12]}, 1, "config.n_list"),
+        ({"kind": "elogw", "promotion_threshold": 2**62}, 1, "at most 2305843009213693952"),
     ],
     ids=["grid-min-inf", "grid-step-underflow", "grid-too-many-points", "moments-r-inf",
-         "lam-nan", "lam-beyond-float", "laplace-t-overflow", "geometric-s-too-small"],
+         "lam-nan", "lam-beyond-float", "laplace-t-overflow", "geometric-s-too-small",
+         "integer-beyond-digit-limit", "array-beyond-recursion-limit",
+         "horizon-beyond-max-generations",
+         "n-list-beyond-max-generations", "threshold-beyond-int64-counts"],
 )
 def test_accepted_number_exits_with_its_code_without_traceback(tmp_path, doc, code, named):
     base = {"kind": "walk-oracle", "environment": _env_doc(), "n_list": [2], "replicates": 50,

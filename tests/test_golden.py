@@ -6,7 +6,15 @@ population, low promotion thresholds, ``simulate_path``); their digests are
 of the raw bytes of every array they return.
 
 A change that alters outputs on purpose updates ``GOLDEN`` and gives the
-reason in CHANGES.md.  To print the digests of the current tree::
+reason in CHANGES.md.  The digests depend on numpy's SIMD dispatch as well
+as on the code: the array step computes ``exp``, ``log`` and ``log1p``
+with numpy's vectorised kernels, which are not correctly rounded and differ
+between instruction sets.  On an AVX-512 Xeon, ``np.exp`` differed from
+``math.exp`` on about 4.6% of uniform arguments in [-50, 0] and
+``np.log1p`` from ``math.log1p`` on 1.1% of arguments in [-1e-3, 1e-3]
+(7.7% in [-0.5, 1]), so a host with another dispatch target may print
+other digests from the same tree.  To print the digests of the current
+tree::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -142,15 +150,15 @@ CASES.update({
     "lib-path-coupled": lambda: _path(True),
 })
 
-# Recorded before the CLI was rebuilt around one table of kinds.
+# Recorded with draw layout 2 (``bpire.trajectory.DRAW_LAYOUT``).
 GOLDEN = {
     "berry-esseen": {
         "exit": 0,
-        "stdout": "d33973fcf9fd398cfc13f58b95a6661c60a1d4e7936c2aeb74646685f084dba8",
+        "stdout": "50150c61f3c592f9a97542ad813b71958987142824ae95197ff96e7453d169bd",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "berry_esseen.csv": "c85cf8d4f2848db5d547b8b9c4778c24f05bfd05c508b289665916bc35321c10",
-            "run_manifest.json": "f0172657466f7525ddd4df5c65d509a919b1391912c666bfb11beb370d93a28c"
+            "berry_esseen.csv": "43112f23accf62e0114bfb84301ad76472f5dc384b16d5559dbe3b6076274ced",
+            "run_manifest.json": "5a34511a07e850026343929ba14bb69316296434f4fab2034cfa2da26661891b"
         }
     },
     "berry-esseen-unstable": {
@@ -158,18 +166,18 @@ GOLDEN = {
         "stdout": "39520f79518a9ca27dc58242e630821bb2d9787394ec936755c9f0aef2077864",
         "stderr": "f5370521fb66614cdc0fc9e903fa92f76c5996484b73b8be1912e04276203536",
         "files": {
-            "berry_esseen.csv": "de146392755b04c293875ee9ae49b942787f921e0babbc8ddec86d8bafd9ca85",
-            "run_manifest.json": "9cb26c563971d910a21f9a2aa34d77747ae35c3185085519dba629cd5e4b5b44"
+            "berry_esseen.csv": "4f09dbe77d81e938bee782542e299d3cee9fa9b40b60378992a8ffff72afc6d0",
+            "run_manifest.json": "b275e1c6e19e9f02dbe3e67d6de7dce9a6750e67d839ece3da061752de3721ff"
         }
     },
     "decay": {
         "exit": 0,
-        "stdout": "9a26b9547d4235e724632f0fcea0187dc5a08b8a9263b85d1446997260dc4c6a",
+        "stdout": "67c3f9a5f3352738bf98d2667eddfd42fa498d229d423470a774f1fefc73c7b7",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "decay.csv": "c1a0756fbd7f643727ecad027b0690b71a731510548861e035cd2906f53232c9",
-            "fit.csv": "0fb37887fcd7d013d1a6c26692470fa391306bd241b2fd7037b1b5263399fb08",
-            "run_manifest.json": "56acc01959bc206bcff4ee6278cccae20add62699ddac806ab3c5395b4b7a9d6"
+            "decay.csv": "84117a8e1a8aa414b1bdf976452740566e93eaf30e6405323d9922fd94946d44",
+            "fit.csv": "7a947e419754764f57f9a54902407dee7fc0856c61acadbc81e3835c0e4eb012",
+            "run_manifest.json": "d83715f47d1cf79d6f19216334db49e7e672b57d300c556029fb3e68115ecbb9"
         }
     },
     "decay-inconclusive": {
@@ -177,18 +185,18 @@ GOLDEN = {
         "stdout": "57e787e1a68472983ed242cc19f3ca788f2c09510b07d21dab82a3128984e445",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "decay.csv": "d014586272a4f3b8c4b8ee9d24a88e570b0f74cfc9a4a7f8eb3e1cd8098a842c",
+            "decay.csv": "e3384292362a6803a3aedef05b3546068bff5bd37e9167f1717567168d362241",
             "fit.csv": "ff2760e717e0c2cf06306af1f31195eda5955df08de3a1b59ff95be46fc305f0",
-            "run_manifest.json": "d683343603547eeefbc1487c85bd01a54a014376979af67ce13458f3842e12b4"
+            "run_manifest.json": "a4496a78cea19e9da9ed0e3c7c1b7f46c8ab2d48f60db2af8d184f8e620208c9"
         }
     },
     "elogw": {
         "exit": 0,
-        "stdout": "1e3b5e323763ad8def787b4913475fcd76f481c38d1c8ff136c3a68ad1db6ce8",
+        "stdout": "186a7ef3d6a86b2364d34fc9695142d7e15a153e2e242ce7f509f05952ea1ba4",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "elogw.csv": "a957d7f816830adabe7113841b9504af30333f18143047e370f3ca1f84232382",
-            "run_manifest.json": "1f8f35cf4911891466c655a9eb3fb633fbaf7b04b231615606a3c9f0b527fa04"
+            "elogw.csv": "17e05be2222a857c69119f84f1ea1e5a39e7ae4e3fb41f3f2e88473b9908ed7a",
+            "run_manifest.json": "009c97107b48c3ec66d2c09513fff0ffeb27793220667480132bfee8ac8d23f7"
         }
     },
     "laplace": {
@@ -196,26 +204,55 @@ GOLDEN = {
         "stdout": "30d01b08dfc3dd473781dd09526c6db599e85b22e5290deca92a78f8442eac28",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "laplace.csv": "cce6d826df06a2aa253dc228dc32b43bda032dd163e1ad2eb2b58f97676a0767",
-            "run_manifest.json": "695decc1f8c1cb821d84190f1032b6c34e7e001ae8abd7d10d52b777886ab15e"
+            "laplace.csv": "3f031532beca77dbae36e3f63eb49a6a6dd692c9b2e4e048682e1414c857ae6e",
+            "run_manifest.json": "52b87732f1c5f38704261e6c4af1cb062094205e0d405e95fb54266a903f5929"
         }
+    },
+    "lib-coupled-env-a": {
+        "log_z": "b11a8057d36dae8ee03758d8e5d13f84b1e63fb7950604ecce7ffb9bf910d2e6",
+        "log_zbar": "6fa29aac35642598871e1dafe44ed786358b1c5e6277b48a7eb973933bd0cfe8",
+        "s": "43f2b045fcdfe1f480b3ada70a9af7821c5712658bc08d428776400919f2e1f7"
+    },
+    "lib-coupled-env-a-t1024": {
+        "log_z": "39741c9a2b68a10a3e9a7043c8025abfca9d476cbbd773af22ddf3d967f1aa50",
+        "log_zbar": "98803fe05ea3e9b6793ea8c819c4902608ca134b65f23e80d233bd1690efa5af",
+        "s": "43f2b045fcdfe1f480b3ada70a9af7821c5712658bc08d428776400919f2e1f7"
+    },
+    "lib-coupled-mixed": {
+        "log_z": "e9160af236f98e25cd3734614a51c63a05171353fb78503db1de004b763ac01d",
+        "log_zbar": "f811fc8e6b792bd37badee633af9060eab335b99986049103c31ff753d684588",
+        "s": "f7e221d5f9c99fd485fc8bc905493b0c0f4d6cb33d003490e328c26de93a66d4"
+    },
+    "lib-coupled-mixed-t1024": {
+        "log_z": "01b523a92253f048bed9ed142d6a333a45e9e418391182afa7a8ddf7fc16e127",
+        "log_zbar": "1de04f4203f044a0600b693104372f9ad5c4713729abe1b95bf9860f459683a9",
+        "s": "f7e221d5f9c99fd485fc8bc905493b0c0f4d6cb33d003490e328c26de93a66d4"
+    },
+    "lib-path": {
+        "log_z": "ee705c8b12b0f2acbae79c5a673160efbfe8141f3a551eb423a5f241dda863f0",
+        "s": "d24bd40687f6da901f7399fd7462fd76e727a931ac0b6f347e14e7c88d31da13"
+    },
+    "lib-path-coupled": {
+        "log_z": "4c2604006db60ed37b9046dba3a0bd3829faf5460148899b064bd9865c7eaa7a",
+        "log_zbar": "d281593150a2af49c4eaf1c91e5d2eb121492d556505f274bbf05c826f7b02ae",
+        "s": "d24bd40687f6da901f7399fd7462fd76e727a931ac0b6f347e14e7c88d31da13"
     },
     "moments": {
         "exit": 0,
         "stdout": "85dca0da4772387b9dae1fd18cfd6229bc2a2bd4a718ab8dc4a5f71f96caf231",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "moments.csv": "6cfa4845e620f74a82f79d37ad5cb2dd2d8193dfab800e8b9beb1c39bc29e282",
-            "run_manifest.json": "8593bd51bc900f1b5f003472b09ab9f739dce2dcde33877bf3be7f324a99d368"
+            "moments.csv": "51f3e53aa71c2b7a912d4deefd67edc4fb395bf3084f4fc83907ac101ec46817",
+            "run_manifest.json": "fc4bf97e4b449bac970ff0b240753264c876a54c99a9df9c8df3fec22c86c45d"
         }
     },
     "rate": {
         "exit": 0,
-        "stdout": "82ba580de12fcf61683aa1b98d2b793f517c7e96d8ea47933c304731953a8cfc",
+        "stdout": "55773137def9772b4a6d8ce622c8d7fbc7299917e54e3b3db47aeb98fa81b5b6",
         "stderr": "7a3f17010d97734b732c09b6d4ab15edd33e83bedd2635b93af162d11576352b",
         "files": {
-            "rate.csv": "f552255aa540760e42a969b083276980db52184d14b3b9c9d6471b346d77a888",
-            "run_manifest.json": "ee42699039fc5567afe1176d8fea2b968b20bab4a86f65e0da60463ad01ebc96"
+            "rate.csv": "87e3339be292c730c89778e15df666c44705c58ed42993204bec914082c017f5",
+            "run_manifest.json": "4d429d702399527cfd371ef8a6102ae74015138f6bd00c33be6756a15f8ab7ab"
         }
     },
     "validate": {
@@ -223,7 +260,7 @@ GOLDEN = {
         "stdout": "502f0578e30fc79f3cba8ce3540a551808c3d941e48a7037e56dc1caa759f997",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "run_manifest.json": "d6475b1a92f41633afccac35330a8b47dd1b747d4e3677772874725455ecee96"
+            "run_manifest.json": "9b5020fe6b7af8708f7eca40ea9cb9497f5dc58f36da0e36172678fd830a648f"
         }
     },
     "validate-one-atom": {
@@ -231,7 +268,7 @@ GOLDEN = {
         "stdout": "8179f4bbba92c78d633e0891ae1ebee45d146048b276b83c2c024b494e452f33",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "run_manifest.json": "2ca240a4646255056abc6079c735ec90510adcf02b326dd46e0938a2beebc201"
+            "run_manifest.json": "d4a5e0e4ca40ae8d485a00b9d2c85f5e4b4883ad8cf435d3bb13bb64df1ea495"
         }
     },
     "walk-oracle": {
@@ -239,44 +276,11 @@ GOLDEN = {
         "stdout": "e9c7b4a6c5ff15b39bfe53cb5707430b3373307162a35c3eaaddcd9e25a16e64",
         "stderr": "7a3f17010d97734b732c09b6d4ab15edd33e83bedd2635b93af162d11576352b",
         "files": {
-            "run_manifest.json": "8b4026019921f3dda754fccaa02c4aff44241df2291652f1d6b5330cb082d6af",
-            "walk_oracle.csv": "aeb361ac77e5eb68f4abb6864e64b559e90fed03e8bc228110b5bef9a42f5df1"
+            "run_manifest.json": "7d30ebb9c79b277ff976b3346adce0d1a57bbacfd7c1a3dfb64b301a95623387",
+            "walk_oracle.csv": "580cdbabd86802372d2d0a2bfb1d41840d1b9cd9ca47f6cdaa5eddfac270fa22"
         }
     }
 }
-
-# Recorded before the generation step was folded into one function.
-GOLDEN.update({
-    "lib-coupled-env-a": {
-        "log_z": "629d477641a258a689bc6c557fc128de2e36dd92b4320d664800db74f1e72b2e",
-        "log_zbar": "6580b808560372746a4ba7136bdd19182d368a86666fb1a9b9d47036143bda0f",
-        "s": "afaaeaf66d930c0ec3afc33776fcdc0d8da3c141c30d2cad117ca17143e9fd0f"
-    },
-    "lib-coupled-env-a-t1024": {
-        "log_z": "9a09dcb39123ade2d58cdc11819daf71db0ab9d26166d3da4ff1e98e96bcb1cf",
-        "log_zbar": "f2a97b4fe3df82dc3e92291ec2e7f0c47e0912aa5977a63b81ade6066a24e064",
-        "s": "afaaeaf66d930c0ec3afc33776fcdc0d8da3c141c30d2cad117ca17143e9fd0f"
-    },
-    "lib-coupled-mixed": {
-        "log_z": "8238c22c06487f205483a5dee190bad9f47036804d2ab0628a4d5a8361892d5f",
-        "log_zbar": "5af8d209870448a8df73837fe1a808818e78dc2900639745f7899f0a89c5319a",
-        "s": "3709bcd8899c2b0d68f6cd485b86ea2ecf82504a4e662679276e978e8c7475c2"
-    },
-    "lib-coupled-mixed-t1024": {
-        "log_z": "c8e4c05a37e88b10e4ebfe63874f4aa18fc92b013afd18e10e61da0e15bdf542",
-        "log_zbar": "8aed03e853d6644b37d6a52caa61177f97959d436ef91bb3bf140666ebd886a7",
-        "s": "3709bcd8899c2b0d68f6cd485b86ea2ecf82504a4e662679276e978e8c7475c2"
-    },
-    "lib-path": {
-        "log_z": "84700d95edf4009863c313bdb555e5be6b3fb120aa7e850edbd9e4c8a67ada5f",
-        "s": "d24bd40687f6da901f7399fd7462fd76e727a931ac0b6f347e14e7c88d31da13"
-    },
-    "lib-path-coupled": {
-        "log_z": "30e40547ae3ade2c8f4558e61699222bbe2c0f565a364e79d2131881a8e86798",
-        "log_zbar": "67704d9090139d5b0c484767aee54f2b133dc182d1a4030766bd01f1456f8783",
-        "s": "d24bd40687f6da901f7399fd7462fd76e727a931ac0b6f347e14e7c88d31da13"
-    }
-})
 
 
 def _sha(data: bytes) -> str:

@@ -20,13 +20,9 @@ from bpire import (
     simulate_walk_batch,
 )
 from bpire.env_model import GEOMETRIC_S_MIN
-from bpire.sampler import (
-    atom_cumulative,
-    immigration_cdf_table,
-    rekey_generator,
-)
-from bpire.trajectory import _immigration_counts, _population
-from conftest import make_env_a, one_atom_tables, one_generation_totals
+from bpire.sampler import atom_cumulative, immigration_cdf_table, substream
+from bpire.trajectory import _Inverse
+from conftest import make_env_a, one_atom_tables, one_generation_totals, population_path
 
 # Truncation length for single-individual excess pmfs in the convolution
 # oracle; the neglected tail is ~1e-31 or smaller for every law below.
@@ -115,7 +111,7 @@ def test_count_promotion_rule():
     tab = one_atom_tables(law)
     for y0, promoted in ((1023, False), (1024, True)):
         gen = Generator(Philox(key=[3, 0]))
-        out = _population(0, gen, [0, 0, 0], [0.0, 1.7, -0.4], [y0, 0, 0], tab, t, [1, 2, 3])
+        out = population_path(0, gen, [0, 0, 0], [0.0, 1.7, -0.4], [y0, 0, 0], tab, t, [1, 2, 3])
         assert out[0] == math.log(y0)
         untouched = gen.random() == Generator(Philox(key=[3, 0])).random()
         assert untouched is promoted
@@ -141,7 +137,7 @@ def test_sample_poisson_gaussian_tail_band():
     tab = one_atom_tables(law)
     gen = Generator(Philox(key=[7, 0]))
     for _ in range(200):
-        log_z1, log_z2 = _population(z, gen, [0, 0], [0.0, 0.0], [0, 0], tab, 2**40, [1, 2])
+        log_z1, log_z2 = population_path(z, gen, [0, 0], [0.0, 0.0], [0, 0], tab, 2**40, [1, 2])
         dev = (math.exp(log_z1) - z - mean) / math.sqrt(mean)
         assert abs(dev) < 8.0
         # promoted: generation 2 is the log step with G = 0
@@ -153,7 +149,7 @@ def test_offspring_total_log_regime_matches_direct_formula():
     tab = one_atom_tables(law)
     g = float(Generator(Philox(key=[11, 0])).standard_normal())
     z = 10**9
-    out = _population(0, Generator(Philox(key=[11, 1])), [0, 0], [0.0, g], [z, 0], tab,
+    out = population_path(0, Generator(Philox(key=[11, 1])), [0, 0], [0.0, g], [z, 0], tab,
                       2**20, [1, 2])
     expected = (
         math.log(z) + math.log(law.mean)
@@ -167,7 +163,7 @@ def test_gaussian_log_step_algebra():
     # log(z*m + g*sqrt(z*v)) computed stably in log space
     law = ShiftedPoisson(lam=1.0)  # m = 2, v = 1
     z, g = 10**6, 1.7
-    out = _population(0, Generator(Philox(key=[0, 0])), [0, 0], [0.0, g], [z, 0],
+    out = population_path(0, Generator(Philox(key=[0, 0])), [0, 0], [0.0, g], [z, 0],
                       one_atom_tables(law), 2**10, [2])
     assert out[0] == pytest.approx(_log_step(z, law, g), rel=1e-14)
 
@@ -179,22 +175,24 @@ def test_stream_rejects_out_of_range_keys():
         RngStream(master_seed=0, stream_id=2**64)
 
 
-def test_rekey_matches_fresh_stream():
-    gen = Generator(Philox(key=[1, 0]))
-    gen.random(17)  # drift the state before rekeying
-    rekey_generator(gen, 99, 123)
+def test_substream_starts_at_its_counter_word():
+    # Substream 0 is the fresh stream of the key.
     fresh = Generator(Philox(key=[99, 123]))
+    gen = substream(99, 123, 0)
     np.testing.assert_array_equal(gen.random(16), fresh.random(16))
-    np.testing.assert_array_equal(
-        gen.standard_normal(16), fresh.standard_normal(16)
-    )
-    # Substream 1 starts at the highest counter word.
-    rekey_generator(gen, 99, 123, substream=1)
-    fresh = Generator(Philox(key=[99, 123], counter=[0, 0, 0, 1]))
-    np.testing.assert_array_equal(gen.random(16), fresh.random(16))
-    np.testing.assert_array_equal(
-        gen.standard_normal(16), fresh.standard_normal(16)
-    )
+    np.testing.assert_array_equal(gen.standard_normal(16), fresh.standard_normal(16))
+    # Substream k starts with the highest counter word set to k.
+    for k in (1, 5):
+        fresh = Generator(Philox(key=[99, 123], counter=[0, 0, 0, k]))
+        gen = substream(99, 123, k)
+        np.testing.assert_array_equal(gen.random(16), fresh.random(16))
+        np.testing.assert_array_equal(gen.standard_normal(16), fresh.standard_normal(16))
+    assert substream(99, 123, 1).random() != substream(99, 123, 2).random()
+    # every bit of a 64-bit key word counts
+    top = 2**64 - 1
+    assert substream(top, 2**63 + 1, 0).bit_generator.state["state"]["key"].tolist() == [
+        top, 2**63 + 1]
+    assert substream(top, 2**63 + 1, 0).random() != substream(top, 2**63, 0).random()
 
 
 def test_atom_cumulative_ends_at_one():
@@ -259,7 +257,7 @@ def test_sample_immigration_means():
 
     def counts(law):
         tab = one_atom_tables(ShiftedPoisson(lam=1.0), law)
-        return _immigration_counts(tab, np.zeros(20_000, dtype=np.int64), gen.random(20_000))
+        return tab.immigration(gen.random(20_000), np.zeros(20_000, dtype=np.int64))
 
     assert not counts(NoImmigration()).any()
     pois = counts(PoissonImmigration(nu=2.0))
@@ -272,3 +270,26 @@ def test_sample_immigration_means():
 
 def test_default_threshold_is_2_to_40():
     assert PROMOTION_THRESHOLD == 2**40
+
+
+def test_guide_table_inversion_equals_binary_search():
+    # one short, one long (every guide bucket crowded) and one empty table,
+    # and an atom CDF of 1000 atoms; uniforms include bucket edges, table
+    # entries and the largest double below 1
+    tables = [immigration_cdf_table(law) for law in (
+        PoissonImmigration(nu=1.5), GeometricImmigration(s=GEOMETRIC_S_MIN), NoImmigration())]
+    inv = _Inverse(tables)
+    gen = Generator(Philox(key=[21, 0]))
+    u = np.concatenate([gen.random(50_000), np.arange(4096) / 4096, tables[0][:-1],
+                        tables[1][:2000], [0.0, 1.0 - 2.0**-53]])
+    rows = gen.integers(0, len(tables), u.size)
+    expected = np.zeros(u.size, dtype=np.int64)
+    for a, cdf in enumerate(tables):
+        np.testing.assert_array_equal(
+            inv(u, np.full(u.size, a)), np.searchsorted(cdf, u, side="right"))
+        expected[rows == a] = np.searchsorted(cdf, u[rows == a], side="right")
+    np.testing.assert_array_equal(inv(u, rows), expected)
+    cum = np.cumsum(gen.random(1000))
+    cum = cum / cum[-1]
+    cum[-1] = 1.0
+    np.testing.assert_array_equal(_Inverse([cum])(u), np.searchsorted(cum, u, side="right"))

@@ -5,16 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import bpire.trajectory as trajectory
 from bpire import (
+    EnvAtom,
+    EnvironmentModel,
+    GeometricImmigration,
+    NoImmigration,
+    PoissonImmigration,
     RngStream,
+    ShiftedGeometric,
+    ShiftedPoisson,
     simulate_batch,
     simulate_path,
     simulate_walk_batch,
 )
-from conftest import make_env_a, make_skewed_env
+from conftest import make_env_a, make_skewed_env, without_immigration
 
 
 def test_path_generation_zero(env_a):
@@ -63,13 +72,25 @@ def test_immigration_lifts_normalized_mean(env_a):
     assert w.mean() > 1.0 + 5 * se
 
 
-def test_batch_columns_replay_single_paths(env_a):
+def test_batch_columns_replay_single_paths(monkeypatch, env_a):
+    # A replicate is (master_seed, chunk key, column).  With one-column
+    # chunks, column r of a batch is the chunk keyed r, i.e. the path of
+    # stream id r.
+    monkeypatch.setattr(trajectory, "_CHUNK", 1)
     batch = simulate_batch(env_a, 10, 5, master_seed=31, record=(3, 10))
     for r in range(5):
         traj = simulate_path(env_a, 10, RngStream(master_seed=31, stream_id=r))
         assert batch.log_z_at(3)[r] == traj.log_z[3]
         assert batch.log_z_at(10)[r] == traj.log_z[10]
         assert batch.s_at(10)[r] == traj.s[10]
+
+
+def test_batch_columns_do_not_depend_on_recorded_generations(env_a):
+    batch = simulate_batch(env_a, 10, 5, master_seed=31, record=(3, 10))
+    full = simulate_batch(env_a, 10, 5, master_seed=31, record=range(11))
+    for g in (3, 10):
+        np.testing.assert_array_equal(batch.log_z_at(g), full.log_z_at(g))
+        np.testing.assert_array_equal(batch.s_at(g), full.s_at(g))
 
 
 def test_batch_thread_count_does_not_change_bytes(env_a):
@@ -80,12 +101,16 @@ def test_batch_thread_count_does_not_change_bytes(env_a):
     np.testing.assert_array_equal(a.log_w, b.log_w)
 
 
-def test_batch_stream_offset_shifts_columns(env_a):
+def test_batch_stream_offset_shifts_columns(monkeypatch, env_a):
+    # chunks of 10: the base batch's chunks are keyed 0, 10 and 20, so a
+    # batch at offset 20 (or 10) replays its last chunk (or last two)
+    monkeypatch.setattr(trajectory, "_CHUNK", 10)
     base = simulate_batch(env_a, 6, 30, master_seed=41, record=(6,))
-    shifted = simulate_batch(
-        env_a, 6, 10, master_seed=41, record=(6,), stream_offset=20
-    )
-    np.testing.assert_array_equal(base.log_z_at(6)[20:], shifted.log_z_at(6))
+    for offset in (10, 20):
+        shifted = simulate_batch(
+            env_a, 6, 30 - offset, master_seed=41, record=(6,), stream_offset=offset
+        )
+        np.testing.assert_array_equal(base.log_z_at(6)[offset:], shifted.log_z_at(6))
 
 
 def test_different_seeds_same_distribution(env_a):
@@ -198,8 +223,25 @@ def test_threshold_below_minimum_is_rejected(env_a):
         run(2**10)
 
 
+def test_threshold_at_maximum_keeps_counts_in_int64():
+    # offspring mean 31: counts cross 2**61 by generation 13, many through
+    # a Gaussian tail value beyond 2**63, and none may wrap around
+    env = EnvironmentModel(atoms=(
+        EnvAtom(offspring=ShiftedPoisson(lam=30.0), immigration=PoissonImmigration(nu=2.0),
+                prob=1.0),
+    ))
+    batch = simulate_batch(env, 16, 300, master_seed=3, record=range(17), threshold=2**61)
+    assert (np.diff(batch.log_z, axis=0) > 0).all()
+    assert np.abs(batch.log_w_at(16)).max() < 1.0
+    with pytest.raises(ValueError, match="at most"):
+        simulate_batch(env, 16, 10, master_seed=3, threshold=2**61 + 1)
+
+
 def test_tables_are_built_once_per_batch(monkeypatch, env_a):
-    one_chunk = simulate_batch(env_a, 3, 12, master_seed=2, couple_no_immigration=True)
+    one_chunk = [
+        simulate_batch(env_a, 3, 4, master_seed=2, couple_no_immigration=True, stream_offset=c)
+        for c in (0, 4, 8)
+    ]
     calls = []
     build = trajectory.immigration_cdf_table
 
@@ -211,9 +253,58 @@ def test_tables_are_built_once_per_batch(monkeypatch, env_a):
     monkeypatch.setattr(trajectory, "_CHUNK", 4)
     batch = simulate_batch(env_a, 3, 12, master_seed=2, couple_no_immigration=True)
     assert len(calls) == len(env_a.atoms)
-    # three chunks of 4 replicates give the bytes of one chunk of 12
-    np.testing.assert_array_equal(batch.log_z, one_chunk.log_z)
-    np.testing.assert_array_equal(batch.log_zbar, one_chunk.log_zbar)
+    # three chunks of 4 replicates give the bytes of three one-chunk
+    # batches at offsets 0, 4 and 8
+    np.testing.assert_array_equal(batch.log_z, np.hstack([b.log_z for b in one_chunk]))
+    np.testing.assert_array_equal(batch.log_zbar, np.hstack([b.log_zbar for b in one_chunk]))
     calls.clear()
     simulate_walk_batch(env_a, 3, 12, master_seed=2)
     assert calls == []
+
+
+_OFFSPRING = st.one_of(
+    st.builds(ShiftedPoisson, lam=st.floats(0.05, 30.0)),
+    st.builds(ShiftedGeometric, q=st.floats(0.03, 0.97)),
+)
+_IMMIGRATION = st.one_of(
+    st.just(NoImmigration()),
+    st.builds(PoissonImmigration, nu=st.floats(0.0, 5.0)),
+    st.builds(GeometricImmigration, s=st.floats(0.05, 1.0)),
+)
+
+
+@st.composite
+def _environments(draw):
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3))
+    return EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=draw(_OFFSPRING), immigration=draw(_IMMIGRATION), prob=w / sum(weights))
+        for w in weights
+    ))
+
+
+@settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+@given(
+    env=_environments(),
+    n=st.integers(0, 14),
+    replicates=st.integers(1, 40),
+    couple=st.booleans(),
+    threshold=st.integers(10, 40).map(lambda k: 2**k),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_array_step_properties(env, n, replicates, couple, threshold, seed, data):
+    # mixed offspring kinds, empty surplus columns (z = 0) and columns that
+    # promote at different generations all pass through one array step
+    record = data.draw(st.lists(st.integers(0, n), min_size=1, unique=True).map(sorted))
+    batch = simulate_batch(env, n, replicates, seed, record=record,
+                           couple_no_immigration=couple, threshold=threshold)
+    assert np.isfinite(batch.log_z).all() and np.isfinite(batch.s).all()
+    assert (batch.log_z >= 0.0).all()  # Z_n >= Z_0 = 1
+    walk = simulate_walk_batch(env, n, replicates, seed, record=record)
+    np.testing.assert_array_equal(walk.s, batch.s)
+    if couple:
+        assert np.isfinite(batch.log_zbar).all()
+        assert (batch.log_zbar <= batch.log_z).all()
+        pure = simulate_batch(without_immigration(env), n, replicates, seed, record=record,
+                              threshold=threshold)
+        np.testing.assert_array_equal(batch.log_zbar, pure.log_z)
