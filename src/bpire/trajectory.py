@@ -165,8 +165,7 @@ class WalkBatch:
         return self.s[self.record.index(generation)]
 
 
-#: Buckets of the inversion guide tables: a power of two, so ``u * _GUIDE``
-#: is exact and ``floor(u * _GUIDE)`` is the bucket of ``u``.
+#: Most buckets of an inversion guide table.
 _GUIDE = 4096
 
 
@@ -175,42 +174,44 @@ class _Inverse:
     atom): ``inv(u, rows)[i]`` equals ``searchsorted(cdfs[rows[i]], u[i],
     side="right")``, and ``inv(u)`` inverts through ``cdfs[0]``.
 
-    A guide table holds, for each bucket ``[b, b + 1) / _GUIDE`` of a row,
-    the first entry above its left end; one comparison with that entry
-    finishes the inversion unless two entries share the bucket, and those
-    few uniforms fall back to a binary search.
+    Each table has a guide of M buckets ``[b, b + 1) / M``, M a power of two
+    (so ``floor(u * M)`` is exact) of about 32 per entry, at most
+    ``_GUIDE``.  The guide holds the range of entries a bucket's uniforms
+    can end on: one comparison finishes the inversion unless two entries
+    share the bucket, and those few uniforms are bisected in that range.
+    Tables and guides are concatenated, so memory is linear in the entries.
     """
 
     def __init__(self, cdfs: list[np.ndarray]):
-        self.cdfs = cdfs
-        self.width = max(len(c) for c in cdfs)
-        table = np.ones((len(cdfs), self.width))
-        for a, c in enumerate(cdfs):
-            table[a, :len(c)] = c
-        edges = np.arange(_GUIDE + 1) / _GUIDE
-        lo = np.stack([np.searchsorted(c, edges[:-1], side="right") for c in cdfs])
-        hi = np.stack([np.searchsorted(c, edges[1:], side="left") for c in cdfs])
-        # flat, with row a's entries at a * width (table) and a * _GUIDE (guide)
-        self.table = table.ravel()
-        self.first = (lo + np.arange(len(cdfs))[:, None] * self.width).ravel()
-        self.crowded = (hi - lo > 1).ravel()
+        self.table = np.concatenate(cdfs)
+        self.start = np.cumsum([0] + [len(c) for c in cdfs[:-1]])
+        buckets = [min(_GUIDE, 1 << (32 * len(c) - 1).bit_length()) for c in cdfs]
+        self.buckets = np.array(buckets, dtype=np.float64)
+        self.first = np.cumsum([0] + buckets[:-1])
+        lo, hi = [], []
+        for c, m, start in zip(cdfs, buckets, self.start):
+            edges = np.arange(m + 1) / m
+            lo.append(start + np.searchsorted(c, edges[:-1], side="right"))
+            hi.append(start + np.searchsorted(c, edges[1:], side="left"))
+        self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
 
     def __call__(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        b = (u * _GUIDE).astype(np.intp)
-        if rows is not None:
-            b += rows * _GUIDE
-        first = self.first[b]
-        y = first + (self.table[first] <= u)
-        if rows is not None:
-            y -= rows * self.width
-        crowded = self.crowded[b]
-        if crowded.any():
-            cols = np.flatnonzero(crowded)
-            row_of = np.zeros(cols.size, dtype=np.intp) if rows is None else rows[cols]
-            for a in np.unique(row_of):
-                i = cols[row_of == a]
-                y[i] = np.searchsorted(self.cdfs[a], u[i], side="right")
-        return y
+        if rows is None:
+            b = (u * self.buckets[0]).astype(np.intp)
+        else:
+            b = (u * self.buckets[rows]).astype(np.intp) + self.first[rows]
+        lo, hi = self.lo[b], self.hi[b]
+        y = lo + (self.table[lo] <= u)
+        crowded = np.flatnonzero(hi - lo > 1)
+        if crowded.size:
+            lo, hi, v = lo[crowded], hi[crowded], u[crowded]
+            while (open_ := lo < hi).any():
+                mid = (lo + hi) // 2
+                right = self.table[mid] <= v
+                lo = np.where(open_ & right, mid + 1, lo)
+                hi = np.where(open_ & ~right, mid, hi)
+            y[crowded] = lo
+        return y if rows is None else y - self.start[rows]
 
 
 def _walk_tables(env: EnvironmentModel) -> tuple[_Inverse, np.ndarray]:
@@ -364,7 +365,6 @@ def _simulate_chunk(
     key: int,
     count: int,
     tab: _EnvTables,
-    n: int,
     master_seed: int,
     record: tuple[int, ...],
     couple: bool,
@@ -403,7 +403,6 @@ def _walk_chunk(
     count: int,
     atoms: _Inverse,
     logm: np.ndarray,
-    n: int,
     master_seed: int,
     record: tuple[int, ...],
 ) -> dict[str, np.ndarray]:
@@ -507,7 +506,7 @@ def simulate_batch(
     keys = ["log_z", "s"] + (["log_zbar"] if couple_no_immigration else [])
     out = _run_chunks(
         _simulate_chunk,
-        (_EnvTables(env), n, master_seed, rec, couple_no_immigration, threshold),
+        (_EnvTables(env), master_seed, rec, couple_no_immigration, threshold),
         replicates,
         stream_offset,
         threads,
@@ -543,7 +542,7 @@ def simulate_walk_batch(
     rec = tuple(_record_positions(record if record is not None else (n,), n))
     out = _run_chunks(
         _walk_chunk,
-        (*_walk_tables(env), n, master_seed, rec),
+        (*_walk_tables(env), master_seed, rec),
         replicates,
         stream_offset,
         threads,
