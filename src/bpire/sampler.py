@@ -85,8 +85,8 @@ def substream(master_seed: int, key: int, index: int) -> Generator:
     """A fresh generator at the start of substream ``index`` of the Philox
     key ``(master_seed, key)``.
 
-    Substream 0 is the state ``Generator(Philox(key=[master_seed, key]))``
-    starts from.  Substream k starts with the highest counter word set to k,
+    Substream 0 is the state a fresh Philox generator with the key words
+    ``master_seed, key`` starts from.  Substream k starts with the highest counter word set to k,
     i.e. ``k * 2**192`` positions into the key's period -- unreachable by
     sequential drawing, so substreams never overlap.
     """

@@ -238,7 +238,7 @@ def test_threshold_at_maximum_keeps_counts_in_int64():
 
 
 def test_tables_are_built_once_per_batch(monkeypatch, env_a):
-    one_chunk = [
+    separate = [
         simulate_batch(env_a, 3, 4, master_seed=2, couple_no_immigration=True, stream_offset=c)
         for c in (0, 4, 8)
     ]
@@ -255,8 +255,8 @@ def test_tables_are_built_once_per_batch(monkeypatch, env_a):
     assert len(calls) == len(env_a.atoms)
     # three chunks of 4 replicates give the bytes of three one-chunk
     # batches at offsets 0, 4 and 8
-    np.testing.assert_array_equal(batch.log_z, np.hstack([b.log_z for b in one_chunk]))
-    np.testing.assert_array_equal(batch.log_zbar, np.hstack([b.log_zbar for b in one_chunk]))
+    np.testing.assert_array_equal(batch.log_z, np.hstack([b.log_z for b in separate]))
+    np.testing.assert_array_equal(batch.log_zbar, np.hstack([b.log_zbar for b in separate]))
     calls.clear()
     simulate_walk_batch(env_a, 3, 12, master_seed=2)
     assert calls == []
