@@ -14,28 +14,18 @@ from .env_model import (
     EnvAtom,
     EnvironmentModel,
     GeometricImmigration,
-    LatticeDiagnostic,
     NoImmigration,
     PoissonImmigration,
     ShiftedGeometric,
     ShiftedPoisson,
     MomentSummary,
-    ValidationReport,
     log_mean_moments,
     non_lattice_heuristic,
     validate,
 )
-from .sampler import PROMOTION_THRESHOLD, RngStream
-from .trajectory import (
-    BatchResult,
-    Trajectory,
-    WalkBatch,
-    simulate_batch,
-    simulate_path,
-    simulate_walk_batch,
-)
+from .sampler import PROMOTION_THRESHOLD
+from .trajectory import simulate_batch, simulate_walk_batch
 from .analytics import (
-    HypothesisReport,
     SeriesDivergence,
     edgeworth_q,
     hypothesis_report,
@@ -44,15 +34,7 @@ from .analytics import (
     std_normal_pdf,
 )
 from .mc_verify import (
-    BerryEsseenResult,
-    DecaySeries,
     ElogWConfig,
-    ElogWEstimate,
-    EmpiricalCdf,
-    LaplaceResult,
-    MomentStabilityResult,
-    RateCurve,
-    RatePoint,
     berry_esseen_sup,
     berry_esseen_sup_from_samples,
     clt_rate_experiment,
@@ -67,27 +49,22 @@ from .mc_verify import (
 
 __version__ = "0.1.0"
 
+# The names the README and the tests import from the package (the command
+# line imports only ``__version__``); everything else is imported from its
+# module.
 __all__ = [
     "EnvAtom",
     "EnvironmentModel",
     "GeometricImmigration",
-    "LatticeDiagnostic",
     "NoImmigration",
     "PoissonImmigration",
     "ShiftedGeometric",
     "ShiftedPoisson",
-    "ValidationReport",
     "non_lattice_heuristic",
     "validate",
     "PROMOTION_THRESHOLD",
-    "RngStream",
-    "BatchResult",
-    "Trajectory",
-    "WalkBatch",
     "simulate_batch",
-    "simulate_path",
     "simulate_walk_batch",
-    "HypothesisReport",
     "MomentSummary",
     "SeriesDivergence",
     "edgeworth_q",
@@ -96,15 +73,7 @@ __all__ = [
     "log_mean_moments",
     "std_normal_cdf",
     "std_normal_pdf",
-    "BerryEsseenResult",
-    "DecaySeries",
     "ElogWConfig",
-    "ElogWEstimate",
-    "EmpiricalCdf",
-    "LaplaceResult",
-    "MomentStabilityResult",
-    "RateCurve",
-    "RatePoint",
     "berry_esseen_sup",
     "berry_esseen_sup_from_samples",
     "clt_rate_experiment",
@@ -115,5 +84,4 @@ __all__ = [
     "moment_stability",
     "rate_curve_from_samples",
     "walk_oracle_rate",
-    "__version__",
 ]

@@ -22,7 +22,9 @@ Exit codes:
   a geometric immigration ``s`` below ``GEOMETRIC_S_MIN`` = 1e-4), a failed
   environment check, an unmet precondition of any experiment kind (such as
   a zero-variance environment in a rate experiment, ``r <= 0`` for moments,
-  ``q <= 0`` for decay or ``p <= 1`` for validate), or an arithmetic error
+  ``q <= 0`` for decay, ``p <= 1`` for validate, or ``replicates`` = 1 for
+  a kind that reports a standard error: rate, elogw, decay, laplace and
+  moments), or an arithmetic error
   in a run (such as a Laplace ``t = exp(x)`` beyond the float range);
 * 3 -- statistics inconclusive or a statistical gate failed (decay SE gate,
   decay CI including 1, unstable Berry-Esseen constant, exploding Laplace

@@ -146,7 +146,10 @@ def _require_sigma_positive(env: EnvironmentModel, what: str) -> MomentSummary:
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean of ``vals`` and its standard error."""
+    """Sample mean of ``vals`` and its standard error, which needs at least
+    two values."""
+    if vals.size < 2:
+        raise ValueError(f"a standard error needs at least 2 replicates, got {vals.size}")
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 

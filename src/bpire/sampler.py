@@ -7,11 +7,13 @@ generator keyed directly by a pair of unsigned 64-bit integers.  The
 simulator keys each chunk of a batch by ``(master_seed, stream_offset +
 first replicate of the chunk)`` and draws each kind of number from its own
 substream of that key (:func:`substream`; the layout is in
-:mod:`bpire.trajectory`).  A replicate is the triple ``(master_seed, chunk
-key, column)``: its numbers are a pure function of that triple and of the
-chunk's size -- no global state, no seeding order, no thread identity is
-involved -- and rebuilding a generator from the same key and substream
-replays exactly the same draws.
+:mod:`bpire.trajectory`, whose batch functions reject a ``master_seed`` or
+a ``stream_offset + replicates`` that does not fit a key word).  A
+replicate is the triple ``(master_seed, chunk key, column)``: its numbers
+are a pure function of that triple and of the chunk's size -- no global
+state, no seeding order, no thread identity is involved -- and rebuilding
+a generator from the same key and substream replays exactly the same
+draws.
 
 Promotion rule
 --------------
@@ -29,7 +31,6 @@ spirit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -58,28 +59,6 @@ MIN_PROMOTION_THRESHOLD: int = 2**10
 #: immigrants stays below ``2**63`` when ``T <= 2**61``, and numpy's Poisson
 #: sampler takes means up to about ``9.2e18``.
 MAX_PROMOTION_THRESHOLD: int = 2**61
-
-_U64 = 2**64
-
-
-@dataclass
-class RngStream:
-    """The validated Philox key ``(master_seed, stream_id)`` of one path:
-    :func:`bpire.trajectory.simulate_path` runs the one-column chunk of
-    this key.
-
-    Both fields are unsigned 64-bit integers and feed the two words of the
-    Philox key directly.
-    """
-
-    master_seed: int
-    stream_id: int
-
-    def __post_init__(self) -> None:
-        for name, v in (("master_seed", self.master_seed), ("stream_id", self.stream_id)):
-            if not (0 <= v < _U64):
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v}")
-
 
 def substream(master_seed: int, key: int, index: int) -> Generator:
     """A fresh generator at the start of substream ``index`` of the Philox

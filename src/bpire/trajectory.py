@@ -69,7 +69,6 @@ from .sampler import (
     MAX_PROMOTION_THRESHOLD,
     MIN_PROMOTION_THRESHOLD,
     PROMOTION_THRESHOLD,
-    RngStream,
     atom_cumulative,
     immigration_cdf_table,
     substream,
@@ -87,28 +86,6 @@ _CHUNK = 8192
 
 # Substreams of a chunk key (see "Draw layout").
 _ATOMS, _IMMIGRATION, _NORMALS, _EXACT, _SURPLUS_NORMALS, _SURPLUS_EXACT = range(6)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One simulated path, generation by generation (index 0..n).
-
-    ``log_zbar`` is present only for coupled runs and dominates nothing:
-    it is the coupled no-immigration path with ``log_zbar <= log_z``
-    pathwise.  ``log_w = log_z - s`` holds exactly (it is computed as that
-    subtraction).
-    """
-
-    master_seed: int
-    stream_id: int
-    log_z: np.ndarray
-    s: np.ndarray
-    log_w: np.ndarray
-    log_zbar: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.log_z) - 1
 
 
 @dataclass(frozen=True)
@@ -250,9 +227,28 @@ class _EnvTables:
         self.immigrates = any(len(cdf) > 1 for cdf in cdfs)
 
 
-def _record_positions(record: Sequence[int], n: int) -> list[int]:
-    rec = list(record)
-    if rec != sorted(set(rec)):
+def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
+                 record: Sequence[int] | None) -> tuple[int, ...]:
+    """Check the arguments both batch functions share and return the
+    recorded generations (default: only ``n``).  The key words must fit the
+    two unsigned 64-bit words of a Philox key: ``master_seed`` itself, and
+    ``stream_offset + r`` for every replicate r."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if replicates <= 0:
+        raise ValueError(f"replicates must be positive, got {replicates}")
+    for name, v in (("master_seed", master_seed), ("stream_offset", stream_offset)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an int, got {v!r}")
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
+    if not (0 <= stream_offset and stream_offset + replicates <= 2**64):
+        raise ValueError(
+            f"stream_offset must be nonnegative with stream_offset + replicates <= 2**64, "
+            f"got {stream_offset} and {replicates}"
+        )
+    rec = tuple(record if record is not None else (n,))
+    if list(rec) != sorted(set(rec)):
         raise ValueError("record generations must be strictly increasing")
     if rec and (rec[0] < 0 or rec[-1] > n):
         raise ValueError(f"record generations must lie in [0, {n}]")
@@ -314,6 +310,7 @@ class _Population:
             log_z = log_z + np.log1p(y * np.exp(-log_z))
         return log_z
 
+    @np.errstate(over="ignore", invalid="ignore")  # an infinite total raises below
     def _exact_step(self, z, a, y):
         """New counts of exact columns ``z`` (at most the threshold when a
         tail value is too large to count) and their sizes as floats."""
@@ -324,11 +321,6 @@ class _Population:
             if geo.any():
                 mean[geo] = gen.gamma(z[geo], tab.p1[a[geo]])
         tail = mean >= threshold
-        if not tail.any():
-            z = z + gen.poisson(mean)
-            if y is not None:
-                z += y
-            return z, z.astype(np.float64)
         excess = gen.poisson(np.where(tail, 0.0, mean))  # a zero mean draws nothing
         m = mean[tail]
         val = np.floor(np.maximum(m + np.sqrt(m) * gen.standard_normal(m.size), 1.0))
@@ -416,57 +408,43 @@ def _walk_chunk(
     return {"s": out_s}
 
 
+#: The chunk function and static arguments of the batch a pool process
+#: serves, set once per process by :func:`_init_pool_process`.
+_pool_job: tuple = ()
+
+
+def _init_pool_process(worker, static_args: tuple) -> None:
+    global _pool_job
+    _pool_job = (worker, static_args)
+
+
+def _pool_chunk(key: int, count: int) -> dict[str, np.ndarray]:
+    worker, static_args = _pool_job
+    return worker(key, count, *static_args)
+
+
 def _run_chunks(worker, static_args: tuple, replicates: int, stream_offset: int,
                 threads: int, keys: list[str]) -> dict[str, np.ndarray]:
     """Partition ``replicates`` into fixed-size chunks, run them inline or on
     a process pool, and assemble columns in stream order.  The partition is
     independent of ``threads``, so assembled arrays are bit-identical for
-    any worker count."""
+    any worker count.  A pool receives ``static_args`` (the environment
+    tables among them) once per process, and each task only its chunk's
+    key and size."""
     starts = list(range(0, replicates, _CHUNK))
     chunks = [(stream_offset + s, min(_CHUNK, replicates - s)) for s in starts]
 
     if threads == 0:
         threads = os.cpu_count() or 1
-    results: list[dict[str, np.ndarray]] = [None] * len(chunks)  # type: ignore[list-item]
     if threads <= 1 or len(chunks) == 1:
-        for i, (sid, cnt) in enumerate(chunks):
-            results[i] = worker(sid, cnt, *static_args)
+        results = [worker(sid, cnt, *static_args) for sid, cnt in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(worker, sid, cnt, *static_args) for sid, cnt in chunks]
-            for i, f in enumerate(futures):
-                results[i] = f.result()
+        with ProcessPoolExecutor(max_workers=threads, initializer=_init_pool_process,
+                                 initargs=(worker, static_args)) as pool:
+            futures = [pool.submit(_pool_chunk, sid, cnt) for sid, cnt in chunks]
+            results = [f.result() for f in futures]
 
     return {k: np.concatenate([r[k] for r in results], axis=1) for k in keys}
-
-
-def simulate_path(
-    env: EnvironmentModel,
-    n: int,
-    rng: RngStream,
-    couple_no_immigration: bool = False,
-    threshold: int = PROMOTION_THRESHOLD,
-) -> Trajectory:
-    """Simulate one path of length ``n`` and return every generation.
-
-    The path is the one column of :func:`simulate_batch` with one replicate
-    at ``stream_offset = rng.stream_id``, i.e. of the one-column chunk keyed
-    ``(rng.master_seed, rng.stream_id)``: a pure function of that key and
-    the remaining arguments.
-    """
-    batch = simulate_batch(
-        env, n, 1, rng.master_seed, record=range(n + 1),
-        couple_no_immigration=couple_no_immigration, threshold=threshold,
-        stream_offset=rng.stream_id,
-    )
-    return Trajectory(
-        master_seed=rng.master_seed,
-        stream_id=rng.stream_id,
-        log_z=batch.log_z[:, 0],
-        s=batch.s[:, 0],
-        log_w=batch.log_w[:, 0],
-        log_zbar=batch.log_zbar[:, 0] if couple_no_immigration else None,
-    )
 
 
 def simulate_batch(
@@ -486,12 +464,11 @@ def simulate_batch(
     Replicate r is column ``r % _CHUNK`` of the chunk keyed
     ``(master_seed, stream_offset + r - r % _CHUNK)``.  Output is
     bit-identical for any ``threads`` value (0 = one worker per CPU) because
-    the chunk partition and the chunk keys are fixed.
+    the chunk partition and the chunk keys are fixed.  A single path, every
+    generation of it, is column 0 of ``simulate_batch(env, n, 1,
+    master_seed, record=range(n + 1), stream_offset=key)``.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if replicates <= 0:
-        raise ValueError(f"replicates must be positive, got {replicates}")
+    rec = _check_batch(n, replicates, master_seed, stream_offset, record)
     if threshold < MIN_PROMOTION_THRESHOLD:
         raise ValueError(
             f"promotion threshold must be at least {MIN_PROMOTION_THRESHOLD}: below it "
@@ -502,7 +479,6 @@ def simulate_batch(
             f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
             "exact counts may overflow int64"
         )
-    rec = tuple(_record_positions(record if record is not None else (n,), n))
     keys = ["log_z", "s"] + (["log_zbar"] if couple_no_immigration else [])
     out = _run_chunks(
         _simulate_chunk,
@@ -537,9 +513,7 @@ def simulate_walk_batch(
     Uses the same chunk keys and atom substream as :func:`simulate_batch`,
     so ``S`` agrees with that batch's bitwise, column by column.
     """
-    if replicates <= 0:
-        raise ValueError(f"replicates must be positive, got {replicates}")
-    rec = tuple(_record_positions(record if record is not None else (n,), n))
+    rec = _check_batch(n, replicates, master_seed, stream_offset, record)
     out = _run_chunks(
         _walk_chunk,
         (*_walk_tables(env), master_seed, rec),

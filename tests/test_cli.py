@@ -6,12 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bpire
 from bpire.cli import (
+    KINDS,
     MAX_GENERATIONS,
     MAX_GRID_POINTS,
     ConfigError,
@@ -21,6 +25,8 @@ from bpire.cli import (
     parse_config,
     serialize_config,
 )
+from bpire.env_model import GEOMETRIC_S_MIN, POISSON_NU_MAX
+from bpire.sampler import MAX_PROMOTION_THRESHOLD, MIN_PROMOTION_THRESHOLD
 from conftest import make_env_a
 
 
@@ -303,12 +309,15 @@ def _with_lam(lam) -> dict:
         ({"kind": "elogw", "horizon": 10**12}, 1, "config.horizon"),
         ({"kind": "moments", "n_list": [10**12]}, 1, "config.n_list"),
         ({"kind": "elogw", "promotion_threshold": 2**62}, 1, "at most 2305843009213693952"),
+        ({"kind": "elogw", "replicates": 1}, 2, "at least 2 replicates, got 1"),
+        ({"kind": "elogw", "environment": _with_lam(1e308)}, 2, "overflows a double"),
     ],
     ids=["grid-min-inf", "grid-step-underflow", "grid-too-many-points", "moments-r-inf",
          "lam-nan", "lam-beyond-float", "laplace-t-overflow", "geometric-s-too-small",
          "integer-beyond-digit-limit", "array-beyond-recursion-limit",
          "horizon-beyond-max-generations",
-         "n-list-beyond-max-generations", "threshold-beyond-int64-counts"],
+         "n-list-beyond-max-generations", "threshold-beyond-int64-counts",
+         "elogw-one-replicate", "offspring-total-beyond-float"],
 )
 def test_accepted_number_exits_with_its_code_without_traceback(tmp_path, doc, code, named):
     base = {"kind": "walk-oracle", "environment": _env_doc(), "n_list": [2], "replicates": 50,
@@ -318,6 +327,64 @@ def test_accepted_number_exits_with_its_code_without_traceback(tmp_path, doc, co
     assert proc.stderr.startswith("error: ")
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_OFFSPRING_DOCS = st.one_of(
+    st.builds(lambda lam: {"kind": "shifted_poisson", "lam": lam},
+              st.floats(0.0, sys.float_info.max, exclude_min=True)),
+    st.builds(lambda q: {"kind": "shifted_geometric", "q": q},
+              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+)
+_IMMIGRATION_DOCS = st.one_of(
+    st.just({"kind": "none"}),
+    st.builds(lambda nu: {"kind": "poisson", "nu": nu},
+              st.one_of(st.just(POISSON_NU_MAX), st.floats(0.0, POISSON_NU_MAX))),
+    st.builds(lambda s: {"kind": "geometric", "s": s},
+              st.one_of(st.just(GEOMETRIC_S_MIN), st.floats(GEOMETRIC_S_MIN, 1.0))),
+)
+_SCALAR = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _configs(draw, kind: str) -> dict:
+    """A config of ``kind`` that the parser accepts, at small sizes."""
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3))
+    atoms = [
+        {"offspring": draw(_OFFSPRING_DOCS), "immigration": draw(_IMMIGRATION_DOCS),
+         "prob": w / sum(weights)}
+        for w in weights
+    ]
+    x_min, step = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-3, 1e2))
+    return {
+        "kind": kind,
+        "environment": {"atoms": atoms},
+        "x_grid": {"min": x_min, "max": x_min + step * draw(st.integers(0, 4)), "step": step},
+        "n_list": draw(st.lists(st.integers(0, 8), min_size=1, max_size=4)),
+        "replicates": draw(st.integers(1, 64)),
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+        "horizon": draw(st.integers(0, 8)),
+        "q": draw(_SCALAR),
+        "r": draw(_SCALAR),
+        "delta": draw(_SCALAR),
+        "p": draw(_SCALAR),
+        "promotion_threshold": draw(st.one_of(
+            st.sampled_from([MIN_PROMOTION_THRESHOLD, MAX_PROMOTION_THRESHOLD]),
+            st.integers(MIN_PROMOTION_THRESHOLD, MAX_PROMOTION_THRESHOLD),
+        )),
+        "threads": 1,
+    }
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=6, deadline=10_000, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_accepted_config_exits_with_a_documented_code(kind, data):
+    # 6 examples for each of the 8 kinds; in-process, so an exception
+    # escaping main fails the example
+    doc = data.draw(_configs(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["--config", _write(Path(tmp), doc), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2, 3, 4)
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:

@@ -2,7 +2,7 @@
 reproduce recorded sha256 digests of its CSVs, its stdout and stderr, and its
 ``run_manifest.json`` (with the ``wall_time_s`` line removed).  The library
 cases cover the simulator paths no CLI kind reaches (the coupled shadow
-population, low promotion thresholds, ``simulate_path``); their digests are
+population, low promotion thresholds, single paths); their digests are
 of the raw bytes of every array they return.
 
 A change that alters outputs on purpose updates ``GOLDEN`` and gives the
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpire import RngStream, simulate_batch, simulate_path
+from bpire import simulate_batch
 from bpire.cli import _parse_environment, main
 from conftest import make_env_a
 
@@ -132,11 +132,13 @@ def _batch(env, threshold: int = 2**40):
 
 
 def _path(couple: bool):
-    traj = simulate_path(
-        _parse_environment(_MIXED_ENV), 40, RngStream(master_seed=5, stream_id=3),
-        couple_no_immigration=couple, threshold=2**10,
+    # one path: column 0 of a one-replicate batch recording every generation
+    batch = simulate_batch(
+        _parse_environment(_MIXED_ENV), 40, 1, master_seed=5, record=range(41),
+        couple_no_immigration=couple, threshold=2**10, stream_offset=3,
     )
-    return {"log_z": traj.log_z, "s": traj.s, "log_zbar": traj.log_zbar}
+    return {"log_z": batch.log_z[:, 0], "s": batch.s[:, 0],
+            "log_zbar": batch.log_zbar[:, 0] if couple else None}
 
 
 # Library cases: each returns the arrays whose raw bytes are digested.  At

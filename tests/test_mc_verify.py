@@ -27,7 +27,7 @@ from bpire import (
     walk_oracle_rate,
 )
 from bpire.mc_verify import Z_99, ElogWConfig, _ols
-from conftest import make_env_a, make_skewed_env
+from conftest import make_env_a, make_skewed_env, without_immigration
 
 
 def _single_atom_env(lam: float = 1.0) -> EnvironmentModel:
@@ -219,6 +219,26 @@ def test_elogw_jensen_without_immigration(env_a_pure):
 def test_elogw_rejects_negative_horizon(env_a):
     with pytest.raises(ValueError):
         estimate_elogw(env_a, horizon=-1, replicates=100, master_seed=0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda env: estimate_elogw(env, horizon=2, replicates=1),
+        lambda env: clt_rate_experiment(env, [0.0], [2], replicates=1, master_seed=0,
+                                        e_log_w_config=ElogWConfig(horizon=2, replicates=1)),
+        lambda env: increment_decay(env, q=1.0, n_range=[1, 2], replicates=1, master_seed=0),
+        lambda env: laplace_decay(without_immigration(env), [1.0, 3.0], horizon=2,
+                                  replicates=1, master_seed=0),
+        lambda env: moment_stability(env, r=2.0, n_list=[1, 2], replicates=1, master_seed=0),
+    ],
+    ids=["elogw", "rate", "decay", "laplace", "moments"],
+)
+def test_standard_error_needs_two_replicates(run, env_a):
+    # one replicate has no sample variance: an error naming the count, not
+    # a NaN standard error
+    with pytest.raises(ValueError, match="at least 2 replicates, got 1"):
+        run(env_a)
 
 
 # --------------------------------------------------------------- decay gate

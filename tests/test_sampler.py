@@ -14,9 +14,9 @@ from bpire import (
     GeometricImmigration,
     NoImmigration,
     PoissonImmigration,
-    RngStream,
     ShiftedGeometric,
     ShiftedPoisson,
+    simulate_batch,
     simulate_walk_batch,
 )
 from bpire.env_model import GEOMETRIC_S_MIN
@@ -169,10 +169,25 @@ def test_gaussian_log_step_algebra():
 
 
 def test_stream_rejects_out_of_range_keys():
-    with pytest.raises(ValueError):
-        RngStream(master_seed=-1, stream_id=0)
-    with pytest.raises(ValueError):
-        RngStream(master_seed=0, stream_id=2**64)
+    # Key words are unsigned 64-bit ints: a float or a bool would be cast
+    # (1.5 and True to seed 1, 2.9 to offset 2), and a word outside the
+    # range, in any chunk's key, would overflow inside numpy.
+    env = make_env_a()
+    top = 2**64
+    for run in (simulate_batch, simulate_walk_batch):
+        for keys, named in (
+            ({"master_seed": 1.5}, "master_seed must be an int"),
+            ({"master_seed": True}, "master_seed must be an int"),
+            ({"stream_offset": 2.9}, "stream_offset must be an int"),
+            ({"master_seed": -1}, "master_seed must be an unsigned 64-bit integer"),
+            ({"master_seed": top}, "master_seed must be an unsigned 64-bit integer"),
+            ({"stream_offset": -5}, "stream_offset must be nonnegative"),
+            ({"stream_offset": top - 8192, "replicates": 8193}, "stream_offset \\+ replicates"),
+        ):
+            with pytest.raises(ValueError, match=named):
+                run(env, 2, **{"replicates": 4, "master_seed": 3, **keys})
+        # the largest keys still run
+        run(env, 2, 4, master_seed=top - 1, stream_offset=top - 4)
 
 
 def test_substream_starts_at_its_counter_word():

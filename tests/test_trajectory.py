@@ -16,34 +16,35 @@ from bpire import (
     GeometricImmigration,
     NoImmigration,
     PoissonImmigration,
-    RngStream,
     ShiftedGeometric,
     ShiftedPoisson,
     simulate_batch,
-    simulate_path,
     simulate_walk_batch,
 )
 from conftest import make_env_a, make_skewed_env, without_immigration
 
 
+# A single path is column 0 of a one-replicate batch that records every
+# generation: the chunk keyed (master_seed, stream_offset).
+
+
 def test_path_generation_zero(env_a):
-    traj = simulate_path(env_a, 0, RngStream(master_seed=1, stream_id=0))
-    assert traj.n == 0
-    np.testing.assert_array_equal(traj.log_z, [0.0])
-    np.testing.assert_array_equal(traj.s, [0.0])
-    np.testing.assert_array_equal(traj.log_w, [0.0])
+    path = simulate_batch(env_a, 0, 1, master_seed=1, record=range(1))
+    assert path.record == (0,)
+    for values in (path.log_z, path.s, path.log_w):
+        np.testing.assert_array_equal(values, [[0.0]])
 
 
 def test_path_is_pure_function_of_key(env_a):
-    a = simulate_path(env_a, 12, RngStream(master_seed=9, stream_id=4))
-    b = simulate_path(env_a, 12, RngStream(master_seed=9, stream_id=4))
+    a = simulate_batch(env_a, 12, 1, master_seed=9, record=range(13), stream_offset=4)
+    b = simulate_batch(env_a, 12, 1, master_seed=9, record=range(13), stream_offset=4)
     np.testing.assert_array_equal(a.log_z, b.log_z)
     np.testing.assert_array_equal(a.s, b.s)
 
 
 def test_log_w_identity(env_a):
-    traj = simulate_path(env_a, 20, RngStream(master_seed=2, stream_id=7))
-    np.testing.assert_array_equal(traj.log_w, traj.log_z - traj.s)
+    path = simulate_batch(env_a, 20, 1, master_seed=2, record=range(21), stream_offset=7)
+    np.testing.assert_array_equal(path.log_w, path.log_z - path.s)
 
 
 def test_first_generation_mean(env_a):
@@ -75,14 +76,14 @@ def test_immigration_lifts_normalized_mean(env_a):
 def test_batch_columns_replay_single_paths(monkeypatch, env_a):
     # A replicate is (master_seed, chunk key, column).  With one-column
     # chunks, column r of a batch is the chunk keyed r, i.e. the path of
-    # stream id r.
+    # the one-replicate batch at offset r.
     monkeypatch.setattr(trajectory, "_CHUNK", 1)
     batch = simulate_batch(env_a, 10, 5, master_seed=31, record=(3, 10))
     for r in range(5):
-        traj = simulate_path(env_a, 10, RngStream(master_seed=31, stream_id=r))
-        assert batch.log_z_at(3)[r] == traj.log_z[3]
-        assert batch.log_z_at(10)[r] == traj.log_z[10]
-        assert batch.s_at(10)[r] == traj.s[10]
+        path = simulate_batch(env_a, 10, 1, master_seed=31, record=range(11), stream_offset=r)
+        assert batch.log_z_at(3)[r] == path.log_z_at(3)[0]
+        assert batch.log_z_at(10)[r] == path.log_z_at(10)[0]
+        assert batch.s_at(10)[r] == path.s_at(10)[0]
 
 
 def test_batch_columns_do_not_depend_on_recorded_generations(env_a):
@@ -93,12 +94,33 @@ def test_batch_columns_do_not_depend_on_recorded_generations(env_a):
         np.testing.assert_array_equal(batch.s_at(g), full.s_at(g))
 
 
-def test_batch_thread_count_does_not_change_bytes(env_a):
-    a = simulate_batch(env_a, 12, 400, master_seed=3, record=(12,), threads=1)
-    b = simulate_batch(env_a, 12, 400, master_seed=3, record=(12,), threads=3)
-    np.testing.assert_array_equal(a.log_z, b.log_z)
-    np.testing.assert_array_equal(a.s, b.s)
-    np.testing.assert_array_equal(a.log_w, b.log_w)
+def test_batch_thread_count_does_not_change_bytes(monkeypatch, env_a):
+    # chunks of 100: 400 replicates are four chunks, which threads=3 runs
+    # on a pool whose tasks carry only a chunk's key and size
+    tasks = []
+
+    class CountingPool(trajectory.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            tasks.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "_CHUNK", 100)
+    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", CountingPool)
+    for run, names in (
+        (lambda **kw: simulate_batch(env_a, 12, 400, 3, record=(6, 12), **kw),
+         ("log_z", "s", "log_w")),
+        (lambda **kw: simulate_batch(env_a, 12, 400, 3, record=(6, 12),
+                                     couple_no_immigration=True, **kw),
+         ("log_z", "s", "log_w", "log_zbar")),
+        (lambda **kw: simulate_walk_batch(env_a, 12, 400, 3, record=(6, 12), **kw), ("s",)),
+    ):
+        tasks.clear()
+        inline = run(threads=1)
+        assert tasks == []
+        pooled = run(threads=3)
+        assert tasks == [(c, 100) for c in (0, 100, 200, 300)]
+        for name in names:
+            np.testing.assert_array_equal(getattr(inline, name), getattr(pooled, name))
 
 
 def test_batch_stream_offset_shifts_columns(monkeypatch, env_a):
@@ -166,14 +188,14 @@ def test_promotion_threshold_consistency(env_a):
 
 
 def test_record_argument_validation(env_a):
-    with pytest.raises(ValueError):
-        simulate_batch(env_a, 5, 10, master_seed=0, record=(3, 3))
-    with pytest.raises(ValueError):
-        simulate_batch(env_a, 5, 10, master_seed=0, record=(4, 2))
-    with pytest.raises(ValueError):
-        simulate_batch(env_a, 5, 10, master_seed=0, record=(-1,))
-    with pytest.raises(ValueError):
-        simulate_batch(env_a, 5, 10, master_seed=0, record=(6,))
+    for run in (simulate_batch, simulate_walk_batch):
+        for record in ((3, 3), (4, 2), (-1,), (6,)):
+            with pytest.raises(ValueError, match="record generations"):
+                run(env_a, 5, 10, master_seed=0, record=record)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            run(env_a, -1, 10, master_seed=0)
+        with pytest.raises(ValueError, match="replicates must be positive"):
+            run(env_a, 5, 0, master_seed=0)
 
 
 def test_walk_batch_shares_environment_draws(env_a):
@@ -214,13 +236,9 @@ def test_replicate_count_and_rows(env_a):
 
 
 def test_threshold_below_minimum_is_rejected(env_a):
-    for run in (
-        lambda t: simulate_batch(env_a, 5, 10, master_seed=1, threshold=t),
-        lambda t: simulate_path(env_a, 5, RngStream(master_seed=1, stream_id=0), threshold=t),
-    ):
-        with pytest.raises(ValueError, match="at least 1024.*log step"):
-            run(2**10 - 1)
-        run(2**10)
+    with pytest.raises(ValueError, match="at least 1024.*log step"):
+        simulate_batch(env_a, 5, 10, master_seed=1, threshold=2**10 - 1)
+    simulate_batch(env_a, 5, 10, master_seed=1, threshold=2**10)
 
 
 def test_threshold_at_maximum_keeps_counts_in_int64():
