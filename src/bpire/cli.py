@@ -18,14 +18,16 @@ Exit codes:
   ``promotion_threshold`` outside [``MIN_PROMOTION_THRESHOLD`` = 2**10,
   ``MAX_PROMOTION_THRESHOLD`` = 2**61]);
 * 2 -- validation failure: a law parameter out of its domain (such as a
-  Poisson immigration mean ``nu`` above ``POISSON_NU_MAX``, about 708.4, or
-  a geometric immigration ``s`` below ``GEOMETRIC_S_MIN`` = 1e-4), a failed
-  environment check, an unmet precondition of any experiment kind (such as
-  a zero-variance environment in a rate experiment, ``r <= 0`` for moments,
-  ``q <= 0`` for decay, ``p <= 1`` for validate, or ``replicates`` = 1 for
-  a kind that reports a standard error: rate, elogw, decay, laplace and
-  moments), or an arithmetic error
-  in a run (such as a Laplace ``t = exp(x)`` beyond the float range);
+  Poisson immigration mean ``nu`` above ``POISSON_NU_MAX``, about 708.4, a
+  geometric immigration ``s`` below ``GEOMETRIC_S_MIN`` = 1e-4, or a
+  geometric offspring ``q`` below ``GEOMETRIC_Q_MIN``, about 1.492e-154),
+  a failed environment check, an unmet precondition of any experiment kind
+  (such as a zero-variance environment in a rate experiment, ``r <= 0`` for
+  moments, ``q <= 0`` for decay, ``p <= 1`` for validate, or ``replicates``
+  = 1 for a kind that reports a standard error: rate, elogw, decay, laplace
+  and moments), or an arithmetic error in a run (such as a Laplace
+  ``t = exp(x)``, or a decay or moments mean of ``|.|^q`` or ``|.|^r`` or
+  its SE, beyond the float range);
 * 3 -- statistics inconclusive or a statistical gate failed (decay SE gate,
   decay CI including 1, unstable Berry-Esseen constant, exploding Laplace
   column, unbounded moment ratio);
@@ -195,7 +197,10 @@ def _parse_law(atom: dict, role: str, atom_where: str) -> Any:
     if not isinstance(kind, str) or kind not in laws:
         *rest, last = (repr(k) for k in laws)
         raise ConfigError(f"{where}.kind must be {', '.join(rest)} or {last}, got {kind!r}")
-    return _parse_fields(laws[kind], obj, where, frozenset({"kind"}))
+    try:
+        return _parse_fields(laws[kind], obj, where, frozenset({"kind"}))
+    except ValueError as exc:  # law parameter out of its domain
+        raise ValidationFailure(f"{where}: {exc}") from exc
 
 
 def _parse_environment(obj: Any, where: str = "environment") -> EnvironmentModel:
@@ -215,7 +220,7 @@ def _parse_environment(obj: Any, where: str = "environment") -> EnvironmentModel
                     prob=_as_number(_require(a, "prob", aw), f"{aw}.prob"),
                 )
             )
-        except ValueError as exc:  # law parameter out of domain
+        except ValueError as exc:  # atom probability out of its domain
             raise ValidationFailure(f"{aw}: {exc}") from exc
     return EnvironmentModel(atoms=tuple(atoms))
 

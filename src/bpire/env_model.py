@@ -47,7 +47,7 @@ class ShiftedGeometric:
     first success of a Bernoulli(q) sequence: ``P(G = k) = q (1-q)^k``.
 
     Mean ``1 + (1-q)/q``, per-individual variance ``(1-q)/q**2``.  Requires
-    ``0 < q < 1``; ``q = 1`` would make ``X`` identically one.
+    ``GEOMETRIC_Q_MIN <= q < 1``; ``q = 1`` would make ``X`` identically one.
     """
 
     q: float
@@ -55,6 +55,11 @@ class ShiftedGeometric:
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"ShiftedGeometric requires 0 < q < 1, got {self.q}")
+        if self.q < GEOMETRIC_Q_MIN:
+            raise ValueError(
+                f"ShiftedGeometric requires q >= {GEOMETRIC_Q_MIN:.4g} so that "
+                f"q**2 in its variance (1-q)/q**2 is a normal double, got {self.q}"
+            )
 
     @property
     def mean(self) -> float:
@@ -63,6 +68,12 @@ class ShiftedGeometric:
     @property
     def variance(self) -> float:
         return (1.0 - self.q) / (self.q * self.q)
+
+
+#: Smallest geometric offspring parameter ``q`` (about 1.492e-154): below it
+#: ``q**2`` is subnormal or zero, and the variance ``(1-q)/q**2`` loses its
+#: precision, overflows or divides by zero.
+GEOMETRIC_Q_MIN = math.sqrt(sys.float_info.min)
 
 
 OffspringLaw = Union[ShiftedPoisson, ShiftedGeometric]

@@ -17,15 +17,16 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .analytics import edgeworth_q, limit_curve, std_normal_cdf, std_normal_pdf
 from .env_model import EnvironmentModel, MomentSummary, log_mean_moments
 from .sampler import PROMOTION_THRESHOLD
 from .trajectory import simulate_batch, simulate_walk_batch
 
-#: 99% two-sided normal quantile used for every binomial confidence interval.
-Z_99 = float(special.ndtri(0.995))
+#: 99% two-sided normal quantile used for every binomial confidence interval:
+#: ``scipy.special.ndtri(0.995)`` to the last bit, written out so that
+#: importing the package does not load scipy.
+Z_99 = 2.5758293035489004
 
 #: Stream-id offset for the martingale-limit estimation batch inside
 #: clt_rate_experiment: same master seed, disjoint replicate stream range
@@ -151,6 +152,20 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     if vals.size < 2:
         raise ValueError(f"a standard error needs at least 2 replicates, got {vals.size}")
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+
+def _power_mean_se(values: np.ndarray, power: float, what: str, name: str, n: int
+                   ) -> tuple[float, float]:
+    """:func:`_mean_se` of ``|values|^power``, which a large ``power`` can
+    overflow: a mean or SE that is not a finite double raises ``ValueError``
+    naming ``what`` at ``n`` and the parameter ``name``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises
+        est, se = _mean_se(np.abs(values) ** power)
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise ValueError(
+            f"{what} at n = {n} or its SE overflows a double for {name} = {power!r}"
+        )
+    return est, se
 
 
 def _generations(n_list: Sequence[int], lowest: int, name: str) -> list[int]:
@@ -387,7 +402,8 @@ def increment_decay(
     )
     rows: list[DecayRow] = []
     for n in ns:
-        est, se = _mean_se(np.abs(batch.log_w_at(n + 1) - batch.log_w_at(n)) ** q)
+        est, se = _power_mean_se(batch.log_w_at(n + 1) - batch.log_w_at(n), q,
+                                 "E|log W_(n+1) - log W_n|^q", "q", n)
         rows.append(DecayRow(n=n, estimate=est, se=se, qualifies=est > 5.0 * se))
 
     fit_rows = [r for r in rows if r.qualifies and r.estimate > 0.0]
@@ -398,6 +414,8 @@ def increment_decay(
         np.array([r.n for r in fit_rows], dtype=np.float64),
         np.array([math.log(r.estimate) for r in fit_rows]),
     )
+    from scipy import special  # only this fit needs scipy; keep it off start-up
+
     t99 = float(special.stdtrit(len(fit_rows) - 2, 0.995))
     lo = slope - t99 * stderr
     hi = slope + t99 * stderr
@@ -634,7 +652,8 @@ def moment_stability(
         env, ns[-1], replicates, master_seed,
         record=tuple(ns), threads=threads, threshold=threshold,
     )
-    rows = [MomentRow(n, *_mean_se(np.abs(batch.log_w_at(n)) ** r)) for n in ns]
+    rows = [MomentRow(n, *_power_mean_se(batch.log_w_at(n), r, "E|log W_n|^r", "r", n))
+            for n in ns]
     tail = [row for row in rows if row.n >= 10]
     if len(tail) >= 2:
         hi = max(tail, key=lambda row: row.estimate)

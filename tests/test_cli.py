@@ -25,7 +25,7 @@ from bpire.cli import (
     parse_config,
     serialize_config,
 )
-from bpire.env_model import GEOMETRIC_S_MIN, POISSON_NU_MAX
+from bpire.env_model import GEOMETRIC_Q_MIN, GEOMETRIC_S_MIN, POISSON_NU_MAX
 from bpire.sampler import MAX_PROMOTION_THRESHOLD, MIN_PROMOTION_THRESHOLD
 from conftest import make_env_a
 
@@ -311,13 +311,34 @@ def _with_lam(lam) -> dict:
         ({"kind": "elogw", "promotion_threshold": 2**62}, 1, "at most 2305843009213693952"),
         ({"kind": "elogw", "replicates": 1}, 2, "at least 2 replicates, got 1"),
         ({"kind": "elogw", "environment": _with_lam(1e308)}, 2, "overflows a double"),
+        (
+            {
+                "kind": "elogw",
+                "environment": {"atoms": [{**_env_doc()["atoms"][0], "prob": 1.0,
+                                           "offspring": {"kind": "shifted_geometric",
+                                                         "q": 1e-200}}]},
+            },
+            2,
+            "atoms[0].offspring: ShiftedGeometric requires q >= 1.492e-154",
+        ),
+        (
+            {"kind": "decay", "q": 1000.0, "n_list": [0, 1, 2], "replicates": 200},
+            2,
+            "overflows a double for q = 1000.0",
+        ),
+        (
+            {"kind": "moments", "r": 1000.0, "n_list": [1, 2], "replicates": 200},
+            2,
+            "overflows a double for r = 1000.0",
+        ),
     ],
     ids=["grid-min-inf", "grid-step-underflow", "grid-too-many-points", "moments-r-inf",
          "lam-nan", "lam-beyond-float", "laplace-t-overflow", "geometric-s-too-small",
          "integer-beyond-digit-limit", "array-beyond-recursion-limit",
          "horizon-beyond-max-generations",
          "n-list-beyond-max-generations", "threshold-beyond-int64-counts",
-         "elogw-one-replicate", "offspring-total-beyond-float"],
+         "elogw-one-replicate", "offspring-total-beyond-float", "geometric-q-too-small",
+         "decay-power-overflow", "moments-power-overflow"],
 )
 def test_accepted_number_exits_with_its_code_without_traceback(tmp_path, doc, code, named):
     base = {"kind": "walk-oracle", "environment": _env_doc(), "n_list": [2], "replicates": 50,
@@ -333,7 +354,8 @@ _OFFSPRING_DOCS = st.one_of(
     st.builds(lambda lam: {"kind": "shifted_poisson", "lam": lam},
               st.floats(0.0, sys.float_info.max, exclude_min=True)),
     st.builds(lambda q: {"kind": "shifted_geometric", "q": q},
-              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+              st.one_of(st.just(GEOMETRIC_Q_MIN),
+                        st.floats(GEOMETRIC_Q_MIN, 1.0, exclude_max=True))),
 )
 _IMMIGRATION_DOCS = st.one_of(
     st.just({"kind": "none"}),
@@ -405,9 +427,32 @@ def _run_cli(tmp_path, doc) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs most of the CLI's start-up; only scipy.special is needed
+    # scipy.stats costs most of the CLI's start-up; only the decay fit loads
+    # scipy, and then only scipy.special
     proc = _python("-c", "import sys, bpire.cli; print('scipy.stats' in sys.modules)")
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_start_up_loads_no_scipy(tmp_path):
+    # importing scipy.special costs about half of a process's start-up; only
+    # the decay fit loads it
+    doc = {"kind": "elogw", "environment": _env_doc(), "replicates": 50, "horizon": 4,
+           "threads": 1}
+    argv = ["--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")]
+    proc = _python("-c", (
+        "import json, sys\n"
+        "def scipy(): return [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+        "import bpire\n"
+        "loaded = {'import bpire': scipy()}\n"
+        "import bpire.cli\n"
+        "loaded['import bpire.cli'] = scipy()\n"
+        f"code = bpire.cli.main({argv!r})\n"
+        "loaded['elogw run'] = scipy()\n"
+        "print(json.dumps([code, loaded]))\n"
+    ))
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert loaded == {"import bpire": [], "import bpire.cli": [], "elogw run": []}
 
 
 def test_threshold_below_minimum_exits_one_with_reason(tmp_path):
@@ -537,17 +582,19 @@ def test_elogw_csv(tmp_path):
     assert 0.3 < float(fields[1]) < 0.5
 
 
+_DECAY_DOC = {
+    "kind": "decay",
+    "environment": _env_doc(),
+    "q": 1.0,
+    "n_list": list(range(5, 16)),
+    "replicates": 4000,
+    "master_seed": 21,
+}
+
+
 def test_decay_csv_and_fit(tmp_path):
-    doc = {
-        "kind": "decay",
-        "environment": _env_doc(),
-        "q": 1.0,
-        "n_list": list(range(5, 16)),
-        "replicates": 4000,
-        "master_seed": 21,
-    }
     out = tmp_path / "out"
-    assert main(["--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+    assert main(["--config", _write(tmp_path, _DECAY_DOC), "--out", str(out)]) == 0
     lines = (out / "decay.csv").read_text().split("\n")
     assert lines[0] == "n,estimate,se,qualifies"
     assert all(line.split(",")[3] in ("true", "false") for line in lines[1:-1])
@@ -555,6 +602,16 @@ def test_decay_csv_and_fit(tmp_path):
     assert fit[0] == "slope,rho_hat,ci_lo,ci_hi"
     slope, rho, lo, hi = (float(v) for v in fit[1].split(","))
     assert slope < 0 and lo > 1.0 and lo < rho < hi
+
+
+def test_decay_fit_in_a_fresh_interpreter_matches_in_process(tmp_path):
+    # the fit imports scipy itself; in this process the tests have loaded it already
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, _DECAY_DOC), "--out", str(out)]) == 0
+    proc = _run_cli(tmp_path, _DECAY_DOC)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("decay.csv", "fit.csv"):
+        assert (tmp_path / "o" / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_berry_esseen_csv(tmp_path):

@@ -17,6 +17,7 @@ from bpire import (
     non_lattice_heuristic,
     validate,
 )
+from bpire.env_model import GEOMETRIC_Q_MIN
 from conftest import make_env_a, make_skewed_env
 
 
@@ -39,10 +40,14 @@ def test_shifted_poisson_rejects_bad_rate(lam):
         ShiftedPoisson(lam=lam)
 
 
-@pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1, math.nan])
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1, math.nan, GEOMETRIC_Q_MIN / 2])
 def test_shifted_geometric_rejects_bad_q(q):
     with pytest.raises(ValueError):
         ShiftedGeometric(q=q)
+
+
+def test_shifted_geometric_variance_is_finite_down_to_its_limit():
+    assert math.isfinite(ShiftedGeometric(q=GEOMETRIC_Q_MIN).variance)
 
 
 def test_immigration_means():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from bpire import (
     EnvAtom,
@@ -43,6 +43,10 @@ def _single_atom_env(lam: float = 1.0) -> EnvironmentModel:
 
 
 # ---------------------------------------------------------------- empirical
+
+
+def test_z99_is_the_normal_quantile_to_the_last_bit():
+    assert Z_99 == float(special.ndtri(0.995))
 
 
 def test_empirical_cdf_small_example():
