@@ -131,6 +131,15 @@ def _batch(env, threshold: int = 2**40):
     return {"log_z": batch.log_z, "s": batch.s, "log_zbar": batch.log_zbar}
 
 
+def _long(env, couple: bool, threshold: int):
+    # long enough for every column to grow far past the promotion threshold
+    batch = simulate_batch(
+        env, 320, 256, master_seed=11, record=(100, 200, 320),
+        couple_no_immigration=couple, threshold=threshold,
+    )
+    return {"log_z": batch.log_z, "s": batch.s, "log_zbar": batch.log_zbar}
+
+
 def _path(couple: bool):
     # one path: column 0 of a one-replicate batch recording every generation
     batch = simulate_batch(
@@ -148,6 +157,8 @@ CASES.update({
     "lib-coupled-env-a-t1024": lambda: _batch(make_env_a(), 2**10),
     "lib-coupled-mixed": lambda: _batch(_parse_environment(_MIXED_ENV)),
     "lib-coupled-mixed-t1024": lambda: _batch(_parse_environment(_MIXED_ENV), 2**10),
+    "lib-long-env-a": lambda: _long(make_env_a(), False, 2**40),
+    "lib-long-coupled-mixed": lambda: _long(_parse_environment(_MIXED_ENV), True, 2**10),
     "lib-path": lambda: _path(False),
     "lib-path-coupled": lambda: _path(True),
 })
@@ -229,6 +240,15 @@ GOLDEN = {
         "log_z": "01b523a92253f048bed9ed142d6a333a45e9e418391182afa7a8ddf7fc16e127",
         "log_zbar": "1de04f4203f044a0600b693104372f9ad5c4713729abe1b95bf9860f459683a9",
         "s": "f7e221d5f9c99fd485fc8bc905493b0c0f4d6cb33d003490e328c26de93a66d4"
+    },
+    "lib-long-coupled-mixed": {
+        "log_z": "1341a91d79f9660ebadcd32aa59b40cd44dfd276becb79572ac8d4368e6d0c01",
+        "log_zbar": "897caa7afaa7ceb692d93aef60f78df0b8f5852b4f3363c0ac4edea42e6a81a7",
+        "s": "30af619d01df91e9f2bb8b6e6dfc8651eac40b9648edd59361458ce2719e9d17"
+    },
+    "lib-long-env-a": {
+        "log_z": "edda19400cdaabf89016930c56d1b61ef9b58565453c36df9be2762d1f3dcd24",
+        "s": "4ca40962d4d123cabaf6b0d18e3ffebbab297421c901a6e9644a2e1b49c69a88"
     },
     "lib-path": {
         "log_z": "ee705c8b12b0f2acbae79c5a673160efbfe8141f3a551eb423a5f241dda863f0",
