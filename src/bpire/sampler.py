@@ -51,7 +51,8 @@ PROMOTION_THRESHOLD: int = 2**40
 #: the Poisson family), so at a size of at least ``T`` the log step's
 #: ``log1p`` argument stays above -1, and the exact regime's Gaussian tail
 #: value stays positive, whenever ``|G| < sqrt(T)``: at ``2**10`` a failure
-#: needs a normal beyond 32 standard deviations.
+#: needs a normal beyond 32 standard deviations, and numpy's normals never
+#: pass 13.8 (``bpire.trajectory._NORMAL_BOUND``).
 MIN_PROMOTION_THRESHOLD: int = 2**10
 
 #: Largest accepted promotion threshold.  Exact counts are int64: a count

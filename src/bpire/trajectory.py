@@ -26,7 +26,7 @@ its own substream:
 1. immigration uniforms, ``count`` per generation, inverted through each
    column's atom CDF table (drawn only when some atom has immigrants);
 2. normals of the primary population's log steps, ``count`` per
-   generation whether or not any column has promoted yet;
+   generation, also before any column has promoted;
 3. the primary population's exact-regime draws, per generation in this
    order: gammas of the geometric-offspring columns, Poissons of the
    columns whose mean is below the threshold, normals of the Gaussian tail
@@ -34,13 +34,20 @@ its own substream:
 4. and 5. the same as 2 and 3 for the surplus population of a coupled run.
 
 The primary population is the full path when ``couple=False`` and the
-no-immigration path ``Zbar`` when ``couple=True``.  Draws of substreams 0-2
-and 4 do not depend on the regime, so a run with another promotion
-threshold replays the same atoms, immigrants and log-step normals; only
-the on-demand draws of substreams 3 and 5 shift once some column changes
-regime, which at the default threshold happens at sizes where that shift
-stays below the log-regime noise floor.  A chunk stops at the last
-recorded generation: later draws could reach no output.
+no-immigration path ``Zbar`` when ``couple=True``; immigrants join the
+primary population in the first case and the surplus in the second.
+Draws of substreams 0-2 and 4 do not depend on the regime, so a run with
+another promotion threshold replays the same atoms, immigrants and
+log-step normals; only the on-demand draws of substreams 3 and 5 shift
+once some column changes regime, which at the default threshold happens
+at sizes where that shift stays below the log-regime noise floor.
+
+Substreams 1, 2 and 4 are drawn only until the population that uses them
+turns quiet (see :class:`_Population`): from then on its log step adds
+``log m`` alone, because the normal's and the immigrants' terms round
+away, and the draws could reach no output.  For the same reason a chunk
+stops at the last recorded generation.  Every number drawn feeds the
+same output as in a run that never turns quiet.
 
 Coupling
 --------
@@ -86,6 +93,12 @@ _CHUNK = 8192
 
 # Substreams of a chunk key (see "Draw layout").
 _ATOMS, _IMMIGRATION, _NORMALS, _EXACT, _SURPLUS_NORMALS, _SURPLUS_EXACT = range(6)
+
+#: A bound on ``|g|`` for every normal numpy's ``Generator.standard_normal``
+#: returns.  It is a ziggurat whose tail draws ``r + (-log1p(-U)) / r`` with
+#: ``r`` about 3.654 and ``U <= 1 - 2**-53``, so ``|g| < 13.8``; 64 leaves a
+#: wide margin.  It fixes the quiet log size of :class:`_EnvTables`.
+_NORMAL_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -225,6 +238,24 @@ class _EnvTables:
         cdfs = [immigration_cdf_table(a.immigration) for a in env.atoms]
         self.immigration = _Inverse(cdfs)
         self.immigrates = any(len(cdf) > 1 for cdf in cdfs)
+        self.quiet_log_size = _quiet_log_size(
+            self.logm, self.sd_over_m, max(len(cdf) for cdf in cdfs) - 1
+        )
+
+
+def _quiet_log_size(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> float:
+    """The least log size L from which the log step's noise and immigrant
+    terms round away under every atom, each with a margin of at least a
+    factor 2: ``_NORMAL_BOUND * (sd/m) * exp(-L/2) <= 2**-56 * log m``, so
+    ``log m + log1p(noise) == log m``, and ``y_max * exp(-L) <= 2**-56``
+    with ``L >= 1``, so ``L + log1p(y * exp(-L)) == L`` for y immigrants.
+    ``inf`` when some atom's ``log m`` is 0.0: its noise never rounds away.
+    """
+    if not logm.all():
+        return math.inf
+    noise = 2.0 * math.log(float((_NORMAL_BOUND * 2.0**56 * sd_over_m / logm).max()))
+    immigrants = math.log(y_max * 2.0**56) if y_max else 0.0
+    return max(1.0, noise, immigrants)
 
 
 def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
@@ -274,6 +305,11 @@ class _Population:
     immigrants.  Counts stay below ``2**63``: an exact column holds less
     than ``threshold <= 2**61``, and a tail value too large to count
     promotes its column at once.
+
+    Once every column is promoted and at least ``tab.quiet_log_size`` in
+    log size, the population is quiet for good (``log m >= 0``, so log
+    sizes never fall): the log step equals ``log Z + log m`` to the last
+    bit, so a quiet step takes only that and ignores ``y`` and ``g``.
     """
 
     def __init__(self, z: int, count: int, tab: _EnvTables, threshold: int, gen: Generator):
@@ -281,15 +317,21 @@ class _Population:
         self.log_z = np.zeros(count)  # meaningful where promoted
         self.promoted = np.zeros(count, dtype=bool)
         self.all_promoted = False
+        self.quiet = False
         self.tab = tab
         self.threshold = threshold
         self.gen = gen
 
-    def step(self, idx: np.ndarray, y: np.ndarray | None, g: np.ndarray) -> None:
+    def step(self, idx: np.ndarray, y: np.ndarray | None, g: np.ndarray | None) -> None:
         """Take every column one generation on under atoms ``idx`` with
-        immigrants ``y`` (``None``: none) and log-step normals ``g``."""
+        immigrants ``y`` (``None``: none) and log-step normals ``g``
+        (``None`` will do once quiet)."""
+        if self.quiet:
+            self.log_z += self.tab.logm[idx]
+            return
         if self.all_promoted:
             self.log_z = self._log_step(self.log_z, idx, y, g)
+            self.quiet = self.log_z.min() >= self.tab.quiet_log_size
             return
         done = np.flatnonzero(self.promoted)
         if done.size:
@@ -371,14 +413,18 @@ def _simulate_chunk(
     gens = [substream(master_seed, key, i) for i in range(6)]
     primary = _Population(1, count, tab, threshold, gens[_EXACT])
     surplus = _Population(0, count, tab, threshold, gens[_SURPLUS_EXACT]) if couple else None
+    receiver = surplus if couple else primary  # the population immigrants join
+
+    def normals(pop: _Population, sub: int) -> np.ndarray | None:
+        return None if pop.quiet else gens[sub].standard_normal(count)
 
     for k, idx, s in _walk(tab.atoms, tab.logm, gens[_ATOMS], count, record[-1] if record else 0):
         y = None
-        if tab.immigrates:
+        if tab.immigrates and not receiver.quiet:
             y = tab.immigration(gens[_IMMIGRATION].random(count), idx)
-        primary.step(idx, None if couple else y, gens[_NORMALS].standard_normal(count))
+        primary.step(idx, None if couple else y, normals(primary, _NORMALS))
         if couple:
-            surplus.step(idx, y, gens[_SURPLUS_NORMALS].standard_normal(count))
+            surplus.step(idx, y, normals(surplus, _SURPLUS_NORMALS))
         if k in rows:
             i = rows[k]
             out["s"][i] = s
@@ -439,7 +485,9 @@ def _run_chunks(worker, static_args: tuple, replicates: int, stream_offset: int,
     if threads <= 1 or len(chunks) == 1:
         results = [worker(sid, cnt, *static_args) for sid, cnt in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_init_pool_process,
+        # a pool may start all of its workers at once: never more than tasks
+        with ProcessPoolExecutor(max_workers=min(threads, len(chunks)),
+                                 initializer=_init_pool_process,
                                  initargs=(worker, static_args)) as pool:
             futures = [pool.submit(_pool_chunk, sid, cnt) for sid, cnt in chunks]
             results = [f.result() for f in futures]

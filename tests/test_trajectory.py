@@ -21,7 +21,9 @@ from bpire import (
     simulate_batch,
     simulate_walk_batch,
 )
-from conftest import make_env_a, make_skewed_env, without_immigration
+from bpire.env_model import GEOMETRIC_S_MIN
+from bpire.sampler import immigration_cdf_table
+from conftest import make_env_a, make_mixed_env, make_skewed_env, without_immigration
 
 
 # A single path is column 0 of a one-replicate batch that records every
@@ -121,6 +123,38 @@ def test_batch_thread_count_does_not_change_bytes(monkeypatch, env_a):
         assert tasks == [(c, 100) for c in (0, 100, 200, 300)]
         for name in names:
             np.testing.assert_array_equal(getattr(inline, name), getattr(pooled, name))
+
+
+def test_pool_workers_capped_at_chunk_count(monkeypatch, env_a):
+    # A pool may start every worker at its first task, so its size is
+    # capped at the number of chunks.  The stub runs tasks inline: no
+    # process is started, whatever the thread count asked for.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, /, *args):
+            result = fn(*args)
+            return type("Done", (), {"result": lambda self: result})()
+
+    monkeypatch.setattr(trajectory, "_CHUNK", 100)
+    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(trajectory, "_pool_job", ())
+    inline = simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=1)
+    assert sizes == []
+    pooled = simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=10**6)
+    assert sizes == [3]
+    assert pooled.log_z.tobytes() == inline.log_z.tobytes()
+    assert pooled.s.tobytes() == inline.s.tobytes()
 
 
 def test_batch_stream_offset_shifts_columns(monkeypatch, env_a):
@@ -326,3 +360,139 @@ def test_array_step_properties(env, n, replicates, couple, threshold, seed, data
         pure = simulate_batch(without_immigration(env), n, replicates, seed, record=record,
                               threshold=threshold)
         np.testing.assert_array_equal(batch.log_zbar, pure.log_z)
+
+
+def _environment(*atoms) -> EnvironmentModel:
+    """Equally likely atoms, each an (offspring, immigration) pair."""
+    return EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=x, immigration=y, prob=1.0 / len(atoms)) for x, y in atoms
+    ))
+
+
+# Environments A and B of the benchmark, the golden tests' mixed and pure
+# environments, and an atom whose offspring mean rounds to 1.0 (log m = 0).
+_QUIET_ENVS = {
+    "a": make_env_a(),
+    "b": EnvironmentModel(atoms=(
+        EnvAtom(offspring=ShiftedGeometric(q=0.4), immigration=GeometricImmigration(s=0.5),
+                prob=0.6),
+        EnvAtom(offspring=ShiftedPoisson(lam=3.0), immigration=PoissonImmigration(nu=2.0),
+                prob=0.4),
+    )),
+    "mixed": make_mixed_env(),
+    "pure": make_skewed_env(),
+    "mean-one": _environment((ShiftedPoisson(lam=1e-300), PoissonImmigration(nu=1.0)),
+                             (ShiftedPoisson(lam=2.0), PoissonImmigration(nu=1.0))),
+}
+
+
+def _quiet_never_and_default(run):
+    """The bytes ``run()`` returns with the quiet state off (an infinite
+    normal bound) and on."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trajectory, "_NORMAL_BOUND", math.inf)
+        never = run()
+    return never, run()
+
+
+def _batch_bytes(batch) -> dict:
+    arrays = {"log_z": batch.log_z, "s": batch.s, "log_zbar": batch.log_zbar}
+    return {k: a.tobytes() for k, a in arrays.items() if a is not None}
+
+
+@pytest.mark.parametrize("name", sorted(_QUIET_ENVS))
+def test_quiet_state_leaves_bytes_unchanged(monkeypatch, name):
+    # chunks of 20: 48 replicates are two full chunks and a ragged one of 8
+    monkeypatch.setattr(trajectory, "_CHUNK", 20)
+    env = _QUIET_ENVS[name]
+    for couple in (False, True):
+        for threshold in (2**10, 2**40):
+            never, default = _quiet_never_and_default(lambda: _batch_bytes(
+                simulate_batch(env, 320, 48, 5, record=range(321),
+                               couple_no_immigration=couple, threshold=threshold)
+            ))
+            assert never == default, (couple, threshold)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    env=_environments(),
+    n=st.integers(100, 250),
+    replicates=st.integers(1, 24),
+    couple=st.booleans(),
+    threshold=st.integers(10, 40).map(lambda k: 2**k),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_quiet_state_leaves_bytes_unchanged_anywhere(env, n, replicates, couple, threshold,
+                                                     seed):
+    never, default = _quiet_never_and_default(lambda: _batch_bytes(
+        simulate_batch(env, n, replicates, seed, record=(n // 2, n),
+                       couple_no_immigration=couple, threshold=threshold)
+    ))
+    assert never == default
+
+
+class _CountingGenerator:
+    """A generator that counts its ``random`` and ``standard_normal`` calls."""
+
+    def __init__(self, gen, calls, index):
+        self._gen, self._calls, self._index = gen, calls, index
+
+    def __getattr__(self, name):
+        attr = getattr(self._gen, name)
+        if name not in ("random", "standard_normal"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self._calls[self._index] = self._calls.get(self._index, 0) + 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def _draw_calls(monkeypatch, *args, **kwargs) -> dict:
+    """Per substream, the number of uniform and normal block draws a
+    one-chunk ``simulate_batch(*args, **kwargs)`` makes."""
+    calls = {}
+    substream = trajectory.substream
+    monkeypatch.setattr(
+        trajectory, "substream",
+        lambda seed, key, index: _CountingGenerator(substream(seed, key, index), calls, index),
+    )
+    simulate_batch(*args, **kwargs)
+    return calls
+
+
+def test_quiet_population_stops_drawing(monkeypatch, env_a, skewed_env):
+    calls = _draw_calls(monkeypatch, env_a, 256, 64, 3)
+    assert calls[trajectory._ATOMS] == 256
+    assert calls[trajectory._IMMIGRATION] < 256
+    assert calls[trajectory._NORMALS] == calls[trajectory._IMMIGRATION]
+    # no immigrants: the surplus stays empty, never promotes and so never
+    # turns quiet, while the coupled path does
+    calls = _draw_calls(monkeypatch, skewed_env, 256, 64, 3, couple_no_immigration=True)
+    assert calls[trajectory._SURPLUS_NORMALS] == 256
+    assert calls[trajectory._NORMALS] < 256
+    assert trajectory._IMMIGRATION not in calls
+
+
+@pytest.mark.parametrize("env", [
+    *(_QUIET_ENVS[k] for k in ("a", "b", "mixed", "pure")),
+    _environment((ShiftedPoisson(lam=0.5), GeometricImmigration(s=GEOMETRIC_S_MIN)),
+                 (ShiftedGeometric(q=0.9), NoImmigration())),
+], ids=["a", "b", "mixed", "pure", "geometric-s-min"])
+def test_quiet_log_size_rounds_both_terms_away(env):
+    tab = trajectory._EnvTables(env)
+    size = tab.quiet_log_size
+    assert 1.0 <= size < math.inf
+    y_max = max(len(immigration_cdf_table(a.immigration)) for a in env.atoms) - 1
+    assert size + np.log1p(y_max * np.exp(-size)) == size
+    for g in (-trajectory._NORMAL_BOUND, trajectory._NORMAL_BOUND):
+        noise = np.log1p(g * tab.sd_over_m * np.exp(-0.5 * size))
+        np.testing.assert_array_equal(tab.logm + noise, tab.logm)
+    # and it is the least such size: one of its bounds is tight
+    noise = trajectory._NORMAL_BOUND * (tab.sd_over_m / tab.logm).max() * math.exp(-size / 2)
+    assert size == 1.0 or max(noise, y_max * math.exp(-size)) == pytest.approx(2.0**-56)
+
+
+def test_quiet_log_size_is_infinite_when_a_mean_rounds_to_one():
+    assert trajectory._EnvTables(_QUIET_ENVS["mean-one"]).quiet_log_size == math.inf
