@@ -1,16 +1,24 @@
-"""Exact annealed law of ``Z_n`` for small n: the oracle the simulator's
-whole generation step (atom choice, immigration inversion and the exact
-offspring draw together) is checked against.
+"""Exact annealed law of ``Z_n`` for small n, by generating functions: the
+oracle the simulator's whole generation step (atom choice, immigration
+inversion, the exact offspring draw and, past the promotion threshold, the
+Gaussian tail and the log step) is checked against.
 
-The environment is i.i.d., so the pair ``(Z_n, J_n)`` is a Markov chain,
-where ``J_n`` counts the visits to each atom and so fixes
-``S_n = sum_a J_n[a] log m_a``.  One step under atom a takes z to
-``z + E_a(z) + Y_a``: ``E_a(z)``, the offspring total of z individuals minus
-z, is ``Poisson(z lam)`` for shifted Poisson offspring and
-``NegBin(z, q)`` for shifted geometric offspring, and the immigrants
-``Y_a`` are independent of it.  :func:`law_of_z_exact` pushes the pmf of
-``(Z, J)`` forward n steps on the support ``[0, cap)`` and counts the mass
-that leaves it, or sits on rows too light to push, as dropped.
+Given the atoms ``a_0, ..., a_{n-1}`` of generations 0 to n-1,
+``E[s^{Z_{k+1}} | Z_k] = f_{a_k}(s)^{Z_k} h_{a_k}(s)``, where f is the
+offspring PGF and h the immigration PGF (Athreya and Ney, 1972).  So, from
+``Z_0 = 1``, ``E[s^{Z_n} | a] = u_0 prod_k h_{a_k}(u_{k+1})`` with
+``u_n = s`` and ``u_k = f_{a_k}(u_{k+1})``: a backward composition.  The
+environment is i.i.d., so the annealed PGF is the sum of these over the
+``K^n`` atom sequences, weighted by their probabilities.  Sequences with
+the same visit counts J share ``S_n = sum_a J[a] log m_a``; summing per J
+gives the joint law of ``(J_n, Z_n)``.
+
+:func:`law_of_z_pgf` evaluates the PGF at the N-th roots of unity and
+inverts it with an FFT, ``P(Z_n = z) = (1/N) sum_j G(w^j) w^{-jz}``.  This
+is exact up to rounding for ``z < N`` when no mass lies at N or beyond
+(such mass folds onto ``z mod N``; ``ExactLaw.aliased`` measures it).  The
+sequences are walked depth first, from generation n-1 back to 0, so one
+N-point array per generation is held at a time, never ``K^n`` of them.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from bpire import (
     EnvironmentModel,
@@ -30,22 +37,19 @@ from bpire import (
     ShiftedPoisson,
 )
 
-#: Rows of the pmf lighter than this are dropped instead of pushed forward.
-_LIGHT = 1e-22
-#: Rows of the transition kernel built at once (``_BLOCK * cap`` doubles).
-_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class ExactLaw:
-    """``pmf[z] = P(Z_n = z)`` on ``[0, cap)``; ``joint`` maps each visit
+    """``pmf[z] = P(Z_n = z)`` on ``[0, N)``; ``joint`` maps each visit
     count vector ``j`` to ``z -> P(J_n = j, Z_n = z)`` and ``s[j]`` is its
-    ``S_n``; ``dropped`` is the mass lost to the truncation."""
+    ``S_n``.  ``aliased`` is the mass on the upper half ``[N/2, N)``: a
+    law whose tail reaches N, and so folds back onto small z, shows there
+    first."""
 
     pmf: np.ndarray
     joint: dict[tuple[int, ...], np.ndarray]
     s: dict[tuple[int, ...], float]
-    dropped: float
+    aliased: float
 
     def mean_log_w(self) -> float:
         """``E log W_n = E (log Z_n - S_n)`` (every ``Z_n >= 1``)."""
@@ -53,69 +57,52 @@ class ExactLaw:
         return sum(float(p[1:] @ (np.log(z) - self.s[j])) for j, p in self.joint.items())
 
 
-def _excess_kernel(law, zs: np.ndarray, cap: int) -> np.ndarray:
-    """``K[i, t] = P(z + E(z) = t)`` for ``z = zs[i]`` and t in [0, cap)."""
-    z = zs[:, None].astype(np.float64)
-    k = np.arange(cap)[None, :] - z
-    ok = k >= 0
-    k = np.where(ok, k, 0.0)
-    if isinstance(law, ShiftedPoisson):
-        mu = z * law.lam
-        logp = special.xlogy(k, mu) - mu - special.gammaln(k + 1.0)
-    elif isinstance(law, ShiftedGeometric):
-        logp = (special.gammaln(k + z) - special.gammaln(z) - special.gammaln(k + 1.0)
-                + z * math.log(law.q) + k * math.log1p(-law.q))
-    else:
-        raise TypeError(law)
-    return np.where(ok, np.exp(logp), 0.0)
-
-
-def _immigration_pmf(law, cap: int) -> np.ndarray:
-    if isinstance(law, NoImmigration):
-        return np.ones(1)
-    k = np.arange(cap, dtype=np.float64)
-    if isinstance(law, PoissonImmigration):
-        return np.exp(special.xlogy(k, law.nu) - law.nu - special.gammaln(k + 1.0))
-    if isinstance(law, GeometricImmigration):
-        return law.s * np.exp(k * math.log1p(-law.s))
+def _offspring_pgf(law):
+    if isinstance(law, ShiftedPoisson):  # s e^{lam (s - 1)}
+        return lambda u: u * np.exp(law.lam * (u - 1.0))
+    if isinstance(law, ShiftedGeometric):  # q s / (1 - (1 - q) s)
+        return lambda u: law.q * u / (1.0 - (1.0 - law.q) * u)
     raise TypeError(law)
 
 
-def _push(rows: np.ndarray, law, imm: np.ndarray, cap: int) -> np.ndarray:
-    """One step of every row of ``rows`` (one pmf of Z per row) under one
-    atom's offspring law and immigration pmf."""
-    heavy = np.flatnonzero(rows.max(axis=0) >= _LIGHT)
-    out = np.zeros_like(rows)
-    for b in range(0, heavy.size, _BLOCK):
-        zs = heavy[b:b + _BLOCK]
-        live = zs[zs > 0]
-        out += rows[:, live] @ _excess_kernel(law, live, cap)
-        if zs[0] == 0:  # an empty population stays empty before immigration
-            out[:, 0] += rows[:, 0]
-    if imm.size > 1:
-        out = np.stack([np.convolve(r, imm)[:cap] for r in out])
-    return out
+def _immigration_pgf(law):
+    """The immigration PGF, ``None`` for a law without immigrants."""
+    if isinstance(law, NoImmigration) or law.mean == 0.0:
+        return None
+    if isinstance(law, PoissonImmigration):
+        return lambda u: np.exp(law.nu * (u - 1.0))
+    if isinstance(law, GeometricImmigration):  # P(Y = k) = s (1 - s)^k
+        return lambda u: law.s / (1.0 - (1.0 - law.s) * u)
+    raise TypeError(law)
 
 
-def law_of_z_exact(env: EnvironmentModel, n: int, cap: int) -> ExactLaw:
+def law_of_z_pgf(env: EnvironmentModel, n: int, N: int) -> ExactLaw:
     """The exact law of ``Z_n`` from ``Z_0 = 1`` under ``env``, jointly with
-    the atom visit counts (and so ``S_n``), truncated to ``[0, cap)``."""
+    the atom visit counts (and so ``S_n``), on ``[0, N)``."""
     atoms = env.atoms
-    logm = [math.log(a.offspring.mean) for a in atoms]
-    imm = [_immigration_pmf(a.immigration, cap) for a in atoms]
-    start = np.zeros(cap)
-    start[1] = 1.0
-    joint = {(0,) * len(atoms): start}
-    for _ in range(n):
-        keys = list(joint)
-        rows = np.stack([joint[j] for j in keys])
-        nxt: dict[tuple[int, ...], np.ndarray] = {}
+    f = [_offspring_pgf(a.offspring) for a in atoms]
+    h = [_immigration_pgf(a.immigration) for a in atoms]
+    pgf: dict[tuple[int, ...], np.ndarray] = {}
+
+    def descend(depth: int, u: np.ndarray, factor, j: tuple[int, ...], weight: float) -> None:
+        # u = u_{n-depth}; factor = the product of the h terms so far (None: 1)
+        if depth == n:
+            g = weight * u if factor is None else weight * u * factor
+            if j in pgf:
+                pgf[j] += g
+            else:
+                pgf[j] = g
+            return
         for a, atom in enumerate(atoms):
-            pushed = atom.prob * _push(rows, atom.offspring, imm[a], cap)
-            for j, p in zip(keys, pushed):
-                key = j[:a] + (j[a] + 1,) + j[a + 1:]
-                nxt[key] = nxt[key] + p if key in nxt else p
-        joint = nxt
+            fac = factor
+            if h[a] is not None:
+                fac = h[a](u) if factor is None else factor * h[a](u)
+            descend(depth + 1, f[a](u), fac, j[:a] + (j[a] + 1,) + j[a + 1:],
+                    weight * atom.prob)
+
+    descend(0, np.exp(2j * np.pi * np.arange(N) / N), None, (0,) * len(atoms), 1.0)
+    joint = {j: np.fft.fft(g).real / N for j, g in pgf.items()}
     pmf = np.sum(list(joint.values()), axis=0)
+    logm = [math.log(a.offspring.mean) for a in atoms]
     s = {j: float(np.dot(j, logm)) for j in joint}
-    return ExactLaw(pmf=pmf, joint=joint, s=s, dropped=max(0.0, 1.0 - math.fsum(pmf)))
+    return ExactLaw(pmf=pmf, joint=joint, s=s, aliased=float(np.abs(pmf[N // 2:]).sum()))
