@@ -21,7 +21,8 @@ Exit codes:
   Poisson immigration mean ``nu`` above ``POISSON_NU_MAX``, about 708.4, a
   geometric immigration ``s`` below ``GEOMETRIC_S_MIN`` = 1e-4, or a
   geometric offspring ``q`` below ``GEOMETRIC_Q_MIN``, about 1.492e-154),
-  a failed environment check, an unmet precondition of any experiment kind
+  immigration tables past ``MAX_IMMIGRATION_TABLE_ENTRIES`` = 2**22
+  entries over the distinct immigration laws, a failed environment check, an unmet precondition of any experiment kind
   (such as a zero-variance environment in a rate experiment, ``r <= 0`` for
   moments, ``q <= 0`` for decay, ``p <= 1`` for validate, or ``replicates``
   = 1 for a kind that reports a standard error: rate, elogw, decay, laplace
@@ -222,7 +223,10 @@ def _parse_environment(obj: Any, where: str = "environment") -> EnvironmentModel
             )
         except ValueError as exc:  # atom probability out of its domain
             raise ValidationFailure(f"{aw}: {exc}") from exc
-    return EnvironmentModel(atoms=tuple(atoms))
+    try:
+        return EnvironmentModel(atoms=tuple(atoms))
+    except ValueError as exc:  # immigration tables past their limit
+        raise ValidationFailure(f"{where}: {exc}") from exc
 
 
 #: Optional scalar config fields, in parse order: how to read each one, the

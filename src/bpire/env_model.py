@@ -143,6 +143,39 @@ class NoImmigration:
 
 ImmigrationLaw = Union[PoissonImmigration, GeometricImmigration, NoImmigration]
 
+#: Most entries the immigration tables of one environment may hold, summed
+#: over its distinct immigration laws (one table each, bounded by
+#: :func:`immigration_table_entries`): 32 MB of doubles, about 14 geometric
+#: laws at ``GEOMETRIC_S_MIN``.  Without it, 10^4 distinct geometric laws
+#: near ``GEOMETRIC_S_MIN`` would ask for about 20 GB.
+MAX_IMMIGRATION_TABLE_ENTRIES = 2**22
+
+#: A pmf term below this cannot change a CDF sum of at least 1/2, whose
+#: half ulp is ``2**-54``: a factor 2 covers the rounding of the term.
+_ROUNDS_AWAY = 2.0**-55
+
+
+def immigration_table_entries(law: ImmigrationLaw) -> int:
+    """An upper bound on the length of ``law``'s inversion table
+    (:func:`bpire.sampler.immigration_cdf_table`), found without building it.
+
+    The table grows while the next pmf term still changes its running sum,
+    so it ends by the first k whose term is below ``_ROUNDS_AWAY`` while
+    the sum before it is at least 1/2, and has at most k + 1 entries.  For
+    the geometric law the sum is ``1 - (1-s)^k >= 1/2`` once the term
+    ``s (1-s)^k`` is below ``s / 2``; for the Poisson law it is at least
+    1/2 from ``k >= nu + 2``, past the median (below ``nu + 1/3``) and the
+    mode, from where the terms fall.
+    """
+    if isinstance(law, GeometricImmigration) and law.s < 1.0:
+        return int(math.log(_ROUNDS_AWAY / law.s) / math.log1p(-law.s)) + 2
+    if isinstance(law, PoissonImmigration) and law.nu > 0.0:
+        k = math.ceil(law.nu) + 2
+        while k * math.log(law.nu) - law.nu - math.lgamma(k + 1.0) >= math.log(_ROUNDS_AWAY):
+            k += 1
+        return k + 1
+    return 1
+
 
 @dataclass(frozen=True)
 class EnvAtom:
@@ -162,7 +195,9 @@ class EnvAtom:
 class EnvironmentModel:
     """Finite-atom environment: generations draw atoms i.i.d. from ``atoms``.
 
-    Construction only checks per-field sanity; cross-atom requirements (the
+    Construction checks per-field sanity and bounds the total size of the
+    immigration tables (``MAX_IMMIGRATION_TABLE_ENTRIES``); other cross-atom
+    requirements (the
     probabilities summing to one, a strictly positive variance of ``log m``
     when an experiment needs it) are reported by :func:`validate` so callers
     can decide what is fatal for their use case.
@@ -174,6 +209,15 @@ class EnvironmentModel:
         if len(self.atoms) == 0:
             raise ValueError("environment needs at least one atom")
         object.__setattr__(self, "atoms", tuple(self.atoms))
+        entries = 0
+        for law in dict.fromkeys(a.immigration for a in self.atoms):
+            entries += immigration_table_entries(law)
+            if entries > MAX_IMMIGRATION_TABLE_ENTRIES:
+                raise ValueError(
+                    "the immigration tables of the distinct immigration laws would hold "
+                    f"more than MAX_IMMIGRATION_TABLE_ENTRIES = {MAX_IMMIGRATION_TABLE_ENTRIES} "
+                    "entries"
+                )
 
     @property
     def probs(self) -> tuple[float, ...]:

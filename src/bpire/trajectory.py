@@ -42,10 +42,11 @@ log-step normals; only the on-demand draws of substreams 3 and 5 shift
 once some column changes regime, which at the default threshold happens
 at sizes where that shift stays below the log-regime noise floor.
 
-Substreams 1, 2 and 4 are drawn only until the population that uses them
-turns quiet (see :class:`_Population`): from then on its log step adds
-``log m`` alone, because the normal's and the immigrants' terms round
-away, and the draws could reach no output.  For the same reason a chunk
+Substreams 1, 2 and 4 are drawn only until they can reach no output (see
+:class:`_Population`): substream 1 until the immigrants' term of the
+population they join rounds away for good, and substreams 2 and 4 until
+the population that uses them turns quiet, from when its log step adds
+``log m`` alone, because the normal's term rounds away too.  For the same reason a chunk
 stops at the last recorded generation.  Every number drawn feeds the
 same output as in a run that never turns quiet.
 
@@ -158,11 +159,19 @@ class WalkBatch:
 #: Most buckets of an inversion guide table.
 _GUIDE = 4096
 
+#: Most entries of a single table inverted by counting, without a guide.
+_SMALL = 8
+
 
 class _Inverse:
-    """Inversion of uniforms through CDF tables that end at 1.0 (one per
-    atom): ``inv(u, rows)[i]`` equals ``searchsorted(cdfs[rows[i]], u[i],
+    """Inversion of uniforms through CDF tables that end at 1.0:
+    ``inv(u, rows)[i]`` equals ``searchsorted(cdfs[rows[i]], u[i],
     side="right")``, and ``inv(u)`` inverts through ``cdfs[0]``.
+
+    A single table of at most ``_SMALL`` entries is inverted by counting
+    the entries ``table[j] <= u`` below the last, which never counts: the
+    count is the number of entries at most u, which is what the search
+    returns, duplicate entries included.
 
     Each table has a guide of M buckets ``[b, b + 1) / M``, M a power of two
     (so ``floor(u * M)`` is exact) of about 32 per entry, at most
@@ -173,6 +182,9 @@ class _Inverse:
     """
 
     def __init__(self, cdfs: list[np.ndarray]):
+        self.small = cdfs[0][:-1] if len(cdfs) == 1 and len(cdfs[0]) <= _SMALL else None
+        if self.small is not None:
+            return
         self.table = np.concatenate(cdfs)
         self.start = np.cumsum([0] + [len(c) for c in cdfs[:-1]])
         buckets = [min(_GUIDE, 1 << (32 * len(c) - 1).bit_length()) for c in cdfs]
@@ -186,6 +198,11 @@ class _Inverse:
         self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
 
     def __call__(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        if self.small is not None:  # rows, if any, are all 0
+            y = np.zeros(u.size, dtype=np.intp)
+            for entry in self.small:
+                y += entry <= u
+            return y
         if rows is None:
             b = (u * self.buckets[0]).astype(np.intp)
         else:
@@ -235,12 +252,20 @@ class _EnvTables:
         self.sd_over_m = np.array(
             [math.sqrt(a.offspring.variance) / a.offspring.mean for a in env.atoms]
         )
-        cdfs = [immigration_cdf_table(a.immigration) for a in env.atoms]
+        # one table per distinct law; atom a inverts through row imm_row[a]
+        laws = list(dict.fromkeys(a.immigration for a in env.atoms))
+        cdfs = [immigration_cdf_table(law) for law in laws]
         self.immigration = _Inverse(cdfs)
+        self.imm_row = (None if len(laws) == 1
+                        else np.array([laws.index(a.immigration) for a in env.atoms]))
         self.immigrates = any(len(cdf) > 1 for cdf in cdfs)
-        self.quiet_log_size = _quiet_log_size(
-            self.logm, self.sd_over_m, max(len(cdf) for cdf in cdfs) - 1
-        )
+        y_max = max(len(cdf) for cdf in cdfs) - 1
+        self.quiet_log_size = _quiet_log_size(self.logm, self.sd_over_m, y_max)
+        self.immigrants_log_size = _immigrants_log_size(self.logm, self.sd_over_m, y_max)
+
+    def immigrants(self, u: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The immigrants that uniforms ``u`` give under atoms ``idx``."""
+        return self.immigration(u, None if self.imm_row is None else self.imm_row[idx])
 
 
 def _quiet_log_size(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> float:
@@ -254,6 +279,30 @@ def _quiet_log_size(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> floa
     if not logm.all():
         return math.inf
     noise = 2.0 * math.log(float((_NORMAL_BOUND * 2.0**56 * sd_over_m / logm).max()))
+    immigrants = math.log(y_max * 2.0**56) if y_max else 0.0
+    return max(1.0, noise, immigrants)
+
+
+def _immigrants_log_size(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> float:
+    """The least log size L from which a column's immigrants round away and
+    no log step can take it below L again, under every atom.
+
+    Immigrants: ``y_max * exp(-L) <= 2**-56`` with ``L >= 1``, so ``L +
+    log1p(y * exp(-L)) == L`` for y immigrants, as in
+    :func:`_quiet_log_size`.  No way back: with ``B = _NORMAL_BOUND *
+    (sd/m) * exp(-L/2) <= min(log m, 1) / 2`` for every atom, a log step's
+    noise term ``log1p(g * (sd/m) * exp(-L/2))`` is at least ``log1p(-B) >=
+    -B - B**2 >= -3B/2 >= -3 log m / 4`` (``B <= 1/2``), so the step adds
+    at least ``log m / 4 > 0`` before the immigrants' term, which is never
+    negative; a rounded sum of a nonnegative increment never falls below
+    L.  (``log m / 2`` alone would not do: above ``log m`` of about 1.59,
+    ``log1p(-log m / 2) < -log m``.)  The stage is therefore absorbing.
+    ``inf`` when some atom's ``log m`` is 0.0, where no bound B holds.
+    """
+    if not logm.all():
+        return math.inf
+    noise = 2.0 * math.log(float((2.0 * _NORMAL_BOUND * sd_over_m
+                                  / np.minimum(logm, 1.0)).max()))
     immigrants = math.log(y_max * 2.0**56) if y_max else 0.0
     return max(1.0, noise, immigrants)
 
@@ -306,10 +355,13 @@ class _Population:
     than ``threshold <= 2**61``, and a tail value too large to count
     promotes its column at once.
 
-    Once every column is promoted and at least ``tab.quiet_log_size`` in
-    log size, the population is quiet for good (``log m >= 0``, so log
-    sizes never fall): the log step equals ``log Z + log m`` to the last
-    bit, so a quiet step takes only that and ignores ``y`` and ``g``.
+    Once every column is promoted and at least
+    ``tab.immigrants_log_size`` in log size, immigrants round away for good
+    (:func:`_immigrants_log_size`): ``takes_immigrants`` turns False and
+    ``y`` may be ``None``.  Once every column is also at least
+    ``tab.quiet_log_size``, which is never less, the population is quiet
+    for good: the log step equals ``log Z + log m`` to the last bit, so a
+    quiet step takes only that and ignores ``y`` and ``g``.
     """
 
     def __init__(self, z: int, count: int, tab: _EnvTables, threshold: int, gen: Generator):
@@ -317,25 +369,30 @@ class _Population:
         self.log_z = np.zeros(count)  # meaningful where promoted
         self.promoted = np.zeros(count, dtype=bool)
         self.all_promoted = False
+        self.takes_immigrants = True
         self.quiet = False
         self.tab = tab
         self.threshold = threshold
         self.gen = gen
 
-    def step(self, idx: np.ndarray, y: np.ndarray | None, g: np.ndarray | None) -> None:
-        """Take every column one generation on under atoms ``idx`` with
-        immigrants ``y`` (``None``: none) and log-step normals ``g``
-        (``None`` will do once quiet)."""
+    def step(self, idx: np.ndarray, lm: np.ndarray, y: np.ndarray | None,
+             g: np.ndarray | None) -> None:
+        """Take every column one generation on under atoms ``idx``, whose
+        log means are ``lm``, with immigrants ``y`` (``None``: none) and
+        log-step normals ``g`` (``None`` will do once quiet)."""
         if self.quiet:
-            self.log_z += self.tab.logm[idx]
+            self.log_z += lm
             return
         if self.all_promoted:
-            self.log_z = self._log_step(self.log_z, idx, y, g)
-            self.quiet = self.log_z.min() >= self.tab.quiet_log_size
+            self.log_z = self._log_step(self.log_z, idx, lm, y, g)
+            low = self.log_z.min()
+            self.takes_immigrants = low < self.tab.immigrants_log_size
+            self.quiet = low >= self.tab.quiet_log_size
             return
         done = np.flatnonzero(self.promoted)
         if done.size:
-            self.log_z[done] = self._log_step(self.log_z[done], idx[done], _take(y, done), g[done])
+            self.log_z[done] = self._log_step(self.log_z[done], idx[done], lm[done],
+                                              _take(y, done), g[done])
         cols = np.flatnonzero(~self.promoted)
         z, size = self._exact_step(self.z[cols], idx[cols], _take(y, cols))
         self.z[cols] = z
@@ -345,9 +402,8 @@ class _Population:
             self.promoted[cols[up]] = True
             self.all_promoted = bool(self.promoted.all())
 
-    def _log_step(self, log_z, a, y, g):
-        tab = self.tab
-        log_z = log_z + (tab.logm[a] + np.log1p(g * tab.sd_over_m[a] * np.exp(-0.5 * log_z)))
+    def _log_step(self, log_z, a, lm, y, g):
+        log_z = log_z + (lm + np.log1p(g * self.tab.sd_over_m[a] * np.exp(-0.5 * log_z)))
         if y is not None:
             log_z = log_z + np.log1p(y * np.exp(-log_z))
         return log_z
@@ -385,14 +441,15 @@ class _Population:
 
 
 def _walk(atoms: _Inverse, logm: np.ndarray, gen: Generator, count: int,
-          last: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+          last: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield, for generations 1..``last``, the generation, the atom index of
-    each column's step into it, and the walk ``S`` there."""
+    each column's step into it and its log mean, and the walk ``S`` there."""
     s = np.zeros(count)
     for k in range(1, last + 1):
         idx = atoms(gen.random(count))
-        s = s + logm[idx]
-        yield k, idx, s
+        lm = logm[idx]
+        s = s + lm
+        yield k, idx, lm, s
 
 
 def _simulate_chunk(
@@ -418,13 +475,14 @@ def _simulate_chunk(
     def normals(pop: _Population, sub: int) -> np.ndarray | None:
         return None if pop.quiet else gens[sub].standard_normal(count)
 
-    for k, idx, s in _walk(tab.atoms, tab.logm, gens[_ATOMS], count, record[-1] if record else 0):
+    for k, idx, lm, s in _walk(tab.atoms, tab.logm, gens[_ATOMS], count,
+                               record[-1] if record else 0):
         y = None
-        if tab.immigrates and not receiver.quiet:
-            y = tab.immigration(gens[_IMMIGRATION].random(count), idx)
-        primary.step(idx, None if couple else y, normals(primary, _NORMALS))
+        if tab.immigrates and receiver.takes_immigrants:
+            y = tab.immigrants(gens[_IMMIGRATION].random(count), idx)
+        primary.step(idx, lm, None if couple else y, normals(primary, _NORMALS))
         if couple:
-            surplus.step(idx, y, normals(surplus, _SURPLUS_NORMALS))
+            surplus.step(idx, lm, y, normals(surplus, _SURPLUS_NORMALS))
         if k in rows:
             i = rows[k]
             out["s"][i] = s
@@ -448,7 +506,7 @@ def _walk_chunk(
     rows = {g: i for i, g in enumerate(record)}
     out_s = np.zeros((len(record), count))
     gen = substream(master_seed, key, _ATOMS)
-    for k, _, s in _walk(atoms, logm, gen, count, record[-1] if record else 0):
+    for k, _, _, s in _walk(atoms, logm, gen, count, record[-1] if record else 0):
         if k in rows:
             out_s[rows[k]] = s
     return {"s": out_s}

@@ -94,7 +94,8 @@ def population_path(z, gen, idx_l, g_l, y_l, tab, threshold, rec) -> list[float]
     pop = _Population(z, 1, tab, threshold, gen)
     out = []
     for k in range(rec[-1]):
-        pop.step(np.array([idx_l[k]]), np.array([y_l[k]]), np.array([g_l[k]]))
+        idx = np.array([idx_l[k]])
+        pop.step(idx, tab.logm[idx], np.array([y_l[k]]), np.array([g_l[k]]))
         if k + 1 in rec:
             out.append(float(pop.log_size()[0]))
     return out
@@ -106,7 +107,8 @@ def one_generation_totals(law, z: int, master_seed: int, draws: int) -> np.ndarr
     drawn from the Philox stream ``(master_seed, 0)``."""
     pop = _Population(z, draws, one_atom_tables(law), PROMOTION_THRESHOLD,
                       Generator(Philox(key=[master_seed, 0])))
-    pop.step(np.zeros(draws, dtype=np.int64), None, np.zeros(draws))
+    idx = np.zeros(draws, dtype=np.int64)
+    pop.step(idx, pop.tab.logm[idx], None, np.zeros(draws))
     return pop.z.copy()
 
 

@@ -242,6 +242,20 @@ def test_bad_law_parameter_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_immigration_tables_past_their_limit_exit_two(tmp_path, capsys):
+    # 20 distinct geometric immigration laws near GEOMETRIC_S_MIN: about
+    # 5.8 million table entries, refused before any table is built
+    atom = {"offspring": {"kind": "shifted_poisson", "lam": 1.0}, "prob": 0.05}
+    doc = {"kind": "elogw", "replicates": 50, "horizon": 2, "environment": {"atoms": [
+        {**atom, "immigration": {"kind": "geometric", "s": GEOMETRIC_S_MIN * (1 + k / 100)}}
+        for k in range(20)]}}
+    code = main(["--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: environment: ") and "MAX_IMMIGRATION_TABLE_ENTRIES" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_probability_mass_exits_two(tmp_path, capsys):
     doc = {
         "kind": "elogw",

@@ -19,10 +19,22 @@ from bpire import (
     simulate_batch,
     simulate_walk_batch,
 )
-from bpire.env_model import GEOMETRIC_S_MIN
+from bpire.env_model import (
+    GEOMETRIC_S_MIN,
+    MAX_IMMIGRATION_TABLE_ENTRIES,
+    EnvAtom,
+    EnvironmentModel,
+    immigration_table_entries,
+)
 from bpire.sampler import atom_cumulative, immigration_cdf_table, substream
-from bpire.trajectory import _Inverse
-from conftest import make_env_a, one_atom_tables, one_generation_totals, population_path
+from bpire.trajectory import _EnvTables, _Inverse
+from conftest import (
+    make_env_a,
+    make_mixed_env,
+    one_atom_tables,
+    one_generation_totals,
+    population_path,
+)
 
 # Truncation length for single-individual excess pmfs in the convolution
 # oracle; the neglected tail is ~1e-31 or smaller for every law below.
@@ -308,3 +320,67 @@ def test_guide_table_inversion_equals_binary_search():
     cum = cum / cum[-1]
     cum[-1] = 1.0
     np.testing.assert_array_equal(_Inverse([cum])(u), np.searchsorted(cum, u, side="right"))
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_small_table_inversion_equals_binary_search(size):
+    # A single table of at most 8 entries is inverted by counting; with a
+    # zero-probability atom two entries are equal, and uniforms on every
+    # entry must land past both, as the search puts them
+    gen = Generator(Philox(key=[22, size]))
+    probs = gen.random(size)
+    probs[size // 2] = 0.0 if size > 1 else probs[0]
+    cum = np.cumsum(probs) / probs.sum()
+    cum[-1] = 1.0
+    inv = _Inverse([cum])
+    assert inv.small is not None
+    u = np.concatenate([gen.random(20_000), cum[:-1], np.nextafter(cum[:-1], 0.0),
+                        [0.0, 1.0 - 2.0**-53]])
+    u = u[u < 1.0]  # an entry may be 1.0 before the last
+    np.testing.assert_array_equal(inv(u), np.searchsorted(cum, u, side="right"))
+    assert _Inverse([np.concatenate([cum[:-1], np.linspace(cum[-2] if size > 1 else 0.0,
+                                                             1.0, 10)[1:]])]).small is None
+
+
+def test_immigration_tables_one_per_distinct_law():
+    # environment A shares one Poisson law: one table, inverted without rows
+    tab = one_atom_tables(ShiftedPoisson(lam=1.0), PoissonImmigration(nu=1.0))
+    assert tab.imm_row is None
+    a = _EnvTables(make_env_a())
+    assert a.imm_row is None and a.immigration.start.size == 1
+    mixed = _EnvTables(make_mixed_env())
+    np.testing.assert_array_equal(mixed.imm_row, [0, 1])
+    gen = Generator(Philox(key=[23, 0]))
+    u, idx = gen.random(10_000), gen.integers(0, 2, 10_000)
+    expected = np.where(
+        idx == 0,
+        np.searchsorted(immigration_cdf_table(GeometricImmigration(s=0.5)), u, side="right"),
+        np.searchsorted(immigration_cdf_table(PoissonImmigration(nu=2.0)), u, side="right"))
+    np.testing.assert_array_equal(mixed.immigrants(u, idx), expected)
+
+
+def test_immigration_table_entries_bound_the_tables():
+    laws = ([GeometricImmigration(s=s) for s in np.geomspace(GEOMETRIC_S_MIN, 1.0, 60)]
+            + [PoissonImmigration(nu=nu) for nu in np.geomspace(1e-9, 708.0, 60)]
+            + [PoissonImmigration(nu=0.0), NoImmigration()])
+    for law in laws:
+        size = immigration_cdf_table(law).size
+        assert size <= immigration_table_entries(law) <= 1.1 * size + 10, law
+
+
+def test_immigration_tables_past_their_limit_are_refused():
+    # 10^4 distinct geometric laws near GEOMETRIC_S_MIN would need about
+    # 2.8 * 10^9 entries (20 GB); the environment is refused as it is built
+    atoms = tuple(EnvAtom(offspring=ShiftedPoisson(lam=1.0),
+                          immigration=GeometricImmigration(s=GEOMETRIC_S_MIN * (1 + k * 1e-6)),
+                          prob=1e-4) for k in range(10_000))
+    with pytest.raises(ValueError, match="MAX_IMMIGRATION_TABLE_ENTRIES"):
+        EnvironmentModel(atoms=atoms)
+    # the same law on every atom is one table
+    EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=a.offspring, immigration=atoms[0].immigration, prob=a.prob)
+        for a in atoms))
+    fits = MAX_IMMIGRATION_TABLE_ENTRIES // immigration_table_entries(atoms[0].immigration)
+    EnvironmentModel(atoms=atoms[:fits])
+    with pytest.raises(ValueError, match="MAX_IMMIGRATION_TABLE_ENTRIES"):
+        EnvironmentModel(atoms=atoms[:fits + 1])

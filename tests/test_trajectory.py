@@ -304,7 +304,7 @@ def test_tables_are_built_once_per_batch(monkeypatch, env_a):
     monkeypatch.setattr(trajectory, "immigration_cdf_table", counting)
     monkeypatch.setattr(trajectory, "_CHUNK", 4)
     batch = simulate_batch(env_a, 3, 12, master_seed=2, couple_no_immigration=True)
-    assert len(calls) == len(env_a.atoms)
+    assert calls == [PoissonImmigration(nu=1.0)]  # one table per distinct law
     # three chunks of 4 replicates give the bytes of three one-chunk
     # batches at offsets 0, 4 and 8
     np.testing.assert_array_equal(batch.log_z, np.hstack([b.log_z for b in separate]))
@@ -465,8 +465,9 @@ def _draw_calls(monkeypatch, *args, **kwargs) -> dict:
 def test_quiet_population_stops_drawing(monkeypatch, env_a, skewed_env):
     calls = _draw_calls(monkeypatch, env_a, 256, 64, 3)
     assert calls[trajectory._ATOMS] == 256
-    assert calls[trajectory._IMMIGRATION] < 256
-    assert calls[trajectory._NORMALS] == calls[trajectory._IMMIGRATION]
+    # immigrants round away (log size about 42) before the population
+    # turns quiet (about 85)
+    assert calls[trajectory._IMMIGRATION] < calls[trajectory._NORMALS] < 256
     # no immigrants: the surplus stays empty, never promotes and so never
     # turns quiet, while the coupled path does
     calls = _draw_calls(monkeypatch, skewed_env, 256, 64, 3, couple_no_immigration=True)
@@ -495,4 +496,30 @@ def test_quiet_log_size_rounds_both_terms_away(env):
 
 
 def test_quiet_log_size_is_infinite_when_a_mean_rounds_to_one():
-    assert trajectory._EnvTables(_QUIET_ENVS["mean-one"]).quiet_log_size == math.inf
+    tab = trajectory._EnvTables(_QUIET_ENVS["mean-one"])
+    assert tab.quiet_log_size == math.inf
+    assert tab.immigrants_log_size == math.inf
+
+
+@pytest.mark.parametrize("env", [
+    *(_QUIET_ENVS[k] for k in ("a", "b", "mixed", "pure")),
+    _environment((ShiftedPoisson(lam=0.5), GeometricImmigration(s=GEOMETRIC_S_MIN)),
+                 (ShiftedGeometric(q=0.9), NoImmigration())),
+    _environment((ShiftedPoisson(lam=30.0), PoissonImmigration(nu=1.0))),
+], ids=["a", "b", "mixed", "pure", "geometric-s-min", "mean-31"])
+def test_immigrants_log_size_rounds_immigrants_away_for_good(env):
+    tab = trajectory._EnvTables(env)
+    size = tab.immigrants_log_size
+    assert 1.0 <= size <= tab.quiet_log_size < math.inf
+    y_max = max(len(immigration_cdf_table(a.immigration)) for a in env.atoms) - 1
+    assert size + np.log1p(y_max * np.exp(-size)) == size
+    # a log step from that size, under any atom and any normal, cannot
+    # take a column below it (at log m = log 31 a bound of log m / 2 on
+    # the noise would let log1p go below -log m)
+    for g in (-trajectory._NORMAL_BOUND, trajectory._NORMAL_BOUND):
+        after = size + (tab.logm + np.log1p(g * tab.sd_over_m * np.exp(-0.5 * size)))
+        assert (after >= size).all()
+    # and it is the least such size: one of its bounds is tight
+    noise = (trajectory._NORMAL_BOUND * tab.sd_over_m / (np.minimum(tab.logm, 1.0) / 2)).max()
+    tight = max(noise * math.exp(-size / 2), y_max * math.exp(-size) / 2.0**-56)
+    assert size == 1.0 or tight == pytest.approx(1.0)
