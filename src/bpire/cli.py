@@ -22,8 +22,8 @@ Exit codes:
   geometric immigration ``s`` below ``GEOMETRIC_S_MIN`` = 1e-4, or a
   geometric offspring ``q`` below ``GEOMETRIC_Q_MIN``, about 1.492e-154),
   immigration tables past ``MAX_IMMIGRATION_TABLE_ENTRIES`` = 2**22
-  entries over the distinct immigration laws, a failed environment check, an unmet precondition of any experiment kind
-  (such as a zero-variance environment in a rate experiment, ``r <= 0`` for
+  entries over the distinct immigration laws, a failed environment check,
+  an unmet precondition of any experiment kind (such as a zero-variance environment in a rate experiment, ``r <= 0`` for
   moments, ``q <= 0`` for decay, ``p <= 1`` for validate, or ``replicates``
   = 1 for a kind that reports a standard error: rate, elogw, decay, laplace
   and moments), or an arithmetic error in a run (such as a Laplace

@@ -2,18 +2,24 @@
 
 Reproducibility contract
 ------------------------
-Every random quantity in this package is drawn from a counter-based Philox
-generator keyed directly by a pair of unsigned 64-bit integers.  The
-simulator keys each chunk of a batch by ``(master_seed, stream_offset +
-first replicate of the chunk)`` and draws each kind of number from its own
-substream of that key (:func:`substream`; the layout is in
-:mod:`bpire.trajectory`, whose batch functions reject a ``master_seed`` or
-a ``stream_offset + replicates`` that does not fit a key word).  A
-replicate is the triple ``(master_seed, chunk key, column)``: its numbers
-are a pure function of that triple and of the chunk's size -- no global
-state, no seeding order, no thread identity is involved -- and rebuilding
-a generator from the same key and substream replays exactly the same
-draws.
+Every random quantity in this package is drawn from a PCG64DXSM generator
+(O'Neill, 2014) seeded through numpy's ``SeedSequence`` by a master seed
+and a spawn key.  The simulator keys each chunk of a batch by
+``(master_seed, stream_offset + first replicate of the chunk)`` and draws
+each kind of number from its own substream of that key (:func:`substream`;
+the layout is in :mod:`bpire.trajectory`, whose batch functions reject a
+``master_seed`` or a ``stream_offset + replicates`` that is not an
+unsigned 64-bit word).  A replicate is the triple ``(master_seed, chunk
+key, column)``: its numbers are a pure function of that triple, of the
+chunk's size and of the recorded generations -- no global state, no
+seeding order, no thread identity is involved -- and rebuilding a generator
+from the same key and substream replays exactly the same draws.
+
+Substreams do not overlap with overwhelming probability, not by
+construction: ``SeedSequence`` hashes every bit of ``(master_seed, key,
+index)`` into the generator's 128-bit state and increment, and two streams
+of L draws started at independent random points of a period of ``2**128``
+overlap with probability about ``2 L / 2**128``.
 
 Promotion rule
 --------------
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .env_model import (
     EnvironmentModel,
@@ -62,19 +68,11 @@ MIN_PROMOTION_THRESHOLD: int = 2**10
 MAX_PROMOTION_THRESHOLD: int = 2**61
 
 def substream(master_seed: int, key: int, index: int) -> Generator:
-    """A fresh generator at the start of substream ``index`` of the Philox
-    key ``(master_seed, key)``.
-
-    Substream 0 is the state a fresh Philox generator with the key words
-    ``master_seed, key`` starts from.  Substream k starts with the highest counter word set to k,
-    i.e. ``k * 2**192`` positions into the key's period -- unreachable by
-    sequential drawing, so substreams never overlap.
-    """
-    # uint64 arrays: numpy would read a list of ints beyond 2**53 as doubles
-    return Generator(Philox(
-        key=np.array([master_seed, key], dtype=np.uint64),
-        counter=np.array([0, 0, 0, index], dtype=np.uint64),
-    ))
+    """A fresh generator for substream ``index`` of the key ``(master_seed,
+    key)``: PCG64DXSM seeded by ``SeedSequence(master_seed, spawn_key=(key,
+    index))``, the state numpy's ``SeedSequence(master_seed).spawn`` gives
+    its child ``key``'s child ``index``."""
+    return Generator(PCG64DXSM(SeedSequence(master_seed, spawn_key=(key, index))))
 
 
 def atom_cumulative(env: EnvironmentModel) -> np.ndarray:

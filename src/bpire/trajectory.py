@@ -11,22 +11,26 @@ atom's immigration law) join the next generation.  Offspring laws satisfy
 Alongside ``log Z_n`` the driver tracks the environment walk
 ``S_n = sum_{k<n} log m(xi_k)`` and ``log W_n = log Z_n - S_n``.
 
-Draw layout (version 2, ``DRAW_LAYOUT``)
+Draw layout (version 3, ``DRAW_LAYOUT``)
 ----------------------------------------
 A batch is cut into chunks of ``_CHUNK`` replicates, and each chunk runs as
 arrays: one array step per generation over all of its columns.  The chunk
-that starts at replicate ``c`` of a batch owns the Philox key
-``(master_seed, stream_offset + c)``; the replicate in its column ``j`` is
-the triple ``(master_seed, stream_offset + c, j)``, replayed by any chunk of
-the same key and size.  Substream k of a key starts with the highest counter
-word set to k (:func:`bpire.sampler.substream`), and each kind of draw has
-its own substream:
+that starts at replicate ``c`` of a batch owns the key ``(master_seed,
+stream_offset + c)``; the replicate in its column ``j`` is the triple
+``(master_seed, stream_offset + c, j)``, replayed by any chunk of the same
+key, size and recorded generations.  Substream k of a key is a PCG64DXSM
+generator seeded by the spawn key ``(key, k)`` of the master seed
+(:func:`bpire.sampler.substream`), and each kind of draw has its own
+substream:
 
-0. atom uniforms, ``count`` per generation;
-1. immigration uniforms, ``count`` per generation, inverted through each
-   column's atom CDF table (drawn only when some atom has immigrants);
-2. normals of the primary population's log steps, ``count`` per
-   generation, also before any column has promoted;
+0. the walk: atom uniforms, ``count`` per generation, until every
+   population of the chunk is quiet; from then on, for the stretch to each
+   recorded generation left, K-1 binomials of ``count`` visit counts
+   (:meth:`_Walk.jump`);
+1. immigration uniforms, ``count`` per generation, inverted through the
+   table of each column's atom (drawn only when some atom has immigrants);
+2. normals of the primary population's log steps, one per column in log
+   space, in column order, per generation;
 3. the primary population's exact-regime draws, per generation in this
    order: gammas of the geometric-offspring columns, Poissons of the
    columns whose mean is below the threshold, normals of the Gaussian tail
@@ -36,19 +40,27 @@ its own substream:
 The primary population is the full path when ``couple=False`` and the
 no-immigration path ``Zbar`` when ``couple=True``; immigrants join the
 primary population in the first case and the surplus in the second.
-Draws of substreams 0-2 and 4 do not depend on the regime, so a run with
-another promotion threshold replays the same atoms, immigrants and
-log-step normals; only the on-demand draws of substreams 3 and 5 shift
-once some column changes regime, which at the default threshold happens
-at sizes where that shift stays below the log-regime noise floor.
+Until the chunk jumps, the walk and the immigrants do not depend on the
+regime, so a run with another promotion threshold replays the same atoms
+and immigrants; its normals and exact-regime draws shift once some column
+changes regime, which at the default threshold happens at sizes where
+that shift stays below the log-regime noise floor.
 
 Substreams 1, 2 and 4 are drawn only until they can reach no output (see
 :class:`_Population`): substream 1 until the immigrants' term of the
 population they join rounds away for good, and substreams 2 and 4 until
 the population that uses them turns quiet, from when its log step adds
-``log m`` alone, because the normal's term rounds away too.  For the same reason a chunk
-stops at the last recorded generation.  Every number drawn feeds the
-same output as in a run that never turns quiet.
+``log m`` alone, because the normal's term rounds away too.  A chunk stops
+at the last recorded generation.
+
+Once every population of a chunk is quiet, a generation adds the ``log
+m`` of its atom to ``S`` and to every log size, and nothing else.  So the
+stretch of t generations to the next recorded one adds ``sum_a J[a] log
+m_a`` to each, where the visit counts ``J ~ Multinomial(t, probs)`` are
+drawn at once: the same law as t steps of the walk, with other draws and
+another order of summation, so ``log W = log Z - S`` moves by rounding
+alone.  The draws of a quiet chunk depend on its recorded generations.
+Walk batches (:func:`simulate_walk_batch`) jump from generation 0.
 
 Coupling
 --------
@@ -67,7 +79,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator
@@ -84,7 +96,7 @@ from .sampler import (
 
 #: Version of the draw layout described above; every run manifest records
 #: it.  Any change to which draw feeds which number bumps it.
-DRAW_LAYOUT = 2
+DRAW_LAYOUT = 3
 
 #: Replicates per chunk, the unit of work handed to pool workers.  Fixed so
 #: the partition of a batch into chunks never depends on the worker count:
@@ -221,12 +233,39 @@ class _Inverse:
         return y if rows is None else y - self.start[rows]
 
 
-def _walk_tables(env: EnvironmentModel) -> tuple[_Inverse, np.ndarray]:
-    """The atom inversion and the atoms' log offspring means: all the
-    environment walk needs."""
-    return _Inverse([atom_cumulative(env)]), np.array(
-        [math.log(a.offspring.mean) for a in env.atoms]
-    )
+class _Walk:
+    """All the environment walk needs: the atom inversion, the atoms' log
+    offspring means and the shares of the chained binomials of
+    :meth:`jump`."""
+
+    def __init__(self, env: EnvironmentModel):
+        cum = atom_cumulative(env)
+        self.atoms = _Inverse([cum])
+        self.logm = np.array([math.log(a.offspring.mean) for a in env.atoms])
+        # atom a's share of the mass the atoms before it leave, in the law
+        # the inversion draws; 1.0 (any share) once none is left
+        left = 1.0 - np.concatenate([[0.0], cum[:-2]])
+        mass = np.diff(cum[:-1], prepend=0.0)
+        self.share = np.minimum(1.0, np.divide(mass, left, out=np.ones_like(mass),
+                                               where=left > 0.0))
+
+    def step(self, gen: Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """One generation: each column's atom index and its log mean."""
+        idx = self.atoms(gen.random(count))
+        return idx, self.logm[idx]
+
+    def jump(self, gen: Generator, count: int, t: int) -> np.ndarray:
+        """Each column's ``sum_a J[a] log m_a`` over t generations, where the
+        visit counts ``J ~ Multinomial(t, probs)`` are K-1 chained binomials:
+        ``J[a] ~ Bin(t - J[0] - ... - J[a-1], share[a])``, and the last atom
+        takes what is left."""
+        left = np.full(count, t, dtype=np.int64)
+        total = np.zeros(count)
+        for lm, share in zip(self.logm[:-1], self.share):
+            visits = gen.binomial(left, share)
+            total += visits * lm
+            left -= visits
+        return total + left * self.logm[-1]
 
 
 class _EnvTables:
@@ -234,7 +273,8 @@ class _EnvTables:
     batch and handed to every chunk."""
 
     def __init__(self, env: EnvironmentModel):
-        self.atoms, self.logm = _walk_tables(env)
+        self.walk = _Walk(env)
+        self.logm = self.walk.logm
         geometric, p1 = [], []
         for a in env.atoms:
             law = a.offspring
@@ -310,9 +350,9 @@ def _immigrants_log_size(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) ->
 def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
                  record: Sequence[int] | None) -> tuple[int, ...]:
     """Check the arguments both batch functions share and return the
-    recorded generations (default: only ``n``).  The key words must fit the
-    two unsigned 64-bit words of a Philox key: ``master_seed`` itself, and
-    ``stream_offset + r`` for every replicate r."""
+    recorded generations (default: only ``n``).  The key words must be
+    unsigned 64-bit words: ``master_seed`` itself, and ``stream_offset + r``
+    for every replicate r."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if replicates <= 0:
@@ -348,8 +388,9 @@ class _Population:
     z parents is ``z + Poisson(z*lam)`` (shifted Poisson) or ``z +
     Poisson(Gamma(z, (1-q)/q))`` (shifted geometric), drawn from ``gen``; a
     Poisson mean at or above ``threshold`` is drawn as ``mean + sqrt(mean) *
-    G`` instead (at least 1).  Log step, with the normal ``g`` of the
-    column: ``log Z' = log Z + log m + log1p(g * sqrt(v) * Z**-0.5 / m)``,
+    G`` instead (at least 1).  Log step, with a normal ``g`` drawn from
+    ``normals`` for each promoted column, in column order:
+    ``log Z' = log Z + log m + log1p(g * sqrt(v) * Z**-0.5 / m)``,
     i.e. ``log(Z*m + g*sqrt(Z*v))``, followed by ``log1p(y / Z')`` for y
     immigrants.  Counts stay below ``2**63``: an exact column holds less
     than ``threshold <= 2**61``, and a tail value too large to count
@@ -361,10 +402,11 @@ class _Population:
     ``y`` may be ``None``.  Once every column is also at least
     ``tab.quiet_log_size``, which is never less, the population is quiet
     for good: the log step equals ``log Z + log m`` to the last bit, so a
-    quiet step takes only that and ignores ``y`` and ``g``.
+    quiet step takes only that, draws no normal and ignores ``y``.
     """
 
-    def __init__(self, z: int, count: int, tab: _EnvTables, threshold: int, gen: Generator):
+    def __init__(self, z: int, count: int, tab: _EnvTables, threshold: int, gen: Generator,
+                 normals: Generator):
         self.z = np.full(count, z, dtype=np.int64)
         self.log_z = np.zeros(count)  # meaningful where promoted
         self.promoted = np.zeros(count, dtype=bool)
@@ -374,17 +416,16 @@ class _Population:
         self.tab = tab
         self.threshold = threshold
         self.gen = gen
+        self.normals = normals
 
-    def step(self, idx: np.ndarray, lm: np.ndarray, y: np.ndarray | None,
-             g: np.ndarray | None) -> None:
+    def step(self, idx: np.ndarray, lm: np.ndarray, y: np.ndarray | None) -> None:
         """Take every column one generation on under atoms ``idx``, whose
-        log means are ``lm``, with immigrants ``y`` (``None``: none) and
-        log-step normals ``g`` (``None`` will do once quiet)."""
+        log means are ``lm``, with immigrants ``y`` (``None``: none)."""
         if self.quiet:
             self.log_z += lm
             return
         if self.all_promoted:
-            self.log_z = self._log_step(self.log_z, idx, lm, y, g)
+            self.log_z = self._log_step(self.log_z, idx, lm, y)
             low = self.log_z.min()
             self.takes_immigrants = low < self.tab.immigrants_log_size
             self.quiet = low >= self.tab.quiet_log_size
@@ -392,7 +433,7 @@ class _Population:
         done = np.flatnonzero(self.promoted)
         if done.size:
             self.log_z[done] = self._log_step(self.log_z[done], idx[done], lm[done],
-                                              _take(y, done), g[done])
+                                              _take(y, done))
         cols = np.flatnonzero(~self.promoted)
         z, size = self._exact_step(self.z[cols], idx[cols], _take(y, cols))
         self.z[cols] = z
@@ -402,7 +443,8 @@ class _Population:
             self.promoted[cols[up]] = True
             self.all_promoted = bool(self.promoted.all())
 
-    def _log_step(self, log_z, a, lm, y, g):
+    def _log_step(self, log_z, a, lm, y):
+        g = self.normals.standard_normal(log_z.size)
         log_z = log_z + (lm + np.log1p(g * self.tab.sd_over_m[a] * np.exp(-0.5 * log_z)))
         if y is not None:
             log_z = log_z + np.log1p(y * np.exp(-log_z))
@@ -440,18 +482,6 @@ class _Population:
         return out
 
 
-def _walk(atoms: _Inverse, logm: np.ndarray, gen: Generator, count: int,
-          last: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield, for generations 1..``last``, the generation, the atom index of
-    each column's step into it and its log mean, and the walk ``S`` there."""
-    s = np.zeros(count)
-    for k in range(1, last + 1):
-        idx = atoms(gen.random(count))
-        lm = logm[idx]
-        s = s + lm
-        yield k, idx, lm, s
-
-
 def _simulate_chunk(
     key: int,
     count: int,
@@ -461,54 +491,64 @@ def _simulate_chunk(
     couple: bool,
     threshold: int,
 ) -> dict[str, np.ndarray]:
-    """Simulate the ``count`` columns of the chunk with Philox key
-    ``(master_seed, key)`` and return the recorded rows (generation 0 is
-    ``log Z_0 = S_0 = 0``)."""
-    rows = {g: i for i, g in enumerate(record)}
+    """Simulate the ``count`` columns of the chunk keyed ``(master_seed,
+    key)`` and return the recorded rows (generation 0 is ``log Z_0 = S_0 =
+    0``).  Once every population is quiet, the stretch to each recorded
+    generation left is one jump of the walk."""
     keys = ["log_z", "s"] + (["log_zbar"] if couple else [])
     out = {name: np.zeros((len(record), count)) for name in keys}
     gens = [substream(master_seed, key, i) for i in range(6)]
-    primary = _Population(1, count, tab, threshold, gens[_EXACT])
-    surplus = _Population(0, count, tab, threshold, gens[_SURPLUS_EXACT]) if couple else None
-    receiver = surplus if couple else primary  # the population immigrants join
-
-    def normals(pop: _Population, sub: int) -> np.ndarray | None:
-        return None if pop.quiet else gens[sub].standard_normal(count)
-
-    for k, idx, lm, s in _walk(tab.atoms, tab.logm, gens[_ATOMS], count,
-                               record[-1] if record else 0):
-        y = None
-        if tab.immigrates and receiver.takes_immigrants:
-            y = tab.immigrants(gens[_IMMIGRATION].random(count), idx)
-        primary.step(idx, lm, None if couple else y, normals(primary, _NORMALS))
+    primary = _Population(1, count, tab, threshold, gens[_EXACT], gens[_NORMALS])
+    pops = [primary]
+    if couple:
+        pops.append(_Population(0, count, tab, threshold, gens[_SURPLUS_EXACT],
+                                gens[_SURPLUS_NORMALS]))
+    receiver = pops[-1]  # the population immigrants join
+    s = np.zeros(count)
+    k = 0
+    for row, r in enumerate(record):
+        while k < r and not all(pop.quiet for pop in pops):
+            idx, lm = tab.walk.step(gens[_ATOMS], count)
+            s = s + lm
+            y = None
+            if tab.immigrates and receiver.takes_immigrants:
+                y = tab.immigrants(gens[_IMMIGRATION].random(count), idx)
+            for pop in pops:
+                pop.step(idx, lm, y if pop is receiver else None)
+            k += 1
+        if k < r:
+            gain = tab.walk.jump(gens[_ATOMS], count, r - k)
+            s = s + gain
+            for pop in pops:
+                pop.log_z += gain
+            k = r
+        out["s"][row] = s
+        out["log_z"][row] = primary.log_size()
         if couple:
-            surplus.step(idx, lm, y, normals(surplus, _SURPLUS_NORMALS))
-        if k in rows:
-            i = rows[k]
-            out["s"][i] = s
-            out["log_z"][i] = primary.log_size()
-            if couple:
-                out["log_zbar"][i] = out["log_z"][i]
-                # log(Zbar + D); D = 0 (-inf) leaves Zbar unchanged
-                np.logaddexp(out["log_zbar"][i], surplus.log_size(), out=out["log_z"][i])
+            out["log_zbar"][row] = out["log_z"][row]
+            # log(Zbar + D); D = 0 (-inf) leaves Zbar unchanged
+            np.logaddexp(out["log_zbar"][row], pops[1].log_size(), out=out["log_z"][row])
     return out
 
 
 def _walk_chunk(
     key: int,
     count: int,
-    atoms: _Inverse,
-    logm: np.ndarray,
+    walk: _Walk,
     master_seed: int,
     record: tuple[int, ...],
 ) -> dict[str, np.ndarray]:
-    """Environment walk only: consumes just substream 0 of the layout."""
-    rows = {g: i for i, g in enumerate(record)}
+    """Environment walk only: one jump per recorded generation, drawn from
+    substream 0 of the layout."""
     out_s = np.zeros((len(record), count))
     gen = substream(master_seed, key, _ATOMS)
-    for k, _, _, s in _walk(atoms, logm, gen, count, record[-1] if record else 0):
-        if k in rows:
-            out_s[rows[k]] = s
+    s = np.zeros(count)
+    k = 0
+    for row, r in enumerate(record):
+        if k < r:
+            s = s + walk.jump(gen, count, r - k)
+            k = r
+        out_s[row] = s
     return {"s": out_s}
 
 
@@ -572,7 +612,10 @@ def simulate_batch(
     bit-identical for any ``threads`` value (0 = one worker per CPU) because
     the chunk partition and the chunk keys are fixed.  A single path, every
     generation of it, is column 0 of ``simulate_batch(env, n, 1,
-    master_seed, record=range(n + 1), stream_offset=key)``.
+    master_seed, record=range(n + 1), stream_offset=key)``.  Columns do not
+    depend on the recorded generations until their chunk turns quiet, and
+    from then on only by the draws of the jumps between them (see "Draw
+    layout").
     """
     rec = _check_batch(n, replicates, master_seed, stream_offset, record)
     if threshold < MIN_PROMOTION_THRESHOLD:
@@ -616,13 +659,16 @@ def simulate_walk_batch(
 ) -> WalkBatch:
     """Simulate the environment walk ``S_n`` alone (no branching).
 
-    Uses the same chunk keys and atom substream as :func:`simulate_batch`,
-    so ``S`` agrees with that batch's bitwise, column by column.
+    Uses the chunk keys and the walk substream of :func:`simulate_batch`,
+    and draws each stretch between recorded generations as one jump of
+    binomial visit counts: ``S`` has the law of that batch's, not its
+    bytes, which the batch draws generation by generation until its chunk
+    turns quiet.
     """
     rec = _check_batch(n, replicates, master_seed, stream_offset, record)
     out = _run_chunks(
         _walk_chunk,
-        (*_walk_tables(env), master_seed, rec),
+        (_Walk(env), master_seed, rec),
         replicates,
         stream_offset,
         threads,

@@ -86,16 +86,29 @@ def one_atom_tables(offspring, immigration=NoImmigration()) -> _EnvTables:
     )
 
 
+class _PresetNormals:
+    """Stands in for a population's normal generator: every normal it hands
+    out is ``g``."""
+
+    g = 0.0
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return np.full(size, self.g)
+
+
 def population_path(z, gen, idx_l, g_l, y_l, tab, threshold, rec) -> list[float]:
     """Log sizes at the generations ``rec`` of one population of ``z``
     individuals grown by the simulator's array step in a one-column chunk:
-    step k uses atom ``idx_l[k]``, normal ``g_l[k]`` and ``y_l[k]``
-    immigrants, and exact-regime draws come from ``gen``."""
-    pop = _Population(z, 1, tab, threshold, gen)
+    step k uses atom ``idx_l[k]``, normal ``g_l[k]`` (if the column is in
+    log space) and ``y_l[k]`` immigrants, and exact-regime draws come from
+    ``gen``."""
+    normals = _PresetNormals()
+    pop = _Population(z, 1, tab, threshold, gen, normals)
     out = []
     for k in range(rec[-1]):
         idx = np.array([idx_l[k]])
-        pop.step(idx, tab.logm[idx], np.array([y_l[k]]), np.array([g_l[k]]))
+        normals.g = g_l[k]
+        pop.step(idx, tab.logm[idx], np.array([y_l[k]]))
         if k + 1 in rec:
             out.append(float(pop.log_size()[0]))
     return out
@@ -105,10 +118,10 @@ def one_generation_totals(law, z: int, master_seed: int, draws: int) -> np.ndarr
     """``draws`` offspring totals of ``z`` individuals under ``law``: one
     exact generation of the simulator's own step over ``draws`` columns,
     drawn from the Philox stream ``(master_seed, 0)``."""
-    pop = _Population(z, draws, one_atom_tables(law), PROMOTION_THRESHOLD,
-                      Generator(Philox(key=[master_seed, 0])))
+    gen = Generator(Philox(key=[master_seed, 0]))
+    pop = _Population(z, draws, one_atom_tables(law), PROMOTION_THRESHOLD, gen, gen)
     idx = np.zeros(draws, dtype=np.int64)
-    pop.step(idx, pop.tab.logm[idx], None, np.zeros(draws))
+    pop.step(idx, pop.tab.logm[idx], None)
     return pop.z.copy()
 
 

@@ -336,9 +336,9 @@ def _with_lam(lam) -> dict:
             "atoms[0].offspring: ShiftedGeometric requires q >= 1.492e-154",
         ),
         (
-            {"kind": "decay", "q": 1000.0, "n_list": [0, 1, 2], "replicates": 200},
+            {"kind": "decay", "q": 10000.0, "n_list": [0, 1, 2], "replicates": 200},
             2,
-            "overflows a double for q = 1000.0",
+            "overflows a double for q = 10000.0",
         ),
         (
             {"kind": "moments", "r": 1000.0, "n_list": [1, 2], "replicates": 200},

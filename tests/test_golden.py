@@ -97,9 +97,10 @@ CASES = {
         "x_grid": {"min": -4.0, "max": 4.0, "step": 0.05},
         "n_list": [4, 8],
     },
-    # One grid point: the implied constant at n = 1 and n = 30 differ by
-    # more than a factor 2, so the gate fails (exit 3) after both grid
-    # warnings.
+    # One grid point, so both grid warnings.  Whether the implied constants
+    # at n = 1 and n = 30 differ by more than a factor 2 depends on the
+    # draws at R = 512: the gate failed (exit 3) under draw layout 2 and
+    # passes under layout 3.
     "berry-esseen-unstable": {
         "kind": "berry-esseen",
         "environment": _PURE_ENV,
@@ -163,34 +164,34 @@ CASES.update({
     "lib-path-coupled": lambda: _path(True),
 })
 
-# Recorded with draw layout 2 (``bpire.trajectory.DRAW_LAYOUT``).
+# Recorded with draw layout 3 (``bpire.trajectory.DRAW_LAYOUT``).
 GOLDEN = {
     "berry-esseen": {
         "exit": 0,
-        "stdout": "50150c61f3c592f9a97542ad813b71958987142824ae95197ff96e7453d169bd",
+        "stdout": "71a5dee9d287c248d3790700978d4a2bbd61f5de3a150e4d3d636ba555743ad5",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "berry_esseen.csv": "43112f23accf62e0114bfb84301ad76472f5dc384b16d5559dbe3b6076274ced",
-            "run_manifest.json": "5a34511a07e850026343929ba14bb69316296434f4fab2034cfa2da26661891b"
+            "berry_esseen.csv": "6d1248b7a53060601a27290fc85a2dd33c7b6bef76a1349b4411e594d40d8ccb",
+            "run_manifest.json": "afb15ae04dd2bff227d2db89358e4e26c5fef90bdaca16473e40e97ab2eec5ad"
         }
     },
     "berry-esseen-unstable": {
-        "exit": 3,
-        "stdout": "39520f79518a9ca27dc58242e630821bb2d9787394ec936755c9f0aef2077864",
+        "exit": 0,
+        "stdout": "0cbe667fc5244ce564f6888f0228bf5e60c6365cff81bfdce154ef5c04c14482",
         "stderr": "f5370521fb66614cdc0fc9e903fa92f76c5996484b73b8be1912e04276203536",
         "files": {
-            "berry_esseen.csv": "4f09dbe77d81e938bee782542e299d3cee9fa9b40b60378992a8ffff72afc6d0",
-            "run_manifest.json": "b275e1c6e19e9f02dbe3e67d6de7dce9a6750e67d839ece3da061752de3721ff"
+            "berry_esseen.csv": "cebbb97cae886f8fea75540b4d58670b4d66aa7d8d2184ac8550ecc9df21c9d7",
+            "run_manifest.json": "8335761d55e10b193bde2f2a177a5767613c281aa5215e0d3afc45d9c624ed34"
         }
     },
     "decay": {
         "exit": 0,
-        "stdout": "67c3f9a5f3352738bf98d2667eddfd42fa498d229d423470a774f1fefc73c7b7",
+        "stdout": "15cb96f5190780693196ed65d56356be3754887dcb55910fd27d49edf223f936",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "decay.csv": "84117a8e1a8aa414b1bdf976452740566e93eaf30e6405323d9922fd94946d44",
-            "fit.csv": "7a947e419754764f57f9a54902407dee7fc0856c61acadbc81e3835c0e4eb012",
-            "run_manifest.json": "d83715f47d1cf79d6f19216334db49e7e672b57d300c556029fb3e68115ecbb9"
+            "decay.csv": "fb64683b5203649a735359674e5a8f4f54538faa6e02ac7c6dbdc8015e4effb2",
+            "fit.csv": "dbe93fb8bfad59352815810e30e4871efa00e42f362dcd355ada100c6f1be9f1",
+            "run_manifest.json": "65c2c7cc1b77ec508239859f51313d3baf5ca60328eda5d1f6f9fc918b054e4f"
         }
     },
     "decay-inconclusive": {
@@ -198,18 +199,18 @@ GOLDEN = {
         "stdout": "57e787e1a68472983ed242cc19f3ca788f2c09510b07d21dab82a3128984e445",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "decay.csv": "e3384292362a6803a3aedef05b3546068bff5bd37e9167f1717567168d362241",
+            "decay.csv": "9713ff55138b15c5cd13e7c2bd977366dce8cb280ddcd45842665c7777b01dd3",
             "fit.csv": "ff2760e717e0c2cf06306af1f31195eda5955df08de3a1b59ff95be46fc305f0",
-            "run_manifest.json": "a4496a78cea19e9da9ed0e3c7c1b7f46c8ab2d48f60db2af8d184f8e620208c9"
+            "run_manifest.json": "df329a3ac4f33ba09576e9f3353d1e653382cd58eb887dcfb2ac558ba8376640"
         }
     },
     "elogw": {
         "exit": 0,
-        "stdout": "186a7ef3d6a86b2364d34fc9695142d7e15a153e2e242ce7f509f05952ea1ba4",
+        "stdout": "94ccb98f8d4f39fe29cadc54074d21ff24e20f4f27b7373243b7cb76adfee690",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "elogw.csv": "17e05be2222a857c69119f84f1ea1e5a39e7ae4e3fb41f3f2e88473b9908ed7a",
-            "run_manifest.json": "009c97107b48c3ec66d2c09513fff0ffeb27793220667480132bfee8ac8d23f7"
+            "elogw.csv": "b7e87199e07c72a7c912e3d360d91c557cd86e0b1fe245aa7a3b63921fedec81",
+            "run_manifest.json": "e8e9864efee72b46a003d26187828f924c14de46073e030d5823afd7ab1c4930"
         }
     },
     "laplace": {
@@ -217,64 +218,64 @@ GOLDEN = {
         "stdout": "30d01b08dfc3dd473781dd09526c6db599e85b22e5290deca92a78f8442eac28",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "laplace.csv": "3f031532beca77dbae36e3f63eb49a6a6dd692c9b2e4e048682e1414c857ae6e",
-            "run_manifest.json": "52b87732f1c5f38704261e6c4af1cb062094205e0d405e95fb54266a903f5929"
+            "laplace.csv": "e4b6549603ea0006aec989a7241d3fbe5275dae21d0a88e590b9cea66e92bbf3",
+            "run_manifest.json": "710efd20d93b103ff4c5eabf4c453004887210fd545bdac3528d1088f5e12e7e"
         }
     },
     "lib-coupled-env-a": {
-        "log_z": "b11a8057d36dae8ee03758d8e5d13f84b1e63fb7950604ecce7ffb9bf910d2e6",
-        "log_zbar": "6fa29aac35642598871e1dafe44ed786358b1c5e6277b48a7eb973933bd0cfe8",
-        "s": "43f2b045fcdfe1f480b3ada70a9af7821c5712658bc08d428776400919f2e1f7"
+        "log_z": "dea65433393333064ca6e4d37ee7c0d3d258d7b28fc98ba83afbffe71b585887",
+        "log_zbar": "3904f0853b772c964c55eaa693c243521dfa7e09bfe127aa4cf229190c4dcb03",
+        "s": "e6a830e9170b14ea2fa3a173581112421277c100b34cdaf43b778a15ed24c12d"
     },
     "lib-coupled-env-a-t1024": {
-        "log_z": "39741c9a2b68a10a3e9a7043c8025abfca9d476cbbd773af22ddf3d967f1aa50",
-        "log_zbar": "98803fe05ea3e9b6793ea8c819c4902608ca134b65f23e80d233bd1690efa5af",
-        "s": "43f2b045fcdfe1f480b3ada70a9af7821c5712658bc08d428776400919f2e1f7"
+        "log_z": "4b7ba43a1a5bd07e3358c643c3b040366c6ce75ef1d20b473368ad975d141c9e",
+        "log_zbar": "17b90d0c3b7cd7818312c5f0440dfd420742c4d2dc8c7cca3721dafb302aebe3",
+        "s": "e6a830e9170b14ea2fa3a173581112421277c100b34cdaf43b778a15ed24c12d"
     },
     "lib-coupled-mixed": {
-        "log_z": "e9160af236f98e25cd3734614a51c63a05171353fb78503db1de004b763ac01d",
-        "log_zbar": "f811fc8e6b792bd37badee633af9060eab335b99986049103c31ff753d684588",
-        "s": "f7e221d5f9c99fd485fc8bc905493b0c0f4d6cb33d003490e328c26de93a66d4"
+        "log_z": "0e5ff023fe72afff3b55e77b6d0a711e4d0c9e02200005b8051a3fad43abdbcf",
+        "log_zbar": "78b720c0e75d9dbf04c99a0aad7ed44d449965ce640e580803eeb05605b6c4a3",
+        "s": "6dbf62f533511ec31819304bfe09cbeb70b88b5a7e64bbe88cc418f8dc2d00ae"
     },
     "lib-coupled-mixed-t1024": {
-        "log_z": "01b523a92253f048bed9ed142d6a333a45e9e418391182afa7a8ddf7fc16e127",
-        "log_zbar": "1de04f4203f044a0600b693104372f9ad5c4713729abe1b95bf9860f459683a9",
-        "s": "f7e221d5f9c99fd485fc8bc905493b0c0f4d6cb33d003490e328c26de93a66d4"
+        "log_z": "48b46e10351596ae137e262c04ab602caf2e043b3b4c39a079a56c2c2ff80291",
+        "log_zbar": "d6b485e2648aff9ea8aae2531f232757faf2214b177c553b025cef648599d0b9",
+        "s": "6dbf62f533511ec31819304bfe09cbeb70b88b5a7e64bbe88cc418f8dc2d00ae"
     },
     "lib-long-coupled-mixed": {
-        "log_z": "1341a91d79f9660ebadcd32aa59b40cd44dfd276becb79572ac8d4368e6d0c01",
-        "log_zbar": "897caa7afaa7ceb692d93aef60f78df0b8f5852b4f3363c0ac4edea42e6a81a7",
-        "s": "30af619d01df91e9f2bb8b6e6dfc8651eac40b9648edd59361458ce2719e9d17"
+        "log_z": "437915073b4ea6d82b98c1bbcedf5df90c1fede1b0aa7eaaac0d3586546fd895",
+        "log_zbar": "9fe694f127e509c86d63205ffe258ad877830392945bc84d5e56ce05b243ba0b",
+        "s": "a7bc6f59d9a9eff1dbed3712d723725217a5ffe048a1607efdc19fc673d2f88b"
     },
     "lib-long-env-a": {
-        "log_z": "edda19400cdaabf89016930c56d1b61ef9b58565453c36df9be2762d1f3dcd24",
-        "s": "4ca40962d4d123cabaf6b0d18e3ffebbab297421c901a6e9644a2e1b49c69a88"
+        "log_z": "5cd9dfe2b9a50eafa5fe7b39a01829ea182848912d75bc9b5d2f74a1c50bfb8b",
+        "s": "39029ea5ed803dd0ee470e22f847f8408bdc8680beaf9b1daf581d5b6c528609"
     },
     "lib-path": {
-        "log_z": "ee705c8b12b0f2acbae79c5a673160efbfe8141f3a551eb423a5f241dda863f0",
-        "s": "d24bd40687f6da901f7399fd7462fd76e727a931ac0b6f347e14e7c88d31da13"
+        "log_z": "825dc81bae74b149d4c88346a478fbe064f75da5406e34f4dba561f6256712d2",
+        "s": "c38bc95b86d97afd25af822aabbf82ddacfd3ab7525fdead227d51a208867c30"
     },
     "lib-path-coupled": {
-        "log_z": "4c2604006db60ed37b9046dba3a0bd3829faf5460148899b064bd9865c7eaa7a",
-        "log_zbar": "d281593150a2af49c4eaf1c91e5d2eb121492d556505f274bbf05c826f7b02ae",
-        "s": "d24bd40687f6da901f7399fd7462fd76e727a931ac0b6f347e14e7c88d31da13"
+        "log_z": "e8c17e3dcf69c7f7f0106dcb0d7c92fd66ef812bf35304f640189389bd872445",
+        "log_zbar": "b7d8b48748fd74d38592fadb8cfa168fce4e8c9f881fe2b8b59ca3c07c021168",
+        "s": "c38bc95b86d97afd25af822aabbf82ddacfd3ab7525fdead227d51a208867c30"
     },
     "moments": {
         "exit": 0,
         "stdout": "85dca0da4772387b9dae1fd18cfd6229bc2a2bd4a718ab8dc4a5f71f96caf231",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "moments.csv": "51f3e53aa71c2b7a912d4deefd67edc4fb395bf3084f4fc83907ac101ec46817",
-            "run_manifest.json": "fc4bf97e4b449bac970ff0b240753264c876a54c99a9df9c8df3fec22c86c45d"
+            "moments.csv": "07a1b72d8bf380d0641c39014fd22418a8b4f7da7cef1fcb2711d81002cb0e59",
+            "run_manifest.json": "9db308edf25e01243899e800389506fc8e8e158f59e80b4de93653c8b5daf4e2"
         }
     },
     "rate": {
         "exit": 0,
-        "stdout": "55773137def9772b4a6d8ce622c8d7fbc7299917e54e3b3db47aeb98fa81b5b6",
+        "stdout": "a50258482b571eb200f49681a532373ceba081bd6330b3ed4d41e8d844c37587",
         "stderr": "7a3f17010d97734b732c09b6d4ab15edd33e83bedd2635b93af162d11576352b",
         "files": {
-            "rate.csv": "87e3339be292c730c89778e15df666c44705c58ed42993204bec914082c017f5",
-            "run_manifest.json": "4d429d702399527cfd371ef8a6102ae74015138f6bd00c33be6756a15f8ab7ab"
+            "rate.csv": "0bc8b7bdf5162c75eb3a410e94fd7adfe21c6d2bd83d42e95c6aca459e6ddb9c",
+            "run_manifest.json": "97e4d1af427c9b0e8ae5894ad341ae77dac7fa277c052a3aea86597fbdaaa9fa"
         }
     },
     "validate": {
@@ -282,7 +283,7 @@ GOLDEN = {
         "stdout": "502f0578e30fc79f3cba8ce3540a551808c3d941e48a7037e56dc1caa759f997",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "run_manifest.json": "9b5020fe6b7af8708f7eca40ea9cb9497f5dc58f36da0e36172678fd830a648f"
+            "run_manifest.json": "5e2c9c44fa1b6fcd086e157c5c1aa7996b5e1e6170be00d63ea34c1b5f33fa3c"
         }
     },
     "validate-one-atom": {
@@ -290,7 +291,7 @@ GOLDEN = {
         "stdout": "8179f4bbba92c78d633e0891ae1ebee45d146048b276b83c2c024b494e452f33",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "run_manifest.json": "d4a5e0e4ca40ae8d485a00b9d2c85f5e4b4883ad8cf435d3bb13bb64df1ea495"
+            "run_manifest.json": "0165cbb52c0cde2ab55091e8abe22a436f536558b57f8640a51d001cf943bfb9"
         }
     },
     "walk-oracle": {
@@ -298,8 +299,8 @@ GOLDEN = {
         "stdout": "e9c7b4a6c5ff15b39bfe53cb5707430b3373307162a35c3eaaddcd9e25a16e64",
         "stderr": "7a3f17010d97734b732c09b6d4ab15edd33e83bedd2635b93af162d11576352b",
         "files": {
-            "run_manifest.json": "7d30ebb9c79b277ff976b3346adce0d1a57bbacfd7c1a3dfb64b301a95623387",
-            "walk_oracle.csv": "580cdbabd86802372d2d0a2bfb1d41840d1b9cd9ca47f6cdaa5eddfac270fa22"
+            "run_manifest.json": "31787c928b2745cd892850265fba183a26b78c6eb2d3c80ee43ba189ee1ce5f6",
+            "walk_oracle.csv": "1021285bf02e2fd00646fecd37fb9da3ef25f6140175f4b3193d624fc46fa544"
         }
     }
 }

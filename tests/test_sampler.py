@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator, Philox, SeedSequence
 from scipy import stats
 
 from bpire import (
@@ -202,24 +202,24 @@ def test_stream_rejects_out_of_range_keys():
         run(env, 2, 4, master_seed=top - 1, stream_offset=top - 4)
 
 
-def test_substream_starts_at_its_counter_word():
-    # Substream 0 is the fresh stream of the key.
-    fresh = Generator(Philox(key=[99, 123]))
-    gen = substream(99, 123, 0)
-    np.testing.assert_array_equal(gen.random(16), fresh.random(16))
-    np.testing.assert_array_equal(gen.standard_normal(16), fresh.standard_normal(16))
-    # Substream k starts with the highest counter word set to k.
-    for k in (1, 5):
-        fresh = Generator(Philox(key=[99, 123], counter=[0, 0, 0, k]))
-        gen = substream(99, 123, k)
+def test_substream_is_a_seed_sequence_spawn_key():
+    # Substream k of the key (seed, key) is PCG64DXSM seeded by the spawn
+    # key (key, k) of SeedSequence(seed): child key's child k.
+    top = 2**64 - 1
+    for seed, key, k in ((99, 123, 0), (99, 123, 5), (top, 2**63 + 1, 3), (0, top, 0)):
+        child = SeedSequence(seed).spawn(key + 1)[key] if key < 200 else SeedSequence(
+            seed, spawn_key=(key,))
+        fresh = Generator(PCG64DXSM(child.spawn(k + 1)[k]))
+        gen = substream(seed, key, k)
+        assert gen.bit_generator.seed_seq.spawn_key == (key, k)
         np.testing.assert_array_equal(gen.random(16), fresh.random(16))
         np.testing.assert_array_equal(gen.standard_normal(16), fresh.standard_normal(16))
-    assert substream(99, 123, 1).random() != substream(99, 123, 2).random()
-    # every bit of a 64-bit key word counts
-    top = 2**64 - 1
-    assert substream(top, 2**63 + 1, 0).bit_generator.state["state"]["key"].tolist() == [
-        top, 2**63 + 1]
-    assert substream(top, 2**63 + 1, 0).random() != substream(top, 2**63, 0).random()
+    # every bit of a 64-bit word counts, in the seed, the key and the index
+    first = {substream(*words).random() for words in (
+        (top, 2**63 + 1, 0), (top, 2**63, 0), (top - 1, 2**63 + 1, 0), (top, 2**63 + 1, 1),
+        (top, 2**63 + 1, 2**63), (top, 1, 0), (1, top, 0), (0, 0, 0), (0, 0, 1), (0, 1, 0),
+        (1, 0, 0))}
+    assert len(first) == 11
 
 
 def test_atom_cumulative_ends_at_one():

@@ -232,13 +232,66 @@ def test_record_argument_validation(env_a):
             run(env_a, 5, 0, master_seed=0)
 
 
-def test_walk_batch_shares_environment_draws(env_a):
-    # the bare walk consumes the same atom-uniform block as the branching
-    # run, so S_n agrees bitwise replicate by replicate
-    walk = simulate_walk_batch(env_a, 9, 200, master_seed=13, record=(4, 9))
-    branch = simulate_batch(env_a, 9, 200, master_seed=13, record=(4, 9))
-    np.testing.assert_array_equal(walk.s_at(4), branch.s_at(4))
-    np.testing.assert_array_equal(walk.s_at(9), branch.s_at(9))
+def _binomial_chi_square_p(j: np.ndarray, n: int, p: float) -> float:
+    """p-value of visit counts ``j`` against ``Bin(n, p)``, in cells of
+    expected count at least 5 (the tails merged into the end cells)."""
+    pmf = stats.binom.pmf(np.arange(n + 1), n, p) * j.size
+    lo, hi = int(np.argmax(pmf >= 5.0)), n - int(np.argmax(pmf[::-1] >= 5.0))
+    observed = np.bincount(np.clip(j, lo, hi) - lo, minlength=hi - lo + 1)
+    expected = pmf[lo:hi + 1].copy()
+    expected[0] += pmf[:lo].sum()
+    expected[-1] += pmf[hi + 1:].sum()
+    return float(stats.chisquare(observed, expected).pvalue)
+
+
+def _visits(s: np.ndarray, n: int) -> np.ndarray:
+    """Visits J to the second atom of environment A from ``S_n = n log 2 +
+    J log 1.5``."""
+    j = (s - n * math.log(2.0)) / math.log(1.5)
+    np.testing.assert_allclose(j, np.rint(j), rtol=0, atol=1e-9)
+    return np.rint(j).astype(np.int64)
+
+
+def test_walk_and_quiet_batch_s_follow_exact_law(monkeypatch, env_a):
+    # The walk jumps by binomial visit counts from generation 0, and a
+    # batch from the generation at which its chunk turns quiet (about 110
+    # here); both S_160 must be n log 2 + J log 1.5 with J ~ Bin(160, 1/2).
+    jumps = []
+    jump = trajectory._Walk.jump
+    monkeypatch.setattr(trajectory._Walk, "jump",
+                        lambda self, gen, count, t: jumps.append(t) or jump(self, gen, count, t))
+    walk = simulate_walk_batch(env_a, 160, 20_000, master_seed=13, record=(40, 160))
+    assert jumps == [40, 120, 40, 120, 40, 120]
+    jumps.clear()
+    batch = simulate_batch(env_a, 160, 20_000, master_seed=14, record=(160,))
+    assert len(jumps) == 3 and all(0 < t < 60 for t in jumps)
+    for s, n in ((walk.s_at(40), 40), (walk.s_at(160), 160), (batch.s_at(160), 160)):
+        p = _binomial_chi_square_p(_visits(s, n), n, 0.5)
+        assert p > 1e-3, (n, p)
+    # the walk's increments are independent of its past
+    j40, j160 = _visits(walk.s_at(40), 40), _visits(walk.s_at(160), 160)
+    assert _binomial_chi_square_p(j160 - j40, 120, 0.5) > 1e-3
+    assert abs(np.corrcoef(j40, j160 - j40)[0, 1]) < 4 / math.sqrt(j40.size)
+
+
+def test_walk_jump_follows_multinomial_law():
+    # three atoms with log means log 2, log 3, log 5: S_6 fixes the visit
+    # counts, whose law is Multinomial(6; .2, .3, .5)
+    env = EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=ShiftedPoisson(lam=lam), immigration=NoImmigration(), prob=p)
+        for lam, p in ((1.0, 0.2), (2.0, 0.3), (4.0, 0.5))))
+    n, draws = 6, 40_000
+    s = simulate_walk_batch(env, n, draws, master_seed=15).s_at(n)
+    cells = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    sums = np.array([a * math.log(2) + b * math.log(3) + c * math.log(5) for a, b, c in cells])
+    cell = np.abs(s[:, None] - sums[None, :]).argmin(axis=1)
+    np.testing.assert_allclose(s, sums[cell], rtol=0, atol=1e-12)
+    expected = np.array([stats.multinomial.pmf(c, n, [0.2, 0.3, 0.5]) for c in cells]) * draws
+    observed = np.bincount(cell, minlength=len(cells))
+    rare = expected < 5.0  # merged into one cell
+    observed = np.append(observed[~rare], observed[rare].sum())
+    expected = np.append(expected[~rare], expected[rare].sum())
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 def test_walk_batch_step_law(skewed_env):
@@ -352,8 +405,15 @@ def test_array_step_properties(env, n, replicates, couple, threshold, seed, data
                            couple_no_immigration=couple, threshold=threshold)
     assert np.isfinite(batch.log_z).all() and np.isfinite(batch.s).all()
     assert (batch.log_z >= 0.0).all()  # Z_n >= Z_0 = 1
+    # S_g of the walk and of the batch lie between g times the least and
+    # the largest log mean
+    logm = np.log(env.offspring_means)
+    gens = np.array(record, dtype=float)[:, None]
     walk = simulate_walk_batch(env, n, replicates, seed, record=record)
-    np.testing.assert_array_equal(walk.s, batch.s)
+    for s in (walk.s, batch.s):
+        assert s.shape == (len(record), replicates)
+        assert (s >= gens * logm.min() * (1 - 1e-12)).all()
+        assert (s <= gens * logm.max() * (1 + 1e-12)).all()
     if couple:
         assert np.isfinite(batch.log_zbar).all()
         assert (batch.log_zbar <= batch.log_z).all()
@@ -387,17 +447,35 @@ _QUIET_ENVS = {
 
 
 def _quiet_never_and_default(run):
-    """The bytes ``run()`` returns with the quiet state off (an infinite
-    normal bound) and on."""
+    """What ``run()`` returns with the quiet state and the immigrants-only
+    stage off (an infinite normal bound) and on."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(trajectory, "_NORMAL_BOUND", math.inf)
         never = run()
     return never, run()
 
 
-def _batch_bytes(batch) -> dict:
-    arrays = {"log_z": batch.log_z, "s": batch.s, "log_zbar": batch.log_zbar}
-    return {k: a.tobytes() for k, a in arrays.items() if a is not None}
+def _assert_same_until_the_jump(never, default, quiet_log_size: float) -> None:
+    """Check a quiet-never batch against the default one, column by column:
+    every row agrees bitwise until the chunk turns quiet, and from then on
+    the default jumps the walk by binomial visit counts, a draw the
+    quiet-never batch does not make, so only ``log W`` can agree there.
+    It does within an ulp per generation: both runs add the same log means
+    to ``log Z`` and ``S`` and differ by rounding alone.  (A jump of one
+    generation may draw the very atoms the uniforms would: numpy inverts a
+    binomial of one trial from one uniform.)"""
+    names = ["log_z", "s"] + (["log_zbar"] if default.log_zbar is not None else [])
+    differ = np.zeros(default.s.shape, dtype=bool)
+    for name in names:
+        differ |= getattr(never, name) != getattr(default, name)
+    shadow = default.log_z if default.log_zbar is None else default.log_zbar
+    for col in np.flatnonzero(differ.any(axis=0)):
+        first = int(np.argmax(differ[:, col]))
+        if first and default.record[first] == default.record[first - 1] + 1:
+            assert shadow[first - 1, col] >= quiet_log_size  # quiet one row earlier
+    gens = np.array(default.record, dtype=float)[:, None]
+    bound = (gens + 1) * np.spacing(np.maximum(np.abs(default.log_z), np.abs(default.s)))
+    assert (np.abs(never.log_w - default.log_w) <= bound).all()
 
 
 @pytest.mark.parametrize("name", sorted(_QUIET_ENVS))
@@ -405,13 +483,13 @@ def test_quiet_state_leaves_bytes_unchanged(monkeypatch, name):
     # chunks of 20: 48 replicates are two full chunks and a ragged one of 8
     monkeypatch.setattr(trajectory, "_CHUNK", 20)
     env = _QUIET_ENVS[name]
+    quiet_log_size = trajectory._EnvTables(env).quiet_log_size
     for couple in (False, True):
         for threshold in (2**10, 2**40):
-            never, default = _quiet_never_and_default(lambda: _batch_bytes(
-                simulate_batch(env, 320, 48, 5, record=range(321),
-                               couple_no_immigration=couple, threshold=threshold)
-            ))
-            assert never == default, (couple, threshold)
+            never, default = _quiet_never_and_default(
+                lambda: simulate_batch(env, 320, 48, 5, record=range(321),
+                                       couple_no_immigration=couple, threshold=threshold))
+            _assert_same_until_the_jump(never, default, quiet_log_size)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -425,33 +503,34 @@ def test_quiet_state_leaves_bytes_unchanged(monkeypatch, name):
 )
 def test_quiet_state_leaves_bytes_unchanged_anywhere(env, n, replicates, couple, threshold,
                                                      seed):
-    never, default = _quiet_never_and_default(lambda: _batch_bytes(
-        simulate_batch(env, n, replicates, seed, record=(n // 2, n),
-                       couple_no_immigration=couple, threshold=threshold)
-    ))
-    assert never == default
+    never, default = _quiet_never_and_default(
+        lambda: simulate_batch(env, n, replicates, seed, record=(n // 2, n),
+                               couple_no_immigration=couple, threshold=threshold))
+    _assert_same_until_the_jump(never, default, trajectory._EnvTables(env).quiet_log_size)
 
 
 class _CountingGenerator:
-    """A generator that counts its ``random`` and ``standard_normal`` calls."""
+    """A generator that counts its calls of ``random``, ``standard_normal``
+    and ``binomial``, by substream and method."""
 
     def __init__(self, gen, calls, index):
         self._gen, self._calls, self._index = gen, calls, index
 
     def __getattr__(self, name):
         attr = getattr(self._gen, name)
-        if name not in ("random", "standard_normal"):
+        if name not in ("random", "standard_normal", "binomial"):
             return attr
 
         def counted(*args, **kwargs):
-            self._calls[self._index] = self._calls.get(self._index, 0) + 1
+            key = (self._index, name)
+            self._calls[key] = self._calls.get(key, 0) + 1
             return attr(*args, **kwargs)
         return counted
 
 
 def _draw_calls(monkeypatch, *args, **kwargs) -> dict:
-    """Per substream, the number of uniform and normal block draws a
-    one-chunk ``simulate_batch(*args, **kwargs)`` makes."""
+    """Per substream and method, the number of block draws a one-chunk
+    ``simulate_batch(*args, **kwargs)`` makes."""
     calls = {}
     substream = trajectory.substream
     monkeypatch.setattr(
@@ -463,17 +542,29 @@ def _draw_calls(monkeypatch, *args, **kwargs) -> dict:
 
 
 def test_quiet_population_stops_drawing(monkeypatch, env_a, skewed_env):
+    atoms, jumps = (trajectory._ATOMS, "random"), (trajectory._ATOMS, "binomial")
+    immigrants = (trajectory._IMMIGRATION, "random")
+    normals = (trajectory._NORMALS, "standard_normal")
+    surplus_normals = (trajectory._SURPLUS_NORMALS, "standard_normal")
     calls = _draw_calls(monkeypatch, env_a, 256, 64, 3)
-    assert calls[trajectory._ATOMS] == 256
-    # immigrants round away (log size about 42) before the population
-    # turns quiet (about 85)
-    assert calls[trajectory._IMMIGRATION] < calls[trajectory._NORMALS] < 256
+    # the walk draws uniforms until the chunk is quiet, then one binomial
+    # (two atoms) for the stretch to the one recorded generation; normals
+    # start at the first promotion; immigrants round away (log size about
+    # 42) before the population turns quiet (about 85)
+    assert calls[jumps] == 1
+    assert calls[immigrants] < calls[atoms] < 256
+    assert 0 < calls[normals] < calls[atoms]
+    # no column promotes by generation 20: no normal is drawn at all
+    calls = _draw_calls(monkeypatch, env_a, 20, 64, 3)
+    assert calls[atoms] == calls[immigrants] == 20
+    assert normals not in calls and jumps not in calls
     # no immigrants: the surplus stays empty, never promotes and so never
-    # turns quiet, while the coupled path does
+    # turns quiet, and the chunk never jumps, while the coupled path turns
+    # quiet and stops drawing normals
     calls = _draw_calls(monkeypatch, skewed_env, 256, 64, 3, couple_no_immigration=True)
-    assert calls[trajectory._SURPLUS_NORMALS] == 256
-    assert calls[trajectory._NORMALS] < 256
-    assert trajectory._IMMIGRATION not in calls
+    assert calls[atoms] == 256 and jumps not in calls
+    assert 0 < calls[normals] < 256
+    assert surplus_normals not in calls and immigrants not in calls
 
 
 @pytest.mark.parametrize("env", [
