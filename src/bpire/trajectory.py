@@ -299,52 +299,41 @@ class _EnvTables:
         self.imm_row = (None if len(laws) == 1
                         else np.array([laws.index(a.immigration) for a in env.atoms]))
         self.immigrates = any(len(cdf) > 1 for cdf in cdfs)
-        y_max = max(len(cdf) for cdf in cdfs) - 1
-        self.quiet_log_size = _quiet_log_size(self.logm, self.sd_over_m, y_max)
-        self.immigrants_log_size = _immigrants_log_size(self.logm, self.sd_over_m, y_max)
+        self.immigrants_log_size, self.quiet_log_size = _log_sizes(
+            self.logm, self.sd_over_m, max(len(cdf) for cdf in cdfs) - 1)
 
     def immigrants(self, u: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """The immigrants that uniforms ``u`` give under atoms ``idx``."""
         return self.immigration(u, None if self.imm_row is None else self.imm_row[idx])
 
 
-def _quiet_log_size(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> float:
-    """The least log size L from which the log step's noise and immigrant
-    terms round away under every atom, each with a margin of at least a
-    factor 2: ``_NORMAL_BOUND * (sd/m) * exp(-L/2) <= 2**-56 * log m``, so
-    ``log m + log1p(noise) == log m``, and ``y_max * exp(-L) <= 2**-56``
-    with ``L >= 1``, so ``L + log1p(y * exp(-L)) == L`` for y immigrants.
-    ``inf`` when some atom's ``log m`` is 0.0: its noise never rounds away.
-    """
-    if not logm.all():
-        return math.inf
-    noise = 2.0 * math.log(float((_NORMAL_BOUND * 2.0**56 * sd_over_m / logm).max()))
-    immigrants = math.log(y_max * 2.0**56) if y_max else 0.0
-    return max(1.0, noise, immigrants)
-
-
-def _immigrants_log_size(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> float:
-    """The least log size L from which a column's immigrants round away and
-    no log step can take it below L again, under every atom.
+def _log_sizes(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> tuple[float, float]:
+    """The least log sizes L, under every atom, from which (1) a column's
+    immigrants round away and no log step can take it below L again, and
+    (2) the log step's noise rounds away too: the immigrants-only and the
+    quiet log size.  Both are ``inf`` when some atom's ``log m`` is 0.0,
+    where the noise never rounds away and no bound B below holds.
 
     Immigrants: ``y_max * exp(-L) <= 2**-56`` with ``L >= 1``, so ``L +
-    log1p(y * exp(-L)) == L`` for y immigrants, as in
-    :func:`_quiet_log_size`.  No way back: with ``B = _NORMAL_BOUND *
-    (sd/m) * exp(-L/2) <= min(log m, 1) / 2`` for every atom, a log step's
-    noise term ``log1p(g * (sd/m) * exp(-L/2))`` is at least ``log1p(-B) >=
-    -B - B**2 >= -3B/2 >= -3 log m / 4`` (``B <= 1/2``), so the step adds
-    at least ``log m / 4 > 0`` before the immigrants' term, which is never
-    negative; a rounded sum of a nonnegative increment never falls below
-    L.  (``log m / 2`` alone would not do: above ``log m`` of about 1.59,
-    ``log1p(-log m / 2) < -log m``.)  The stage is therefore absorbing.
-    ``inf`` when some atom's ``log m`` is 0.0, where no bound B holds.
+    log1p(y * exp(-L)) == L`` for y immigrants, with a margin of a factor 2
+    at least.  No way back: with ``B = _NORMAL_BOUND * (sd/m) * exp(-L/2)
+    <= min(log m, 1) / 2``, a log step's noise term ``log1p(g * (sd/m) *
+    exp(-L/2))`` is at least ``log1p(-B) >= -B - B**2 >= -3B/2 >= -3 log m
+    / 4`` (``B <= 1/2``), so the step adds at least ``log m / 4 > 0`` before
+    the immigrants' term, which is never negative, and a rounded sum with a
+    nonnegative increment never falls below L.  (``log m / 2`` alone would
+    not do: above ``log m`` of about 1.59, ``log1p(-log m / 2) < -log m``.)
+    Noise: ``B <= 2**-56 * log m``, so ``log m + log1p(noise) == log m``;
+    this bound is the tighter, so (2) is never below (1).
     """
     if not logm.all():
-        return math.inf
-    noise = 2.0 * math.log(float((2.0 * _NORMAL_BOUND * sd_over_m
-                                  / np.minimum(logm, 1.0)).max()))
+        return math.inf, math.inf
     immigrants = math.log(y_max * 2.0**56) if y_max else 0.0
-    return max(1.0, noise, immigrants)
+
+    def least(ratio: np.ndarray) -> float:  # B <= 1 / ratio for every atom
+        return max(1.0, immigrants, 2.0 * math.log(float((_NORMAL_BOUND * ratio).max())))
+
+    return least(2.0 * sd_over_m / np.minimum(logm, 1.0)), least(2.0**56 * sd_over_m / logm)
 
 
 def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
@@ -398,7 +387,7 @@ class _Population:
 
     Once every column is promoted and at least
     ``tab.immigrants_log_size`` in log size, immigrants round away for good
-    (:func:`_immigrants_log_size`): ``takes_immigrants`` turns False and
+    (:func:`_log_sizes`): ``takes_immigrants`` turns False and
     ``y`` may be ``None``.  Once every column is also at least
     ``tab.quiet_log_size``, which is never less, the population is quiet
     for good: the log step equals ``log Z + log m`` to the last bit, so a

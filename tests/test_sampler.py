@@ -301,8 +301,9 @@ def test_default_threshold_is_2_to_40():
 
 def test_guide_table_inversion_equals_binary_search():
     # one short, one long (every guide bucket crowded) and one empty table,
-    # and an atom CDF of 1000 atoms; uniforms include bucket edges, table
-    # entries and the largest double below 1
+    # an atom CDF of 1000 atoms, and single tables of 1 to 8 entries;
+    # uniforms include bucket edges, table entries and the largest double
+    # below 1
     tables = [immigration_cdf_table(law) for law in (
         PoissonImmigration(nu=1.5), GeometricImmigration(s=GEOMETRIC_S_MIN), NoImmigration())]
     inv = _Inverse(tables)
@@ -320,32 +321,24 @@ def test_guide_table_inversion_equals_binary_search():
     cum = cum / cum[-1]
     cum[-1] = 1.0
     np.testing.assert_array_equal(_Inverse([cum])(u), np.searchsorted(cum, u, side="right"))
-
-
-@pytest.mark.parametrize("size", range(1, 9))
-def test_small_table_inversion_equals_binary_search(size):
-    # A single table of at most 8 entries is inverted by counting; with a
-    # zero-probability atom two entries are equal, and uniforms on every
-    # entry must land past both, as the search puts them
-    gen = Generator(Philox(key=[22, size]))
-    probs = gen.random(size)
-    probs[size // 2] = 0.0 if size > 1 else probs[0]
-    cum = np.cumsum(probs) / probs.sum()
-    cum[-1] = 1.0
-    inv = _Inverse([cum])
-    assert inv.small is not None
-    u = np.concatenate([gen.random(20_000), cum[:-1], np.nextafter(cum[:-1], 0.0),
-                        [0.0, 1.0 - 2.0**-53]])
-    u = u[u < 1.0]  # an entry may be 1.0 before the last
-    np.testing.assert_array_equal(inv(u), np.searchsorted(cum, u, side="right"))
-    assert _Inverse([np.concatenate([cum[:-1], np.linspace(cum[-2] if size > 1 else 0.0,
-                                                             1.0, 10)[1:]])]).small is None
+    # a single table of at most 8 entries is inverted by counting; with a
+    # zero-probability atom two entries are equal, and a uniform on them
+    # must land past both, as the search puts it
+    for size in range(1, 9):
+        probs = gen.random(size)
+        probs[size // 2] = 0.0 if size > 1 else 1.0
+        cum = np.cumsum(probs) / probs.sum()
+        cum[-1] = 1.0
+        inv = _Inverse([cum])
+        assert inv.small is not None
+        v = np.concatenate([u, cum[:-1], np.nextafter(cum[:-1], 0.0)])
+        v = v[v < 1.0]  # an entry before the last may be 1.0
+        np.testing.assert_array_equal(inv(v), np.searchsorted(cum, v, side="right"))
+    assert _Inverse([np.linspace(0.1, 1.0, 9)]).small is None
 
 
 def test_immigration_tables_one_per_distinct_law():
     # environment A shares one Poisson law: one table, inverted without rows
-    tab = one_atom_tables(ShiftedPoisson(lam=1.0), PoissonImmigration(nu=1.0))
-    assert tab.imm_row is None
     a = _EnvTables(make_env_a())
     assert a.imm_row is None and a.immigration.start.size == 1
     mixed = _EnvTables(make_mixed_env())
