@@ -28,6 +28,72 @@ from .trajectory import simulate_batch, simulate_walk_batch
 #: importing the package does not load scipy.
 Z_99 = 2.5758293035489004
 
+#: Degrees of freedom from which :func:`student_t_99` is the Cornish-Fisher
+#: expansion alone: its first omitted term is below 2e-16 relative there.
+_T_EXPANSION_DF = 2000
+
+
+def student_t_99(df: int) -> float:
+    """The 0.995 quantile of Student's t with ``df >= 1`` degrees of freedom
+    (``scipy.special.stdtrit(df, 0.995)``), in plain Python.
+
+    The start is the Cornish-Fisher expansion of the quantile in ``1/df``
+    to the fourth order (Abramowitz & Stegun 26.7.5) about ``Z_99``.  From
+    ``df = _T_EXPANSION_DF`` on it is the answer.  Below, Newton's method
+    solves ``log P(T > t) = log 0.005`` in ``log t`` from there, with the
+    upper tail of :func:`_t_upper_tail`.
+    """
+    if df < 1:
+        raise ValueError(f"df must be a positive integer, got {df}")
+    z2 = Z_99 * Z_99
+    g1 = (z2 + 1) / 4
+    g2 = ((5 * z2 + 16) * z2 + 3) / 96
+    g3 = (((3 * z2 + 19) * z2 + 17) * z2 - 15) / 384
+    g4 = ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) / 92160
+    t = Z_99 * (1 + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df)
+    if df >= _T_EXPANSION_DF:
+        return t
+    log_c = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
+    for _ in range(64):
+        tail = _t_upper_tail(df, t)
+        density = math.exp(log_c - (df + 1) / 2 * math.log1p(t * t / df))
+        step = math.log(tail / 0.005) * tail / (t * density)
+        t *= math.exp(step)
+        if abs(step) < 1e-9:  # quadratic convergence: t is now exact to rounding
+            break
+    return t
+
+
+def _t_upper_tail(df: int, t: float) -> float:
+    """``P(T > t)`` for Student's t with ``df`` degrees of freedom and
+    ``t > 0``, as a sum of positive terms.
+
+    The closed-form CDF of integer df (A&S 26.7.3-4) is a finite sum in
+    ``c = df / (df + t^2)``; its complement is the rest of the series,
+    which has no cancellation: with ``m, h = divmod(df, 2)``, ``P(T > t) =
+    w * sum_{k >= m} r_k c^k``, where ``r_k = prod_{j <= k} (2j - 1 + h) /
+    (2j + h)``, and ``w = sqrt(1 - c) / 2`` for even df and ``sqrt(c (1 -
+    c)) / pi`` for odd.
+    """
+    m, h = divmod(df, 2)
+    d = df + t * t
+    c = df / d
+    w = t / math.sqrt(d) * (0.5 if h == 0 else math.sqrt(c) / math.pi)
+    r = 1.0
+    for j in range(1, m + 1):
+        r *= (2 * j - 1 + h) / (2 * j + h)
+    term = r * math.exp(-m * math.log1p(t * t / df))  # r_m c^m
+    # each term is below c times the one before, so the terms a stop leaves
+    # sum to less than term / (1 - c)
+    small = 2.0**-56 * (t * t / d)
+    total, k = 0.0, m
+    while term > small * total:
+        total += term
+        k += 1
+        term *= c * (2 * k - 1 + h) / (2 * k + h)
+    return w * total
+
+
 #: Stream-id offset for the martingale-limit estimation batch inside
 #: clt_rate_experiment: same master seed, disjoint replicate stream range
 #: (main batches use ids [0, R), this starts at 2**32).
@@ -385,7 +451,10 @@ def increment_decay(
     five times its SE; with fewer than three qualifying rows the series is
     returned as inconclusive (no fit).  The fit is ordinary least squares of
     ``log estimate`` on n, and the CI uses the Student-t quantile of the
-    residual degrees of freedom.
+    residual degrees of freedom, :func:`student_t_99`: the closed-form t CDF
+    of integer df (Abramowitz & Stegun 26.7.3-4) inverted by Newton's method
+    from a Cornish-Fisher start (A&S 26.7.5), or from 2000 degrees of
+    freedom on that expansion alone.
     """
     if not (q > 0.0):
         raise ValueError(f"q must be positive, got {q}")
@@ -414,9 +483,7 @@ def increment_decay(
         np.array([r.n for r in fit_rows], dtype=np.float64),
         np.array([math.log(r.estimate) for r in fit_rows]),
     )
-    from scipy import special  # only this fit needs scipy; keep it off start-up
-
-    t99 = float(special.stdtrit(len(fit_rows) - 2, 0.995))
+    t99 = student_t_99(len(fit_rows) - 2)
     lo = slope - t99 * stderr
     hi = slope + t99 * stderr
     return DecaySeries(

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -171,6 +171,10 @@ class WalkBatch:
 #: Most buckets of an inversion guide table.
 _GUIDE = 4096
 
+#: Most buckets of the guides of all the tables of one inversion: each
+#: table gets at most an equal share.
+_GUIDE_BUDGET = 2**16
+
 #: Most entries of a single table inverted by counting, without a guide.
 _SMALL = 8
 
@@ -187,10 +191,13 @@ class _Inverse:
 
     Each table has a guide of M buckets ``[b, b + 1) / M``, M a power of two
     (so ``floor(u * M)`` is exact) of about 32 per entry, at most
-    ``_GUIDE``.  The guide holds the range of entries a bucket's uniforms
-    can end on: one comparison finishes the inversion unless two entries
-    share the bucket, and those few uniforms are bisected in that range.
-    Tables and guides are concatenated, so memory is linear in the entries.
+    ``_GUIDE`` and at most the table's equal share of ``_GUIDE_BUDGET``
+    (at least 1), so all guides together hold at most ``max(_GUIDE_BUDGET,
+    len(cdfs))`` buckets.  The guide holds the range of entries a bucket's
+    uniforms can end on: one comparison finishes the inversion unless two
+    entries share the bucket, and those few uniforms are bisected in that
+    range.  Tables and guides are concatenated, so memory is linear in the
+    entries.
     """
 
     def __init__(self, cdfs: list[np.ndarray]):
@@ -199,7 +206,8 @@ class _Inverse:
             return
         self.table = np.concatenate(cdfs)
         self.start = np.cumsum([0] + [len(c) for c in cdfs[:-1]])
-        buckets = [min(_GUIDE, 1 << (32 * len(c) - 1).bit_length()) for c in cdfs]
+        most = min(_GUIDE, 1 << (max(1, _GUIDE_BUDGET // len(cdfs)).bit_length() - 1))
+        buckets = [min(most, 1 << (32 * len(c) - 1).bit_length()) for c in cdfs]
         self.buckets = np.array(buckets, dtype=np.float64)
         self.first = np.cumsum([0] + buckets[:-1])
         lo, hi = [], []
@@ -293,11 +301,11 @@ class _EnvTables:
             [math.sqrt(a.offspring.variance) / a.offspring.mean for a in env.atoms]
         )
         # one table per distinct law; atom a inverts through row imm_row[a]
-        laws = list(dict.fromkeys(a.immigration for a in env.atoms))
-        cdfs = [immigration_cdf_table(law) for law in laws]
+        row = {law: i for i, law in enumerate(dict.fromkeys(a.immigration for a in env.atoms))}
+        cdfs = [immigration_cdf_table(law) for law in row]
         self.immigration = _Inverse(cdfs)
-        self.imm_row = (None if len(laws) == 1
-                        else np.array([laws.index(a.immigration) for a in env.atoms]))
+        self.imm_row = (None if len(row) == 1
+                        else np.array([row[a.immigration] for a in env.atoms]))
         self.immigrates = any(len(cdf) > 1 for cdf in cdfs)
         self.immigrants_log_size, self.quiet_log_size = _log_sizes(
             self.logm, self.sd_over_m, max(len(cdf) for cdf in cdfs) - 1)
@@ -556,6 +564,17 @@ def _pool_chunk(key: int, count: int) -> dict[str, np.ndarray]:
     return worker(key, count, *static_args)
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: ``concurrent.futures``
+    loads multiprocessing, socket, logging and subprocess, and only a run
+    on a pool needs them."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _run_chunks(worker, static_args: tuple, replicates: int, stream_offset: int,
                 threads: int, keys: list[str]) -> dict[str, np.ndarray]:
     """Partition ``replicates`` into fixed-size chunks, run them inline or on
@@ -572,10 +591,13 @@ def _run_chunks(worker, static_args: tuple, replicates: int, stream_offset: int,
     if threads <= 1 or len(chunks) == 1:
         results = [worker(sid, cnt, *static_args) for sid, cnt in chunks]
     else:
+        # looked up on the module at call time, so that a rebinding of
+        # ``ProcessPoolExecutor`` takes effect (see ``__getattr__``)
+        pool_type = sys.modules[__name__].ProcessPoolExecutor
         # a pool may start all of its workers at once: never more than tasks
-        with ProcessPoolExecutor(max_workers=min(threads, len(chunks)),
-                                 initializer=_init_pool_process,
-                                 initargs=(worker, static_args)) as pool:
+        with pool_type(max_workers=min(threads, len(chunks)),
+                       initializer=_init_pool_process,
+                       initargs=(worker, static_args)) as pool:
             futures = [pool.submit(_pool_chunk, sid, cnt) for sid, cnt in chunks]
             results = [f.result() for f in futures]
 

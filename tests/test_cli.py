@@ -441,32 +441,80 @@ def _run_cli(tmp_path, doc) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs most of the CLI's start-up; only the decay fit loads
-    # scipy, and then only scipy.special
+    # scipy.stats would cost most of the CLI's start-up; no run needs scipy
     proc = _python("-c", "import sys, bpire.cli; print('scipy.stats' in sys.modules)")
     assert proc.stdout == "False\n", proc.stderr
 
 
-def test_start_up_loads_no_scipy(tmp_path):
-    # importing scipy.special costs about half of a process's start-up; only
-    # the decay fit loads it
-    doc = {"kind": "elogw", "environment": _env_doc(), "replicates": 50, "horizon": 4,
-           "threads": 1}
-    argv = ["--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")]
-    proc = _python("-c", (
-        "import json, sys\n"
-        "def scipy(): return [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+#: One small config of each kind, run by ``test_start_up_loads_no_scipy``
+#: (decay's is ``_DECAY_DOC``, which reaches its fit): every kind reads the
+#: keys it needs.
+_KIND_DOCS = {
+    kind: {"kind": kind, "environment": _env_doc("none" if kind == "laplace" else "poisson"),
+           "x_grid": {"min": -1.0, "max": 1.0, "step": 1.0}, "n_list": [2, 4], "horizon": 4,
+           "replicates": 200, "q": 1.0, "r": 3.0, "threads": 1}
+    for kind in KINDS
+}
+
+
+#: Source, for a fresh interpreter, of ``watched()``: the loaded modules a run
+#: may not need, which are scipy (about half of a process's start-up),
+#: concurrent.futures (multiprocessing, socket, logging and subprocess, for a
+#: pool alone) and the estimator layers.
+_WATCHED = (
+    "import sys\n"
+    "def watched():\n"
+    "    return sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'concurrent')\n"
+    "                  or m in ('bpire.analytics', 'bpire.mc_verify'))\n"
+)
+
+
+def test_package_import_loads_no_estimator_layer_and_no_pool():
+    proc = _python("-c", _WATCHED + (
+        "import json\n"
         "import bpire\n"
-        "loaded = {'import bpire': scipy()}\n"
-        "import bpire.cli\n"
-        "loaded['import bpire.cli'] = scipy()\n"
-        f"code = bpire.cli.main({argv!r})\n"
-        "loaded['elogw run'] = scipy()\n"
-        "print(json.dumps([code, loaded]))\n"
+        "loaded = {'import bpire': watched()}\n"
+        "import bpire.trajectory\n"
+        "loaded['import bpire.trajectory'] = watched()\n"
+        "print(json.dumps(loaded))\n"
     ))
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0, proc.stderr
-    assert loaded == {"import bpire": [], "import bpire.cli": [], "elogw run": []}
+    assert json.loads(proc.stdout) == {"import bpire": [], "import bpire.trajectory": []}, \
+        proc.stderr
+
+
+def test_every_public_name_imports():
+    proc = _python("-c", (
+        "import importlib, json, bpire\n"
+        "from bpire import *\n"
+        "wrong = [n for n in bpire.__all__ if globals()[n] is not\n"
+        "         getattr(importlib.import_module('bpire.' + bpire._MODULE_OF[n]), n)]\n"
+        "print(json.dumps([len(bpire.__all__), wrong, sorted(set(bpire.__all__) - set(dir(bpire)))]))\n"
+    ))
+    assert json.loads(proc.stdout) == [31, [], []], proc.stderr
+
+
+def test_start_up_loads_no_scipy(tmp_path):
+    # every kind at threads = 1, one after another in one fresh interpreter:
+    # none loads scipy, and none starts a pool, so none loads
+    # concurrent.futures
+    docs = {**_KIND_DOCS, "decay": {**_DECAY_DOC, "threads": 1}}
+    runs = {
+        kind: ["--config", _write(tmp_path, doc, f"{kind}.json"), "--out", str(tmp_path / kind)]
+        for kind, doc in docs.items()
+    }
+    proc = _python("-c", _WATCHED + (
+        "import json\n"
+        "import bpire.cli\n"
+        "loaded = {'import bpire.cli': watched()}\n"
+        f"for kind, argv in {runs!r}.items():\n"
+        "    loaded[kind] = [bpire.cli.main(argv), watched()]\n"
+        "print(json.dumps(loaded))\n"
+    ))
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    layers = ["bpire.analytics", "bpire.mc_verify"]  # the command line's own imports
+    assert loaded.pop("import bpire.cli") == layers
+    assert loaded == {kind: [0, layers] for kind in KINDS}, proc.stderr
+    assert (tmp_path / "decay" / "fit.csv").exists()
 
 
 def test_threshold_below_minimum_exits_one_with_reason(tmp_path):
@@ -502,6 +550,33 @@ def test_inconclusive_decay_exits_three(tmp_path, capsys):
     # decay.csv written, fit.csv is header-only
     assert (out / "decay.csv").exists()
     assert (out / "fit.csv").read_text() == "slope,rho_hat,ci_lo,ci_hi\n"
+
+
+def test_unstable_berry_esseen_constant_exits_three(tmp_path, capsys):
+    # offspring means 2 and 2 + 1e-6 make sigma about 2.5e-7, while Poisson(5)
+    # immigrants keep log W far from 0: at n = 64 every standardized sample
+    # lies outside the grid [-4, 4], so sup_dev >= (Phi(4) - Phi(-4)) / 2 and
+    # c_fit >= 4, where at n = 1 c_fit = sup_dev <= 1.  The constants are a
+    # factor 2 apart whatever the draws.
+    doc = {
+        "kind": "berry-esseen",
+        "environment": {"atoms": [
+            {"offspring": {"kind": "shifted_poisson", "lam": lam},
+             "immigration": {"kind": "poisson", "nu": 5.0}, "prob": 0.5}
+            for lam in (1.0, 1.0 + 1e-6)]},
+        "x_grid": {"min": -4.0, "max": 4.0, "step": 0.05},
+        "n_list": [1, 64],
+        "replicates": 200,
+    }
+    for seed in range(5):
+        out = tmp_path / str(seed)
+        code = main(["--config", _write(tmp_path, {**doc, "master_seed": seed}),
+                     "--out", str(out)])
+        assert code == 3
+        assert "not stable within factor 2" in capsys.readouterr().out
+        c_fits = [float(line.split(",")[3])
+                  for line in (out / "berry_esseen.csv").read_text().split("\n")[1:-1]]
+        assert c_fits[0] <= 1.0 and c_fits[1] >= 4.0 * 0.9999
 
 
 # ------------------------------------------------------------ CSV artifacts
@@ -619,7 +694,8 @@ def test_decay_csv_and_fit(tmp_path):
 
 
 def test_decay_fit_in_a_fresh_interpreter_matches_in_process(tmp_path):
-    # the fit imports scipy itself; in this process the tests have loaded it already
+    # a fresh interpreter loads no scipy, and the fit's t quantile needs none;
+    # this process has loaded scipy for other tests
     out = tmp_path / "out"
     assert main(["--config", _write(tmp_path, _DECAY_DOC), "--out", str(out)]) == 0
     proc = _run_cli(tmp_path, _DECAY_DOC)

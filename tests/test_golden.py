@@ -23,11 +23,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bpire
 from bpire import simulate_batch
 from bpire.cli import _parse_environment, main
 from conftest import make_env_a
@@ -186,11 +190,11 @@ GOLDEN = {
     },
     "decay": {
         "exit": 0,
-        "stdout": "15cb96f5190780693196ed65d56356be3754887dcb55910fd27d49edf223f936",
+        "stdout": "4f9bcf293b5a87d98ee31b27e57d91333ac2bde0ab8653655b7da98dde8184cb",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "decay.csv": "fb64683b5203649a735359674e5a8f4f54538faa6e02ac7c6dbdc8015e4effb2",
-            "fit.csv": "dbe93fb8bfad59352815810e30e4871efa00e42f362dcd355ada100c6f1be9f1",
+            "fit.csv": "f2414f5934812629166cf357eb3d8c3c190d4ff5fa836e6cab38c87c5872e0d8",
             "run_manifest.json": "65c2c7cc1b77ec508239859f51313d3baf5ca60328eda5d1f6f9fc918b054e4f"
         }
     },
@@ -310,20 +314,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(case: str, tmp_path: Path) -> dict:
-    if callable(CASES[case]):
-        arrays = CASES[case]()
-        return {
-            name: _sha(np.ascontiguousarray(a).tobytes())
-            for name, a in sorted(arrays.items()) if a is not None
-        }
-    doc = {"replicates": _R, "master_seed": 7, "threads": 1, **CASES[case]}
+def _config(case: str, tmp_path: Path) -> str:
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["--config", str(cfg), "--out", str(out)])
+    cfg.write_text(json.dumps({"replicates": _R, "master_seed": 7, "threads": 1, **CASES[case]}))
+    return str(cfg)
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    """The bytes of every file in ``out``; the manifest without its
+    ``wall_time_s`` line."""
     files = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
@@ -331,18 +330,54 @@ def _digests(case: str, tmp_path: Path) -> dict:
             data = b"".join(
                 line for line in data.splitlines(keepends=True) if b'"wall_time_s"' not in line
             )
-        files[path.name] = _sha(data)
+        files[path.name] = data
+    return files
+
+
+def _digests(case: str, tmp_path: Path) -> dict:
+    if callable(CASES[case]):
+        arrays = CASES[case]()
+        return {
+            name: _sha(np.ascontiguousarray(a).tobytes())
+            for name, a in sorted(arrays.items()) if a is not None
+        }
+    out = tmp_path / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--config", _config(case, tmp_path), "--out", str(out)])
     return {
         "exit": code,
         "stdout": _sha(stdout.getvalue().encode()),
         "stderr": _sha(stderr.getvalue().encode()),
-        "files": files,
+        "files": {name: _sha(data) for name, data in _outputs(out).items()},
     }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_outputs(case, tmp_path):
     assert _digests(case, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", ["decay", "elogw"])
+def test_golden_runs_need_numpy_alone(case, tmp_path):
+    # a fresh interpreter that cannot import scipy writes the bytes of this
+    # process, which has loaded it for other tests
+    cfg = _config(case, tmp_path)
+    argv = ["--config", cfg, "--out", str(tmp_path / "fresh")]
+    src = str(Path(bpire.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nsys.modules['scipy'] = None\nfrom bpire.cli import main\n"
+         f"sys.exit(main({argv!r}))\n"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)},
+    )
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["--config", cfg, "--out", str(tmp_path / "here")])
+    assert (proc.returncode, proc.stdout) == (code, stdout.getvalue()), proc.stderr
+    assert _outputs(tmp_path / "fresh") == _outputs(tmp_path / "here")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 decay/stability gates, determinism."""
 
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -26,7 +28,7 @@ from bpire import (
     std_normal_pdf,
     walk_oracle_rate,
 )
-from bpire.mc_verify import Z_99, ElogWConfig, _ols
+from bpire.mc_verify import _T_EXPANSION_DF, Z_99, ElogWConfig, _ols, student_t_99
 from conftest import make_env_a, make_skewed_env, without_immigration
 
 
@@ -47,6 +49,26 @@ def _single_atom_env(lam: float = 1.0) -> EnvironmentModel:
 
 def test_z99_is_the_normal_quantile_to_the_last_bit():
     assert Z_99 == float(special.ndtri(0.995))
+
+
+def test_student_t_99_matches_mpmath():
+    # the root of P(T > t) = 0.005 at 50 digits, on both sides of the
+    # switch to the expansion alone; scipy's stdtrit is off by up to 7.2e-15
+    # here (df = 6)
+    edge = _T_EXPANSION_DF
+    with mp.workdps(50):
+        for df in [*range(1, 301), 10**3, edge - 1, edge, 10**4, 10**5]:
+            t = student_t_99(df)
+            a = mp.mpf(df) / 2
+            exact = mp.findroot(
+                lambda x: mp.betainc(a, 0.5, 0, df / (df + x * x), regularized=True) / 2
+                - mp.mpf("0.005"), mp.mpf(t))
+            assert abs(t - exact) <= 1e-14 * exact, df
+    start = time.perf_counter()
+    student_t_99(10**5)
+    assert time.perf_counter() - start < 0.01
+    with pytest.raises(ValueError, match="df"):
+        student_t_99(0)
 
 
 def test_empirical_cdf_small_example():

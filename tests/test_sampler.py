@@ -27,6 +27,7 @@ from bpire.env_model import (
     immigration_table_entries,
 )
 from bpire.sampler import atom_cumulative, immigration_cdf_table, substream
+import bpire.trajectory as trajectory
 from bpire.trajectory import _EnvTables, _Inverse
 from conftest import (
     make_env_a,
@@ -350,6 +351,31 @@ def test_immigration_tables_one_per_distinct_law():
         np.searchsorted(immigration_cdf_table(GeometricImmigration(s=0.5)), u, side="right"),
         np.searchsorted(immigration_cdf_table(PoissonImmigration(nu=2.0)), u, side="right"))
     np.testing.assert_array_equal(mixed.immigrants(u, idx), expected)
+
+
+def test_guides_share_one_bucket_budget():
+    # 10^4 distinct Poisson laws near nu = 1: 185,228 entries, whose guides
+    # at about 32 buckets an entry would hold about 10^7 buckets; the
+    # environments of the tests keep their guides whole
+    laws = [PoissonImmigration(nu=1.0 + k * 1e-6) for k in range(10_000)]
+    tab = _EnvTables(EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=ShiftedPoisson(lam=1.0), immigration=law, prob=1e-4) for law in laws)))
+    inv = tab.immigration
+    assert inv.lo.size <= trajectory._GUIDE_BUDGET
+    gen = Generator(Philox(key=[24, 0]))
+    u, idx = gen.random(200_000), gen.integers(0, len(laws), 200_000)
+    order = np.argsort(idx, kind="stable")
+    ends = np.searchsorted(idx[order], np.arange(len(laws) + 1))
+    expected = np.empty(u.size, dtype=np.int64)
+    for a, law in enumerate(laws):
+        cols = order[ends[a]:ends[a + 1]]
+        expected[cols] = np.searchsorted(immigration_cdf_table(law), u[cols], side="right")
+    np.testing.assert_array_equal(tab.immigrants(u, idx), expected)
+    for env in (make_env_a(), make_mixed_env()):
+        cdfs = [immigration_cdf_table(law)
+                for law in dict.fromkeys(a.immigration for a in env.atoms)]
+        assert _EnvTables(env).immigration.buckets.tolist() == [
+            min(trajectory._GUIDE, 1 << (32 * len(c) - 1).bit_length()) for c in cdfs]
 
 
 def test_immigration_table_entries_bound_the_tables():
