@@ -12,7 +12,6 @@ statistical experiments treat its outputs as ground truth.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .env_model import (
@@ -108,71 +107,59 @@ class SeriesDivergence(Exception):
     """A moment series failed to reach its tolerance within the term cap."""
 
 
-def _power_series_moment(
-    first_k: int,
-    first_pmf: float,
-    pmf_ratio,
-    power: float,
-    shift: int,
-    log_pmf=None,
-    mode: int = 0,
-    rtol: float = 1e-12,
-    max_terms: int = 10**6,
-) -> float:
+#: Relative tolerance and term cap of :func:`_power_series_moment`.
+_SERIES_RTOL = 1e-12
+_SERIES_MAX_TERMS = 10**6
+
+
+def _power_series_moment(first_k: int, mode: int, log_pmf, pmf_ratio, power: float,
+                         shift: int) -> float:
     """Sum ``(shift + k)^power * pmf(k)`` for ``k = first_k, first_k+1, ...``
 
-    ``pmf_ratio(k)`` must return ``pmf(k+1)/pmf(k)``.  For both supported
-    families the term ratio ``pmf_ratio(k) * ((shift+k+1)/(shift+k))**power``
-    is strictly decreasing in k, so once it drops below 1 the tail is
-    bounded by the geometric series ``term * ratio / (1 - ratio)``; the sum
-    stops when that bound falls below ``rtol`` times the partial sum.
-
-    A first term below the smallest normal double (a Poisson mean above
-    about 708) would carry no mass into the later terms, so then the sum
-    starts at ``max(first_k, mode)`` with ``exp(log_pmf(k))`` and runs in
-    both directions; going down, the term ratio only shrinks, so the same
-    geometric bound ends that half.
+    ``log_pmf(k)`` must return ``log pmf(k)``, ``pmf_ratio(k)`` must return
+    ``pmf(k+1)/pmf(k)``, and ``mode`` is a mode of the pmf.  The sum starts
+    at ``max(first_k, mode)`` with ``exp(log_pmf(k))``, so its first term
+    is normal even when ``pmf(first_k)`` is not (a Poisson mean above about
+    708), and runs in both directions.  For both supported families the
+    term ratio ``pmf_ratio(k) * ((shift+k+1)/(shift+k))**power`` is strictly
+    decreasing in k, so once it drops below 1 the tail is bounded by the
+    geometric series ``term * ratio / (1 - ratio)``; each direction stops
+    when that bound falls below ``_SERIES_RTOL`` times the partial sum.
+    Going down, the term ratio only shrinks, so the same bound ends that
+    half.
     """
-    if first_pmf >= sys.float_info.min or log_pmf is None:
-        return _sum_upward(first_k, first_pmf, pmf_ratio, power, shift, rtol, max_terms)
-    k = max(first_k, mode)
-    pmf = math.exp(log_pmf(k))
-    total = _sum_upward(k, pmf, pmf_ratio, power, shift, rtol, max_terms)
-    term = (shift + k) ** power * pmf
-    for _ in range(max_terms):
-        if k == first_k:
-            return total
-        ratio = ((shift + k - 1) / (shift + k)) ** power / pmf_ratio(k - 1)
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) <= rtol * total:
-            return total
-        k -= 1
-        pmf /= pmf_ratio(k)
-        term = (shift + k) ** power * pmf
-        total += term
-    raise SeriesDivergence(
-        f"series did not reach rtol={rtol} within {max_terms} terms"
+    start = max(first_k, mode)
+    first = (shift + start) ** power * math.exp(log_pmf(start))
+    total = first
+    directions = (
+        (1, None, lambda k: pmf_ratio(k) * ((shift + k + 1) / (shift + k)) ** power),
+        (-1, first_k, lambda k: ((shift + k - 1) / (shift + k)) ** power / pmf_ratio(k - 1)),
     )
+    for step, last, term_ratio in directions:
+        k, term = start, first
+        for _ in range(_SERIES_MAX_TERMS):
+            if k == last:
+                break
+            ratio = term_ratio(k)
+            if ratio < 1.0 and term * ratio / (1.0 - ratio) <= _SERIES_RTOL * total:
+                break
+            k += step
+            term *= ratio
+            total += term
+        else:
+            raise SeriesDivergence(
+                f"series did not reach rtol={_SERIES_RTOL} within {_SERIES_MAX_TERMS} terms"
+            )
+    return total
 
 
-def _sum_upward(k: int, pmf: float, pmf_ratio, power: float, shift: int,
-                rtol: float, max_terms: int) -> float:
-    """The terms of :func:`_power_series_moment` from ``k`` (with
-    ``pmf(k) = pmf``) upward."""
-    term = (shift + k) ** power * pmf
-    total = term
-    for _ in range(max_terms):
-        ratio = pmf_ratio(k) * ((shift + k + 1) / (shift + k)) ** power
-        if ratio < 1.0:
-            tail_bound = term * ratio / (1.0 - ratio)
-            if tail_bound <= rtol * total:
-                return total
-        k += 1
-        pmf *= pmf_ratio(k - 1)
-        term = (shift + k) ** power * pmf
-        total += term
-    raise SeriesDivergence(
-        f"series did not reach rtol={rtol} within {max_terms} terms"
-    )
+def _poisson_log_pmf(mean: float):
+    return lambda k: k * math.log(mean) - mean - math.lgamma(k + 1)
+
+
+def _geometric_log_pmf(p: float):
+    """``log P(G = k)`` for ``P(G = k) = p (1-p)^k``."""
+    return lambda k: math.log(p) + k * math.log1p(-p)
 
 
 def _offspring_power_moment(law, power: float) -> float:
@@ -180,12 +167,12 @@ def _offspring_power_moment(law, power: float) -> float:
     if isinstance(law, ShiftedPoisson):
         lam = law.lam
         return _power_series_moment(
-            0, math.exp(-lam), lambda k: lam / (k + 1), power, shift=1,
-            log_pmf=lambda k: k * math.log(lam) - lam - math.lgamma(k + 1), mode=int(lam),
+            0, int(lam), _poisson_log_pmf(lam), lambda k: lam / (k + 1), power, shift=1
         )
     if isinstance(law, ShiftedGeometric):
         q = law.q
-        return _power_series_moment(0, q, lambda k: 1.0 - q, power, shift=1)
+        return _power_series_moment(0, 0, _geometric_log_pmf(q), lambda k: 1.0 - q, power,
+                                    shift=1)
     raise TypeError(f"unknown offspring law {law!r}")
 
 
@@ -198,13 +185,14 @@ def _immigration_power_moment(law: ImmigrationLaw, power: float) -> float:
         if nu == 0.0:
             return 0.0
         return _power_series_moment(
-            1, nu * math.exp(-nu), lambda k: nu / (k + 1), power, shift=0
+            1, int(nu), _poisson_log_pmf(nu), lambda k: nu / (k + 1), power, shift=0
         )
     if isinstance(law, GeometricImmigration):
         s = law.s
         if s >= 1.0:
             return 0.0
-        return _power_series_moment(1, s * (1.0 - s), lambda k: 1.0 - s, power, shift=0)
+        return _power_series_moment(1, 0, _geometric_log_pmf(s), lambda k: 1.0 - s, power,
+                                    shift=0)
     raise TypeError(f"unknown immigration law {law!r}")
 
 
