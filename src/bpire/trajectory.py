@@ -576,13 +576,13 @@ def __getattr__(name: str):
 
 
 def _run_chunks(worker, static_args: tuple, replicates: int, stream_offset: int,
-                threads: int, keys: list[str]) -> dict[str, np.ndarray]:
-    """Partition ``replicates`` into fixed-size chunks, run them inline or on
-    a process pool, and assemble columns in stream order.  The partition is
-    independent of ``threads``, so assembled arrays are bit-identical for
-    any worker count.  A pool receives ``static_args`` (the environment
-    tables among them) once per process, and each task only its chunk's
-    key and size."""
+                threads: int) -> dict[str, np.ndarray]:
+    """Partition ``replicates`` (at least one) into fixed-size chunks, run
+    them inline or on a process pool, and assemble each array the chunks
+    return, columns in stream order.  The partition is independent of
+    ``threads``, so assembled arrays are bit-identical for any worker
+    count.  A pool receives ``static_args`` (the environment tables among
+    them) once per process, and each task only its chunk's key and size."""
     starts = list(range(0, replicates, _CHUNK))
     chunks = [(stream_offset + s, min(_CHUNK, replicates - s)) for s in starts]
 
@@ -601,7 +601,7 @@ def _run_chunks(worker, static_args: tuple, replicates: int, stream_offset: int,
             futures = [pool.submit(_pool_chunk, sid, cnt) for sid, cnt in chunks]
             results = [f.result() for f in futures]
 
-    return {k: np.concatenate([r[k] for r in results], axis=1) for k in keys}
+    return {k: np.concatenate([r[k] for r in results], axis=1) for k in results[0]}
 
 
 def simulate_batch(
@@ -639,14 +639,12 @@ def simulate_batch(
             f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
             "exact counts may overflow int64"
         )
-    keys = ["log_z", "s"] + (["log_zbar"] if couple_no_immigration else [])
     out = _run_chunks(
         _simulate_chunk,
         (_EnvTables(env), master_seed, rec, couple_no_immigration, threshold),
         replicates,
         stream_offset,
         threads,
-        keys,
     )
     return BatchResult(
         master_seed=master_seed,
@@ -683,7 +681,6 @@ def simulate_walk_batch(
         replicates,
         stream_offset,
         threads,
-        ["s"],
     )
     return WalkBatch(
         master_seed=master_seed,
