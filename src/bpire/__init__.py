@@ -31,8 +31,8 @@ _PUBLIC = {
         "ShiftedGeometric",
         "ShiftedPoisson",
         "MomentSummary",
+        "lattice_span",
         "log_mean_moments",
-        "non_lattice_heuristic",
         "validate",
     ),
     "sampler": ("PROMOTION_THRESHOLD",),

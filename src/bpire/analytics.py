@@ -15,17 +15,17 @@ import math
 from dataclasses import dataclass
 
 from .env_model import (
+    LATTICE_MAX_DENOMINATOR,
     EnvironmentModel,
     GeometricImmigration,
     ImmigrationLaw,
-    LatticeDiagnostic,
     MomentSummary,
     NoImmigration,
     PoissonImmigration,
     ShiftedGeometric,
     ShiftedPoisson,
+    lattice_span,
     log_mean_moments,
-    non_lattice_heuristic,
 )
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -83,14 +83,13 @@ class HypothesisReport:
 
     Poisson- and geometric-family laws have all moments, so the finiteness
     flags are informative rather than gating; the interesting outputs are
-    the computed values and the lattice diagnostic.
+    the computed values and the lattice verdict.
     """
 
     p: float
     delta: float
     r: float
     entries: tuple[HypothesisEntry, ...]
-    lattice: LatticeDiagnostic
 
     def entry(self, name: str) -> HypothesisEntry:
         for e in self.entries:
@@ -211,7 +210,9 @@ def hypothesis_report(
     * ``E (Y0/m0)^delta``    -- immigration moment, 0 without immigration;
     * ``E (E_xi (X0/m0)^p)^delta`` -- environment-averaged offspring moment;
     * ``sigma2_positive``    -- strict positivity of ``Var(log m0)``;
-    * ``non_lattice``        -- the pairwise-ratio lattice heuristic.
+    * ``non_lattice``        -- passes when :func:`lattice_span` finds no
+      span; its value is the span, or NaN when there is none or fewer than
+      two distinct values of ``log m0``.
 
     A series failing to converge within ``10**6`` terms produces a failing
     entry with the exception message instead of raising.
@@ -276,16 +277,20 @@ def hypothesis_report(
         )
     )
 
-    lattice = non_lattice_heuristic(env)
+    span = lattice_span(env)
+    if span is None:
+        detail = "inapplicable: fewer than two distinct values of log m0"
+    elif math.isnan(span):
+        detail = f"no lattice span with denominators <= {LATTICE_MAX_DENOMINATOR}"
+    else:
+        detail = "lattice: log m0 lies in a + hZ, value = span h"
     entries.append(
         HypothesisEntry(
             "non_lattice",
-            float(len(lattice.pairs)),
-            lattice.status == "ok",
-            f"heuristic status: {lattice.status}",
+            math.nan if span is None else span,
+            span is not None and math.isnan(span),
+            detail,
         )
     )
 
-    return HypothesisReport(
-        p=p, delta=delta, r=r, entries=tuple(entries), lattice=lattice
-    )
+    return HypothesisReport(p=p, delta=delta, r=r, entries=tuple(entries))

@@ -400,25 +400,19 @@ def _decay_outcome(series: Any) -> tuple[int, str]:
 
 
 def _validate_report(cfg: ExperimentConfig) -> tuple[int, str]:
-    """The validation, hypothesis-audit and lattice reports, and exit 2 when
-    a validation check fails."""
+    """The validation and hypothesis-audit reports (the lattice verdict is
+    the audit's ``non_lattice`` entry), and exit 2 when a validation check
+    fails."""
     report = validate(cfg.environment)
     hyp = hypothesis_report(
         cfg.environment, p=cfg.p, delta=cfg.delta, r=cfg.r if cfg.r is not None else 3.0
     )
-    lat = hyp.lattice
     lines = ["validation checks:"]
     lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.checks]
     lines.append("hypothesis audit:")
     lines += [
         f"  [{'ok' if e.passed else 'FAIL'}] {e.name} = {e.value:.6g} ({e.detail})"
         for e in hyp.entries
-    ]
-    lines.append(f"lattice heuristic: {lat.status}")
-    lines += [
-        f"  atoms {pair.atom_i},{pair.atom_j}: log-mean ratio "
-        f"{pair.ratio:.12g} ~ {pair.numerator}/{pair.denominator}"
-        for pair in lat.pairs
     ]
     return (0 if report.ok else 2), "\n".join(lines)
 

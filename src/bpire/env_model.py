@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 
@@ -86,7 +86,8 @@ POISSON_NU_MAX = -math.log(sys.float_info.min)
 
 #: Smallest geometric immigration parameter ``s``: the immigration CDF table
 #: has about ``28 / s`` entries (282,182 at ``1e-4``, 2.6 million at
-#: ``1e-5``), built once per batch and sent to every pool task.
+#: ``1e-5``), built once per batch and sent once to each pool worker
+#: process, through the pool initializer.
 GEOMETRIC_S_MIN = 1e-4
 
 
@@ -362,88 +363,48 @@ def validate(env: EnvironmentModel) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class LatticePair:
-    """A pair of atoms whose log-mean ratio looks rational: evidence that the
-    step distribution of the associated random walk may live on a lattice."""
-
-    atom_i: int
-    atom_j: int
-    ratio: float
-    numerator: int
-    denominator: int
-
-
-@dataclass(frozen=True)
-class LatticeDiagnostic:
-    """Result of :func:`non_lattice_heuristic`.
-
-    ``status`` is one of:
-
-    * ``"inapplicable"`` -- fewer than two distinct values of ``log m``;
-    * ``"warning"``      -- some ratio of log-means is within ``LATTICE_TOL``
-      of a rational with denominator at most ``LATTICE_MAX_DENOMINATOR``;
-    * ``"ok"``           -- no such pair found.
-
-    This is a heuristic, not a proof.  It only inspects pairwise ratios
-    ``log m_i / log m_j``, so it detects arithmetic progressions through
-    zero (span lattices of the form ``d * Z``) but not every lattice; a
-    two-point law is always lattice (its support is trivially an arithmetic
-    progression with some offset) even when this check reports ``"ok"``.
-    """
-
-    status: str
-    pairs: tuple[LatticePair, ...] = field(default_factory=tuple)
-
-    @property
-    def flagged(self) -> bool:
-        return self.status == "warning"
-
-
-#: Largest denominator, and tolerance, of the rationals that
-#: :func:`non_lattice_heuristic` compares log-mean ratios against.
+#: Largest denominator, and relative tolerance, of the rationals that
+#: :func:`lattice_span` matches ratios of log-mean differences against.
 LATTICE_MAX_DENOMINATOR = 64
 LATTICE_TOL = 1e-9
 
 
-def non_lattice_heuristic(env: EnvironmentModel) -> LatticeDiagnostic:
-    """Flag environments whose ``log m`` values have near-rational ratios.
+def lattice_span(env: EnvironmentModel) -> float | None:
+    """The span of ``log m_0``: the largest ``h`` such that every log-mean
+    lies in ``a + hZ`` for one offset ``a`` (Gnedenko-Kolmogorov 1954).
 
-    For every pair of distinct log-means the ratio ``r = log m_i / log m_j``
-    (ordered so ``|r| <= 1``) is compared against fractions ``p/d`` for
-    ``d <= LATTICE_MAX_DENOMINATOR``; a match within ``LATTICE_TOL``
-    produces a warning pair.
+    Returns ``None`` when ``log m_0`` takes fewer than two distinct values
+    (the question does not apply), ``nan`` when no span is found
+    (non-lattice), and the span ``h > 0`` otherwise; a two-point law is
+    always lattice.  On the sorted distinct log-means ``x_0 < x_1 < ...``,
+    ``log m_0`` is lattice exactly when every ratio ``r_i = (x_i - x_0) /
+    (x_1 - x_0) >= 1`` is rational.  Each is matched to ``p_i/d_i`` with
+    the least ``d_i <= LATTICE_MAX_DENOMINATOR`` such that
+    ``|r_i - p_i/d_i| <= LATTICE_TOL * r_i``; the least ``d_i`` puts the
+    fraction in lowest terms, so the differences generate ``(x_1 - x_0) /
+    lcm(d_i) * Z`` and that step is the span.  The tolerance is relative
+    because the error of ``r_i`` grows with it: 10^4 atoms on a lattice of
+    span 1e-4 give ratios up to 10^4 with absolute errors near 1e-8.  Any
+    ratio above ``1 / LATTICE_TOL`` matches an integer, so differences
+    that small against the spread of the support are not resolved.
+
+    This is a numerical test, not a proof: it costs ``O(K log K)`` in the
+    number of distinct values K, plus at most ``LATTICE_MAX_DENOMINATOR``
+    trials per ratio.
     """
-    atom_logm = [lm for _, lm in log_mean_moments(env).atom_log_means]
-    logm = sorted(set(atom_logm))
-    if len(logm) < 2:
-        return LatticeDiagnostic(status="inapplicable")
-
-    index_of = {}
-    for i, lm in enumerate(atom_logm):
-        index_of.setdefault(lm, i)
-
-    pairs: list[LatticePair] = []
-    for i in range(len(logm)):
-        for j in range(i + 1, len(logm)):
-            small, big = logm[i], logm[j]
-            if big == 0.0:
-                continue
-            ratio = small / big
-            for d in range(1, LATTICE_MAX_DENOMINATOR + 1):
-                p = round(ratio * d)
-                if abs(ratio - p / d) < LATTICE_TOL and math.gcd(abs(p), d) == 1:
-                    pairs.append(
-                        LatticePair(
-                            atom_i=index_of[small],
-                            atom_j=index_of[big],
-                            ratio=ratio,
-                            numerator=p,
-                            denominator=d,
-                        )
-                    )
-                    break
-
-    if pairs:
-        return LatticeDiagnostic(status="warning", pairs=tuple(pairs))
-    return LatticeDiagnostic(status="ok")
+    x = sorted({lm for _, lm in log_mean_moments(env).atom_log_means})
+    if len(x) < 2:
+        return None
+    step = x[1] - x[0]
+    denominators = 1
+    for xi in x[2:]:
+        r = (xi - x[0]) / step
+        d = next(
+            (d for d in range(1, LATTICE_MAX_DENOMINATOR + 1)
+             if abs(r - round(r * d) / d) <= LATTICE_TOL * r),
+            None,
+        )
+        if d is None:
+            return math.nan
+        denominators = math.lcm(denominators, d)
+    return step / denominators

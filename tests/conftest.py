@@ -61,8 +61,8 @@ def without_immigration(env: EnvironmentModel) -> EnvironmentModel:
 
 def make_skewed_env() -> EnvironmentModel:
     """Two-point environment with offspring means 2 (prob .75) and 8
-    (prob .25): the log-means are in exact ratio 1:3, so the step law of the
-    associated walk is lattice."""
+    (prob .25): the step law of the associated walk is lattice, with span
+    log 4."""
     return EnvironmentModel(
         atoms=(
             EnvAtom(

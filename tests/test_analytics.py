@@ -2,6 +2,7 @@
 normal functions, the Edgeworth correction and the limit curve."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from bpire import (
     EnvironmentModel,
     MomentSummary,
     NoImmigration,
+    PoissonImmigration,
     SeriesDivergence,
     ShiftedGeometric,
     ShiftedPoisson,
@@ -177,7 +179,8 @@ def test_limit_curve_rejects_bad_inputs():
 
 def test_hypothesis_report_reference_env():
     report = hypothesis_report(make_env_a(), p=2.0, delta=2.0, r=3.0)
-    assert report.all_passed
+    # A is lattice (span log 1.5), so only the non_lattice entry fails
+    assert [e.name for e in report.entries if not e.passed] == ["non_lattice"]
     # E|log m0|^3 over the two atoms
     _, _, _, a3 = _mp_moments([(0.5, 2), (0.5, 3)])
     assert report.entry("E|log m0|^r").value == pytest.approx(a3, rel=1e-12)
@@ -191,7 +194,22 @@ def test_hypothesis_report_reference_env():
         expected, rel=1e-10
     )
     assert report.entry("sigma2_positive").passed
-    assert report.entry("non_lattice").passed
+    assert report.entry("non_lattice").value == pytest.approx(math.log(1.5), rel=1e-12)
+
+
+def test_hypothesis_report_on_ten_thousand_atoms_is_fast():
+    # the lattice verdict is linear in the atoms (the series are per atom)
+    env = EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=ShiftedPoisson(lam=2.0 * math.exp(j * 1e-4) - 1.0),
+                immigration=PoissonImmigration(nu=1.0), prob=1e-4)
+        for j in range(10**4)
+    ))
+    start = time.perf_counter()
+    report = hypothesis_report(env)
+    assert time.perf_counter() - start < 5.0
+    entry = report.entry("non_lattice")
+    assert not entry.passed
+    assert entry.value == pytest.approx(1e-4, rel=1e-9)
 
 
 def test_hypothesis_report_single_poisson_atom_inner_moment():
@@ -215,6 +233,8 @@ def test_hypothesis_report_single_poisson_atom_inner_moment():
     assert report.entry("E(Y0/m0)^delta").passed
     # sigma = 0 and a single atom: those entries fail but are reported
     assert not report.entry("sigma2_positive").passed
+    assert not report.entry("non_lattice").passed
+    assert math.isnan(report.entry("non_lattice").value)
     assert not report.all_passed
 
 

@@ -4,9 +4,11 @@ byte-level determinism."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +197,20 @@ def test_validate_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "validation checks" in out
     assert "hypothesis audit" in out
+
+
+def test_validate_ten_thousand_atoms_reports_non_lattice_fast(tmp_path, capsys):
+    rng = random.Random(7)
+    atoms = [
+        {"offspring": {"kind": "shifted_poisson", "lam": 0.5 + 6.0 * rng.random()},
+         "immigration": {"kind": "none"}, "prob": 1e-4}
+        for _ in range(10**4)
+    ]
+    cfg = _write(tmp_path, {"kind": "validate", "environment": {"atoms": atoms}})
+    start = time.perf_counter()
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert "  [ok] non_lattice = nan (no lattice span" in capsys.readouterr().out
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Environment model: law parameter domains, validation checks, lattice
-heuristic."""
+span."""
 
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from bpire import (
     PoissonImmigration,
     ShiftedGeometric,
     ShiftedPoisson,
-    non_lattice_heuristic,
+    lattice_span,
     validate,
 )
 from bpire.env_model import GEOMETRIC_Q_MIN
@@ -170,24 +171,45 @@ def test_validation_report_unknown_name():
         report.check("no_such_check")
 
 
-def test_lattice_heuristic_flags_integer_log_ratio(skewed_env):
-    # log 8 / log 2 = 3 exactly: the walk's step law is lattice
-    diag = non_lattice_heuristic(skewed_env)
-    assert diag.status == "warning"
-    assert diag.flagged
-    assert any(
-        pair.numerator == 3 and pair.denominator == 1 for pair in diag.pairs
-    ) or any(pair.numerator == 1 and pair.denominator == 3 for pair in diag.pairs)
+def _env_of_means(means) -> EnvironmentModel:
+    """Equally weighted atoms with the given offspring means, no immigration."""
+    return EnvironmentModel(
+        atoms=tuple(
+            EnvAtom(offspring=ShiftedPoisson(lam=m - 1.0), immigration=NoImmigration(),
+                    prob=1.0 / len(means))
+            for m in means
+        )
+    )
 
 
-def test_lattice_heuristic_accepts_reference_environment(env_a):
-    # log 3 / log 2 is irrational and far from small fractions
-    diag = non_lattice_heuristic(env_a)
-    assert diag.status == "ok"
-    assert not diag.flagged
+def test_lattice_span_of_skewed_environment(skewed_env):
+    # log-means log 2 and log 8 differ by log 4
+    assert lattice_span(skewed_env) == pytest.approx(math.log(4.0), rel=1e-12)
 
 
-def test_lattice_heuristic_single_atom_inapplicable():
+def test_lattice_span_of_reference_environment(env_a):
+    # every two-point law is lattice: log 2 and log 3 differ by log 1.5
+    assert lattice_span(env_a) == pytest.approx(math.log(1.5), rel=1e-12)
+
+
+def test_lattice_span_is_the_largest_common_step():
+    # log 2, log 2 + log(1.5)/2, log 3: the half step divides both differences
+    env = _env_of_means([2.0, 2.0 * math.sqrt(1.5), 3.0])
+    assert lattice_span(env) == pytest.approx(0.5 * math.log(1.5), rel=1e-12)
+    # log 2, 3 log 2, 4 log 2 (and a repeated mean): differences 2 and 3 log 2
+    env = _env_of_means([2.0, 8.0, 16.0, 8.0])
+    assert lattice_span(env) == pytest.approx(math.log(2.0), rel=1e-12)
+    # differences 1, 4/3 and 3/2 of log 2: ratios 4/3 and 3/2, lcm(3, 2) = 6
+    env = _env_of_means([1.5 * 2.0**e for e in (0.0, 1.0, 4 / 3, 1.5)])
+    assert lattice_span(env) == pytest.approx(math.log(2.0) / 6.0, rel=1e-12)
+
+
+def test_lattice_span_reports_non_lattice_support():
+    # log 2, log 3, log 5: (log 5 - log 2)/(log 3 - log 2) is irrational
+    assert math.isnan(lattice_span(_env_of_means([2.0, 3.0, 5.0])))
+
+
+def test_lattice_span_single_value_inapplicable():
     env = EnvironmentModel(
         atoms=(
             EnvAtom(
@@ -197,7 +219,22 @@ def test_lattice_heuristic_single_atom_inapplicable():
             ),
         )
     )
-    assert non_lattice_heuristic(env).status == "inapplicable"
+    assert lattice_span(env) is None
+    # two atoms with one offspring mean are still a single value of log m
+    assert lattice_span(_env_of_means([3.0, 3.0])) is None
+
+
+def test_lattice_span_finds_fine_lattice_of_ten_thousand_atoms():
+    # log m_j = log 2 + j 1e-4: ratios up to 10^4 carry absolute errors near
+    # 1e-8, which only the relative tolerance absorbs
+    env = _env_of_means([2.0 * math.exp(j * 1e-4) for j in range(10**4)])
+    assert lattice_span(env) == pytest.approx(1e-4, rel=1e-9)
+
+
+def test_lattice_span_rejects_ten_thousand_random_means():
+    rng = random.Random(20261018)
+    env = _env_of_means([1.5 + 6.0 * rng.random() for _ in range(10**4)])
+    assert math.isnan(lattice_span(env))
 
 
 def test_skewed_env_means():

@@ -1,8 +1,8 @@
 """The simulator against the exact annealed law of ``Z_n`` (``exact_law``):
 chi-square tests of ``Z_5`` on three environments, coupled and uncoupled,
-and of ``Z_8`` on environment A at the least promotion threshold, 2**10,
-where most columns pass through the Gaussian tail and the log step by
-generation 8; and ``estimate_elogw`` against the exact ``E log W_5`` and
+and of ``Z_8`` on environment A and the mixed environment at the least
+promotion threshold, 2**10, where many columns pass through the Gaussian
+tail and the log step by generation 8; and ``estimate_elogw`` against the exact ``E log W_5`` and
 ``E log W_8``.
 
 Seeds and replicate counts were fixed before any result was seen."""
@@ -88,19 +88,24 @@ def test_estimate_elogw_matches_exact_mean(name, seed):
     assert abs(est.mean - exact) <= 4 * est.se, (est.mean, est.se, exact)
 
 
-@pytest.mark.parametrize("couple, seed", [(False, 621), (True, 622)],
-                         ids=["uncoupled", "coupled"])
-def test_z_8_follows_exact_law_through_the_promotion(couple, seed):
-    # At threshold 2**10, P(Z_8 >= 2**10) is about 0.8: most columns take
-    # the Gaussian tail of the exact step, promote and take log steps.
-    batch = simulate_batch(make_env_a(), 8, 200_000, master_seed=seed, record=(8,),
+@pytest.mark.parametrize(
+    "name, couple, seed",
+    [("A", False, 621), ("A", True, 622), ("mixed", False, 623), ("mixed", True, 624)],
+    ids=["uncoupled", "coupled", "mixed-uncoupled", "mixed-coupled"],
+)
+def test_z_8_follows_exact_law_through_the_promotion(name, couple, seed):
+    # At threshold 2**10, P(Z_8 >= 2**10) is about 0.8 on A and 0.48 on the
+    # mixed environment (0.09 for its shadow): those columns take the
+    # Gaussian tail of the exact step, promote and take log steps, and the
+    # mixed environment's geometric offspring go through gamma draws.
+    batch = simulate_batch(ENVS[name](), 8, 200_000, master_seed=seed, record=(8,),
                            couple_no_immigration=couple, threshold=2**10)
-    p = _chi_square_p(_counts(batch.log_z_at(8), exact=False), _law("A", n=8).pmf)
-    assert p > 1e-3, f"Z_8 on A: chi-square p = {p:.3g}"
+    p = _chi_square_p(_counts(batch.log_z_at(8), exact=False), _law(name, n=8).pmf)
+    assert p > 1e-3, f"Z_8 on {name}: chi-square p = {p:.3g}"
     if couple:
         z = _counts(batch.log_zbar_at(8), exact=False)
-        p = _chi_square_p(z, _law("A", immigration=False, n=8).pmf)
-        assert p > 1e-3, f"Zbar_8 on A: chi-square p = {p:.3g}"
+        p = _chi_square_p(z, _law(name, immigration=False, n=8).pmf)
+        assert p > 1e-3, f"Zbar_8 on {name}: chi-square p = {p:.3g}"
 
 
 @pytest.mark.parametrize("name, seed", [("A", 631), ("mixed", 632)])

@@ -54,7 +54,7 @@ _MIXED_ENV = {
     ]
 }
 
-# Offspring means 2 and 8: log-means in ratio 1:3, flagged as lattice.
+# Offspring means 2 and 8: lattice log-means, span log 4.
 _PURE_ENV = {
     "atoms": [
         {
@@ -284,7 +284,7 @@ GOLDEN = {
     },
     "validate": {
         "exit": 0,
-        "stdout": "502f0578e30fc79f3cba8ce3540a551808c3d941e48a7037e56dc1caa759f997",
+        "stdout": "722b9eeeee16236447f9b598e6b98134fbc9cb01862941260cae9b4ee05376b8",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "run_manifest.json": "5e2c9c44fa1b6fcd086e157c5c1aa7996b5e1e6170be00d63ea34c1b5f33fa3c"
@@ -292,7 +292,7 @@ GOLDEN = {
     },
     "validate-one-atom": {
         "exit": 2,
-        "stdout": "8179f4bbba92c78d633e0891ae1ebee45d146048b276b83c2c024b494e452f33",
+        "stdout": "1f83639628234f3d969a354f114ace2fe01feec8ad9b04b498a469bb197da396",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "run_manifest.json": "0165cbb52c0cde2ab55091e8abe22a436f536558b57f8640a51d001cf943bfb9"
