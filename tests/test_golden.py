@@ -2,8 +2,9 @@
 reproduce recorded sha256 digests of its CSVs, its stdout and stderr, and its
 ``run_manifest.json`` (with the ``wall_time_s`` line removed).  The library
 cases cover the simulator paths no CLI kind reaches (the coupled shadow
-population, low promotion thresholds, single paths); their digests are
-of the raw bytes of every array they return.
+population, low promotion thresholds, single paths) and pin the laws'
+inversion tables, table bounds and moment series bit for bit; their digests
+are of the raw bytes of every array they return.
 
 A change that alters outputs on purpose updates ``GOLDEN`` and gives the
 reason in CHANGES.md.  The digests depend on numpy's SIMD dispatch as well
@@ -32,8 +33,18 @@ import numpy as np
 import pytest
 
 import bpire
-from bpire import simulate_batch
+from bpire import (
+    GeometricImmigration,
+    NoImmigration,
+    PoissonImmigration,
+    ShiftedGeometric,
+    ShiftedPoisson,
+    simulate_batch,
+)
+from bpire.analytics import _immigration_power_moment, _offspring_power_moment
 from bpire.cli import _parse_environment, main
+from bpire.env_model import GEOMETRIC_S_MIN, immigration_table_entries
+from bpire.sampler import immigration_cdf_table
 from conftest import make_env_a
 
 # Two atoms that between them use every law kind but "none": geometric
@@ -155,6 +166,27 @@ def _path(couple: bool):
             "log_zbar": batch.log_zbar[:, 0] if couple else None}
 
 
+def _laws():
+    # every law's inversion table (concatenated; ``table_sizes`` splits it),
+    # its bound and the audit's moment series, across each family's range
+    # and at the degenerate laws
+    imm = ([GeometricImmigration(s=s) for s in np.geomspace(GEOMETRIC_S_MIN, 1.0, 40).tolist()]
+           + [PoissonImmigration(nu=nu) for nu in np.geomspace(1e-12, 708.0, 40).tolist()]
+           + [PoissonImmigration(nu=0.0), NoImmigration()])
+    off = ([ShiftedPoisson(lam=lam) for lam in np.geomspace(1e-3, 5000.0, 20).tolist()]
+           + [ShiftedGeometric(q=q) for q in np.geomspace(1e-3, 0.999, 20).tolist()])
+    tables = [immigration_cdf_table(law) for law in imm]
+    return {
+        "cdf_tables": np.concatenate(tables),
+        "table_sizes": np.array([t.size for t in tables]),
+        "table_entries": np.array([immigration_table_entries(law) for law in imm]),
+        "immigration_moments": np.array(
+            [[_immigration_power_moment(law, p) for p in (0.5, 2.0, 3.0)] for law in imm]),
+        "offspring_moments": np.array(
+            [[_offspring_power_moment(law, p) for p in (1.5, 2.0, 4.0)] for law in off]),
+    }
+
+
 # Library cases: each returns the arrays whose raw bytes are digested.  At
 # threshold 2**10 the exact regime uses its Gaussian tail before promotion.
 CASES.update({
@@ -166,6 +198,7 @@ CASES.update({
     "lib-long-coupled-mixed": lambda: _long(_parse_environment(_MIXED_ENV), True, 2**10),
     "lib-path": lambda: _path(False),
     "lib-path-coupled": lambda: _path(True),
+    "lib-laws": _laws,
 })
 
 # Recorded with draw layout 3 (``bpire.trajectory.DRAW_LAYOUT``).
@@ -245,6 +278,13 @@ GOLDEN = {
         "log_z": "48b46e10351596ae137e262c04ab602caf2e043b3b4c39a079a56c2c2ff80291",
         "log_zbar": "d6b485e2648aff9ea8aae2531f232757faf2214b177c553b025cef648599d0b9",
         "s": "6dbf62f533511ec31819304bfe09cbeb70b88b5a7e64bbe88cc418f8dc2d00ae"
+    },
+    "lib-laws": {
+        "cdf_tables": "067ae07ca36ee9894834c7b8a9beab47df6e3aeca5ae227aec5d94c9f75590d7",
+        "immigration_moments": "c833a24a90d85a0d395ad8769fb9d01e81deef8fac42f7479f67513fd6f57557",
+        "offspring_moments": "c47f55777d0639d54c90860958382f6ad9032445e482cc8d992eb1a6b8ded268",
+        "table_entries": "759da6950d4c5f90dd278b76f516f640f3d5abf5cd923785b002ba2209c2e4ee",
+        "table_sizes": "daf6f72af284207bac9414fe8bc1ac966ad176496d44c2905f326068ed5f8f7d"
     },
     "lib-long-coupled-mixed": {
         "log_z": "437915073b4ea6d82b98c1bbcedf5df90c1fede1b0aa7eaaac0d3586546fd895",
