@@ -17,13 +17,8 @@ from dataclasses import dataclass
 from .env_model import (
     LATTICE_MAX_DENOMINATOR,
     EnvironmentModel,
-    GeometricImmigration,
     ImmigrationLaw,
     MomentSummary,
-    NoImmigration,
-    PoissonImmigration,
-    ShiftedGeometric,
-    ShiftedPoisson,
     lattice_span,
     log_mean_moments,
 )
@@ -111,28 +106,26 @@ _SERIES_RTOL = 1e-12
 _SERIES_MAX_TERMS = 10**6
 
 
-def _power_series_moment(first_k: int, mode: int, log_pmf, pmf_ratio, power: float,
-                         shift: int) -> float:
+def _power_series_moment(count, power: float, first_k: int, shift: int) -> float:
     """Sum ``(shift + k)^power * pmf(k)`` for ``k = first_k, first_k+1, ...``
+    over the pmf of the count law ``count`` (:mod:`bpire.env_model`).
 
-    ``log_pmf(k)`` must return ``log pmf(k)``, ``pmf_ratio(k)`` must return
-    ``pmf(k+1)/pmf(k)``, and ``mode`` is a mode of the pmf.  The sum starts
-    at ``max(first_k, mode)`` with ``exp(log_pmf(k))``, so its first term
-    is normal even when ``pmf(first_k)`` is not (a Poisson mean above about
-    708), and runs in both directions.  For both supported families the
-    term ratio ``pmf_ratio(k) * ((shift+k+1)/(shift+k))**power`` is strictly
-    decreasing in k, so once it drops below 1 the tail is bounded by the
-    geometric series ``term * ratio / (1 - ratio)``; each direction stops
-    when that bound falls below ``_SERIES_RTOL`` times the partial sum.
-    Going down, the term ratio only shrinks, so the same bound ends that
-    half.
+    The sum starts at ``max(first_k, count.mode)`` with ``exp(log_pmf(k))``,
+    so its first term is normal even when ``pmf(first_k)`` is not (a Poisson
+    mean above about 708), and runs in both directions.  For both count
+    laws the term ratio ``count.ratio(k) * ((shift+k+1)/(shift+k))**power``
+    is strictly decreasing in k, so once it drops below 1 the tail is
+    bounded by the geometric series ``term * ratio / (1 - ratio)``; each
+    direction stops when that bound falls below ``_SERIES_RTOL`` times the
+    partial sum.  Going down, the term ratio only shrinks, so the same
+    bound ends that half.
     """
-    start = max(first_k, mode)
-    first = (shift + start) ** power * math.exp(log_pmf(start))
+    start = max(first_k, count.mode)
+    first = (shift + start) ** power * math.exp(count.log_pmf(start))
     total = first
     directions = (
-        (1, None, lambda k: pmf_ratio(k) * ((shift + k + 1) / (shift + k)) ** power),
-        (-1, first_k, lambda k: ((shift + k - 1) / (shift + k)) ** power / pmf_ratio(k - 1)),
+        (1, None, lambda k: count.ratio(k) * ((shift + k + 1) / (shift + k)) ** power),
+        (-1, first_k, lambda k: ((shift + k - 1) / (shift + k)) ** power / count.ratio(k - 1)),
     )
     for step, last, term_ratio in directions:
         k, term = start, first
@@ -152,47 +145,15 @@ def _power_series_moment(first_k: int, mode: int, log_pmf, pmf_ratio, power: flo
     return total
 
 
-def _poisson_log_pmf(mean: float):
-    return lambda k: k * math.log(mean) - mean - math.lgamma(k + 1)
-
-
-def _geometric_log_pmf(p: float):
-    """``log P(G = k)`` for ``P(G = k) = p (1-p)^k``."""
-    return lambda k: math.log(p) + k * math.log1p(-p)
-
-
 def _offspring_power_moment(law, power: float) -> float:
     """``E X^power`` for a shifted offspring law (X = 1 + K)."""
-    if isinstance(law, ShiftedPoisson):
-        lam = law.lam
-        return _power_series_moment(
-            0, int(lam), _poisson_log_pmf(lam), lambda k: lam / (k + 1), power, shift=1
-        )
-    if isinstance(law, ShiftedGeometric):
-        q = law.q
-        return _power_series_moment(0, 0, _geometric_log_pmf(q), lambda k: 1.0 - q, power,
-                                    shift=1)
-    raise TypeError(f"unknown offspring law {law!r}")
+    return _power_series_moment(law.count, power, first_k=0, shift=1)
 
 
 def _immigration_power_moment(law: ImmigrationLaw, power: float) -> float:
-    """``E Y^power`` for an immigration law (the k=0 term vanishes)."""
-    if isinstance(law, NoImmigration):
-        return 0.0
-    if isinstance(law, PoissonImmigration):
-        nu = law.nu
-        if nu == 0.0:
-            return 0.0
-        return _power_series_moment(
-            1, int(nu), _poisson_log_pmf(nu), lambda k: nu / (k + 1), power, shift=0
-        )
-    if isinstance(law, GeometricImmigration):
-        s = law.s
-        if s >= 1.0:
-            return 0.0
-        return _power_series_moment(1, 0, _geometric_log_pmf(s), lambda k: 1.0 - s, power,
-                                    shift=0)
-    raise TypeError(f"unknown immigration law {law!r}")
+    """``E Y^power`` for an immigration law: the k=0 term vanishes, and so
+    does every term when ``Y = 0`` almost surely."""
+    return _power_series_moment(law.count, power, first_k=1, shift=0) if law.mean > 0.0 else 0.0
 
 
 def hypothesis_report(

@@ -295,7 +295,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
 
 
 def _serialize_law(law: Any) -> dict:
-    return {"kind": _LAW_KIND[type(law)], **dataclasses.asdict(law)}
+    return {"kind": _LAW_KIND[type(law)], **vars(law)}
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
@@ -549,8 +549,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         "exit_status": status,
     }
     with open(out_dir / "run_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return status
 
 

@@ -8,6 +8,14 @@ while immigration arrives under its immigration law.
 Offspring laws are shifted by one so that individuals always leave at least
 one descendant (``P(X = 0) = 0``), which keeps the population alive and makes
 ``log Z_n`` well defined along every path.
+
+Each law has a ``count`` law, ``PoissonCount`` or ``GeometricCount``, which
+offspring laws shift by one; it gives the law's mean and variance and is the
+one home of its family's pmf.  Four readers use that pmf without asking for
+the family: the immigration CDF table, its bound
+(:func:`immigration_table_entries`), the audit's moment series
+(:mod:`bpire.analytics`) and the simulator, whose choice of offspring draw
+is the one family test.  ``Y = 0`` almost surely is a count with mean 0.
 """
 
 from __future__ import annotations
@@ -17,40 +25,122 @@ import sys
 from dataclasses import dataclass
 from typing import Union
 
+#: A pmf term below this cannot change a CDF sum of at least 1/2, whose
+#: half ulp is ``2**-54``: a factor 2 covers the rounding of the term.
+_ROUNDS_AWAY = 2.0**-55
+
 
 @dataclass(frozen=True)
-class ShiftedPoisson:
-    """Offspring law ``X = 1 + Poisson(lam)``.
+class PoissonCount:
+    """``K ~ Poisson(mean)``, ``mean >= 0``.  Each count law has ``first =
+    P(K = 0)``, ``mode``, ``log_pmf(k)`` and ``ratio(k) = P(K = k+1) / P(K = k)``."""
 
-    Mean ``1 + lam``, per-individual variance ``lam``.  Requires ``lam > 0``
-    so that ``P(X = 1) < 1``.
-    """
+    mean: float
+
+    @property
+    def variance(self) -> float:
+        return self.mean
+
+    @property
+    def first(self) -> float:
+        return math.exp(-self.mean)
+
+    @property
+    def mode(self) -> int:
+        return int(self.mean)
+
+    def log_pmf(self, k: int) -> float:
+        return k * math.log(self.mean) - self.mean - math.lgamma(k + 1)
+
+    def ratio(self, k: int) -> float:
+        return self.mean / (k + 1)
+
+    def table_entries(self) -> int:
+        """See :func:`immigration_table_entries`.  The sum is at least 1/2
+        from ``k >= mean + 2``, past the median (below ``mean + 1/3``) and
+        the mode, from where the terms fall."""
+        if self.mean == 0.0:
+            return 1
+        k = math.ceil(self.mean) + 2
+        while self.log_pmf(k) >= math.log(_ROUNDS_AWAY):
+            k += 1
+        return k + 1
+
+
+@dataclass(frozen=True)
+class GeometricCount:
+    """``P(K = k) = p (1-p)^k``, ``0 < p <= 1``: the failures before the
+    first success of a Bernoulli(p) sequence."""
+
+    p: float
+
+    @property
+    def mean(self) -> float:
+        return (1.0 - self.p) / self.p
+
+    @property
+    def variance(self) -> float:
+        return (1.0 - self.p) / (self.p * self.p)
+
+    @property
+    def first(self) -> float:
+        return self.p
+
+    mode = 0
+
+    def log_pmf(self, k: int) -> float:
+        return math.log(self.p) + k * math.log1p(-self.p)
+
+    def ratio(self, k: int) -> float:
+        return 1.0 - self.p
+
+    def table_entries(self) -> int:
+        """See :func:`immigration_table_entries`.  The sum is ``1 - (1-p)^k
+        >= 1/2`` once the term ``p (1-p)^k`` is below ``p / 2``."""
+        if self.p == 1.0:
+            return 1
+        return int(math.log(_ROUNDS_AWAY / self.p) / math.log1p(-self.p)) + 2
+
+
+class _CountLaw:
+    """The law of ``shift + K`` for the count law ``K = self.count``."""
+
+    shift = 0.0
+
+    @property
+    def mean(self) -> float:
+        return self.shift + self.count.mean
+
+    @property
+    def variance(self) -> float:
+        return self.count.variance
+
+
+@dataclass(frozen=True)
+class ShiftedPoisson(_CountLaw):
+    """Offspring law ``X = 1 + Poisson(lam)``, ``lam > 0`` so that
+    ``P(X = 1) < 1``."""
 
     lam: float
+    shift = 1.0
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
             raise ValueError(f"ShiftedPoisson requires lam > 0, got {self.lam}")
 
     @property
-    def mean(self) -> float:
-        return 1.0 + self.lam
-
-    @property
-    def variance(self) -> float:
-        return self.lam
+    def count(self) -> PoissonCount:
+        return PoissonCount(self.lam)
 
 
 @dataclass(frozen=True)
-class ShiftedGeometric:
-    """Offspring law ``X = 1 + G`` where ``G`` counts failures before the
-    first success of a Bernoulli(q) sequence: ``P(G = k) = q (1-q)^k``.
-
-    Mean ``1 + (1-q)/q``, per-individual variance ``(1-q)/q**2``.  Requires
-    ``GEOMETRIC_Q_MIN <= q < 1``; ``q = 1`` would make ``X`` identically one.
-    """
+class ShiftedGeometric(_CountLaw):
+    """Offspring law ``X = 1 + G``, ``G`` the failures before the first
+    success of a Bernoulli(q) sequence, ``GEOMETRIC_Q_MIN <= q < 1``;
+    ``q = 1`` would make ``X`` identically one."""
 
     q: float
+    shift = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
@@ -62,12 +152,8 @@ class ShiftedGeometric:
             )
 
     @property
-    def mean(self) -> float:
-        return 1.0 + (1.0 - self.q) / self.q
-
-    @property
-    def variance(self) -> float:
-        return (1.0 - self.q) / (self.q * self.q)
+    def count(self) -> GeometricCount:
+        return GeometricCount(self.q)
 
 
 #: Smallest geometric offspring parameter ``q`` (about 1.492e-154): below it
@@ -92,7 +178,7 @@ GEOMETRIC_S_MIN = 1e-4
 
 
 @dataclass(frozen=True)
-class PoissonImmigration:
+class PoissonImmigration(_CountLaw):
     """``Y ~ Poisson(nu)`` immigrants per generation,
     ``0 <= nu <= POISSON_NU_MAX``."""
 
@@ -108,12 +194,12 @@ class PoissonImmigration:
             )
 
     @property
-    def mean(self) -> float:
-        return self.nu
+    def count(self) -> PoissonCount:
+        return PoissonCount(self.nu)
 
 
 @dataclass(frozen=True)
-class GeometricImmigration:
+class GeometricImmigration(_CountLaw):
     """``P(Y = k) = s (1-s)^k`` immigrants per generation,
     ``GEOMETRIC_S_MIN <= s <= 1``."""
 
@@ -129,17 +215,17 @@ class GeometricImmigration:
             )
 
     @property
-    def mean(self) -> float:
-        return (1.0 - self.s) / self.s
+    def count(self) -> GeometricCount:
+        return GeometricCount(self.s)
 
 
 @dataclass(frozen=True)
-class NoImmigration:
+class NoImmigration(_CountLaw):
     """No immigration: ``Y = 0`` every generation."""
 
     @property
-    def mean(self) -> float:
-        return 0.0
+    def count(self) -> PoissonCount:
+        return PoissonCount(0.0)
 
 
 ImmigrationLaw = Union[PoissonImmigration, GeometricImmigration, NoImmigration]
@@ -151,31 +237,16 @@ ImmigrationLaw = Union[PoissonImmigration, GeometricImmigration, NoImmigration]
 #: near ``GEOMETRIC_S_MIN`` would ask for about 20 GB.
 MAX_IMMIGRATION_TABLE_ENTRIES = 2**22
 
-#: A pmf term below this cannot change a CDF sum of at least 1/2, whose
-#: half ulp is ``2**-54``: a factor 2 covers the rounding of the term.
-_ROUNDS_AWAY = 2.0**-55
-
-
 def immigration_table_entries(law: ImmigrationLaw) -> int:
     """An upper bound on the length of ``law``'s inversion table
     (:func:`bpire.sampler.immigration_cdf_table`), found without building it.
 
     The table grows while the next pmf term still changes its running sum,
     so it ends by the first k whose term is below ``_ROUNDS_AWAY`` while
-    the sum before it is at least 1/2, and has at most k + 1 entries.  For
-    the geometric law the sum is ``1 - (1-s)^k >= 1/2`` once the term
-    ``s (1-s)^k`` is below ``s / 2``; for the Poisson law it is at least
-    1/2 from ``k >= nu + 2``, past the median (below ``nu + 1/3``) and the
-    mode, from where the terms fall.
+    the sum before it is at least 1/2 (from which k, ``law.count`` says),
+    and has at most k + 1 entries.
     """
-    if isinstance(law, GeometricImmigration) and law.s < 1.0:
-        return int(math.log(_ROUNDS_AWAY / law.s) / math.log1p(-law.s)) + 2
-    if isinstance(law, PoissonImmigration) and law.nu > 0.0:
-        k = math.ceil(law.nu) + 2
-        while k * math.log(law.nu) - law.nu - math.lgamma(k + 1.0) >= math.log(_ROUNDS_AWAY):
-            k += 1
-        return k + 1
-    return 1
+    return law.count.table_entries()
 
 
 @dataclass(frozen=True)
@@ -344,12 +415,7 @@ def validate(env: EnvironmentModel) -> ValidationReport:
         )
     )
 
-    degenerate = [
-        i
-        for i, a in enumerate(env.atoms)
-        if isinstance(a.offspring, ShiftedPoisson) and a.offspring.lam <= 0.0
-        or isinstance(a.offspring, ShiftedGeometric) and a.offspring.q >= 1.0
-    ]
+    degenerate = [i for i, a in enumerate(env.atoms) if not a.offspring.variance > 0.0]
     checks.append(
         ValidationCheck(
             "offspring_nondegenerate",

@@ -36,18 +36,10 @@ spirit.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .env_model import (
-    EnvironmentModel,
-    GeometricImmigration,
-    ImmigrationLaw,
-    NoImmigration,
-    PoissonImmigration,
-)
+from .env_model import EnvironmentModel, ImmigrationLaw
 
 #: Default promotion threshold from exact integer counts to log-space floats.
 PROMOTION_THRESHOLD: int = 2**40
@@ -85,7 +77,7 @@ def atom_cumulative(env: EnvironmentModel) -> np.ndarray:
 
 def immigration_cdf_table(law: ImmigrationLaw) -> np.ndarray:
     """CDF table ``[P(Y<=0), P(Y<=1), ...]`` for inverting a uniform on
-    [0, 1).
+    [0, 1), from ``law.count``'s ``first`` term and pmf ratios.
 
     The running sum stops growing once the next pmf term no longer changes
     it in floating point; its last entry is then forced to 1.0, as in
@@ -93,23 +85,12 @@ def immigration_cdf_table(law: ImmigrationLaw) -> np.ndarray:
     table.  A float sum may stall a few ulps below 1, so the loop must not
     wait for it to reach 1 on its own.
     """
-    if isinstance(law, NoImmigration):
-        return np.array([1.0])
-    if isinstance(law, PoissonImmigration):
-        if law.nu == 0.0:
-            return np.array([1.0])
-        pmf, ratio = math.exp(-law.nu), lambda k: law.nu / k
-    elif isinstance(law, GeometricImmigration):
-        if law.s >= 1.0:
-            return np.array([1.0])
-        pmf, ratio = law.s, lambda k: 1.0 - law.s
-    else:
-        raise TypeError(f"unknown immigration law {law!r}")
+    pmf, ratio = law.count.first, law.count.ratio
     cdf = [pmf]
     k = 0
     while cdf[-1] < 1.0:
-        k += 1
         pmf *= ratio(k)
+        k += 1
         if cdf[-1] + pmf == cdf[-1]:
             break
         cdf.append(cdf[-1] + pmf)

@@ -84,7 +84,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator
 
-from .env_model import EnvironmentModel, ShiftedGeometric, ShiftedPoisson
+from .env_model import EnvironmentModel, GeometricCount
 from .sampler import (
     MAX_PROMOTION_THRESHOLD,
     MIN_PROMOTION_THRESHOLD,
@@ -283,20 +283,11 @@ class _EnvTables:
     def __init__(self, env: EnvironmentModel):
         self.walk = _Walk(env)
         self.logm = self.walk.logm
-        geometric, p1 = [], []
-        for a in env.atoms:
-            law = a.offspring
-            if isinstance(law, ShiftedPoisson):
-                geometric.append(False)
-                p1.append(law.lam)  # Poisson mean per parent
-            elif isinstance(law, ShiftedGeometric):
-                geometric.append(True)
-                p1.append((1.0 - law.q) / law.q)  # gamma mixing scale
-            else:
-                raise TypeError(f"unknown offspring law {law!r}")
-        self.geometric = np.array(geometric)
-        self.any_geometric = any(geometric)
-        self.p1 = np.array(p1)
+        counts = [a.offspring.count for a in env.atoms]
+        # the one family choice: a geometric count draws its Poisson mean from a gamma
+        self.geometric = np.array([isinstance(c, GeometricCount) for c in counts])
+        self.any_geometric = bool(self.geometric.any())
+        self.p1 = np.array([c.mean for c in counts])  # Poisson mean per parent, or gamma scale
         self.sd_over_m = np.array(
             [math.sqrt(a.offspring.variance) / a.offspring.mean for a in env.atoms]
         )

@@ -16,6 +16,7 @@ from bpire import (
     PoissonImmigration,
     ShiftedGeometric,
     ShiftedPoisson,
+    hypothesis_report,
     simulate_batch,
     simulate_walk_batch,
 )
@@ -251,9 +252,14 @@ def test_immigration_cdf_table_matches_scipy():
 
 
 def test_immigration_cdf_table_no_immigration():
-    tab = immigration_cdf_table(NoImmigration())
-    assert tab.size == 1
-    assert tab[0] == 1.0
+    # Y = 0 almost surely goes through the same code as every other law
+    for law in (NoImmigration(), PoissonImmigration(nu=0.0), GeometricImmigration(s=1.0)):
+        assert immigration_cdf_table(law).tolist() == [1.0], law
+        assert immigration_table_entries(law) == 1, law
+        env = EnvironmentModel(atoms=(EnvAtom(offspring=ShiftedPoisson(lam=1.0),
+                                              immigration=law, prob=1.0),))
+        entry = hypothesis_report(env).entry("E(Y0/m0)^delta")
+        assert (entry.value, entry.passed) == (0.0, True), law
 
 
 @pytest.mark.parametrize(
