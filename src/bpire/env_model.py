@@ -237,6 +237,7 @@ ImmigrationLaw = Union[PoissonImmigration, GeometricImmigration, NoImmigration]
 #: near ``GEOMETRIC_S_MIN`` would ask for about 20 GB.
 MAX_IMMIGRATION_TABLE_ENTRIES = 2**22
 
+
 def immigration_table_entries(law: ImmigrationLaw) -> int:
     """An upper bound on the length of ``law``'s inversion table
     (:func:`bpire.sampler.immigration_cdf_table`), found without building it.
@@ -379,8 +380,8 @@ def validate(env: EnvironmentModel) -> ValidationReport:
     * ``sigma_positive``  -- ``Var(log m) > 0``, i.e. at least two atoms with
       distinct offspring means (needed whenever results are standardised by
       ``sigma``);
-    * ``offspring_nondegenerate`` -- every offspring law has ``P(X = 1) < 1``
-      (guaranteed by the law constructors, re-checked for completeness).
+    * ``offspring_nondegenerate`` -- every offspring law has a positive
+      variance, so ``P(X = 1) < 1`` (guaranteed by the law constructors).
 
     Failures are returned as entries, not raised: a single-atom environment
     fails ``sigma_positive`` but is still perfectly usable for experiments
