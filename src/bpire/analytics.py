@@ -195,12 +195,13 @@ def hypothesis_report(
         )
     )
 
+    # Each series is summed once per distinct law, in the order the atoms
+    # first name it: the first to diverge is the one a sum per atom meets first.
     try:
+        imm_moment = {law: _immigration_power_moment(law, delta)
+                      for law in dict.fromkeys(a.immigration for a in env.atoms)}
         imm = math.fsum(
-            a.prob
-            * _immigration_power_moment(a.immigration, delta)
-            / a.offspring.mean**delta
-            for a in env.atoms
+            a.prob * imm_moment[a.immigration] / a.offspring.mean**delta for a in env.atoms
         )
         entries.append(
             HypothesisEntry(
@@ -211,9 +212,10 @@ def hypothesis_report(
         entries.append(HypothesisEntry("E(Y0/m0)^delta", math.nan, False, str(exc)))
 
     try:
+        off_moment = {law: _offspring_power_moment(law, p)
+                      for law in dict.fromkeys(a.offspring for a in env.atoms)}
         off = math.fsum(
-            a.prob
-            * (_offspring_power_moment(a.offspring, p) / a.offspring.mean**p) ** delta
+            a.prob * (off_moment[a.offspring] / a.offspring.mean**p) ** delta
             for a in env.atoms
         )
         entries.append(

@@ -352,6 +352,11 @@ def clt_rate_experiment(
         threads=threads,
         threshold=threshold,
     )
+    standardized = {
+        n: _standardize(batch.log_z_at(n), n, moments) for n in n_list
+    }
+    # released before the E log W batch runs (and forks its pool)
+    del batch
     elogw = estimate_elogw(
         env,
         horizon=e_log_w_config.horizon,
@@ -361,9 +366,6 @@ def clt_rate_experiment(
         threads=threads,
         threshold=threshold,
     )
-    standardized = {
-        n: _standardize(batch.log_z_at(n), n, moments) for n in n_list
-    }
     return rate_curve_from_samples(
         standardized,
         x_grid,

@@ -125,12 +125,17 @@ class BatchResult:
     record: tuple[int, ...]
     log_z: np.ndarray
     s: np.ndarray
-    log_w: np.ndarray
     log_zbar: np.ndarray | None = None
 
     @property
     def replicates(self) -> int:
         return self.log_z.shape[1]
+
+    @property
+    def log_w(self) -> np.ndarray:
+        """``log W = log Z - S``, computed on each access: a batch stores
+        each recorded row once, in ``log_z`` and ``s``."""
+        return self.log_z - self.s
 
     def row(self, generation: int) -> int:
         return self.record.index(generation)
@@ -139,7 +144,8 @@ class BatchResult:
         return self.log_z[self.row(generation)]
 
     def log_w_at(self, generation: int) -> np.ndarray:
-        return self.log_w[self.row(generation)]
+        g = self.row(generation)
+        return self.log_z[g] - self.s[g]
 
     def s_at(self, generation: int) -> np.ndarray:
         return self.s[self.row(generation)]
@@ -478,13 +484,14 @@ def _simulate_chunk(
     record: tuple[int, ...],
     couple: bool,
     threshold: int,
-) -> dict[str, np.ndarray]:
+    out: dict[str, np.ndarray],
+) -> None:
     """Simulate the ``count`` columns of the chunk keyed ``(master_seed,
-    key)`` and return the recorded rows (generation 0 is ``log Z_0 = S_0 =
-    0``).  Once every population is quiet, the stretch to each recorded
-    generation left is one jump of the walk."""
-    keys = ["log_z", "s"] + (["log_zbar"] if couple else [])
-    out = {name: np.zeros((len(record), count)) for name in keys}
+    key)`` and write the recorded rows into ``out`` (generation 0 is ``log
+    Z_0 = S_0 = 0``): row g of ``out["log_z"]``, ``out["s"]`` and, when
+    coupled, ``out["log_zbar"]`` for generation ``record[g]``.  Once every
+    population is quiet, the stretch to each recorded generation left is
+    one jump of the walk."""
     gens = [substream(master_seed, key, i) for i in range(6)]
     primary = _Population(1, count, tab, threshold, gens[_EXACT], gens[_NORMALS])
     pops = [primary]
@@ -516,7 +523,6 @@ def _simulate_chunk(
             out["log_zbar"][row] = out["log_z"][row]
             # log(Zbar + D); D = 0 (-inf) leaves Zbar unchanged
             np.logaddexp(out["log_zbar"][row], pops[1].log_size(), out=out["log_z"][row])
-    return out
 
 
 def _walk_chunk(
@@ -525,10 +531,10 @@ def _walk_chunk(
     walk: _Walk,
     master_seed: int,
     record: tuple[int, ...],
-) -> dict[str, np.ndarray]:
+    out: dict[str, np.ndarray],
+) -> None:
     """Environment walk only: one jump per recorded generation, drawn from
-    substream 0 of the layout."""
-    out_s = np.zeros((len(record), count))
+    substream 0 of the layout, written into row g of ``out["s"]``."""
     gen = substream(master_seed, key, _ATOMS)
     s = np.zeros(count)
     k = 0
@@ -536,23 +542,31 @@ def _walk_chunk(
         if k < r:
             s = s + walk.jump(gen, count, r - k)
             k = r
-        out_s[row] = s
-    return {"s": out_s}
+        out["s"][row] = s
 
 
-#: The chunk function and static arguments of the batch a pool process
-#: serves, set once per process by :func:`_init_pool_process`.
+def _arrays(names: Sequence[str], rows: int, columns: int) -> dict[str, np.ndarray]:
+    """The output arrays of a batch or of a pooled chunk; the chunk
+    functions write every element."""
+    return {name: np.empty((rows, columns)) for name in names}
+
+
+#: The chunk function, its static arguments and the names and row count of
+#: its outputs, for the batch a pool process serves; set once per process
+#: by :func:`_init_pool_process`.
 _pool_job: tuple = ()
 
 
-def _init_pool_process(worker, static_args: tuple) -> None:
+def _init_pool_process(worker, static_args: tuple, names: tuple[str, ...], rows: int) -> None:
     global _pool_job
-    _pool_job = (worker, static_args)
+    _pool_job = (worker, static_args, names, rows)
 
 
 def _pool_chunk(key: int, count: int) -> dict[str, np.ndarray]:
-    worker, static_args = _pool_job
-    return worker(key, count, *static_args)
+    worker, static_args, names, rows = _pool_job
+    out = _arrays(names, rows, count)
+    worker(key, count, *static_args, out)
+    return out
 
 
 def __getattr__(name: str):
@@ -566,33 +580,41 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _run_chunks(worker, static_args: tuple, replicates: int, stream_offset: int,
-                threads: int) -> dict[str, np.ndarray]:
-    """Partition ``replicates`` (at least one) into fixed-size chunks, run
-    them inline or on a process pool, and assemble each array the chunks
-    return, columns in stream order.  The partition is independent of
-    ``threads``, so assembled arrays are bit-identical for any worker
-    count.  A pool receives ``static_args`` (the environment tables among
+def _run_chunks(worker, static_args: tuple, out: dict[str, np.ndarray], stream_offset: int,
+                threads: int) -> None:
+    """Partition the columns of the batch arrays ``out`` (at least one)
+    into fixed-size chunks and fill them, inline or on a process pool,
+    columns in stream order.  The partition is independent of ``threads``,
+    so the arrays are bit-identical for any worker count.
+
+    Each row is held once: an inline chunk writes into views of its own
+    columns of ``out``, and a pooled chunk returns its rows, which are
+    copied into place as each result is taken and then dropped with its
+    future.  A pool receives ``static_args`` (the environment tables among
     them) once per process, and each task only its chunk's key and size."""
-    starts = list(range(0, replicates, _CHUNK))
+    names = tuple(out)
+    rows, replicates = out[names[0]].shape
+    starts = range(0, replicates, _CHUNK)
     chunks = [(stream_offset + s, min(_CHUNK, replicates - s)) for s in starts]
 
     if threads == 0:
         threads = os.cpu_count() or 1
     if threads <= 1 or len(chunks) == 1:
-        results = [worker(sid, cnt, *static_args) for sid, cnt in chunks]
-    else:
-        # looked up on the module at call time, so that a rebinding of
-        # ``ProcessPoolExecutor`` takes effect (see ``__getattr__``)
-        pool_type = sys.modules[__name__].ProcessPoolExecutor
-        # a pool may start all of its workers at once: never more than tasks
-        with pool_type(max_workers=min(threads, len(chunks)),
-                       initializer=_init_pool_process,
-                       initargs=(worker, static_args)) as pool:
-            futures = [pool.submit(_pool_chunk, sid, cnt) for sid, cnt in chunks]
-            results = [f.result() for f in futures]
-
-    return {k: np.concatenate([r[k] for r in results], axis=1) for k in results[0]}
+        for start, (sid, cnt) in zip(starts, chunks):
+            worker(sid, cnt, *static_args, {k: v[:, start:start + cnt] for k, v in out.items()})
+        return
+    # looked up on the module at call time, so that a rebinding of
+    # ``ProcessPoolExecutor`` takes effect (see ``__getattr__``)
+    pool_type = sys.modules[__name__].ProcessPoolExecutor
+    # a pool may start all of its workers at once: never more than tasks
+    with pool_type(max_workers=min(threads, len(chunks)),
+                   initializer=_init_pool_process,
+                   initargs=(worker, static_args, names, rows)) as pool:
+        futures = [pool.submit(_pool_chunk, sid, cnt) for sid, cnt in chunks]
+        futures.reverse()  # popped in stream order, each with its result
+        for start in starts:
+            for k, v in futures.pop().result().items():
+                out[k][:, start:start + v.shape[1]] = v
 
 
 def simulate_batch(
@@ -618,6 +640,11 @@ def simulate_batch(
     depend on the recorded generations until their chunk turns quiet, and
     from then on only by the draws of the jumps between them (see "Draw
     layout").
+
+    The batch holds each recorded row once: every output array is
+    allocated once, with shape ``(len(record), replicates)``, and the
+    chunks fill its columns.  ``log_w`` is derived, ``log_z - s`` on each
+    access.
     """
     rec = _check_batch(n, replicates, master_seed, stream_offset, record)
     if threshold < MIN_PROMOTION_THRESHOLD:
@@ -630,10 +657,12 @@ def simulate_batch(
             f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
             "exact counts may overflow int64"
         )
-    out = _run_chunks(
+    names = ("log_z", "s", "log_zbar") if couple_no_immigration else ("log_z", "s")
+    out = _arrays(names, len(rec), replicates)
+    _run_chunks(
         _simulate_chunk,
         (_EnvTables(env), master_seed, rec, couple_no_immigration, threshold),
-        replicates,
+        out,
         stream_offset,
         threads,
     )
@@ -643,7 +672,6 @@ def simulate_batch(
         record=rec,
         log_z=out["log_z"],
         s=out["s"],
-        log_w=out["log_z"] - out["s"],
         log_zbar=out.get("log_zbar"),
     )
 
@@ -666,13 +694,8 @@ def simulate_walk_batch(
     turns quiet.
     """
     rec = _check_batch(n, replicates, master_seed, stream_offset, record)
-    out = _run_chunks(
-        _walk_chunk,
-        (_Walk(env), master_seed, rec),
-        replicates,
-        stream_offset,
-        threads,
-    )
+    out = _arrays(("s",), len(rec), replicates)
+    _run_chunks(_walk_chunk, (_Walk(env), master_seed, rec), out, stream_offset, threads)
     return WalkBatch(
         master_seed=master_seed,
         stream_offset=stream_offset,

@@ -11,6 +11,7 @@ import pytest
 from bpire import (
     EnvAtom,
     EnvironmentModel,
+    GeometricImmigration,
     MomentSummary,
     NoImmigration,
     PoissonImmigration,
@@ -210,6 +211,49 @@ def test_hypothesis_report_on_ten_thousand_atoms_is_fast():
     entry = report.entry("non_lattice")
     assert not entry.passed
     assert entry.value == pytest.approx(1e-4, rel=1e-9)
+
+
+def test_hypothesis_report_sums_each_series_once_per_law(monkeypatch):
+    # 10^4 atoms share one immigration and one offspring law, each of
+    # whose series runs to about 10^5 terms: one sum each, not one per atom
+    imm, off = GeometricImmigration(s=1e-4), ShiftedGeometric(q=1e-3)
+    env = EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=off, immigration=imm, prob=1e-4) for _ in range(10**4)))
+    # the per-atom sums' terms, all equal
+    imm_term = 1e-4 * analytics._immigration_power_moment(imm, 2.0) / off.mean**2.0
+    off_term = 1e-4 * (analytics._offspring_power_moment(off, 2.0) / off.mean**2.0) ** 2.0
+    calls = []
+    series = analytics._power_series_moment
+
+    def counting(count, power, first_k, shift):
+        calls.append(count)
+        assert len(calls) <= 2, "a series was summed twice"  # fail fast, not in hours
+        return series(count, power, first_k, shift)
+
+    monkeypatch.setattr(analytics, "_power_series_moment", counting)
+    report = hypothesis_report(env, p=2.0, delta=2.0)
+    assert calls == [imm.count, off.count]
+    assert report.entry("E(Y0/m0)^delta").value == math.fsum([imm_term] * 10**4)
+    assert report.entry("E(E_xi(X0/m0)^p)^delta").value == math.fsum([off_term] * 10**4)
+
+
+def test_hypothesis_report_entries_equal_per_atom_sums():
+    # atoms that share some laws and not others: each entry is the
+    # per-atom formula to the last bit
+    offspring = [ShiftedPoisson(lam=1.0), ShiftedGeometric(q=0.4), ShiftedPoisson(lam=7.0)]
+    immigration = [PoissonImmigration(nu=2.0), NoImmigration(), GeometricImmigration(s=0.3),
+                   PoissonImmigration(nu=0.5)]
+    env = EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=offspring[j % 3], immigration=immigration[j % 4], prob=1 / 12)
+        for j in range(12)))
+    for p, delta in ((2.0, 2.0), (1.5, 0.7), (4.0, 3.0)):
+        report = hypothesis_report(env, p=p, delta=delta)
+        imm = math.fsum(a.prob * analytics._immigration_power_moment(a.immigration, delta)
+                        / a.offspring.mean**delta for a in env.atoms)
+        off = math.fsum(a.prob * (analytics._offspring_power_moment(a.offspring, p)
+                                  / a.offspring.mean**p) ** delta for a in env.atoms)
+        assert report.entry("E(Y0/m0)^delta").value == imm
+        assert report.entry("E(E_xi(X0/m0)^p)^delta").value == off
 
 
 def test_hypothesis_report_single_poisson_atom_inner_moment():

@@ -3,6 +3,7 @@ decay/stability gates, determinism."""
 
 import math
 import time
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -28,6 +29,7 @@ from bpire import (
     std_normal_pdf,
     walk_oracle_rate,
 )
+import bpire.mc_verify as mc_verify
 from bpire.mc_verify import _T_EXPANSION_DF, Z_99, ElogWConfig, _ols, student_t_99
 from conftest import make_env_a, make_skewed_env, without_immigration
 
@@ -400,3 +402,25 @@ def test_ols_matches_linregress_bitwise():
         slope, stderr = _ols(x, ys)
         assert slope == fit.slope
         assert stderr == fit.stderr or (math.isnan(stderr) and math.isnan(fit.stderr))
+
+
+def test_rate_experiment_releases_main_batch_before_elogw(monkeypatch, env_a):
+    # the main batch's rows are standardised and the batch dropped before
+    # the E log W batch runs
+    batches, alive = [], []
+    simulate, estimate = mc_verify.simulate_batch, mc_verify.estimate_elogw
+
+    def recording(*args, **kwargs):
+        batch = simulate(*args, **kwargs)
+        batches.append(weakref.ref(batch))
+        return batch
+
+    def checking(*args, **kwargs):
+        alive.append(batches[0]() is not None)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(mc_verify, "simulate_batch", recording)
+    monkeypatch.setattr(mc_verify, "estimate_elogw", checking)
+    clt_rate_experiment(env_a, [0.0], [4, 8], 500, master_seed=3,
+                        e_log_w_config=ElogWConfig(horizon=4, replicates=500))
+    assert len(batches) == 2 and alive == [False]

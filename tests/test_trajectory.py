@@ -2,6 +2,7 @@
 coupling, regime promotion consistency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,8 +98,9 @@ def test_batch_columns_do_not_depend_on_recorded_generations(env_a):
 
 
 def test_batch_thread_count_does_not_change_bytes(monkeypatch, env_a):
-    # chunks of 100: 400 replicates are four chunks, which threads=3 runs
-    # on a pool whose tasks carry only a chunk's key and size
+    # chunks of 100: 400 replicates are four chunks, and 350 end on a
+    # ragged one; threads=3 runs them on a pool whose tasks carry only a
+    # chunk's key and size
     tasks = []
 
     class CountingPool(trajectory.ProcessPoolExecutor):
@@ -108,21 +110,49 @@ def test_batch_thread_count_does_not_change_bytes(monkeypatch, env_a):
 
     monkeypatch.setattr(trajectory, "_CHUNK", 100)
     monkeypatch.setattr(trajectory, "ProcessPoolExecutor", CountingPool)
-    for run, names in (
-        (lambda **kw: simulate_batch(env_a, 12, 400, 3, record=(6, 12), **kw),
-         ("log_z", "s", "log_w")),
-        (lambda **kw: simulate_batch(env_a, 12, 400, 3, record=(6, 12),
-                                     couple_no_immigration=True, **kw),
-         ("log_z", "s", "log_w", "log_zbar")),
-        (lambda **kw: simulate_walk_batch(env_a, 12, 400, 3, record=(6, 12), **kw), ("s",)),
-    ):
-        tasks.clear()
-        inline = run(threads=1)
-        assert tasks == []
-        pooled = run(threads=3)
-        assert tasks == [(c, 100) for c in (0, 100, 200, 300)]
-        for name in names:
-            np.testing.assert_array_equal(getattr(inline, name), getattr(pooled, name))
+    for replicates, sizes in ((400, (100, 100, 100, 100)), (350, (100, 100, 100, 50))):
+        for run, names in (
+            (lambda **kw: simulate_batch(env_a, 12, replicates, 3, record=(6, 12), **kw),
+             ("log_z", "s", "log_w")),
+            (lambda **kw: simulate_batch(env_a, 12, replicates, 3, record=(6, 12),
+                                         couple_no_immigration=True, **kw),
+             ("log_z", "s", "log_w", "log_zbar")),
+            (lambda **kw: simulate_walk_batch(env_a, 12, replicates, 3, record=(6, 12), **kw),
+             ("s",)),
+        ):
+            tasks.clear()
+            inline = run(threads=1)
+            assert tasks == []
+            pooled = run(threads=3)
+            assert tasks == [(100 * i, size) for i, size in enumerate(sizes)]
+            for name in names:
+                assert getattr(pooled, name).shape == (2, replicates)
+                np.testing.assert_array_equal(getattr(inline, name), getattr(pooled, name))
+
+
+def test_batch_holds_each_row_once(monkeypatch, env_a):
+    # Inline chunks fill the batch arrays in place.  A batch of four
+    # chunks peaks above a batch of one by about the three chunks' share of
+    # the output (3/4 of its bytes); a list of chunk results joined by a
+    # copy, or a stored log W, would take it above the output's size.
+    monkeypatch.setattr(trajectory, "_CHUNK", 1024)
+
+    def traced_peak(replicates, couple):
+        tracemalloc.start()
+        try:
+            batch = simulate_batch(env_a, 64, replicates, 5, record=(16, 32, 64),
+                                   couple_no_immigration=couple)
+            return tracemalloc.get_traced_memory()[1], batch
+        finally:
+            tracemalloc.stop()
+
+    for couple in (False, True):
+        traced_peak(1024, couple)  # warm up
+        one, _ = traced_peak(1024, couple)
+        four, batch = traced_peak(4096, couple)
+        arrays = [batch.log_z, batch.s] + ([batch.log_zbar] if couple else [])
+        assert all(a.shape == (3, 4096) for a in arrays)
+        assert four - one < sum(a.nbytes for a in arrays)
 
 
 def test_pool_workers_capped_at_chunk_count(monkeypatch, env_a):
