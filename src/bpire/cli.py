@@ -549,7 +549,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         "exit_status": status,
     }
     with open(out_dir / "run_manifest.json", "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
     return status
 
 

@@ -25,13 +25,17 @@ Promotion rule
 --------------
 The simulator (:mod:`bpire.trajectory`) keeps each population size as an
 exact integer count until it reaches the promotion threshold ``T`` (default
-``2**40``), and as a log-space float from that generation on; it never
-returns to exact counts.  Above ``T`` the relative resolution of a double
-(about ``2**-52``) is far below the per-generation statistical noise of
-order ``1/sqrt(T) = 2**-20``, so the log-space Gaussian step loses nothing
-detectable while keeping every generation O(1).  Below ``T`` a Poisson draw
-whose mean reaches ``T`` is taken as ``mean + sqrt(mean) * G`` in the same
-spirit.
+``2**20``), and as a log-space float from that generation on; it never
+returns to exact counts.  From there a generation is one Gaussian log step,
+O(1) per column whatever the size.  At size Z the step's noise in ``log Z``
+has an SD of order ``Z**-0.5`` (``2**-10`` at ``T``), and the Gaussian
+law misses the skewness of the offspring total, an error of relative order
+``Z**-0.5`` in that noise: of order ``1/Z``, about 1e-6 at ``T``, in the
+law of ``log Z``, and smaller at every later generation as Z grows.  A
+paired test of ``E log W_30`` at ``2**20`` against ``2**40`` on two
+environments finds no difference at a paired SE of about 1e-5.  Below ``T``
+a Poisson draw whose mean reaches ``T`` is taken as ``mean + sqrt(mean) *
+G`` in the same spirit.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from numpy.random import PCG64DXSM, Generator, SeedSequence
 from .env_model import EnvironmentModel, ImmigrationLaw
 
 #: Default promotion threshold from exact integer counts to log-space floats.
-PROMOTION_THRESHOLD: int = 2**40
+PROMOTION_THRESHOLD: int = 2**20
 
 #: Smallest accepted promotion threshold.  Both offspring families have
 #: ``v / m**2 < 1`` (``1 - q`` for the geometric family, at most ``1/4`` for

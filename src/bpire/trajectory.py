@@ -11,7 +11,7 @@ atom's immigration law) join the next generation.  Offspring laws satisfy
 Alongside ``log Z_n`` the driver tracks the environment walk
 ``S_n = sum_{k<n} log m(xi_k)`` and ``log W_n = log Z_n - S_n``.
 
-Draw layout (version 3, ``DRAW_LAYOUT``)
+Draw layout (version 4, ``DRAW_LAYOUT``)
 ----------------------------------------
 A batch is cut into chunks of ``_CHUNK`` replicates, and each chunk runs as
 arrays: one array step per generation over all of its columns.  The chunk
@@ -43,15 +43,18 @@ primary population in the first case and the surplus in the second.
 Until the chunk jumps, the walk and the immigrants do not depend on the
 regime, so a run with another promotion threshold replays the same atoms
 and immigrants; its normals and exact-regime draws shift once some column
-changes regime, which at the default threshold happens at sizes where
-that shift stays below the log-regime noise floor.
+changes regime, which at the default threshold happens at sizes where the
+Gaussian step's error in the law of ``log Z`` is of order ``2**-20``.
 
-Substreams 1, 2 and 4 are drawn only until they can reach no output (see
-:class:`_Population`): substream 1 until the immigrants' term of the
-population they join rounds away for good, and substreams 2 and 4 until
-the population that uses them turns quiet, from when its log step adds
-``log m`` alone, because the normal's term rounds away too.  A chunk stops
-at the last recorded generation.
+Substreams 1, 2 and 4 stop before the last generation (see
+:class:`_Population`).  Substream 1 stops once the immigrants' term of
+the population they join rounds away for good, which leaves every byte
+unchanged.  Substreams 2 and 4 stop once the population that uses them
+turns quiet, from when its log step adds ``log m`` alone.  That drops the
+normals' term of every later step: the quiet log size is chosen so that
+the SD of all of it together is at most ``_QUIET_BUDGET`` in ``log W`` and
+its size at most ``_NORMAL_BOUND * _QUIET_BUDGET`` on every path
+(:func:`_log_sizes`).  A chunk stops at the last recorded generation.
 
 Once every population of a chunk is quiet, a generation adds the ``log
 m`` of its atom to ``S`` and to every log size, and nothing else.  So the
@@ -78,6 +81,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,7 +100,7 @@ from .sampler import (
 
 #: Version of the draw layout described above; every run manifest records
 #: it.  Any change to which draw feeds which number bumps it.
-DRAW_LAYOUT = 3
+DRAW_LAYOUT = 4
 
 #: Replicates per chunk, the unit of work handed to pool workers.  Fixed so
 #: the partition of a batch into chunks never depends on the worker count:
@@ -110,8 +114,16 @@ _ATOMS, _IMMIGRATION, _NORMALS, _EXACT, _SURPLUS_NORMALS, _SURPLUS_EXACT = range
 #: A bound on ``|g|`` for every normal numpy's ``Generator.standard_normal``
 #: returns.  It is a ziggurat whose tail draws ``r + (-log1p(-U)) / r`` with
 #: ``r`` about 3.654 and ``U <= 1 - 2**-53``, so ``|g| < 13.8``; 64 leaves a
-#: wide margin.  It fixes the quiet log size of :class:`_EnvTables`.
+#: wide margin.  It fixes the log sizes of :class:`_EnvTables`.
 _NORMAL_BOUND = 64
+
+#: The error budget of the quiet switch: the largest SD of the log-step
+#: noise that a population may still leave in ``log W`` once it turns
+#: quiet and stops drawing normals.  The noise it drops is also at most
+#: ``_NORMAL_BOUND * _QUIET_BUDGET``, about 6e-8, on every path, far below
+#: the Monte Carlo SE of ``E log W`` on environment A at R = 10**6, about
+#: 6e-4.
+_QUIET_BUDGET = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -315,9 +327,9 @@ class _EnvTables:
 def _log_sizes(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> tuple[float, float]:
     """The least log sizes L, under every atom, from which (1) a column's
     immigrants round away and no log step can take it below L again, and
-    (2) the log step's noise rounds away too: the immigrants-only and the
-    quiet log size.  Both are ``inf`` when some atom's ``log m`` is 0.0,
-    where the noise never rounds away and no bound B below holds.
+    (2) also the noise of every log step left is within ``_QUIET_BUDGET``:
+    the immigrants-only and the quiet log size.  Both are ``inf`` when some
+    atom's ``log m`` is 0.0, where no bound B below holds.
 
     Immigrants: ``y_max * exp(-L) <= 2**-56`` with ``L >= 1``, so ``L +
     log1p(y * exp(-L)) == L`` for y immigrants, with a margin of a factor 2
@@ -328,17 +340,25 @@ def _log_sizes(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> tuple[flo
     the immigrants' term, which is never negative, and a rounded sum with a
     nonnegative increment never falls below L.  (``log m / 2`` alone would
     not do: above ``log m`` of about 1.59, ``log1p(-log m / 2) < -log m``.)
-    Noise: ``B <= 2**-56 * log m``, so ``log m + log1p(noise) == log m``;
-    this bound is the tighter, so (2) is never below (1).
+
+    Budget: from a log size L at which (1) holds, every step adds at least
+    ``c = min(log m) / 4``, so the k-th step after starts at ``L + k c`` or
+    above, where its noise term has an SD of ``(sd/m) exp(-(L + k c)/2)`` to
+    first order and is at most ``_NORMAL_BOUND`` times that.  Over all the
+    steps left that sums to at most ``s exp(-L/2) / (1 - exp(-c/2))``, with
+    ``s`` the largest ``sd/m``, which is ``_QUIET_BUDGET`` at the budget
+    size.  The quiet log size is the larger of (1) and the budget size, so
+    from there the immigrants are gone to the last bit and the normals
+    within the budget.
     """
     if not logm.all():
         return math.inf, math.inf
-    immigrants = math.log(y_max * 2.0**56) if y_max else 0.0
-
-    def least(ratio: np.ndarray) -> float:  # B <= 1 / ratio for every atom
-        return max(1.0, immigrants, 2.0 * math.log(float((_NORMAL_BOUND * ratio).max())))
-
-    return least(2.0 * sd_over_m / np.minimum(logm, 1.0)), least(2.0**56 * sd_over_m / logm)
+    rounded = math.log(y_max * 2.0**56) if y_max else 0.0
+    ratio = 2.0 * sd_over_m / np.minimum(logm, 1.0)  # B <= 1 / ratio for every atom
+    immigrants = max(1.0, rounded, 2.0 * math.log(float((_NORMAL_BOUND * ratio).max())))
+    geometric = -math.expm1(-float(logm.min()) / 8.0)  # 1 - exp(-c/2)
+    budget = 2.0 * math.log(float(sd_over_m.max()) / (_QUIET_BUDGET * geometric))
+    return immigrants, max(immigrants, budget)
 
 
 def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
@@ -395,8 +415,9 @@ class _Population:
     (:func:`_log_sizes`): ``takes_immigrants`` turns False and
     ``y`` may be ``None``.  Once every column is also at least
     ``tab.quiet_log_size``, which is never less, the population is quiet
-    for good: the log step equals ``log Z + log m`` to the last bit, so a
-    quiet step takes only that, draws no normal and ignores ``y``.
+    for good: the noise of all its later log steps is within
+    ``_QUIET_BUDGET``, so a quiet step adds ``log m`` alone, draws no
+    normal and ignores ``y``.
     """
 
     def __init__(self, z: int, count: int, tab: _EnvTables, threshold: int, gen: Generator,
@@ -590,8 +611,11 @@ def _run_chunks(worker, static_args: tuple, out: dict[str, np.ndarray], stream_o
     Each row is held once: an inline chunk writes into views of its own
     columns of ``out``, and a pooled chunk returns its rows, which are
     copied into place as each result is taken and then dropped with its
-    future.  A pool receives ``static_args`` (the environment tables among
-    them) once per process, and each task only its chunk's key and size."""
+    future.  At most two tasks per worker are in flight: the next chunk is
+    submitted only once the oldest result is taken, so finished rows wait
+    for at most that many copies.  A pool receives ``static_args`` (the
+    environment tables among them) once per process, and each task only
+    its chunk's key and size."""
     names = tuple(out)
     rows, replicates = out[names[0]].shape
     starts = range(0, replicates, _CHUNK)
@@ -607,14 +631,22 @@ def _run_chunks(worker, static_args: tuple, out: dict[str, np.ndarray], stream_o
     # ``ProcessPoolExecutor`` takes effect (see ``__getattr__``)
     pool_type = sys.modules[__name__].ProcessPoolExecutor
     # a pool may start all of its workers at once: never more than tasks
-    with pool_type(max_workers=min(threads, len(chunks)),
-                   initializer=_init_pool_process,
+    workers = min(threads, len(chunks))
+    with pool_type(max_workers=workers, initializer=_init_pool_process,
                    initargs=(worker, static_args, names, rows)) as pool:
-        futures = [pool.submit(_pool_chunk, sid, cnt) for sid, cnt in chunks]
-        futures.reverse()  # popped in stream order, each with its result
-        for start in starts:
-            for k, v in futures.pop().result().items():
+        pending = deque()  # (first column, future), in stream order
+
+        def take_oldest() -> None:
+            start, future = pending.popleft()
+            for k, v in future.result().items():
                 out[k][:, start:start + v.shape[1]] = v
+
+        for start, (sid, cnt) in zip(starts, chunks):
+            if len(pending) == 2 * workers:
+                take_oldest()
+            pending.append((start, pool.submit(_pool_chunk, sid, cnt)))
+        while pending:
+            take_oldest()
 
 
 def simulate_batch(

@@ -185,7 +185,7 @@ def test_defaults_applied():
     assert cfg.master_seed == 0
     assert cfg.horizon == 30
     assert cfg.r is None
-    assert cfg.promotion_threshold == 2**40
+    assert cfg.promotion_threshold == 2**20
 
 
 # --------------------------------------------------------------- exit codes

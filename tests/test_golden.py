@@ -1,6 +1,6 @@
 """Golden outputs: every CLI kind, run through ``cli.main`` at small R, must
 reproduce recorded sha256 digests of its CSVs, its stdout and stderr, and its
-``run_manifest.json`` (with the ``wall_time_s`` line removed).  The library
+``run_manifest.json`` (with the value of ``wall_time_s`` removed).  The library
 cases cover the simulator paths no CLI kind reaches (the coupled shadow
 population, low promotion thresholds, single paths) and pin the laws'
 inversion tables, table bounds and moment series bit for bit; their digests
@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,8 +115,9 @@ CASES = {
     },
     # One grid point, so both grid warnings.  Whether the implied constants
     # at n = 1 and n = 30 differ by more than a factor 2 depends on the
-    # draws at R = 512: the gate failed (exit 3) under draw layout 2 and
-    # passes under layout 3.
+    # draws at R = 512: the gate failed (exit 3) under draw layout 2,
+    # passed under layout 3 and fails again under layout 4, whose default
+    # threshold of 2**20 promotes columns by n = 30.
     "berry-esseen-unstable": {
         "kind": "berry-esseen",
         "environment": _PURE_ENV,
@@ -201,7 +203,7 @@ CASES.update({
     "lib-laws": _laws,
 })
 
-# Recorded with draw layout 3 (``bpire.trajectory.DRAW_LAYOUT``).
+# Recorded with draw layout 4 (``bpire.trajectory.DRAW_LAYOUT``).
 GOLDEN = {
     "berry-esseen": {
         "exit": 0,
@@ -209,16 +211,16 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "berry_esseen.csv": "6d1248b7a53060601a27290fc85a2dd33c7b6bef76a1349b4411e594d40d8ccb",
-            "run_manifest.json": "afb15ae04dd2bff227d2db89358e4e26c5fef90bdaca16473e40e97ab2eec5ad"
+            "run_manifest.json": "21ce284f270579a780d120e6accfc3d248e049986dfc69718b4c06dc6ef9e694"
         }
     },
     "berry-esseen-unstable": {
-        "exit": 0,
-        "stdout": "0cbe667fc5244ce564f6888f0228bf5e60c6365cff81bfdce154ef5c04c14482",
+        "exit": 3,
+        "stdout": "39520f79518a9ca27dc58242e630821bb2d9787394ec936755c9f0aef2077864",
         "stderr": "f5370521fb66614cdc0fc9e903fa92f76c5996484b73b8be1912e04276203536",
         "files": {
-            "berry_esseen.csv": "cebbb97cae886f8fea75540b4d58670b4d66aa7d8d2184ac8550ecc9df21c9d7",
-            "run_manifest.json": "8335761d55e10b193bde2f2a177a5767613c281aa5215e0d3afc45d9c624ed34"
+            "berry_esseen.csv": "7974a570db381347c0d0f455715681a471deae52d8c117b6f1fd7672df5a30bf",
+            "run_manifest.json": "f4cf8503908d7ba8ad41e1a01d314b975bf6b9265a7766f87b0653e4709a382e"
         }
     },
     "decay": {
@@ -228,7 +230,7 @@ GOLDEN = {
         "files": {
             "decay.csv": "fb64683b5203649a735359674e5a8f4f54538faa6e02ac7c6dbdc8015e4effb2",
             "fit.csv": "f2414f5934812629166cf357eb3d8c3c190d4ff5fa836e6cab38c87c5872e0d8",
-            "run_manifest.json": "65c2c7cc1b77ec508239859f51313d3baf5ca60328eda5d1f6f9fc918b054e4f"
+            "run_manifest.json": "b23d44b81719a6b4c9977c28b72233766522fa9bf2304c4dec56a9bc1cbede63"
         }
     },
     "decay-inconclusive": {
@@ -236,9 +238,9 @@ GOLDEN = {
         "stdout": "57e787e1a68472983ed242cc19f3ca788f2c09510b07d21dab82a3128984e445",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "decay.csv": "9713ff55138b15c5cd13e7c2bd977366dce8cb280ddcd45842665c7777b01dd3",
+            "decay.csv": "22c90e114486c8888941c730346b5f7ddb6d0b18b10b4b24609526673d00d81a",
             "fit.csv": "ff2760e717e0c2cf06306af1f31195eda5955df08de3a1b59ff95be46fc305f0",
-            "run_manifest.json": "df329a3ac4f33ba09576e9f3353d1e653382cd58eb887dcfb2ac558ba8376640"
+            "run_manifest.json": "c4e19bf2af6b3ff1eed29e744c75a3bd2fd8a6160057c7d09a9134ddf293e1ee"
         }
     },
     "elogw": {
@@ -247,7 +249,7 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "elogw.csv": "b7e87199e07c72a7c912e3d360d91c557cd86e0b1fe245aa7a3b63921fedec81",
-            "run_manifest.json": "e8e9864efee72b46a003d26187828f924c14de46073e030d5823afd7ab1c4930"
+            "run_manifest.json": "c68696f101b91886a79f46d0d324798f4f206b63f1a2f23c2d9353ea25e78ab2"
         }
     },
     "laplace": {
@@ -255,8 +257,8 @@ GOLDEN = {
         "stdout": "30d01b08dfc3dd473781dd09526c6db599e85b22e5290deca92a78f8442eac28",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "laplace.csv": "e4b6549603ea0006aec989a7241d3fbe5275dae21d0a88e590b9cea66e92bbf3",
-            "run_manifest.json": "710efd20d93b103ff4c5eabf4c453004887210fd545bdac3528d1088f5e12e7e"
+            "laplace.csv": "5d21d0643adad505579952c9389562b121772ff68a566fb43eb623c7b2e73bd2",
+            "run_manifest.json": "70005ccb65811c15b728268b8d8953d3cc1659d2cdbb8ed7622d3b5b8659fed9"
         }
     },
     "lib-coupled-env-a": {
@@ -287,13 +289,13 @@ GOLDEN = {
         "table_sizes": "daf6f72af284207bac9414fe8bc1ac966ad176496d44c2905f326068ed5f8f7d"
     },
     "lib-long-coupled-mixed": {
-        "log_z": "437915073b4ea6d82b98c1bbcedf5df90c1fede1b0aa7eaaac0d3586546fd895",
-        "log_zbar": "9fe694f127e509c86d63205ffe258ad877830392945bc84d5e56ce05b243ba0b",
-        "s": "a7bc6f59d9a9eff1dbed3712d723725217a5ffe048a1607efdc19fc673d2f88b"
+        "log_z": "a9ee7339577c4be3a7275a7099f7a1a0f7f7a489d6cf3dffc510b4f59fcc76e1",
+        "log_zbar": "55d5d3e3fa67b93f32456b32e8d6aca6dfbf747fde9d5517d3862d6a74af07da",
+        "s": "9ee6cbbe56ab610dac5dc9e6badcad71fde4038af4481856151a497da8780d12"
     },
     "lib-long-env-a": {
-        "log_z": "5cd9dfe2b9a50eafa5fe7b39a01829ea182848912d75bc9b5d2f74a1c50bfb8b",
-        "s": "39029ea5ed803dd0ee470e22f847f8408bdc8680beaf9b1daf581d5b6c528609"
+        "log_z": "70f8abd8d838a75d1e41709f032d685b95845981e497a24334e43deed6101d05",
+        "s": "ae6711c503c710b7d50b9f0593aa7a6970589278cc3edc448ea56a6f937b46a2"
     },
     "lib-path": {
         "log_z": "825dc81bae74b149d4c88346a478fbe064f75da5406e34f4dba561f6256712d2",
@@ -310,7 +312,7 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "moments.csv": "07a1b72d8bf380d0641c39014fd22418a8b4f7da7cef1fcb2711d81002cb0e59",
-            "run_manifest.json": "9db308edf25e01243899e800389506fc8e8e158f59e80b4de93653c8b5daf4e2"
+            "run_manifest.json": "8a6161e18110cc78fd21eb9c924b62b5764dce9df0689dce0083c59c4ac1c58d"
         }
     },
     "rate": {
@@ -319,7 +321,7 @@ GOLDEN = {
         "stderr": "7a3f17010d97734b732c09b6d4ab15edd33e83bedd2635b93af162d11576352b",
         "files": {
             "rate.csv": "0bc8b7bdf5162c75eb3a410e94fd7adfe21c6d2bd83d42e95c6aca459e6ddb9c",
-            "run_manifest.json": "97e4d1af427c9b0e8ae5894ad341ae77dac7fa277c052a3aea86597fbdaaa9fa"
+            "run_manifest.json": "be353cf64a7bc02492189baf968aa5e7d92b8727e62b50f8f2a36b6c252b0857"
         }
     },
     "validate": {
@@ -327,7 +329,7 @@ GOLDEN = {
         "stdout": "722b9eeeee16236447f9b598e6b98134fbc9cb01862941260cae9b4ee05376b8",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "run_manifest.json": "5e2c9c44fa1b6fcd086e157c5c1aa7996b5e1e6170be00d63ea34c1b5f33fa3c"
+            "run_manifest.json": "f901bb5a53ee259764acc584a810da228583ad79f815a3379552bb3e2de7a002"
         }
     },
     "validate-one-atom": {
@@ -335,7 +337,7 @@ GOLDEN = {
         "stdout": "1f83639628234f3d969a354f114ace2fe01feec8ad9b04b498a469bb197da396",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "run_manifest.json": "0165cbb52c0cde2ab55091e8abe22a436f536558b57f8640a51d001cf943bfb9"
+            "run_manifest.json": "d8a5976e96e50f552a608c25061fd0f25ed5dfad6d7b47223b4df962e1e1103c"
         }
     },
     "walk-oracle": {
@@ -343,7 +345,7 @@ GOLDEN = {
         "stdout": "e9c7b4a6c5ff15b39bfe53cb5707430b3373307162a35c3eaaddcd9e25a16e64",
         "stderr": "7a3f17010d97734b732c09b6d4ab15edd33e83bedd2635b93af162d11576352b",
         "files": {
-            "run_manifest.json": "31787c928b2745cd892850265fba183a26b78c6eb2d3c80ee43ba189ee1ce5f6",
+            "run_manifest.json": "a4b6db016f11e53f3c66e585e7117183623894037fd2df2f022f97acb3998f5c",
             "walk_oracle.csv": "1021285bf02e2fd00646fecd37fb9da3ef25f6140175f4b3193d624fc46fa544"
         }
     }
@@ -361,15 +363,14 @@ def _config(case: str, tmp_path: Path) -> str:
 
 
 def _outputs(out: Path) -> dict[str, bytes]:
-    """The bytes of every file in ``out``; the manifest without its
-    ``wall_time_s`` line."""
+    """The bytes of every file in ``out``; the manifest without the value
+    of its ``wall_time_s`` key."""
     files = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
         if path.name == "run_manifest.json":
-            data = b"".join(
-                line for line in data.splitlines(keepends=True) if b'"wall_time_s"' not in line
-            )
+            data, found = re.subn(rb'("wall_time_s": )[^,}]+', rb"\1", data)
+            assert found == 1
         files[path.name] = data
     return files
 

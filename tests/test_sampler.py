@@ -302,8 +302,8 @@ def test_sample_immigration_means():
     assert geo.min() >= 0
 
 
-def test_default_threshold_is_2_to_40():
-    assert PROMOTION_THRESHOLD == 2**40
+def test_default_threshold_is_2_to_20():
+    assert PROMOTION_THRESHOLD == 2**20
 
 
 def test_guide_table_inversion_equals_binary_search():

@@ -187,6 +187,46 @@ def test_pool_workers_capped_at_chunk_count(monkeypatch, env_a):
     assert pooled.s.tobytes() == inline.s.tobytes()
 
 
+def test_pool_keeps_two_tasks_per_worker_in_flight(monkeypatch, env_a):
+    # A recording pool runs each task when its result is taken.  Eleven
+    # chunks (the last ragged) on three workers: at most six are submitted
+    # and not yet taken at any time, results are taken in stream order, and
+    # the bytes are those of the inline batch.
+    events = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, /, *args):
+            events.append(("submit", args[0]))
+            return type("Lazy", (), {"result": lambda _: events.append(("take", args[0]))
+                                     or fn(*args)})()
+
+    monkeypatch.setattr(trajectory, "_CHUNK", 100)
+    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(trajectory, "_pool_job", ())
+    for run in (lambda **kw: simulate_batch(env_a, 12, 1050, 3, record=(6, 12), **kw),
+                lambda **kw: simulate_walk_batch(env_a, 12, 1050, 3, record=(6, 12), **kw)):
+        inline = run(threads=1)
+        events.clear()
+        pooled = run(threads=3)
+        keys = [100 * i for i in range(11)]
+        assert [k for e, k in events if e == "submit"] == keys
+        assert [k for e, k in events if e == "take"] == keys
+        in_flight = np.cumsum([1 if e == "submit" else -1 for e, _ in events])
+        assert in_flight.max() == 6 and in_flight[-1] == 0
+        assert pooled.s.tobytes() == inline.s.tobytes()
+        if isinstance(pooled, trajectory.BatchResult):
+            assert pooled.log_z.tobytes() == inline.log_z.tobytes()
+
+
 def test_batch_stream_offset_shifts_columns(monkeypatch, env_a):
     # chunks of 10: the base batch's chunks are keyed 0, 10 and 20, so a
     # batch at offset 20 (or 10) replays its last chunk (or last two)
@@ -238,17 +278,19 @@ def test_uncoupled_batch_has_no_shadow(env_a):
         batch.log_zbar_at(3)
 
 
-def test_promotion_threshold_consistency(env_a):
-    # raising the threshold to 2^50 keeps paths exact for ~8 further
-    # generations; the default run may only differ by the Gaussian-step
-    # approximation error at populations >= 2^40, i.e. O(1/sqrt(z))
-    default = simulate_batch(env_a, 40, 300, master_seed=11, record=(40,))
-    high = simulate_batch(
-        env_a, 40, 300, master_seed=11, record=(40,), threshold=2**50
-    )
-    dev = np.abs(default.log_z_at(40) - high.log_z_at(40))
-    assert dev.max() > 0.0  # some path crossed 2^40 and actually promoted
-    assert dev.max() <= 1e-4
+def test_promotion_threshold_consistency():
+    # The default threshold 2**20 against 2**40, paired by the seed: both
+    # runs draw the same atoms and immigrants, and their other draws part
+    # only once a column promotes at 2**20, so E log W_30 differs by the
+    # Gaussian step's law error (of order 2**-20) within a paired SE of
+    # about 1e-5 from sd(a - b).  Seed and R were fixed before the first run.
+    for name in ("a", "b"):
+        low, high = (simulate_batch(_QUIET_ENVS[name], 30, 200_000, master_seed=3, record=(30,),
+                                    threshold=t).log_w_at(30) for t in (2**20, 2**40))
+        diff = low - high
+        assert np.abs(diff).max() > 0.0  # some path crossed 2^20 and promoted
+        se = diff.std(ddof=1) / math.sqrt(diff.size)
+        assert abs(diff.mean()) < 4 * se, (name, diff.mean() / se, se)
 
 
 def test_record_argument_validation(env_a):
@@ -284,8 +326,13 @@ def _visits(s: np.ndarray, n: int) -> np.ndarray:
 
 def test_walk_and_quiet_batch_s_follow_exact_law(monkeypatch, env_a):
     # The walk jumps by binomial visit counts from generation 0, and a
-    # batch from the generation at which its chunk turns quiet (about 110
-    # here); both S_160 must be n log 2 + J log 1.5 with J ~ Bin(160, 1/2).
+    # batch from the generation at which its chunk turns quiet; both S_160
+    # must be n log 2 + J log 1.5 with J ~ Bin(160, 1/2).  A chunk turns
+    # quiet once its slowest column reaches the quiet log size (about 45
+    # here): no sooner than growth at the larger log mean, log 3, allows,
+    # and a few generations after growth at the smaller, log 2, would (the
+    # slowest column's log W is below 0); about generation 57 here.
+    quiet_log_size = trajectory._EnvTables(env_a).quiet_log_size
     jumps = []
     jump = trajectory._Walk.jump
     monkeypatch.setattr(trajectory._Walk, "jump",
@@ -294,7 +341,8 @@ def test_walk_and_quiet_batch_s_follow_exact_law(monkeypatch, env_a):
     assert jumps == [40, 120, 40, 120, 40, 120]
     jumps.clear()
     batch = simulate_batch(env_a, 160, 20_000, master_seed=14, record=(160,))
-    assert len(jumps) == 3 and all(0 < t < 60 for t in jumps)
+    earliest, latest = quiet_log_size / math.log(3.0), quiet_log_size / math.log(2.0) + 8
+    assert len(jumps) == 3 and all(160 - latest < t < 160 - earliest for t in jumps), jumps
     for s, n in ((walk.s_at(40), 40), (walk.s_at(160), 160), (batch.s_at(160), 160)):
         p = _binomial_chi_square_p(_visits(s, n), n, 0.5)
         assert p > 1e-3, (n, p)
@@ -476,50 +524,71 @@ _QUIET_ENVS = {
 }
 
 
-def _quiet_never_and_default(run):
-    """What ``run()`` returns with the quiet state and the immigrants-only
-    stage off (an infinite normal bound) and on."""
+_log_sizes = trajectory._log_sizes  # the default rule, whatever is rebound below
+
+
+def _layout_3_log_sizes(logm, sd_over_m, y_max):
+    """The log sizes of draw layout 3: the immigrants-only size of
+    ``_log_sizes``, and a quiet size from which the log step's noise rounds
+    away to the last bit, ``|noise| <= 2**-56 log m`` under every atom."""
+    immigrants, _ = _log_sizes(logm, sd_over_m, y_max)
+    if immigrants == math.inf:
+        return immigrants, immigrants
+    exact = 2.0 * math.log(float((trajectory._NORMAL_BOUND * 2.0**56 * sd_over_m / logm).max()))
+    return immigrants, max(immigrants, exact)
+
+
+def _with_log_sizes(sizes, run):
+    """What ``run()`` returns with ``_log_sizes`` rebound to ``sizes``."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(trajectory, "_NORMAL_BOUND", math.inf)
-        never = run()
-    return never, run()
+        m.setattr(trajectory, "_log_sizes", sizes)
+        return run()
 
 
-def _assert_same_until_the_jump(never, default, quiet_log_size: float) -> None:
-    """Check a quiet-never batch against the default one, column by column:
-    every row agrees bitwise until the chunk turns quiet, and from then on
-    the default jumps the walk by binomial visit counts, a draw the
-    quiet-never batch does not make, so only ``log W`` can agree there.
-    It does within an ulp per generation: both runs add the same log means
-    to ``log Z`` and ``S`` and differ by rounding alone.  (A jump of one
-    generation may draw the very atoms the uniforms would: numpy inverts a
-    binomial of one trial from one uniform.)"""
+# The largest |log W| change the quiet switch may make on any path: the
+# normals' terms it drops, ``_NORMAL_BOUND`` times the budget's geometric
+# sum of SDs, plus log1p's second-order term.
+_BUDGET_BOUND = trajectory._NORMAL_BOUND * trajectory._QUIET_BUDGET * (1 + 2.0**-20)
+
+
+def _assert_within_budget(layout_3, default, quiet_log_size: float) -> None:
+    """Check a batch under layout 3's quiet rule against the default one,
+    column by column.  Every row
+    agrees bitwise until the default turns a population quiet: rows differ
+    only where some population of the column's chunk was quiet one row
+    earlier, so ``log Z >= quiet_log_size`` there.  From then on layout 3
+    still adds the normals' terms and jumps later, so only ``log W`` can
+    agree, within ``_BUDGET_BOUND`` plus an ulp of rounding per
+    generation."""
     names = ["log_z", "s"] + (["log_zbar"] if default.log_zbar is not None else [])
     differ = np.zeros(default.s.shape, dtype=bool)
     for name in names:
-        differ |= getattr(never, name) != getattr(default, name)
-    shadow = default.log_z if default.log_zbar is None else default.log_zbar
+        differ |= getattr(layout_3, name) != getattr(default, name)
     for col in np.flatnonzero(differ.any(axis=0)):
         first = int(np.argmax(differ[:, col]))
         if first and default.record[first] == default.record[first - 1] + 1:
-            assert shadow[first - 1, col] >= quiet_log_size  # quiet one row earlier
+            assert default.log_z[first - 1, col] >= quiet_log_size
     gens = np.array(default.record, dtype=float)[:, None]
-    bound = (gens + 1) * np.spacing(np.maximum(np.abs(default.log_z), np.abs(default.s)))
-    assert (np.abs(never.log_w - default.log_w) <= bound).all()
+    rounding = (gens + 1) * np.spacing(np.maximum(
+        np.maximum(np.abs(default.log_z), np.abs(default.s)),
+        np.maximum(np.abs(layout_3.log_z), np.abs(layout_3.s))))
+    gap = np.abs(layout_3.log_w - default.log_w)
+    assert (gap <= _BUDGET_BOUND + rounding).all(), gap.max()
 
 
 @pytest.mark.parametrize("name", sorted(_QUIET_ENVS))
-def test_quiet_state_leaves_bytes_unchanged(monkeypatch, name):
+def test_quiet_state_keeps_log_w_within_budget(monkeypatch, name):
     # chunks of 20: 48 replicates are two full chunks and a ragged one of 8
     monkeypatch.setattr(trajectory, "_CHUNK", 20)
     env = _QUIET_ENVS[name]
     quiet_log_size = trajectory._EnvTables(env).quiet_log_size
     for couple in (False, True):
-        for threshold in (2**10, 2**40):
-            never, default = _quiet_never_and_default(
-                lambda: simulate_batch(env, 320, 48, 5, record=range(321),
-                                       couple_no_immigration=couple, threshold=threshold))
-            _assert_same_until_the_jump(never, default, quiet_log_size)
+        for threshold in (2**10, 2**20, 2**40):
+            def run():
+                return simulate_batch(env, 320, 48, 5, record=range(321),
+                                      couple_no_immigration=couple, threshold=threshold)
+            _assert_within_budget(_with_log_sizes(_layout_3_log_sizes, run), run(),
+                                  quiet_log_size)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -531,12 +600,36 @@ def test_quiet_state_leaves_bytes_unchanged(monkeypatch, name):
     threshold=st.integers(10, 40).map(lambda k: 2**k),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_quiet_state_leaves_bytes_unchanged_anywhere(env, n, replicates, couple, threshold,
-                                                     seed):
-    never, default = _quiet_never_and_default(
-        lambda: simulate_batch(env, n, replicates, seed, record=(n // 2, n),
-                               couple_no_immigration=couple, threshold=threshold))
-    _assert_same_until_the_jump(never, default, trajectory._EnvTables(env).quiet_log_size)
+def test_quiet_state_keeps_log_w_within_budget_anywhere(env, n, replicates, couple, threshold,
+                                                        seed):
+    def run():
+        return simulate_batch(env, n, replicates, seed, record=(n // 2, n),
+                              couple_no_immigration=couple, threshold=threshold)
+    _assert_within_budget(_with_log_sizes(_layout_3_log_sizes, run), run(),
+                          trajectory._EnvTables(env).quiet_log_size)
+
+
+@pytest.mark.parametrize("name", sorted(_QUIET_ENVS))
+def test_immigrants_cut_leaves_bytes_unchanged(monkeypatch, name):
+    # Immigrant uniforms stop at the immigrants-only size; drawing and
+    # adding them up to the quiet size instead changes no byte, under the
+    # default quiet rule and under layout 3's, whose quiet size is about
+    # twice as large.
+    monkeypatch.setattr(trajectory, "_CHUNK", 20)
+    env = _QUIET_ENVS[name]
+    for quiet_rule in (_log_sizes, _layout_3_log_sizes):
+        def late(*args, quiet_rule=quiet_rule):
+            quiet = quiet_rule(*args)[1]
+            return quiet, quiet
+        for couple in (False, True):
+            for threshold in (2**10, 2**20):
+                def run():
+                    return simulate_batch(env, 320, 48, 5, record=range(321),
+                                          couple_no_immigration=couple, threshold=threshold)
+                cut, drawn = _with_log_sizes(quiet_rule, run), _with_log_sizes(late, run)
+                for field in ("log_z", "s", "log_zbar"):
+                    a, b = getattr(cut, field), getattr(drawn, field)
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 class _CountingGenerator:
@@ -576,17 +669,23 @@ def test_quiet_population_stops_drawing(monkeypatch, env_a, skewed_env):
     immigrants = (trajectory._IMMIGRATION, "random")
     normals = (trajectory._NORMALS, "standard_normal")
     surplus_normals = (trajectory._SURPLUS_NORMALS, "standard_normal")
+    tab = trajectory._EnvTables(env_a)
     calls = _draw_calls(monkeypatch, env_a, 256, 64, 3)
     # the walk draws uniforms until the chunk is quiet, then one binomial
     # (two atoms) for the stretch to the one recorded generation; normals
     # start at the first promotion; immigrants round away (log size about
-    # 42) before the population turns quiet (about 85)
+    # 41.7) before the population turns quiet (about 45.2), which no
+    # column reaches sooner than growth at log 3 a generation allows
     assert calls[jumps] == 1
-    assert calls[immigrants] < calls[atoms] < 256
+    assert tab.immigrants_log_size < tab.quiet_log_size
+    assert tab.quiet_log_size / math.log(3.0) < calls[atoms] < 256
+    assert calls[immigrants] < calls[atoms]
     assert 0 < calls[normals] < calls[atoms]
-    # no column promotes by generation 20: no normal is drawn at all
-    calls = _draw_calls(monkeypatch, env_a, 20, 64, 3)
-    assert calls[atoms] == calls[immigrants] == 20
+    # promotion at the default 2**20 needs log Z >= 13.9, more than 10
+    # generations at log 3 give (the first of 32768 columns promotes at
+    # generation 12): by generation 10 no normal is drawn at all
+    calls = _draw_calls(monkeypatch, env_a, 10, 64, 3)
+    assert calls[atoms] == calls[immigrants] == 10
     assert normals not in calls and jumps not in calls
     # no immigrants: the surplus stays empty, never promotes and so never
     # turns quiet, and the chunk never jumps, while the coupled path turns
@@ -602,18 +701,27 @@ def test_quiet_population_stops_drawing(monkeypatch, env_a, skewed_env):
     _environment((ShiftedPoisson(lam=0.5), GeometricImmigration(s=GEOMETRIC_S_MIN)),
                  (ShiftedGeometric(q=0.9), NoImmigration())),
 ], ids=["a", "b", "mixed", "pure", "geometric-s-min"])
-def test_quiet_log_size_rounds_both_terms_away(env):
+def test_quiet_log_size_meets_the_budget(env):
     tab = trajectory._EnvTables(env)
     size = tab.quiet_log_size
-    assert 1.0 <= size < math.inf
     y_max = max(len(immigration_cdf_table(a.immigration)) for a in env.atoms) - 1
+    assert tab.immigrants_log_size <= size < math.inf
+    assert size < _layout_3_log_sizes(tab.logm, tab.sd_over_m, y_max)[1]
     assert size + np.log1p(y_max * np.exp(-size)) == size
+    # from that size a log step under any atom and any normal adds at
+    # least c = min(log m) / 4, and the normals' terms of all the steps
+    # left, at sizes size + k c at least, sum to within the budget in SD
+    c = tab.logm.min() / 4
     for g in (-trajectory._NORMAL_BOUND, trajectory._NORMAL_BOUND):
-        noise = np.log1p(g * tab.sd_over_m * np.exp(-0.5 * size))
-        np.testing.assert_array_equal(tab.logm + noise, tab.logm)
-    # and it is the least such size: one of its bounds is tight
-    noise = trajectory._NORMAL_BOUND * (tab.sd_over_m / tab.logm).max() * math.exp(-size / 2)
-    assert size == 1.0 or max(noise, y_max * math.exp(-size)) == pytest.approx(2.0**-56)
+        step = tab.logm + np.log1p(g * tab.sd_over_m * np.exp(-0.5 * size))
+        assert (step >= c).all()
+    k = np.arange(100_000)
+    sds = tab.sd_over_m.max() * np.exp(-0.5 * (size + k * c))
+    assert sds.sum() <= trajectory._QUIET_BUDGET * (1 + 1e-12)
+    # and it is the least such size: the budget is tight unless the
+    # immigrants-only size is larger
+    if size > tab.immigrants_log_size:
+        assert sds.sum() == pytest.approx(trajectory._QUIET_BUDGET, rel=1e-9)
 
 
 def test_quiet_log_size_is_infinite_when_a_mean_rounds_to_one():
