@@ -609,6 +609,78 @@ def test_quiet_state_keeps_log_w_within_budget_anywhere(env, n, replicates, coup
                           trajectory._EnvTables(env).quiet_log_size)
 
 
+def _quiet_never_and_layout_3(run):
+    """What ``run()`` returns with the quiet state and the immigrants-only
+    stage off (an infinite normal bound), and with the quiet switch at
+    layout 3's size, from which both terms of a log step round away."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trajectory, "_NORMAL_BOUND", math.inf)
+        never = run()
+    return never, _with_log_sizes(_layout_3_log_sizes, run)
+
+
+def _layout_3_quiet_log_size(env) -> float:
+    return _with_log_sizes(_layout_3_log_sizes, lambda: trajectory._EnvTables(env)).quiet_log_size
+
+
+def _assert_same_until_the_jump(never, quiet, quiet_log_size: float) -> None:
+    """Check a quiet-never batch against one whose quiet switch drops
+    nothing but rounding, column by column: every row agrees bitwise until
+    the chunk turns quiet, and from then on the quiet batch jumps the walk
+    by binomial visit counts, a draw the quiet-never batch does not make,
+    so only ``log W`` can agree there.  It does within an ulp per
+    generation: both runs add the same log means to ``log Z`` and ``S`` and
+    differ by rounding alone.  (A jump of one generation may draw the very
+    atoms the uniforms would: numpy inverts a binomial of one trial from
+    one uniform.)"""
+    names = ["log_z", "s"] + (["log_zbar"] if quiet.log_zbar is not None else [])
+    differ = np.zeros(quiet.s.shape, dtype=bool)
+    for name in names:
+        differ |= getattr(never, name) != getattr(quiet, name)
+    shadow = quiet.log_z if quiet.log_zbar is None else quiet.log_zbar
+    for col in np.flatnonzero(differ.any(axis=0)):
+        first = int(np.argmax(differ[:, col]))
+        if first and quiet.record[first] == quiet.record[first - 1] + 1:
+            assert shadow[first - 1, col] >= quiet_log_size  # quiet one row earlier
+    gens = np.array(quiet.record, dtype=float)[:, None]
+    bound = (gens + 1) * np.spacing(np.maximum(np.abs(quiet.log_z), np.abs(quiet.s)))
+    assert (np.abs(never.log_w - quiet.log_w) <= bound).all()
+
+
+@pytest.mark.parametrize("name", sorted(_QUIET_ENVS))
+def test_quiet_state_leaves_bytes_unchanged(monkeypatch, name):
+    # The quiet machinery (normals stop, the walk jumps) itself changes no
+    # byte but rounding: checked at layout 3's quiet size, where the
+    # dropped terms round away.  Chunks of 20: 48 replicates are two full
+    # chunks and a ragged one of 8.
+    monkeypatch.setattr(trajectory, "_CHUNK", 20)
+    env = _QUIET_ENVS[name]
+    quiet_log_size = _layout_3_quiet_log_size(env)
+    for couple in (False, True):
+        for threshold in (2**10, 2**20, 2**40):
+            never, quiet = _quiet_never_and_layout_3(
+                lambda: simulate_batch(env, 320, 48, 5, record=range(321),
+                                       couple_no_immigration=couple, threshold=threshold))
+            _assert_same_until_the_jump(never, quiet, quiet_log_size)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    env=_environments(),
+    n=st.integers(100, 250),
+    replicates=st.integers(1, 24),
+    couple=st.booleans(),
+    threshold=st.integers(10, 40).map(lambda k: 2**k),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_quiet_state_leaves_bytes_unchanged_anywhere(env, n, replicates, couple, threshold,
+                                                     seed):
+    never, quiet = _quiet_never_and_layout_3(
+        lambda: simulate_batch(env, n, replicates, seed, record=(n // 2, n),
+                               couple_no_immigration=couple, threshold=threshold))
+    _assert_same_until_the_jump(never, quiet, _layout_3_quiet_log_size(env))
+
+
 @pytest.mark.parametrize("name", sorted(_QUIET_ENVS))
 def test_immigrants_cut_leaves_bytes_unchanged(monkeypatch, name):
     # Immigrant uniforms stop at the immigrants-only size; drawing and
