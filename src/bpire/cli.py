@@ -6,6 +6,12 @@ fits and a ``run_manifest.json`` echoing the config) into the output
 directory.  Flags cover only paths, seed override and parallelism -- the
 config is the archivable record of what ran.
 
+The chunk pool (``threads``) is the only parallelism of a CLI process.
+Imported before numpy, this module sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 where they are unset:
+no run uses BLAS threads, and an idle OpenBLAS pool costs about 0.13 s of
+CPU per process.  A value the user set is kept.
+
 Exit codes:
 
 * 0 -- success;
@@ -42,11 +48,18 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
+
+# Before the first import that loads numpy: its BLAS reads these once, at
+# load.  A caller that loaded numpy first keeps its own setting.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 from . import __version__
 from .env_model import (
@@ -563,7 +576,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="output directory for CSV artifacts")
     parser.add_argument("--seed", type=int, default=None, help="master seed override (u64)")
     parser.add_argument(
-        "--threads", type=int, default=None, help="worker processes (0 = one per CPU)"
+        "--threads", type=int, default=None,
+        help="worker processes (0 = one per CPU this process may run on)",
     )
     args = parser.parse_args(argv)
 

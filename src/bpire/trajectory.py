@@ -621,8 +621,9 @@ def _run_chunks(worker, static_args: tuple, out: dict[str, np.ndarray], stream_o
     starts = range(0, replicates, _CHUNK)
     chunks = [(stream_offset + s, min(_CHUNK, replicates - s)) for s in starts]
 
-    if threads == 0:
-        threads = os.cpu_count() or 1
+    if threads == 0:  # one worker per CPU this process may run on
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if threads <= 1 or len(chunks) == 1:
         for start, (sid, cnt) in zip(starts, chunks):
             worker(sid, cnt, *static_args, {k: v[:, start:start + cnt] for k, v in out.items()})
@@ -665,13 +666,13 @@ def simulate_batch(
 
     Replicate r is column ``r % _CHUNK`` of the chunk keyed
     ``(master_seed, stream_offset + r - r % _CHUNK)``.  Output is
-    bit-identical for any ``threads`` value (0 = one worker per CPU) because
-    the chunk partition and the chunk keys are fixed.  A single path, every
-    generation of it, is column 0 of ``simulate_batch(env, n, 1,
-    master_seed, record=range(n + 1), stream_offset=key)``.  Columns do not
-    depend on the recorded generations until their chunk turns quiet, and
-    from then on only by the draws of the jumps between them (see "Draw
-    layout").
+    bit-identical for any ``threads`` value (0 = one worker per CPU this
+    process may run on) because the chunk partition and the chunk keys are
+    fixed.  A single path, every generation of it, is column 0 of
+    ``simulate_batch(env, n, 1, master_seed, record=range(n + 1),
+    stream_offset=key)``.  Columns do not depend on the recorded generations
+    until their chunk turns quiet, and from then on only by the draws of the
+    jumps between them (see "Draw layout").
 
     The batch holds each recorded row once: every output array is
     allocated once, with shape ``(len(record), replicates)``, and the

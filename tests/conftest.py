@@ -16,6 +16,10 @@ from bpire import (
 )
 from bpire.trajectory import _EnvTables, _Population
 
+#: The variables through which numpy's BLAS builds read their thread count,
+#: which the command line pins to one when it is imported before numpy.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def make_env_a(immigration: bool = True) -> EnvironmentModel:
     """Two-atom reference environment: offspring means 2 and 3 with equal

@@ -29,7 +29,7 @@ from bpire.cli import (
 )
 from bpire.env_model import GEOMETRIC_Q_MIN, GEOMETRIC_S_MIN, POISSON_NU_MAX
 from bpire.sampler import MAX_PROMOTION_THRESHOLD, MIN_PROMOTION_THRESHOLD
-from conftest import make_env_a
+from conftest import BLAS_VARS, make_env_a
 
 
 def _env_doc(immigration: str = "poisson") -> dict:
@@ -460,6 +460,49 @@ def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats would cost most of the CLI's start-up; no run needs scipy
     proc = _python("-c", "import sys, bpire.cli; print('scipy.stats' in sys.modules)")
     assert proc.stdout == "False\n", proc.stderr
+
+
+def _blas_after(imports: str) -> dict:
+    """The BLAS variables and the OS thread count (None without /proc) of a
+    fresh interpreter after ``imports``."""
+    proc = _python("-c", (
+        f"import json, os\n{imports}\n"
+        "task = '/proc/self/task'\n"
+        f"print(json.dumps({{'env': {{v: os.environ.get(v) for v in {BLAS_VARS!r}}},\n"
+        "                   'threads': len(os.listdir(task)) if os.path.isdir(task) else None}))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture
+def blas_unset(monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    return monkeypatch
+
+
+def test_cli_import_starts_no_blas_thread(blas_unset):
+    # numpy's OpenBLAS starts a pool at import that spins on idle CPUs, and
+    # no run uses BLAS threads: imported before numpy, the command line pins
+    # it to one thread, so the chunk pool is a process's only parallelism
+    seen = _blas_after("import bpire.cli")
+    assert seen["env"] == dict.fromkeys(BLAS_VARS, "1")
+    if seen["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert seen["threads"] == 1
+
+
+def test_cli_import_keeps_a_user_blas_setting(blas_unset):
+    blas_unset.setenv("OPENBLAS_NUM_THREADS", "2")
+    env = _blas_after("import bpire.cli")["env"]
+    assert env == {**dict.fromkeys(BLAS_VARS, "1"), "OPENBLAS_NUM_THREADS": "2"}
+
+
+def test_cli_import_after_numpy_leaves_the_environment_alone(blas_unset):
+    # a library caller that loaded numpy first keeps the pool it has
+    env = _blas_after("import numpy, bpire.cli")["env"]
+    assert env == dict.fromkeys(BLAS_VARS)
 
 
 #: One small config of each kind, run by ``test_start_up_loads_no_scipy``

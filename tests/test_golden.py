@@ -43,10 +43,10 @@ from bpire import (
     simulate_batch,
 )
 from bpire.analytics import _immigration_power_moment, _offspring_power_moment
-from bpire.cli import _parse_environment, main
+from bpire.cli import KINDS, _parse_environment, main
 from bpire.env_model import GEOMETRIC_S_MIN, immigration_table_entries
 from bpire.sampler import immigration_cdf_table
-from conftest import make_env_a
+from conftest import BLAS_VARS, make_env_a
 
 # Two atoms that between them use every law kind but "none": geometric
 # offspring with geometric immigration, Poisson offspring with Poisson
@@ -399,20 +399,22 @@ def test_golden_outputs(case, tmp_path):
     assert _digests(case, tmp_path) == GOLDEN[case]
 
 
-@pytest.mark.parametrize("case", ["decay", "elogw"])
+@pytest.mark.parametrize("case", sorted(KINDS))
 def test_golden_runs_need_numpy_alone(case, tmp_path):
-    # a fresh interpreter that cannot import scipy writes the bytes of this
-    # process, which has loaded it for other tests
+    # a fresh interpreter that cannot import scipy, and whose BLAS the
+    # command line pins to one thread, writes the bytes of this process,
+    # which has loaded scipy for other tests and numpy with its own BLAS
+    # pool (decay's fit is the one BLAS call)
     cfg = _config(case, tmp_path)
     argv = ["--config", cfg, "--out", str(tmp_path / "fresh")]
     src = str(Path(bpire.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys\nsys.modules['scipy'] = None\nfrom bpire.cli import main\n"
-         f"sys.exit(main({argv!r}))\n"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)},
+         "import os, sys\nsys.modules['scipy'] = None\nfrom bpire.cli import main\n"
+         f"assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\nsys.exit(main({argv!r}))\n"],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):

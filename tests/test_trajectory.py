@@ -187,11 +187,12 @@ def test_pool_workers_capped_at_chunk_count(monkeypatch, env_a):
     assert pooled.s.tobytes() == inline.s.tobytes()
 
 
-def test_pool_keeps_two_tasks_per_worker_in_flight(monkeypatch, env_a):
-    # A recording pool runs each task when its result is taken.  Eleven
-    # chunks (the last ragged) on three workers: at most six are submitted
-    # and not yet taken at any time, results are taken in stream order, and
-    # the bytes are those of the inline batch.
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Bind a recording pool to ``trajectory.ProcessPoolExecutor`` at a
+    chunk size of 100 and return its events: ``("submit", key)`` as each
+    chunk is submitted and ``("take", key)`` as its result is taken, when
+    the task runs.  No process is started."""
     events = []
 
     class RecordingPool:
@@ -212,6 +213,14 @@ def test_pool_keeps_two_tasks_per_worker_in_flight(monkeypatch, env_a):
     monkeypatch.setattr(trajectory, "_CHUNK", 100)
     monkeypatch.setattr(trajectory, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(trajectory, "_pool_job", ())
+    return events
+
+
+def test_pool_keeps_two_tasks_per_worker_in_flight(recording_pool, env_a):
+    # Eleven chunks (the last ragged) on three workers: at most six are
+    # submitted and not yet taken at any time, results are taken in stream
+    # order, and the bytes are those of the inline batch.
+    events = recording_pool
     for run in (lambda **kw: simulate_batch(env_a, 12, 1050, 3, record=(6, 12), **kw),
                 lambda **kw: simulate_walk_batch(env_a, 12, 1050, 3, record=(6, 12), **kw)):
         inline = run(threads=1)
@@ -225,6 +234,23 @@ def test_pool_keeps_two_tasks_per_worker_in_flight(monkeypatch, env_a):
         assert pooled.s.tobytes() == inline.s.tobytes()
         if isinstance(pooled, trajectory.BatchResult):
             assert pooled.log_z.tobytes() == inline.log_z.tobytes()
+
+
+def test_auto_threads_count_the_cpus_this_process_may_run_on(monkeypatch, recording_pool, env_a):
+    # threads = 0 on a host of 64 CPUs: pinned to one of them, the batch
+    # runs inline with no pool; allowed two, it runs on a pool of two, with
+    # at most four tasks in flight.  The bytes are those of threads = 1.
+    events = recording_pool
+    monkeypatch.setattr(trajectory.os, "cpu_count", lambda: 64)
+    inline = simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=1)
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_cpu = simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=0)
+    assert events == []
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1})
+    two_cpus = simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=0)
+    assert np.cumsum([1 if e == "submit" else -1 for e, _ in events]).max() == 4
+    for batch in (one_cpu, two_cpus):
+        assert batch.log_z.tobytes() == inline.log_z.tobytes()
 
 
 def test_batch_stream_offset_shifts_columns(monkeypatch, env_a):
