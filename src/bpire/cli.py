@@ -12,6 +12,14 @@ Imported before numpy, this module sets ``OPENBLAS_NUM_THREADS``,
 no run uses BLAS threads, and an idle OpenBLAS pool costs about 0.13 s of
 CPU per process.  A value the user set is kept.
 
+The process entry, :func:`run` (``python -m bpire.cli`` and the ``bpire``
+script), calls ``gc.freeze()`` before :func:`main`: the objects the
+imports left behind, about 23,000 tracked by the cycle collector, move to
+its permanent generation, so neither a collection during the run nor the
+interpreter's shutdown traverses them again.  That shutdown pass cost
+about 35 ms of every process.  :func:`main` called from Python leaves the
+collector as it finds it.
+
 Exit codes:
 
 * 0 -- success;
@@ -46,6 +54,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -53,7 +62,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, NoReturn
 
 # Before the first import that loads numpy: its BLAS reads these once, at
 # load.  A caller that loaded numpy first keeps its own setting.
@@ -617,5 +626,14 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
-if __name__ == "__main__":
+def run() -> NoReturn:
+    """Process entry: freeze the import-time heap, run :func:`main` on
+    ``sys.argv`` and exit with its code.  Where the pool forks its workers
+    (the default on Linux), they inherit the frozen objects, and their
+    collections leave those pages unwritten."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,10 +1,12 @@
 """Command line: strict config schema, exit codes, CSV artifacts,
 byte-level determinism."""
 
+import ast
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -191,8 +193,24 @@ def test_defaults_applied():
 # --------------------------------------------------------------- exit codes
 
 
+#: A config for each of exit codes 0 to 3 (code 4, an unreadable config, is
+#: a missing path), shared by the in-process tests and the process entry's.
+_VALIDATE_DOC = {"kind": "validate", "environment": _env_doc()}
+_UNKNOWN_KEY_DOC = {**_VALIDATE_DOC, "bogus": 1}
+_BAD_LAW_DOC = {"kind": "validate", "environment": _env_doc()}
+_BAD_LAW_DOC["environment"]["atoms"][0]["offspring"]["lam"] = -1.0
+_INCONCLUSIVE_DECAY_DOC = {
+    "kind": "decay",
+    "environment": _env_doc(),
+    "q": 1.0,
+    "n_list": [20, 22, 24],
+    "replicates": 8,
+    "master_seed": 2,
+}
+
+
 def test_validate_exits_zero(tmp_path, capsys):
-    cfg = _write(tmp_path, {"kind": "validate", "environment": _env_doc()})
+    cfg = _write(tmp_path, _VALIDATE_DOC)
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert "validation checks" in out
@@ -222,8 +240,7 @@ def test_malformed_json_reports_line(tmp_path, capsys):
 
 
 def test_unknown_key_exits_one(tmp_path, capsys):
-    doc = {"kind": "validate", "environment": _env_doc(), "bogus": 1}
-    code = main(["--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
+    code = main(["--config", _write(tmp_path, _UNKNOWN_KEY_DOC), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "bogus" in capsys.readouterr().err
 
@@ -252,9 +269,7 @@ def test_degenerate_variance_exits_two_naming_requirement(tmp_path, capsys):
 
 
 def test_bad_law_parameter_exits_two(tmp_path, capsys):
-    doc = {"kind": "validate", "environment": _env_doc()}
-    doc["environment"]["atoms"][0]["offspring"]["lam"] = -1.0
-    code = main(["--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
+    code = main(["--config", _write(tmp_path, _BAD_LAW_DOC), "--out", str(tmp_path / "o")])
     assert code == 2
 
 
@@ -450,7 +465,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 def _run_cli(tmp_path, doc) -> subprocess.CompletedProcess:
-    """Run the CLI on ``doc`` in a fresh interpreter."""
+    """Run the CLI's process entry on ``doc`` in a fresh interpreter."""
     return _python(
         "-m", "bpire.cli", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")
     )
@@ -576,6 +591,97 @@ def test_start_up_loads_no_scipy(tmp_path):
     assert (tmp_path / "decay" / "fit.csv").exists()
 
 
+#: Source, for a fresh interpreter, of ``entry(argv)``: the exit code of the
+#: command line's process entry on ``argv``, run as ``__main__`` the way
+#: ``python -m bpire.cli`` runs it, the collector's freeze count as ``main``
+#: parses its arguments, and the count at exit.
+_ENTRY = (
+    "import argparse, gc, runpy, sys\n"
+    "def entry(argv):\n"
+    "    at_parse = []\n"
+    "    parse = argparse.ArgumentParser.parse_args\n"
+    "    def spy(self, *args):\n"
+    "        at_parse.append(gc.get_freeze_count())\n"
+    "        return parse(self, *args)\n"
+    "    argparse.ArgumentParser.parse_args = spy\n"
+    "    sys.argv = ['bpire', *argv]\n"
+    "    try:\n"
+    "        runpy.run_module('bpire.cli', run_name='__main__')\n"
+    "    except SystemExit as exc:\n"
+    "        return [exc.code, at_parse, gc.get_freeze_count()]\n"
+)
+
+
+def test_process_entry_freezes_the_import_time_heap_before_main(tmp_path):
+    # the objects the imports left behind move to the collector's permanent
+    # generation before main runs, so the interpreter's shutdown no longer
+    # traverses them
+    argv = ["--config", _write(tmp_path, _VALIDATE_DOC), "--out", str(tmp_path / "o")]
+    proc = _python("-c", _ENTRY + f"import json\nprint(json.dumps(entry({argv!r})))\n")
+    code, at_parse, at_exit = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert len(at_parse) == 1 and at_parse[0] > 0
+    assert at_exit > 0
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path):
+    # every kind through main in one fresh interpreter, every other one with
+    # the collector disabled: none freezes the heap or switches the
+    # collector.  The process entry then freezes it in the same interpreter,
+    # so a zero count is one the probe could have seen otherwise.
+    docs = {**_KIND_DOCS, "decay": {**_DECAY_DOC, "threads": 1}}
+    runs = {
+        kind: ["--config", _write(tmp_path, doc, f"{kind}.json"), "--out", str(tmp_path / kind)]
+        for kind, doc in docs.items()
+    }
+    proc = _python("-c", (
+        "import gc, json, sys\n"
+        "import bpire.cli\n"
+        "seen = {}\n"
+        f"for i, (kind, argv) in enumerate({runs!r}.items()):\n"
+        "    (gc.enable if i % 2 == 0 else gc.disable)()\n"
+        "    code = bpire.cli.main(argv)\n"
+        "    seen[kind] = [code, gc.get_freeze_count(), gc.isenabled()]\n"
+        "gc.enable()\n"
+        f"sys.argv = ['bpire', *{runs['validate']!r}]\n"
+        "try:\n"
+        "    bpire.cli.run()\n"
+        "except SystemExit as exc:\n"
+        "    seen['run'] = [exc.code, gc.get_freeze_count() > 0, gc.isenabled()]\n"
+        "print(json.dumps(seen))\n"
+    ))
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen.pop("run") == [0, True, True], proc.stderr
+    assert seen == {kind: [0, 0, i % 2 == 0] for i, kind in enumerate(KINDS)}
+
+
+def test_console_script_takes_the_process_entry():
+    # both ways a user starts the command line, the ``bpire`` script and
+    # ``python -m bpire.cli``, go through run; pyproject.toml is read as
+    # text, since tomllib is missing on Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.partition("\n[project.scripts]\n")[2].partition("\n[")[0]
+    assert dict(re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts, re.M)) == {"bpire": "bpire.cli:run"}
+    guard = ast.parse(Path(bpire.__file__).with_name("cli.py").read_text()).body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [(_VALIDATE_DOC, 0), (_UNKNOWN_KEY_DOC, 1), (_BAD_LAW_DOC, 2),
+     (_INCONCLUSIVE_DECAY_DOC, 3), (None, 4)],
+    ids=["ok", "unknown-key", "bad-law", "inconclusive-decay", "unreadable-config"],
+)
+def test_process_entry_exits_with_the_code_main_returns(tmp_path, capsys, doc, code):
+    config = _write(tmp_path, doc) if doc is not None else str(tmp_path / "missing.json")
+    argv = ["--config", config, "--out", str(tmp_path / "o")]
+    proc = _python("-m", "bpire.cli", *argv)
+    assert main(argv) == code
+    here = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, here.out, here.err)
+    assert "Traceback" not in proc.stderr
+
+
 def test_threshold_below_minimum_exits_one_with_reason(tmp_path):
     doc = {"kind": "elogw", "environment": _env_doc(), "replicates": 50, "horizon": 40}
     proc = _run_cli(tmp_path, {**doc, "promotion_threshold": 3})
@@ -595,16 +701,8 @@ def test_unreadable_config_exits_four(tmp_path, capsys):
 
 
 def test_inconclusive_decay_exits_three(tmp_path, capsys):
-    doc = {
-        "kind": "decay",
-        "environment": _env_doc(),
-        "q": 1.0,
-        "n_list": [20, 22, 24],
-        "replicates": 8,
-        "master_seed": 2,
-    }
     out = tmp_path / "out"
-    code = main(["--config", _write(tmp_path, doc), "--out", str(out)])
+    code = main(["--config", _write(tmp_path, _INCONCLUSIVE_DECAY_DOC), "--out", str(out)])
     assert code == 3
     # decay.csv written, fit.csv is header-only
     assert (out / "decay.csv").exists()

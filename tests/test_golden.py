@@ -401,10 +401,11 @@ def test_golden_outputs(case, tmp_path):
 
 @pytest.mark.parametrize("case", sorted(KINDS))
 def test_golden_runs_need_numpy_alone(case, tmp_path):
-    # a fresh interpreter that cannot import scipy, and whose BLAS the
-    # command line pins to one thread, writes the bytes of this process,
-    # which has loaded scipy for other tests and numpy with its own BLAS
-    # pool (decay's fit is the one BLAS call)
+    # the command line's process entry, run as ``python -m bpire.cli`` runs
+    # it in a fresh interpreter that cannot import scipy, and whose BLAS the
+    # command line pins to one thread, writes the bytes of main in this
+    # process, which has loaded scipy for other tests and numpy with its own
+    # BLAS pool (decay's fit is the one BLAS call)
     cfg = _config(case, tmp_path)
     argv = ["--config", cfg, "--out", str(tmp_path / "fresh")]
     src = str(Path(bpire.__file__).resolve().parents[1])
@@ -412,8 +413,10 @@ def test_golden_runs_need_numpy_alone(case, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import os, sys\nsys.modules['scipy'] = None\nfrom bpire.cli import main\n"
-         f"assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\nsys.exit(main({argv!r}))\n"],
+         "import os, runpy, sys\nsys.modules['scipy'] = None\n"
+         f"sys.argv = ['bpire', *{argv!r}]\n"
+         "try:\n    runpy.run_module('bpire.cli', run_name='__main__')\n"
+         "except SystemExit:\n    assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n    raise\n"],
         capture_output=True, text=True, timeout=120, env=env,
     )
     stdout = io.StringIO()
