@@ -2,9 +2,9 @@
 reproduce recorded sha256 digests of its CSVs, its stdout and stderr, and its
 ``run_manifest.json`` (with the value of ``wall_time_s`` removed).  The library
 cases cover the simulator paths no CLI kind reaches (the coupled shadow
-population, low promotion thresholds, single paths) and pin the laws'
-inversion tables, table bounds and moment series bit for bit; their digests
-are of the raw bytes of every array they return.
+population, low promotion thresholds, single paths, a walk batch over two
+chunks) and pin the laws' inversion tables, table bounds and moment series
+bit for bit; their digests are of the raw bytes of every array they return.
 
 A change that alters outputs on purpose updates ``GOLDEN`` and gives the
 reason in CHANGES.md.  The digests depend on numpy's SIMD dispatch as well
@@ -41,6 +41,7 @@ from bpire import (
     ShiftedGeometric,
     ShiftedPoisson,
     simulate_batch,
+    simulate_walk_batch,
 )
 from bpire.analytics import _immigration_power_moment, _offspring_power_moment
 from bpire.cli import KINDS, _parse_environment, main
@@ -168,6 +169,14 @@ def _path(couple: bool):
             "log_zbar": batch.log_zbar[:, 0] if couple else None}
 
 
+def _walk():
+    # two chunks, the second partial: no CLI kind calls the walk batch at
+    # more than one chunk or at a nonzero stream offset
+    batch = simulate_walk_batch(make_env_a(), 64, 9000, master_seed=11, record=(0, 1, 7, 64),
+                                stream_offset=3)
+    return {"s": batch.s}
+
+
 def _laws():
     # every law's inversion table (concatenated; ``table_sizes`` splits it),
     # its bound and the audit's moment series, across each family's range
@@ -201,6 +210,7 @@ CASES.update({
     "lib-path": lambda: _path(False),
     "lib-path-coupled": lambda: _path(True),
     "lib-laws": _laws,
+    "lib-walk": _walk,
 })
 
 # Recorded with draw layout 4 (``bpire.trajectory.DRAW_LAYOUT``).
@@ -305,6 +315,9 @@ GOLDEN = {
         "log_z": "e8c17e3dcf69c7f7f0106dcb0d7c92fd66ef812bf35304f640189389bd872445",
         "log_zbar": "b7d8b48748fd74d38592fadb8cfa168fce4e8c9f881fe2b8b59ca3c07c021168",
         "s": "c38bc95b86d97afd25af822aabbf82ddacfd3ab7525fdead227d51a208867c30"
+    },
+    "lib-walk": {
+        "s": "e42c77795a980e7cb52307ea845118a83f406df118f2627d8846446c4e46cb90"
     },
     "moments": {
         "exit": 0,
