@@ -110,17 +110,26 @@ class EmpiricalCdf:
     ci_halfwidth: np.ndarray
 
 
+def _grid(grid: Sequence[float], name: str) -> np.ndarray:
+    """``grid`` as an array, checked to be nonempty and sorted ascending."""
+    grid_arr = np.asarray(grid, dtype=np.float64)
+    if grid_arr.size == 0:
+        raise ValueError(f"{name} must have at least one point")
+    if np.any(np.diff(grid_arr) < 0):
+        raise ValueError(f"{name} must be sorted ascending")
+    return grid_arr
+
+
 def empirical_cdf(samples: np.ndarray, grid: Sequence[float]) -> EmpiricalCdf:
     """``F_hat(x) = #{samples <= x} / R`` for each grid point.
 
-    One sort plus a vectorised merge; grid must be sorted ascending.
+    One sort plus a vectorised merge; grid must be nonempty and sorted
+    ascending.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("empirical_cdf requires a nonempty sample")
-    grid_arr = np.asarray(grid, dtype=np.float64)
-    if np.any(np.diff(grid_arr) < 0):
-        raise ValueError("grid must be sorted ascending")
+    grid_arr = _grid(grid, "grid")
     r = samples.size
     ordered = np.sort(samples)
     values = np.searchsorted(ordered, grid_arr, side="right") / r
@@ -245,19 +254,22 @@ def _generations(n_list: Sequence[int], lowest: int, name: str) -> list[int]:
     return ns
 
 
-def _rate_inputs(n_list: Sequence[int], replicates: int) -> tuple[list[int], list[str]]:
-    """Check a rate curve's generations and warn when R is too small for
-    its confidence intervals."""
+def _rate_inputs(n_list: Sequence[int], x_grid: Sequence[float], replicates: int
+                 ) -> tuple[list[int], np.ndarray, list[str]]:
+    """Check a rate curve's generations and grid, and warn when R is too
+    small for its confidence intervals."""
     n_list = list(n_list)
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list) or n_list[0] < 1:
+    if (not n_list or n_list != sorted(n_list) or len(set(n_list)) != len(n_list)
+            or n_list[0] < 1):
         raise ValueError("n_list must be ascending positive generations")
+    x_grid = _grid(x_grid, "x_grid")
     warnings: list[str] = []
     if replicates < 10**4:
         warnings.append(
             f"replicates={replicates} is below 10^4; binomial confidence "
             "intervals on dhat are too wide for rate comparisons"
         )
-    return n_list, warnings
+    return n_list, x_grid, warnings
 
 
 @dataclass(frozen=True)
@@ -342,7 +354,7 @@ def clt_rate_experiment(
     function of ``(env, parameters, master_seed)``.
     """
     moments = _require_sigma_positive(env, "clt_rate_experiment")
-    n_list, warnings = _rate_inputs(n_list, replicates)
+    n_list, x_grid, warnings = _rate_inputs(n_list, x_grid, replicates)
     batch = simulate_batch(
         env,
         n_list[-1],
@@ -392,7 +404,7 @@ def walk_oracle_rate(
     curve isolates the ``-pdf(x) E log W / sigma`` contribution.
     """
     moments = _require_sigma_positive(env, "walk_oracle_rate")
-    n_list, warnings = _rate_inputs(n_list, replicates)
+    n_list, x_grid, warnings = _rate_inputs(n_list, x_grid, replicates)
     batch = simulate_walk_batch(
         env, n_list[-1], replicates, master_seed, record=tuple(n_list), threads=threads
     )
@@ -546,7 +558,7 @@ def berry_esseen_sup_from_samples(
     grid: Sequence[float],
 ) -> BerryEsseenResult:
     """Reduction from standardised samples; also the normal self-test path."""
-    grid_arr = np.asarray(grid, dtype=np.float64)
+    grid_arr = _grid(grid, "grid")
     warnings = _grid_warnings(grid_arr)
     rows: list[BerryEsseenRow] = []
     for n in sorted(standardized):
@@ -586,6 +598,7 @@ def berry_esseen_sup(
     stability across ``n_list`` (within a factor 2)."""
     moments = _require_sigma_positive(env, "berry_esseen_sup")
     ns = _generations(n_list, 1, "n_list")
+    grid = _grid(grid, "grid")
     batch = simulate_batch(
         env, ns[-1], replicates, master_seed, record=tuple(ns), threads=threads,
         threshold=threshold,

@@ -37,9 +37,9 @@ substream:
    of the others -- each over the exact columns only, in column order;
 4. and 5. the same as 2 and 3 for the surplus population of a coupled run.
 
-The primary population is the full path when ``couple=False`` and the
-no-immigration path ``Zbar`` when ``couple=True``; immigrants join the
-primary population in the first case and the surplus in the second.
+The primary population is the full path when ``couple_no_immigration`` is
+False and the no-immigration path ``Zbar`` when it is True; immigrants join
+the primary population in the first case and the surplus in the second.
 Until the chunk jumps, the walk and the immigrants do not depend on the
 regime, so a run with another promotion threshold replays the same atoms
 and immigrants; its normals and exact-regime draws shift once some column
@@ -63,17 +63,19 @@ m_a`` to each, where the visit counts ``J ~ Multinomial(t, probs)`` are
 drawn at once: the same law as t steps of the walk, with other draws and
 another order of summation, so ``log W = log Z - S`` moves by rounding
 alone.  The draws of a quiet chunk depend on its recorded generations.
-Walk batches (:func:`simulate_walk_batch`) jump from generation 0.
+A walk batch (:func:`simulate_walk_batch`) runs the same chunks with no
+population, which are quiet from generation 0: each stretch is one jump.
 
 Coupling
 --------
-With ``couple=True`` the replicate maintains two populations: the coupled
-path ``Zbar`` (starts at 1, never receives immigrants) and the surplus pool
-``D`` (starts at 0, receives every immigrant).  The full path is their sum,
-``Z = Zbar + D``, which by additivity of the aggregated offspring laws has
-exactly the branching-with-immigration distribution while guaranteeing
-``Zbar <= Z`` pathwise in both exact and log-space regimes (the log-space
-combination is ``logaddexp``, which never falls below either argument).
+With ``couple_no_immigration=True`` the replicate maintains two
+populations: the coupled path ``Zbar`` (starts at 1, never receives
+immigrants) and the surplus pool ``D`` (starts at 0, receives every
+immigrant).  The full path is their sum, ``Z = Zbar + D``, which by
+additivity of the aggregated offspring laws has exactly the
+branching-with-immigration distribution while guaranteeing ``Zbar <= Z``
+pathwise in both exact and log-space regimes (the log-space combination is
+``logaddexp``, which never falls below either argument).
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ DRAW_LAYOUT = 4
 #: Replicates per chunk, the unit of work handed to pool workers.  Fixed so
 #: the partition of a batch into chunks never depends on the worker count:
 #: batch output is a pure function of (environment, n, replicates,
-#: master_seed, stream_offset, record, couple, threshold).
+#: master_seed, stream_offset, record, couple_no_immigration, threshold).
 _CHUNK = 8192
 
 # Substreams of a chunk key (see "Draw layout").
@@ -127,51 +129,11 @@ _QUIET_BUDGET = 2.0**-30
 
 
 @dataclass(frozen=True)
-class BatchResult:
+class WalkBatch:
     """Columnar batch output: row g of each array holds generation
     ``record[g]`` across all replicates (one column per replicate, chunk
-    after chunk; see :func:`simulate_batch` for the chunk keys)."""
-
-    master_seed: int
-    stream_offset: int
-    record: tuple[int, ...]
-    log_z: np.ndarray
-    s: np.ndarray
-    log_zbar: np.ndarray | None = None
-
-    @property
-    def replicates(self) -> int:
-        return self.log_z.shape[1]
-
-    @property
-    def log_w(self) -> np.ndarray:
-        """``log W = log Z - S``, computed on each access: a batch stores
-        each recorded row once, in ``log_z`` and ``s``."""
-        return self.log_z - self.s
-
-    def row(self, generation: int) -> int:
-        return self.record.index(generation)
-
-    def log_z_at(self, generation: int) -> np.ndarray:
-        return self.log_z[self.row(generation)]
-
-    def log_w_at(self, generation: int) -> np.ndarray:
-        g = self.row(generation)
-        return self.log_z[g] - self.s[g]
-
-    def s_at(self, generation: int) -> np.ndarray:
-        return self.s[self.row(generation)]
-
-    def log_zbar_at(self, generation: int) -> np.ndarray:
-        if self.log_zbar is None:
-            raise ValueError("batch was not run with couple=True")
-        return self.log_zbar[self.row(generation)]
-
-
-@dataclass(frozen=True)
-class WalkBatch:
-    """Environment-walk-only batch: ``s[g, r]`` is ``S_{record[g]}`` for
-    replicate r.  Uses substream 0 of the trajectory layout."""
+    after chunk; see :func:`simulate_batch` for the chunk keys).  ``s[g, r]``
+    is ``S_{record[g]}`` of replicate r."""
 
     master_seed: int
     stream_offset: int
@@ -182,8 +144,38 @@ class WalkBatch:
     def replicates(self) -> int:
         return self.s.shape[1]
 
+    def row(self, generation: int) -> int:
+        return self.record.index(generation)
+
     def s_at(self, generation: int) -> np.ndarray:
-        return self.s[self.record.index(generation)]
+        return self.s[self.row(generation)]
+
+
+@dataclass(frozen=True)
+class BatchResult(WalkBatch):
+    """A walk batch with its populations: ``log Z`` and, when run with
+    ``couple_no_immigration=True``, ``log Zbar``."""
+
+    log_z: np.ndarray
+    log_zbar: np.ndarray | None = None
+
+    @property
+    def log_w(self) -> np.ndarray:
+        """``log W = log Z - S``, computed on each access: a batch stores
+        each recorded row once, in ``log_z`` and ``s``."""
+        return self.log_z - self.s
+
+    def log_z_at(self, generation: int) -> np.ndarray:
+        return self.log_z[self.row(generation)]
+
+    def log_w_at(self, generation: int) -> np.ndarray:
+        g = self.row(generation)
+        return self.log_z[g] - self.s[g]
+
+    def log_zbar_at(self, generation: int) -> np.ndarray:
+        if self.log_zbar is None:
+            raise ValueError("batch was not run with couple_no_immigration=True")
+        return self.log_zbar[self.row(generation)]
 
 
 #: Most buckets of an inversion guide table.
@@ -362,11 +354,13 @@ def _log_sizes(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> tuple[flo
 
 
 def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
-                 record: Sequence[int] | None) -> tuple[int, ...]:
+                 record: Sequence[int] | None, threads: int) -> tuple[int, ...]:
     """Check the arguments both batch functions share and return the
     recorded generations (default: only ``n``).  The key words must be
     unsigned 64-bit words: ``master_seed`` itself, and ``stream_offset + r``
     for every replicate r."""
+    if threads < 0:
+        raise ValueError(f"threads must be nonnegative (0 = auto), got {threads}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if replicates <= 0:
@@ -500,93 +494,77 @@ class _Population:
 def _simulate_chunk(
     key: int,
     count: int,
-    tab: _EnvTables,
+    walk: _Walk,
+    tab: _EnvTables | None,
     master_seed: int,
     record: tuple[int, ...],
-    couple: bool,
+    populations: int,
     threshold: int,
     out: dict[str, np.ndarray],
 ) -> None:
     """Simulate the ``count`` columns of the chunk keyed ``(master_seed,
-    key)`` and write the recorded rows into ``out`` (generation 0 is ``log
-    Z_0 = S_0 = 0``): row g of ``out["log_z"]``, ``out["s"]`` and, when
-    coupled, ``out["log_zbar"]`` for generation ``record[g]``.  Once every
-    population is quiet, the stretch to each recorded generation left is
-    one jump of the walk."""
+    key)`` with ``populations`` populations -- 0: the walk alone, 1: ``Z``,
+    2: ``Zbar`` and the surplus ``D`` -- and write the recorded rows into
+    ``out`` (generation 0 is ``log Z_0 = S_0 = 0``): row g of ``out["s"]``,
+    of ``out["log_z"]`` when there is a population and of
+    ``out["log_zbar"]`` when there are two, for generation ``record[g]``.
+    Once every population is quiet, from generation 0 for the walk alone,
+    the stretch to each recorded generation left is one jump of the walk.
+    ``tab`` is ``None`` for the walk alone."""
     gens = [substream(master_seed, key, i) for i in range(6)]
-    primary = _Population(1, count, tab, threshold, gens[_EXACT], gens[_NORMALS])
-    pops = [primary]
-    if couple:
-        pops.append(_Population(0, count, tab, threshold, gens[_SURPLUS_EXACT],
-                                gens[_SURPLUS_NORMALS]))
-    receiver = pops[-1]  # the population immigrants join
+    # the primary population starts at 1, the surplus at 0; immigrants join
+    # the last
+    streams = ((_EXACT, _NORMALS), (_SURPLUS_EXACT, _SURPLUS_NORMALS))[:populations]
+    pops = [_Population(1 - i, count, tab, threshold, gens[exact], gens[normals])
+            for i, (exact, normals) in enumerate(streams)]
     s = np.zeros(count)
     k = 0
     for row, r in enumerate(record):
         while k < r and not all(pop.quiet for pop in pops):
-            idx, lm = tab.walk.step(gens[_ATOMS], count)
+            idx, lm = walk.step(gens[_ATOMS], count)
             s = s + lm
             y = None
-            if tab.immigrates and receiver.takes_immigrants:
+            if tab.immigrates and pops[-1].takes_immigrants:
                 y = tab.immigrants(gens[_IMMIGRATION].random(count), idx)
             for pop in pops:
-                pop.step(idx, lm, y if pop is receiver else None)
+                pop.step(idx, lm, y if pop is pops[-1] else None)
             k += 1
         if k < r:
-            gain = tab.walk.jump(gens[_ATOMS], count, r - k)
+            gain = walk.jump(gens[_ATOMS], count, r - k)
             s = s + gain
             for pop in pops:
                 pop.log_z += gain
             k = r
         out["s"][row] = s
-        out["log_z"][row] = primary.log_size()
-        if couple:
+        if populations:
+            out["log_z"][row] = pops[0].log_size()
+        if populations == 2:
             out["log_zbar"][row] = out["log_z"][row]
             # log(Zbar + D); D = 0 (-inf) leaves Zbar unchanged
             np.logaddexp(out["log_zbar"][row], pops[1].log_size(), out=out["log_z"][row])
 
 
-def _walk_chunk(
-    key: int,
-    count: int,
-    walk: _Walk,
-    master_seed: int,
-    record: tuple[int, ...],
-    out: dict[str, np.ndarray],
-) -> None:
-    """Environment walk only: one jump per recorded generation, drawn from
-    substream 0 of the layout, written into row g of ``out["s"]``."""
-    gen = substream(master_seed, key, _ATOMS)
-    s = np.zeros(count)
-    k = 0
-    for row, r in enumerate(record):
-        if k < r:
-            s = s + walk.jump(gen, count, r - k)
-            k = r
-        out["s"][row] = s
-
-
 def _arrays(names: Sequence[str], rows: int, columns: int) -> dict[str, np.ndarray]:
     """The output arrays of a batch or of a pooled chunk; the chunk
-    functions write every element."""
+    function writes every element."""
     return {name: np.empty((rows, columns)) for name in names}
 
 
-#: The chunk function, its static arguments and the names and row count of
-#: its outputs, for the batch a pool process serves; set once per process
-#: by :func:`_init_pool_process`.
+#: The static arguments of :func:`_simulate_chunk` and the names and row
+#: count of its outputs, for the batch a pool process serves; set once per
+#: process by :func:`_init_pool_process`.
 _pool_job: tuple = ()
 
 
-def _init_pool_process(worker, static_args: tuple, names: tuple[str, ...], rows: int) -> None:
+def _init_pool_process(static_args: tuple, names: tuple[str, ...], rows: int) -> None:
     global _pool_job
-    _pool_job = (worker, static_args, names, rows)
+    _pool_job = (static_args, names, rows)
 
 
 def _pool_chunk(key: int, count: int) -> dict[str, np.ndarray]:
-    worker, static_args, names, rows = _pool_job
+    static_args, names, rows = _pool_job
     out = _arrays(names, rows, count)
-    worker(key, count, *static_args, out)
+    _simulate_chunk(key, count, *static_args, out)
     return out
 
 
@@ -601,12 +579,13 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _run_chunks(worker, static_args: tuple, out: dict[str, np.ndarray], stream_offset: int,
+def _run_chunks(static_args: tuple, out: dict[str, np.ndarray], stream_offset: int,
                 threads: int) -> None:
     """Partition the columns of the batch arrays ``out`` (at least one)
-    into fixed-size chunks and fill them, inline or on a process pool,
-    columns in stream order.  The partition is independent of ``threads``,
-    so the arrays are bit-identical for any worker count.
+    into fixed-size chunks and fill them with :func:`_simulate_chunk`, given
+    its ``static_args``, inline or on a process pool, columns in stream
+    order.  The partition is independent of ``threads``, so the arrays are
+    bit-identical for any worker count.
 
     Each row is held once: an inline chunk writes into views of its own
     columns of ``out``, and a pooled chunk returns its rows, which are
@@ -626,7 +605,8 @@ def _run_chunks(worker, static_args: tuple, out: dict[str, np.ndarray], stream_o
                    else os.cpu_count() or 1)
     if threads <= 1 or len(chunks) == 1:
         for start, (sid, cnt) in zip(starts, chunks):
-            worker(sid, cnt, *static_args, {k: v[:, start:start + cnt] for k, v in out.items()})
+            _simulate_chunk(sid, cnt, *static_args,
+                            {k: v[:, start:start + cnt] for k, v in out.items()})
         return
     # looked up on the module at call time, so that a rebinding of
     # ``ProcessPoolExecutor`` takes effect (see ``__getattr__``)
@@ -634,7 +614,7 @@ def _run_chunks(worker, static_args: tuple, out: dict[str, np.ndarray], stream_o
     # a pool may start all of its workers at once: never more than tasks
     workers = min(threads, len(chunks))
     with pool_type(max_workers=workers, initializer=_init_pool_process,
-                   initargs=(worker, static_args, names, rows)) as pool:
+                   initargs=(static_args, names, rows)) as pool:
         pending = deque()  # (first column, future), in stream order
 
         def take_oldest() -> None:
@@ -648,6 +628,34 @@ def _run_chunks(worker, static_args: tuple, out: dict[str, np.ndarray], stream_o
             pending.append((start, pool.submit(_pool_chunk, sid, cnt)))
         while pending:
             take_oldest()
+
+
+def _run_batch(env: EnvironmentModel, n: int, replicates: int, master_seed: int,
+               record: Sequence[int] | None, populations: int, threshold: int, threads: int,
+               stream_offset: int) -> tuple[tuple[int, ...], dict[str, np.ndarray]]:
+    """Check the arguments of a batch with ``populations`` populations (see
+    :func:`_simulate_chunk`), run its chunks and return the recorded
+    generations and the output arrays.  The walk alone builds only its
+    :class:`_Walk`, not the immigration tables of :class:`_EnvTables`."""
+    rec = _check_batch(n, replicates, master_seed, stream_offset, record, threads)
+    tab = None
+    if populations:
+        if threshold < MIN_PROMOTION_THRESHOLD:
+            raise ValueError(
+                f"promotion threshold must be at least {MIN_PROMOTION_THRESHOLD}: below it "
+                "the Gaussian log step and tail are not guaranteed a positive argument"
+            )
+        if threshold > MAX_PROMOTION_THRESHOLD:
+            raise ValueError(
+                f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
+                "exact counts may overflow int64"
+            )
+        tab = _EnvTables(env)
+    walk = _Walk(env) if tab is None else tab.walk
+    out = _arrays(("s", "log_z", "log_zbar")[:populations + 1], len(rec), replicates)
+    _run_chunks((walk, tab, master_seed, rec, populations, threshold), out, stream_offset,
+                threads)
+    return rec, out
 
 
 def simulate_batch(
@@ -679,34 +687,10 @@ def simulate_batch(
     chunks fill its columns.  ``log_w`` is derived, ``log_z - s`` on each
     access.
     """
-    rec = _check_batch(n, replicates, master_seed, stream_offset, record)
-    if threshold < MIN_PROMOTION_THRESHOLD:
-        raise ValueError(
-            f"promotion threshold must be at least {MIN_PROMOTION_THRESHOLD}: below it "
-            "the Gaussian log step and tail are not guaranteed a positive argument"
-        )
-    if threshold > MAX_PROMOTION_THRESHOLD:
-        raise ValueError(
-            f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
-            "exact counts may overflow int64"
-        )
-    names = ("log_z", "s", "log_zbar") if couple_no_immigration else ("log_z", "s")
-    out = _arrays(names, len(rec), replicates)
-    _run_chunks(
-        _simulate_chunk,
-        (_EnvTables(env), master_seed, rec, couple_no_immigration, threshold),
-        out,
-        stream_offset,
-        threads,
-    )
-    return BatchResult(
-        master_seed=master_seed,
-        stream_offset=stream_offset,
-        record=rec,
-        log_z=out["log_z"],
-        s=out["s"],
-        log_zbar=out.get("log_zbar"),
-    )
+    populations = 2 if couple_no_immigration else 1
+    rec, out = _run_batch(env, n, replicates, master_seed, record, populations, threshold,
+                          threads, stream_offset)
+    return BatchResult(master_seed=master_seed, stream_offset=stream_offset, record=rec, **out)
 
 
 def simulate_walk_batch(
@@ -726,12 +710,6 @@ def simulate_walk_batch(
     bytes, which the batch draws generation by generation until its chunk
     turns quiet.
     """
-    rec = _check_batch(n, replicates, master_seed, stream_offset, record)
-    out = _arrays(("s",), len(rec), replicates)
-    _run_chunks(_walk_chunk, (_Walk(env), master_seed, rec), out, stream_offset, threads)
-    return WalkBatch(
-        master_seed=master_seed,
-        stream_offset=stream_offset,
-        record=rec,
-        s=out["s"],
-    )
+    rec, out = _run_batch(env, n, replicates, master_seed, record, 0, PROMOTION_THRESHOLD,
+                          threads, stream_offset)
+    return WalkBatch(master_seed=master_seed, stream_offset=stream_offset, record=rec, **out)

@@ -177,6 +177,34 @@ def test_rate_experiment_rejects_unsorted_n_list(env_a):
         clt_rate_experiment(env_a, [0.0], [4, 4], 100, master_seed=0)
 
 
+@pytest.fixture
+def no_batch(monkeypatch):
+    """Make every batch an estimator runs fail: the estimator must reject
+    bad arguments before it simulates anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch ran before the arguments were checked")
+
+    for name in ("simulate_batch", "simulate_walk_batch"):
+        monkeypatch.setattr(mc_verify, name, refuse)
+
+
+def test_rate_estimators_reject_empty_n_list_before_simulating(no_batch, env_a):
+    for run in (clt_rate_experiment, walk_oracle_rate):
+        with pytest.raises(ValueError, match="n_list must be ascending positive"):
+            run(env_a, [0.0], [], 100, master_seed=0)
+
+
+def test_cdf_estimators_reject_empty_or_unsorted_grid_before_simulating(no_batch, env_a):
+    for grid, message in (([], "at least one point"), ([1.0, 0.0], "sorted ascending")):
+        for run in (clt_rate_experiment, walk_oracle_rate):
+            with pytest.raises(ValueError, match=f"x_grid must .*{message}"):
+                run(env_a, grid, [4], 100, master_seed=0)
+        with pytest.raises(ValueError, match=f"grid must .*{message}"):
+            berry_esseen_sup(env_a, [4], 100, grid, master_seed=0)
+        with pytest.raises(ValueError, match=f"grid must .*{message}"):
+            berry_esseen_sup_from_samples({4: np.zeros(10)}, grid)
+
+
 def test_rate_experiment_requires_positive_variance():
     with pytest.raises(ValueError, match="Var\\(log m0\\) > 0"):
         clt_rate_experiment(_single_atom_env(), [0.0], [4], 100, master_seed=0)

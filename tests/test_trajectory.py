@@ -328,6 +328,9 @@ def test_record_argument_validation(env_a):
             run(env_a, -1, 10, master_seed=0)
         with pytest.raises(ValueError, match="replicates must be positive"):
             run(env_a, 5, 0, master_seed=0)
+        with pytest.raises(ValueError, match="threads must be nonnegative"):
+            run(env_a, 5, 10, master_seed=0, threads=-3)
+        assert run(env_a, 5, 10, master_seed=0, threads=0).replicates == 10
 
 
 def _binomial_chi_square_p(j: np.ndarray, n: int, p: float) -> float:
