@@ -6,7 +6,8 @@ fits and a ``run_manifest.json`` echoing the config) into the output
 directory.  Flags cover only paths, seed override and parallelism -- the
 config is the archivable record of what ran.
 
-The chunk pool (``threads``) is the only parallelism of a CLI process.
+The forked chunk workers (``threads``) are the only parallelism of a CLI
+process.
 Imported before numpy, this module sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 where they are unset:
 no run uses BLAS threads, and an idle OpenBLAS pool costs about 0.13 s of
@@ -46,7 +47,8 @@ Exit codes:
 * 3 -- statistics inconclusive or a statistical gate failed (decay SE gate,
   decay CI including 1, unstable Berry-Esseen constant, exploding Laplace
   column, unbounded moment ratio);
-* 4 -- I/O failure (unreadable config, unwritable output directory).
+* 4 -- I/O or process failure (unreadable config, unwritable output
+  directory, a refused fork, a chunk worker killed by a signal).
 """
 
 from __future__ import annotations
@@ -586,7 +588,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="master seed override (u64)")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker processes (0 = one per CPU this process may run on)",
+        help="chunk workers, the calling process among them (0 = one per CPU this "
+        "process may run on; never more than those CPUs or the chunks)",
     )
     args = parser.parse_args(argv)
 
@@ -628,9 +631,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> NoReturn:
     """Process entry: freeze the import-time heap, run :func:`main` on
-    ``sys.argv`` and exit with its code.  Where the pool forks its workers
-    (the default on Linux), they inherit the frozen objects, and their
-    collections leave those pages unwritten."""
+    ``sys.argv`` and exit with its code.  The chunk workers a batch forks
+    inherit the frozen objects, and their collections leave those pages
+    unwritten."""
     gc.freeze()
     sys.exit(main())
 

@@ -367,7 +367,7 @@ def clt_rate_experiment(
     standardized = {
         n: _standardize(batch.log_z_at(n), n, moments) for n in n_list
     }
-    # released before the E log W batch runs (and forks its pool)
+    # released before the E log W batch runs (and forks its chunk workers)
     del batch
     elogw = estimate_elogw(
         env,

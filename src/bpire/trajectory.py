@@ -82,8 +82,7 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-from collections import deque
+import pickle
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,7 +103,7 @@ from .sampler import (
 #: it.  Any change to which draw feeds which number bumps it.
 DRAW_LAYOUT = 4
 
-#: Replicates per chunk, the unit of work handed to pool workers.  Fixed so
+#: Replicates per chunk, the unit of work of a chunk worker.  Fixed so
 #: the partition of a batch into chunks never depends on the worker count:
 #: batch output is a pure function of (environment, n, replicates,
 #: master_seed, stream_offset, record, couple_no_immigration, threshold).
@@ -544,34 +543,11 @@ def _simulate_chunk(
             np.logaddexp(out["log_zbar"][row], pops[1].log_size(), out=out["log_z"][row])
 
 
-def _arrays(names: Sequence[str], rows: int, columns: int) -> dict[str, np.ndarray]:
-    """The output arrays of a batch or of a pooled chunk; the chunk
-    function writes every element."""
-    return {name: np.empty((rows, columns)) for name in names}
-
-
-#: The static arguments of :func:`_simulate_chunk` and the names and row
-#: count of its outputs, for the batch a pool process serves; set once per
-#: process by :func:`_init_pool_process`.
-_pool_job: tuple = ()
-
-
-def _init_pool_process(static_args: tuple, names: tuple[str, ...], rows: int) -> None:
-    global _pool_job
-    _pool_job = (static_args, names, rows)
-
-
-def _pool_chunk(key: int, count: int) -> dict[str, np.ndarray]:
-    static_args, names, rows = _pool_job
-    out = _arrays(names, rows, count)
-    _simulate_chunk(key, count, *static_args, out)
-    return out
-
-
 def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported on first use: ``concurrent.futures``
-    loads multiprocessing, socket, logging and subprocess, and only a run
-    on a pool needs them."""
+    """``ProcessPoolExecutor``, imported on first use.  No chunk runs on a
+    pool; the outside-in tracer of the bench (``bench/traced.py``) alone
+    reads and rebinds this name, until the in-program counters replace
+    that tracer (ROADMAP item 1)."""
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -579,55 +555,91 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _run_chunks(static_args: tuple, out: dict[str, np.ndarray], stream_offset: int,
-                threads: int) -> None:
-    """Partition the columns of the batch arrays ``out`` (at least one)
-    into fixed-size chunks and fill them with :func:`_simulate_chunk`, given
-    its ``static_args``, inline or on a process pool, columns in stream
-    order.  The partition is independent of ``threads``, so the arrays are
-    bit-identical for any worker count.
+def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, replicates: int,
+                stream_offset: int, threads: int) -> dict[str, np.ndarray]:
+    """Partition ``replicates`` columns into fixed-size chunks, fill the
+    batch arrays ``names`` of ``rows`` rows with :func:`_simulate_chunk`,
+    given its ``static_args``, and return them.  The partition and the
+    chunk keys do not depend on ``threads``, so neither do the arrays.
 
-    Each row is held once: an inline chunk writes into views of its own
-    columns of ``out``, and a pooled chunk returns its rows, which are
-    copied into place as each result is taken and then dropped with its
-    future.  At most two tasks per worker are in flight: the next chunk is
-    submitted only once the oldest result is taken, so finished rows wait
-    for at most that many copies.  A pool receives ``static_args`` (the
-    environment tables among them) once per process, and each task only
-    its chunk's key and size."""
-    names = tuple(out)
-    rows, replicates = out[names[0]].shape
+    There are W = ``min(threads or C, C, chunks)`` workers, C the CPUs
+    this process may run on (its affinity mask where the OS reports one),
+    or one without ``os.fork``.  Worker w runs chunks w, w + W, ... in
+    stream order, up to the first that raises.  The caller is worker 0.
+    Every other worker is a forked child: it writes its columns straight
+    into the arrays, which then lie in one anonymous shared mapping, pipes
+    its failure, if any, to the caller pickled, and leaves by ``os._exit``.
+    So each row is held once, and nothing is copied back.
+
+    The caller then reads and reaps each child, and raises the error of the
+    earliest failing chunk in stream order; a child that leaves no report
+    (killed by a signal, say) fails as ``ChildProcessError``.  On any other
+    way out, such as an interrupt, it kills and reaps the children left."""
     starts = range(0, replicates, _CHUNK)
-    chunks = [(stream_offset + s, min(_CHUNK, replicates - s)) for s in starts]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads or cpus, cpus, len(starts)) if hasattr(os, "fork") else 1
+    if workers == 1:
+        out = {name: np.empty((rows, replicates)) for name in names}
+    else:  # only a batch that forks loads these
+        import mmap
+        import signal
 
-    if threads == 0:  # one worker per CPU this process may run on
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    if threads <= 1 or len(chunks) == 1:
-        for start, (sid, cnt) in zip(starts, chunks):
-            _simulate_chunk(sid, cnt, *static_args,
-                            {k: v[:, start:start + cnt] for k, v in out.items()})
-        return
-    # looked up on the module at call time, so that a rebinding of
-    # ``ProcessPoolExecutor`` takes effect (see ``__getattr__``)
-    pool_type = sys.modules[__name__].ProcessPoolExecutor
-    # a pool may start all of its workers at once: never more than tasks
-    workers = min(threads, len(chunks))
-    with pool_type(max_workers=workers, initializer=_init_pool_process,
-                   initargs=(static_args, names, rows)) as pool:
-        pending = deque()  # (first column, future), in stream order
+        size = rows * replicates
+        mapping = mmap.mmap(-1, max(1, 8 * size * len(names)))  # no empty mapping exists
+        out = {name: np.frombuffer(mapping, count=size, offset=8 * size * i)
+               .reshape(rows, replicates) for i, name in enumerate(names)}
 
-        def take_oldest() -> None:
-            start, future = pending.popleft()
-            for k, v in future.result().items():
-                out[k][:, start:start + v.shape[1]] = v
+    def run(worker: int) -> list[tuple[int, Exception]]:
+        for c in range(worker, len(starts), workers):
+            start = starts[c]
+            cnt = min(_CHUNK, replicates - start)
+            try:
+                _simulate_chunk(stream_offset + start, cnt, *static_args,
+                                {k: v[:, start:start + cnt] for k, v in out.items()})
+            except Exception as exc:
+                return [(c, exc)]
+        return []
 
-        for start, (sid, cnt) in zip(starts, chunks):
-            if len(pending) == 2 * workers:
-                take_oldest()
-            pending.append((start, pool.submit(_pool_chunk, sid, cnt)))
-        while pending:
-            take_oldest()
+    children = []  # (worker, pid, read end of its pipe) of each child not yet reaped
+    failures = []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: report, and never return
+                status = 1
+                try:
+                    with open(write, "wb") as sink:
+                        sink.write(pickle.dumps(run(w)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((w, pid, open(read, "rb")))
+        failures += run(0)
+        while children:
+            w, pid, pipe = children[-1]
+            with pipe:  # read before waitpid: a long report blocks its writer until read
+                report = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop()
+            if report:
+                failures += pickle.loads(report)
+            else:
+                code = os.waitstatus_to_exitcode(status)
+                cause = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+                         else f"exited with code {code}")
+                failures.append((w, ChildProcessError(f"chunk worker {w} {cause} "
+                                                      "before its report")))
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return out
 
 
 def _run_batch(env: EnvironmentModel, n: int, replicates: int, master_seed: int,
@@ -652,9 +664,9 @@ def _run_batch(env: EnvironmentModel, n: int, replicates: int, master_seed: int,
             )
         tab = _EnvTables(env)
     walk = _Walk(env) if tab is None else tab.walk
-    out = _arrays(("s", "log_z", "log_zbar")[:populations + 1], len(rec), replicates)
-    _run_chunks((walk, tab, master_seed, rec, populations, threshold), out, stream_offset,
-                threads)
+    out = _run_chunks((walk, tab, master_seed, rec, populations, threshold),
+                      ("s", "log_z", "log_zbar")[:populations + 1], len(rec), replicates,
+                      stream_offset, threads)
     return rec, out
 
 
@@ -674,13 +686,15 @@ def simulate_batch(
 
     Replicate r is column ``r % _CHUNK`` of the chunk keyed
     ``(master_seed, stream_offset + r - r % _CHUNK)``.  Output is
-    bit-identical for any ``threads`` value (0 = one worker per CPU this
-    process may run on) because the chunk partition and the chunk keys are
-    fixed.  A single path, every generation of it, is column 0 of
-    ``simulate_batch(env, n, 1, master_seed, record=range(n + 1),
-    stream_offset=key)``.  Columns do not depend on the recorded generations
-    until their chunk turns quiet, and from then on only by the draws of the
-    jumps between them (see "Draw layout").
+    bit-identical for any ``threads`` value because the chunk partition and
+    the chunk keys are fixed.  ``threads`` caps the chunk workers, the
+    caller and its forked children (0 = one per CPU this process may run
+    on); there are never more than those CPUs or the chunks.  A single
+    path, every generation of it, is column 0 of ``simulate_batch(env, n,
+    1, master_seed, record=range(n + 1), stream_offset=key)``.  Columns do
+    not depend on the recorded generations until their chunk turns quiet,
+    and from then on only by the draws of the jumps between them (see
+    "Draw layout").
 
     The batch holds each recorded row once: every output array is
     allocated once, with shape ``(len(record), replicates)``, and the

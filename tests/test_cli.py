@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bpire
+import bpire.trajectory as trajectory
 from bpire.cli import (
     KINDS,
     MAX_GENERATIONS,
@@ -395,6 +397,39 @@ def test_accepted_number_exits_with_its_code_without_traceback(tmp_path, doc, co
     assert "Traceback" not in proc.stderr
 
 
+
+def test_offspring_overflow_exits_two_alike_at_any_thread_count(monkeypatch, tmp_path, capsys):
+    # chunks of 20: the 60 replicates are three chunks, and on two CPUs
+    # threads = 2 forks a worker, whose chunk fails like the caller's
+    monkeypatch.setattr(trajectory, "_CHUNK", 20)
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = _write(tmp_path, {"kind": "elogw", "environment": _with_lam(1e308), "replicates": 60,
+                            "horizon": 4})
+    seen = []
+    for threads in ("1", "2"):
+        code = main(["--config", cfg, "--out", str(tmp_path / threads), "--threads", threads])
+        seen.append((code, capsys.readouterr().err))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 2 and "overflows a double" in seen[0][1]
+
+
+def test_chunk_worker_killed_by_a_signal_exits_four(monkeypatch, tmp_path, capsys):
+    caller, chunk = os.getpid(), trajectory._simulate_chunk
+
+    def killed_in_a_child(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        chunk(*args)
+
+    monkeypatch.setattr(trajectory, "_CHUNK", 20)
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(trajectory, "_simulate_chunk", killed_in_a_child)
+    cfg = _write(tmp_path, {"kind": "elogw", "environment": _env_doc(), "replicates": 60,
+                            "horizon": 4, "threads": 2})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "chunk worker 1 was killed by signal 9" in err
+
 _OFFSPRING_DOCS = st.one_of(
     st.builds(lambda lam: {"kind": "shifted_poisson", "lam": lam},
               st.floats(0.0, sys.float_info.max, exclude_min=True)),
@@ -590,6 +625,30 @@ def test_start_up_loads_no_scipy(tmp_path):
     assert loaded == {kind: [0, layers] for kind in KINDS}, proc.stderr
     assert (tmp_path / "decay" / "fit.csv").exists()
 
+
+
+def test_forked_batch_loads_no_pool_and_leaves_no_child(tmp_path):
+    # a rate run at threads = 2 on two CPUs: its main batch of three chunks
+    # forks a chunk worker, which loads nothing and is reaped before main
+    # returns
+    argv = ["--config", _write(tmp_path, {**_rate_doc(), "replicates": 20_000, "threads": 2}),
+            "--out", str(tmp_path / "o")]
+    proc = _python("-c", _WATCHED + (
+        "import json, os\n"
+        "import bpire.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        f"code = bpire.cli.main({argv!r})\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    left = True\n"
+        "except ChildProcessError:\n"
+        "    left = False\n"
+        "print(json.dumps([code, len(forks) > 0, watched(), left]))\n"
+    ))
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        0, True, ["bpire.analytics", "bpire.mc_verify"], False], proc.stderr
 
 #: Source, for a fresh interpreter, of ``entry(argv)``: the exit code of the
 #: command line's process entry on ``argv``, run as ``__main__`` the way

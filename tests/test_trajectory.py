@@ -2,6 +2,10 @@
 coupling, regime promotion consistency."""
 
 import math
+import mmap
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -97,20 +101,23 @@ def test_batch_columns_do_not_depend_on_recorded_generations(env_a):
         np.testing.assert_array_equal(batch.s_at(g), full.s_at(g))
 
 
+def _no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def test_batch_thread_count_does_not_change_bytes(monkeypatch, env_a):
     # chunks of 100: 400 replicates are four chunks, and 350 end on a
-    # ragged one; threads=3 runs them on a pool whose tasks carry only a
-    # chunk's key and size
-    tasks = []
-
-    class CountingPool(trajectory.ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            tasks.append(args)
-            return super().submit(fn, *args, **kwargs)
-
+    # ragged one; on three CPUs, threads=2 and 3 fork one and two chunk
+    # workers
     monkeypatch.setattr(trajectory, "_CHUNK", 100)
-    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", CountingPool)
-    for replicates, sizes in ((400, (100, 100, 100, 100)), (350, (100, 100, 100, 50))):
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    for replicates in (400, 350):
         for run, names in (
             (lambda **kw: simulate_batch(env_a, 12, replicates, 3, record=(6, 12), **kw),
              ("log_z", "s", "log_w")),
@@ -120,14 +127,13 @@ def test_batch_thread_count_does_not_change_bytes(monkeypatch, env_a):
             (lambda **kw: simulate_walk_batch(env_a, 12, replicates, 3, record=(6, 12), **kw),
              ("s",)),
         ):
-            tasks.clear()
             inline = run(threads=1)
-            assert tasks == []
-            pooled = run(threads=3)
-            assert tasks == [(100 * i, size) for i, size in enumerate(sizes)]
-            for name in names:
-                assert getattr(pooled, name).shape == (2, replicates)
-                np.testing.assert_array_equal(getattr(inline, name), getattr(pooled, name))
+            for threads in (2, 3):
+                forked = run(threads=threads)
+                for name in names:
+                    assert getattr(forked, name).shape == (2, replicates)
+                    np.testing.assert_array_equal(getattr(inline, name), getattr(forked, name))
+    assert _no_child_left()
 
 
 def test_batch_holds_each_row_once(monkeypatch, env_a):
@@ -155,102 +161,192 @@ def test_batch_holds_each_row_once(monkeypatch, env_a):
         assert four - one < sum(a.nbytes for a in arrays)
 
 
-def test_pool_workers_capped_at_chunk_count(monkeypatch, env_a):
-    # A pool may start every worker at its first task, so its size is
-    # capped at the number of chunks.  The stub runs tasks inline: no
-    # process is started, whatever the thread count asked for.
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, /, *args):
-            result = fn(*args)
-            return type("Done", (), {"result": lambda self: result})()
-
+def test_chunk_workers_write_the_batch_arrays_in_place(monkeypatch, tmp_path, env_a):
+    # Seven chunks of 100 on three workers: the caller runs chunks 0, 3
+    # and 6, one child 1 and 4, the other 2 and 5, each in stream order.
+    # The children write straight into the batch arrays, which lie in one
+    # shared mapping; nothing else carries their columns back.
     monkeypatch.setattr(trajectory, "_CHUNK", 100)
-    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(trajectory, "_pool_job", ())
-    inline = simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=1)
-    assert sizes == []
-    pooled = simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=10**6)
-    assert sizes == [3]
-    assert pooled.log_z.tobytes() == inline.log_z.tobytes()
-    assert pooled.s.tobytes() == inline.s.tobytes()
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    log = tmp_path / "chunks"
+    chunk = trajectory._simulate_chunk
+
+    def logged(key, *args):
+        chunk(key, *args)
+        with open(log, "a") as f:  # one short append per line: whole lines
+            f.write(f"{os.getpid()} {key // 100}\n")
+
+    inline = simulate_batch(env_a, 12, 650, 3, record=(6, 12), couple_no_immigration=True)
+    monkeypatch.setattr(trajectory, "_simulate_chunk", logged)
+    forked = simulate_batch(env_a, 12, 650, 3, record=(6, 12), couple_no_immigration=True,
+                            threads=3)
+    assert _no_child_left()
+    ran = {}
+    for line in log.read_text().splitlines():
+        pid, c = map(int, line.split())
+        ran.setdefault(pid, []).append(c)
+    assert ran.pop(os.getpid()) == [0, 3, 6]
+    assert sorted(ran.values()) == [[1, 4], [2, 5]]
+    arrays = [forked.s, forked.log_z, forked.log_zbar]
+    mappings = {id(a.base.base.obj) for a in arrays}  # view -> flat array -> memoryview
+    assert len(mappings) == 1 and isinstance(forked.s.base.base.obj, mmap.mmap)
+    for a, b in zip(arrays, (inline.s, inline.log_z, inline.log_zbar)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """Bind a recording pool to ``trajectory.ProcessPoolExecutor`` at a
-    chunk size of 100 and return its events: ``("submit", key)`` as each
-    chunk is submitted and ``("take", key)`` as its result is taken, when
-    the task runs.  No process is started."""
-    events = []
+def recording_fork(monkeypatch):
+    """Chunks of 100, and ``os.fork`` replaced by a recorder that never
+    forks; returns the list it appends each call to.  The recorder hands
+    back a pid no process has, which ``os.waitpid`` reports as a clean
+    exit.  So the worker that pid stands for never reports, and a batch
+    that forks fails rather than return the columns no worker filled."""
+    calls = []
+    fake = 2**30  # above any pid_max
+    waitpid = os.waitpid
 
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, /, *args):
-            events.append(("submit", args[0]))
-            return type("Lazy", (), {"result": lambda _: events.append(("take", args[0]))
-                                     or fn(*args)})()
+    def fork():
+        calls.append(len(calls))
+        return fake + len(calls)
 
     monkeypatch.setattr(trajectory, "_CHUNK", 100)
-    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(trajectory, "_pool_job", ())
-    return events
+    monkeypatch.setattr(trajectory.os, "fork", fork)
+    monkeypatch.setattr(trajectory.os, "waitpid",
+                        lambda pid, options: (pid, 0) if pid > fake else waitpid(pid, options))
+    return calls
 
 
-def test_pool_keeps_two_tasks_per_worker_in_flight(recording_pool, env_a):
-    # Eleven chunks (the last ragged) on three workers: at most six are
-    # submitted and not yet taken at any time, results are taken in stream
-    # order, and the bytes are those of the inline batch.
-    events = recording_pool
-    for run in (lambda **kw: simulate_batch(env_a, 12, 1050, 3, record=(6, 12), **kw),
-                lambda **kw: simulate_walk_batch(env_a, 12, 1050, 3, record=(6, 12), **kw)):
-        inline = run(threads=1)
-        events.clear()
-        pooled = run(threads=3)
-        keys = [100 * i for i in range(11)]
-        assert [k for e, k in events if e == "submit"] == keys
-        assert [k for e, k in events if e == "take"] == keys
-        in_flight = np.cumsum([1 if e == "submit" else -1 for e, _ in events])
-        assert in_flight.max() == 6 and in_flight[-1] == 0
-        assert pooled.s.tobytes() == inline.s.tobytes()
-        if isinstance(pooled, trajectory.BatchResult):
-            assert pooled.log_z.tobytes() == inline.log_z.tobytes()
+def test_workers_capped_at_cpus_and_chunks(monkeypatch, recording_fork, env_a):
+    # Workers are min(threads, CPUs, chunks), the caller among them: on
+    # 64 CPUs a million threads over three chunks fork two children, and
+    # on two CPUs one.  No process is started.
+    calls = recording_fork
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    inline = simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=1)
+    assert calls == []
+    with pytest.raises(ChildProcessError, match="chunk worker 1 exited with code 0 before"):
+        simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=10**6)
+    assert calls == [0, 1]
+    calls.clear()
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(ChildProcessError, match="chunk worker 1 exited"):
+        simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=10**6)
+    assert calls == [0]
+    calls.clear()
+    # one chunk forks nothing, and without os.fork a batch runs inline
+    one = simulate_batch(env_a, 12, 100, 3, record=(6, 12), threads=10**6)
+    monkeypatch.delattr(trajectory.os, "fork")
+    unforked = simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=10**6)
+    assert calls == []
+    assert one.log_z.tobytes() == inline.log_z[:, :100].tobytes()
+    assert unforked.log_z.tobytes() == inline.log_z.tobytes()
 
 
-def test_auto_threads_count_the_cpus_this_process_may_run_on(monkeypatch, recording_pool, env_a):
+def test_auto_threads_count_the_cpus_this_process_may_run_on(monkeypatch, recording_fork,
+                                                             env_a):
     # threads = 0 on a host of 64 CPUs: pinned to one of them, the batch
-    # runs inline with no pool; allowed two, it runs on a pool of two, with
-    # at most four tasks in flight.  The bytes are those of threads = 1.
-    events = recording_pool
+    # runs inline with the bytes of threads = 1; allowed two, it forks one
+    # worker.
+    calls = recording_fork
     monkeypatch.setattr(trajectory.os, "cpu_count", lambda: 64)
     inline = simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=1)
     monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     one_cpu = simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=0)
-    assert events == []
+    assert calls == []
+    assert one_cpu.log_z.tobytes() == inline.log_z.tobytes()
     monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1})
-    two_cpus = simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=0)
-    assert np.cumsum([1 if e == "submit" else -1 for e, _ in events]).max() == 4
-    for batch in (one_cpu, two_cpus):
-        assert batch.log_z.tobytes() == inline.log_z.tobytes()
+    with pytest.raises(ChildProcessError, match="chunk worker 1"):
+        simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=0)
+    assert calls == [0]
+
+
+def test_forked_batch_of_no_recorded_generation_is_empty(env_a):
+    # an empty record still has one column per replicate, and its shared
+    # arrays hold no byte
+    batch = simulate_batch(env_a, 5, 20_000, 1, record=(), threads=2)
+    assert batch.log_z.shape == batch.s.shape == (0, 20_000)
+    assert _no_child_left()
+
+
+def _failing(monkeypatch, fail) -> None:
+    """Chunks of 100 on two workers, where chunk c calls ``fail(c)``
+    before it runs."""
+    chunk = trajectory._simulate_chunk
+
+    def failing(key, *args):
+        fail(key // 100)
+        chunk(key, *args)
+
+    monkeypatch.setattr(trajectory, "_CHUNK", 100)
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(trajectory, "_simulate_chunk", failing)
+
+
+def test_chunk_error_keeps_its_type_and_the_earliest_chunk_wins(monkeypatch, env_a):
+    # the child runs chunks 1 and 3, the caller 0 and 2: whichever worker
+    # fails first in time, the error of the earliest failing chunk is
+    # raised, with its own type and message
+    def fail(c):
+        if c >= first:
+            raise (ZeroDivisionError if c % 2 else KeyError)(f"chunk {c}")
+
+    _failing(monkeypatch, fail)
+    for first, error in ((1, ZeroDivisionError), (2, KeyError)):
+        with pytest.raises(error) as info:
+            simulate_batch(env_a, 12, 400, 3, record=(6, 12), threads=2)
+        assert info.value.args == (f"chunk {first}",)
+        assert _no_child_left()
+
+
+def test_offspring_overflow_raises_the_same_error_at_any_thread_count(monkeypatch):
+    # the first atom's mean total of two parents is beyond the float range
+    a, b = make_env_a().atoms
+    huge = EnvironmentModel(atoms=(
+        EnvAtom(offspring=ShiftedPoisson(lam=1e308), immigration=a.immigration, prob=a.prob), b))
+    monkeypatch.setattr(trajectory, "_CHUNK", 20)
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(ValueError) as info:
+            simulate_batch(huge, 4, 60, 0, threads=threads)
+        errors.append((type(info.value), str(info.value)))
+    assert errors == [(ValueError, "an offspring total overflows a double")] * 2
+    assert _no_child_left()
+
+
+def test_chunk_worker_killed_by_a_signal_fails_the_batch(monkeypatch, env_a):
+    caller = os.getpid()
+
+    def fail(c):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing(monkeypatch, fail)
+    with pytest.raises(ChildProcessError, match=f"chunk worker 1 was killed by signal "
+                                                f"{int(signal.SIGKILL)}"):
+        simulate_batch(env_a, 12, 400, 3, record=(6, 12), threads=2)
+    assert _no_child_left()
+
+
+def test_interrupt_in_the_callers_share_kills_and_reaps_the_children(monkeypatch, env_a):
+    # the child would sleep for a minute in its first chunk; the caller's
+    # interrupt in chunk 2 kills it at once
+    caller = os.getpid()
+
+    def fail(c):
+        if os.getpid() != caller:
+            time.sleep(60)
+        elif c == 2:
+            raise KeyboardInterrupt
+
+    _failing(monkeypatch, fail)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        simulate_batch(env_a, 12, 400, 3, record=(6, 12), threads=2)
+    assert time.monotonic() - start < 30
+    assert _no_child_left()
 
 
 def test_batch_stream_offset_shifts_columns(monkeypatch, env_a):
