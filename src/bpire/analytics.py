@@ -12,7 +12,7 @@ statistical experiments treat its outputs as ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .env_model import (
     LATTICE_MAX_DENOMINATOR,
@@ -64,16 +64,14 @@ def limit_curve(x: float, m: MomentSummary, e_log_w: float) -> float:
     return -std_normal_pdf(x) * e_log_w / m.sigma + edgeworth_q(x, m)
 
 
-@dataclass(frozen=True)
-class HypothesisEntry:
+class HypothesisEntry(NamedTuple):
     name: str
     value: float
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Numeric audit of the moment conditions behind the limit theorems.
 
     Poisson- and geometric-family laws have all moments, so the finiteness

@@ -55,16 +55,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import gc
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, NoReturn
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 # Before the first import that loads numpy: its BLAS reads these once, at
 # load.  A caller that loaded numpy first keeps its own setting.
@@ -143,8 +143,7 @@ class GridSpec:
         return [self.min + i * self.step for i in range(count)]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     kind: str
     environment: EnvironmentModel
     x_grid: GridSpec | None = None
@@ -286,7 +285,7 @@ def _scalar(key: str, value: Any, where: str) -> Any:
     return value
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_CONFIG_KEYS = set(ExperimentConfig._fields)
 
 
 def parse_config(doc: Any) -> ExperimentConfig:
@@ -335,7 +334,7 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
     }
     doc.update((key, getattr(cfg, key)) for key in _SCALARS if getattr(cfg, key) is not None)
     if cfg.x_grid is not None:
-        doc["x_grid"] = dataclasses.asdict(cfg.x_grid)
+        doc["x_grid"] = asdict(cfg.x_grid)
     if cfg.n_list is not None:
         doc["n_list"] = list(cfg.n_list)
     return doc
@@ -355,18 +354,14 @@ def _cell(v: Any) -> str:
     return _fmt(v)
 
 
-def _row_fields(result: Any) -> list[tuple]:
-    return [dataclasses.astuple(row) for row in result.rows]
-
-
 class Csv(NamedTuple):
     """One CSV artifact: file name, comma-separated header, and the rows of
-    values a result gives -- by default the fields of each of its row
-    dataclasses, in declaration order."""
+    values a result gives -- by default its ``rows``, whose records are
+    their CSV rows."""
 
     name: str
     header: str
-    rows: Callable[[Any], list[tuple]] = _row_fields
+    rows: Callable[[Any], Sequence[tuple]] = attrgetter("rows")
 
 
 class Kind(NamedTuple):
@@ -614,9 +609,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(doc)
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, master_seed=_scalar("master_seed", args.seed, "--seed"))
+            cfg = cfg._replace(master_seed=_scalar("master_seed", args.seed, "--seed"))
         if args.threads is not None:
-            cfg = dataclasses.replace(cfg, threads=_scalar("threads", args.threads, "--threads"))
+            cfg = cfg._replace(threads=_scalar("threads", args.threads, "--threads"))
         return run_experiment(cfg, Path(args.out))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

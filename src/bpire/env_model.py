@@ -16,6 +16,24 @@ the family: the immigration CDF table, its bound
 (:func:`immigration_table_entries`), the audit's moment series
 (:mod:`bpire.analytics`) and the simulator, whose choice of offspring draw
 is the one family test.  ``Y = 0`` almost surely is a count with mean 0.
+
+Plain records, such as the count laws, :class:`MomentSummary` and the
+validation report, are ``NamedTuple`` classes, as are the results, rows
+and reports of the other modules.  Ten classes of the package stay frozen
+dataclasses, each for a dataclass feature it uses:
+
+* the five config laws (``ShiftedPoisson``, ``ShiftedGeometric``,
+  ``PoissonImmigration``, ``GeometricImmigration`` and ``NoImmigration``)
+  are told apart by type as well as by value: ``dict.fromkeys`` dedupes
+  them into immigration tables, and tuple equality would make
+  ``PoissonImmigration(1.0) == ShiftedPoisson(1.0)`` and merge two laws.
+  The CLI builds them from their ``fields()``, and four of them validate
+  in ``__post_init__``;
+* :class:`EnvAtom` and :class:`EnvironmentModel` validate in
+  ``__post_init__``, as does the CLI's ``GridSpec``, which the CLI also
+  reads through ``fields`` and ``asdict``;
+* :class:`bpire.trajectory.BatchResult` inherits the fields of
+  :class:`bpire.trajectory.WalkBatch`, which a ``NamedTuple`` cannot.
 """
 
 from __future__ import annotations
@@ -23,15 +41,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 #: A pmf term below this cannot change a CDF sum of at least 1/2, whose
 #: half ulp is ``2**-54``: a factor 2 covers the rounding of the term.
 _ROUNDS_AWAY = 2.0**-55
 
 
-@dataclass(frozen=True)
-class PoissonCount:
+class PoissonCount(NamedTuple):
     """``K ~ Poisson(mean)``, ``mean >= 0``.  Each count law has ``first =
     P(K = 0)``, ``mode``, ``log_pmf(k)`` and ``ratio(k) = P(K = k+1) / P(K = k)``."""
 
@@ -67,8 +84,7 @@ class PoissonCount:
         return k + 1
 
 
-@dataclass(frozen=True)
-class GeometricCount:
+class GeometricCount(NamedTuple):
     """``P(K = k) = p (1-p)^k``, ``0 < p <= 1``: the failures before the
     first success of a Bernoulli(p) sequence."""
 
@@ -172,8 +188,8 @@ POISSON_NU_MAX = -math.log(sys.float_info.min)
 
 #: Smallest geometric immigration parameter ``s``: the immigration CDF table
 #: has about ``28 / s`` entries (282,182 at ``1e-4``, 2.6 million at
-#: ``1e-5``), built once per batch and sent once to each pool worker
-#: process, through the pool initializer.
+#: ``1e-5``), built once per batch, before the chunk workers fork, so that
+#: each of them inherits it.
 GEOMETRIC_S_MIN = 1e-4
 
 
@@ -305,8 +321,7 @@ class EnvironmentModel:
         return any(a.immigration.mean > 0.0 for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class MomentSummary:
+class MomentSummary(NamedTuple):
     """Moments of ``log m_0`` under the atom mixture.
 
     ``mu``, ``sigma2`` and ``mu3`` are the mean and the second and third
@@ -338,15 +353,13 @@ def log_mean_moments(env: EnvironmentModel) -> MomentSummary:
     return MomentSummary(mu=mu, sigma2=sigma2, mu3=mu3, atom_log_means=pairs)
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
+class ValidationCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of :func:`validate`: one entry per structural check.
 
     ``ok`` is True only when every check passed.  The report is a pure

@@ -5,23 +5,25 @@ them to summary statistics with binomial or sample standard errors, and
 attaches the analytic predictions from :mod:`bpire.analytics`.  All outputs
 are deterministic functions of ``(environment, parameters, master_seed)``;
 standardisation always uses the analytic ``mu`` and ``sigma`` of the
-environment, never sample moments.  The fields of ``RatePoint``,
-``DecayRow``, ``BerryEsseenRow`` and ``LaplaceRow``, in declaration order,
-are the columns of the CLI's CSV files.
+environment, never sample moments.
+
+Results and their rows are ``NamedTuple`` records, and a row record is its
+CSV row: the fields of ``RatePoint``, ``DecayRow``, ``BerryEsseenRow`` and
+``LaplaceRow``, in declaration order, are the columns of the CLI's CSV
+files, and the CLI writes each row as it is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .analytics import edgeworth_q, limit_curve, std_normal_cdf, std_normal_pdf
 from .env_model import EnvironmentModel, MomentSummary, log_mean_moments
 from .sampler import PROMOTION_THRESHOLD
-from .trajectory import simulate_batch, simulate_walk_batch
+from .trajectory import as_int, simulate_batch, simulate_walk_batch
 
 #: 99% two-sided normal quantile used for every binomial confidence interval:
 #: ``scipy.special.ndtri(0.995)`` to the last bit, written out so that
@@ -100,8 +102,7 @@ def _t_upper_tail(df: int, t: float) -> float:
 ELOGW_STREAM_OFFSET = 2**32
 
 
-@dataclass(frozen=True)
-class EmpiricalCdf:
+class EmpiricalCdf(NamedTuple):
     """Empirical CDF of a sample on a fixed grid with 99% binomial CIs."""
 
     grid: np.ndarray
@@ -111,10 +112,13 @@ class EmpiricalCdf:
 
 
 def _grid(grid: Sequence[float], name: str) -> np.ndarray:
-    """``grid`` as an array, checked to be nonempty and sorted ascending."""
+    """``grid`` as an array, checked to be nonempty, finite and sorted
+    ascending (a NaN would pass the order test, which it compares false)."""
     grid_arr = np.asarray(grid, dtype=np.float64)
     if grid_arr.size == 0:
         raise ValueError(f"{name} must have at least one point")
+    if not np.isfinite(grid_arr).all():
+        raise ValueError(f"{name} must have finite points")
     if np.any(np.diff(grid_arr) < 0):
         raise ValueError(f"{name} must be sorted ascending")
     return grid_arr
@@ -137,8 +141,7 @@ def empirical_cdf(samples: np.ndarray, grid: Sequence[float]) -> EmpiricalCdf:
     return EmpiricalCdf(grid=grid_arr, values=values, replicates=r, ci_halfwidth=ci)
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(NamedTuple):
     """One (x, n) cell of a rate curve: ``dhat = sqrt(n) (F_hat_n(x) -
     Phi(x))`` with ``se = sqrt(n)`` times the binomial standard error, the
     predicted limit ``g`` and the Edgeworth-only part ``q_only``."""
@@ -151,8 +154,7 @@ class RatePoint:
     q_only: float
 
 
-@dataclass(frozen=True)
-class RateCurve:
+class RateCurve(NamedTuple):
     rows: tuple[RatePoint, ...]
     e_log_w: float
     e_log_w_se: float
@@ -244,9 +246,10 @@ def _power_mean_se(values: np.ndarray, power: float, what: str, name: str, n: in
 
 
 def _generations(n_list: Sequence[int], lowest: int, name: str) -> list[int]:
-    """The distinct generations of ``n_list`` in ascending order, all at
-    least ``lowest`` (0 or 1)."""
-    ns = sorted(set(int(n) for n in n_list))
+    """The distinct generations of ``n_list`` in ascending order, all
+    integers (:func:`bpire.trajectory.as_int`) of at least ``lowest`` (0 or
+    1)."""
+    ns = sorted(set(as_int(n, f"{name} entry") for n in n_list))
     if not ns or ns[0] < lowest:
         raise ValueError(
             f"{name} must contain {'positive' if lowest else 'nonnegative'} generations"
@@ -258,7 +261,7 @@ def _rate_inputs(n_list: Sequence[int], x_grid: Sequence[float], replicates: int
                  ) -> tuple[list[int], np.ndarray, list[str]]:
     """Check a rate curve's generations and grid, and warn when R is too
     small for its confidence intervals."""
-    n_list = list(n_list)
+    n_list = [as_int(n, "n_list entry") for n in n_list]
     if (not n_list or n_list != sorted(n_list) or len(set(n_list)) != len(n_list)
             or n_list[0] < 1):
         raise ValueError("n_list must be ascending positive generations")
@@ -272,8 +275,7 @@ def _rate_inputs(n_list: Sequence[int], x_grid: Sequence[float], replicates: int
     return n_list, x_grid, warnings
 
 
-@dataclass(frozen=True)
-class ElogWConfig:
+class ElogWConfig(NamedTuple):
     """How to estimate ``E log W`` inside clt_rate_experiment: the horizon N
     at which ``log W_N`` proxies the limit, and the replicate count."""
 
@@ -281,8 +283,7 @@ class ElogWConfig:
     replicates: int = 100_000
 
 
-@dataclass(frozen=True)
-class ElogWEstimate:
+class ElogWEstimate(NamedTuple):
     """``E log W_N`` with SE plus the last-increment diagnostic: the mean of
     ``|log W_{N+1} - log W_N|``, which should sit far below ``se`` when the
     horizon has converged."""
@@ -310,7 +311,7 @@ def estimate_elogw(
     limit mean; the attached increment diagnostic quantifies the remaining
     horizon bias at the observable level.
     """
-    if horizon < 0:
+    if as_int(horizon, "horizon") < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     batch = simulate_batch(
         env,
@@ -414,16 +415,14 @@ def walk_oracle_rate(
     )
 
 
-@dataclass(frozen=True)
-class DecayRow:
+class DecayRow(NamedTuple):
     n: int
     estimate: float
     se: float
     qualifies: bool
 
 
-@dataclass(frozen=True)
-class DecaySeries:
+class DecaySeries(NamedTuple):
     """Per-n estimates of ``E |log W_{n+1} - log W_n|^q`` and, when at least
     three rows rise 5 SEs above zero, a log-linear fit giving the implied
     geometric decay rate ``rho_hat = exp(-slope)`` with a 99% CI."""
@@ -510,8 +509,7 @@ def increment_decay(
     )
 
 
-@dataclass(frozen=True)
-class BerryEsseenRow:
+class BerryEsseenRow(NamedTuple):
     """Sup-distance row: ``sup_dev = sup_x |F_hat_n(x) - Phi(x)|`` over the
     grid, ``se_max`` the binomial SE at the argmax point, and ``c_fit =
     sup_dev * sqrt(n)`` (the implied Berry-Esseen constant at this n)."""
@@ -522,8 +520,7 @@ class BerryEsseenRow:
     c_fit: float
 
 
-@dataclass(frozen=True)
-class BerryEsseenResult:
+class BerryEsseenResult(NamedTuple):
     rows: tuple[BerryEsseenRow, ...]
     c: float
     stable: bool
@@ -607,8 +604,7 @@ def berry_esseen_sup(
     return berry_esseen_sup_from_samples(standardized, grid)
 
 
-@dataclass(frozen=True)
-class LaplaceRow:
+class LaplaceRow(NamedTuple):
     """``phi_hat = mean exp(-t W_N)`` with its SE; ``weighted`` is
     ``(log t)^r * phi_hat`` (NaN when ``t <= 1``)."""
 
@@ -618,8 +614,7 @@ class LaplaceRow:
     weighted: float
 
 
-@dataclass(frozen=True)
-class LaplaceResult:
+class LaplaceResult(NamedTuple):
     """``bounded`` flags non-explosion of the weighted column: its maximum
     over rows with ``t >= e`` must not exceed 10 times its value at the
     first such row (3 SE slack on both sides).  ``ratio`` reports the raw
@@ -662,8 +657,8 @@ def laplace_decay(
             "the environment has immigration"
         )
     ts = [float(t) for t in t_grid]
-    if ts != sorted(ts) or any(t < 0.0 for t in ts):
-        raise ValueError("t_grid must be nondecreasing nonnegative reals")
+    if ts != sorted(ts) or not all(0.0 <= t < math.inf for t in ts):
+        raise ValueError("t_grid must be nondecreasing finite nonnegative reals")
     batch = simulate_batch(
         env, horizon, replicates, master_seed, record=(horizon,), threads=threads,
         threshold=threshold,
@@ -692,15 +687,13 @@ def laplace_decay(
     return LaplaceResult(rows=tuple(rows), r=r, bounded=bounded, ratio=ratio)
 
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     n: int
     estimate: float
     se: float
 
 
-@dataclass(frozen=True)
-class MomentStabilityResult:
+class MomentStabilityResult(NamedTuple):
     """Estimates of ``E |log W_n|^r`` per n.  ``bounded`` checks that the
     estimates with ``n >= 10`` stay within a factor 2 of each other after 3
     SE slack on both sides (uniform-boundedness spot check)."""

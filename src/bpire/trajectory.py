@@ -81,6 +81,7 @@ pathwise in both exact and log-space regimes (the log-space combination is
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 from dataclasses import dataclass
@@ -352,17 +353,31 @@ def _log_sizes(logm: np.ndarray, sd_over_m: np.ndarray, y_max: int) -> tuple[flo
     return immigrants, max(immigrants, budget)
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an ``int``.  Python and numpy integers pass; a bool, or
+    anything else :func:`operator.index` refuses, raises ``ValueError``
+    naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
-                 record: Sequence[int] | None, threads: int) -> tuple[int, ...]:
+                 record: Sequence[int] | None, threads: int, threshold: int
+                 ) -> tuple[int, ...]:
     """Check the arguments both batch functions share and return the
-    recorded generations (default: only ``n``).  The key words must be
-    unsigned 64-bit words: ``master_seed`` itself, and ``stream_offset + r``
-    for every replicate r."""
-    if threads < 0:
+    recorded generations as ints (default: only ``n``).  The counts and
+    the threshold must be integers; the key words must be unsigned 64-bit words:
+    ``master_seed`` itself, and ``stream_offset + r`` for every replicate
+    r."""
+    if as_int(threads, "threads") < 0:
         raise ValueError(f"threads must be nonnegative (0 = auto), got {threads}")
-    if n < 0:
+    if as_int(n, "n") < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if replicates <= 0:
+    if as_int(replicates, "replicates") <= 0:
         raise ValueError(f"replicates must be positive, got {replicates}")
     for name, v in (("master_seed", master_seed), ("stream_offset", stream_offset)):
         if isinstance(v, bool) or not isinstance(v, int):
@@ -374,11 +389,21 @@ def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
             f"stream_offset must be nonnegative with stream_offset + replicates <= 2**64, "
             f"got {stream_offset} and {replicates}"
         )
-    rec = tuple(record if record is not None else (n,))
+    rec = tuple(as_int(g, "record generation") for g in (record if record is not None else (n,)))
     if list(rec) != sorted(set(rec)):
         raise ValueError("record generations must be strictly increasing")
     if rec and (rec[0] < 0 or rec[-1] > n):
         raise ValueError(f"record generations must lie in [0, {n}]")
+    if as_int(threshold, "threshold") < MIN_PROMOTION_THRESHOLD:
+        raise ValueError(
+            f"promotion threshold must be at least {MIN_PROMOTION_THRESHOLD}: below it "
+            "the Gaussian log step and tail are not guaranteed a positive argument"
+        )
+    if threshold > MAX_PROMOTION_THRESHOLD:
+        raise ValueError(
+            f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
+            "exact counts may overflow int64"
+        )
     return rec
 
 
@@ -649,20 +674,8 @@ def _run_batch(env: EnvironmentModel, n: int, replicates: int, master_seed: int,
     :func:`_simulate_chunk`), run its chunks and return the recorded
     generations and the output arrays.  The walk alone builds only its
     :class:`_Walk`, not the immigration tables of :class:`_EnvTables`."""
-    rec = _check_batch(n, replicates, master_seed, stream_offset, record, threads)
-    tab = None
-    if populations:
-        if threshold < MIN_PROMOTION_THRESHOLD:
-            raise ValueError(
-                f"promotion threshold must be at least {MIN_PROMOTION_THRESHOLD}: below it "
-                "the Gaussian log step and tail are not guaranteed a positive argument"
-            )
-        if threshold > MAX_PROMOTION_THRESHOLD:
-            raise ValueError(
-                f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
-                "exact counts may overflow int64"
-            )
-        tab = _EnvTables(env)
+    rec = _check_batch(n, replicates, master_seed, stream_offset, record, threads, threshold)
+    tab = _EnvTables(env) if populations else None
     walk = _Walk(env) if tab is None else tab.walk
     out = _run_chunks((walk, tab, master_seed, rec, populations, threshold),
                       ("s", "log_z", "log_zbar")[:populations + 1], len(rec), replicates,

@@ -591,6 +591,32 @@ def test_package_import_loads_no_estimator_layer_and_no_pool():
         proc.stderr
 
 
+#: The classes of ``bpire`` that stay frozen dataclasses (see the
+#: ``bpire.env_model`` docstring for why each needs a dataclass feature).
+_DATACLASSES = [
+    "cli.GridSpec",
+    "env_model.EnvAtom", "env_model.EnvironmentModel", "env_model.GeometricImmigration",
+    "env_model.NoImmigration", "env_model.PoissonImmigration", "env_model.ShiftedGeometric",
+    "env_model.ShiftedPoisson",
+    "trajectory.BatchResult", "trajectory.WalkBatch",
+]
+
+
+def test_only_records_that_use_a_dataclass_feature_are_dataclasses():
+    proc = _python("-c", (
+        "import dataclasses, json, sys, bpire.cli\n"
+        "print(json.dumps(sorted(\n"
+        "    f'{name[6:]}.{attr}' for name, m in list(sys.modules.items())\n"
+        "    if name.startswith('bpire.') for attr, v in vars(m).items()\n"
+        "    if isinstance(v, type) and v.__module__ == name and dataclasses.is_dataclass(v))))\n"
+    ))
+    assert json.loads(proc.stdout) == _DATACLASSES, (
+        "a record is a NamedTuple unless it validates its fields, is told apart from other "
+        "types by value, or inherits fields; only these stay frozen dataclasses",
+        proc.stderr,
+    )
+
+
 def test_every_public_name_imports():
     proc = _python("-c", (
         "import importlib, json, bpire\n"

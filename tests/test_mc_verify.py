@@ -192,10 +192,30 @@ def test_rate_estimators_reject_empty_n_list_before_simulating(no_batch, env_a):
     for run in (clt_rate_experiment, walk_oracle_rate):
         with pytest.raises(ValueError, match="n_list must be ascending positive"):
             run(env_a, [0.0], [], 100, master_seed=0)
+        with pytest.raises(ValueError, match="n_list entry must be an integer"):
+            run(env_a, [0.0], [16.5], 100, master_seed=0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda env, ns: berry_esseen_sup(env, ns, 100, [0.0], master_seed=0),
+        lambda env, ns: increment_decay(env, 1.0, ns, 100, master_seed=0),
+        lambda env, ns: moment_stability(env, 2.0, ns, 100, master_seed=0),
+    ],
+    ids=["berry-esseen", "decay", "moments"],
+)
+def test_generation_estimators_reject_non_integer_generations_before_simulating(
+        run, no_batch, env_a):
+    # int() would truncate 2.7 to generation 2
+    for ns in ([2.7, 5], [True, 5]):
+        with pytest.raises(ValueError, match="entry must be an integer"):
+            run(env_a, ns)
 
 
 def test_cdf_estimators_reject_empty_or_unsorted_grid_before_simulating(no_batch, env_a):
-    for grid, message in (([], "at least one point"), ([1.0, 0.0], "sorted ascending")):
+    for grid, message in (([], "at least one point"), ([1.0, 0.0], "sorted ascending"),
+                          ([math.nan, 0.0], "finite points")):
         for run in (clt_rate_experiment, walk_oracle_rate):
             with pytest.raises(ValueError, match=f"x_grid must .*{message}"):
                 run(env_a, grid, [4], 100, master_seed=0)
@@ -275,6 +295,8 @@ def test_elogw_jensen_without_immigration(env_a_pure):
 def test_elogw_rejects_negative_horizon(env_a):
     with pytest.raises(ValueError):
         estimate_elogw(env_a, horizon=-1, replicates=100, master_seed=0)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        estimate_elogw(env_a, horizon=2.5, replicates=100, master_seed=0)
 
 
 @pytest.mark.parametrize(
@@ -388,6 +410,8 @@ def test_laplace_decay_rejects_unsorted_grid(env_a_pure):
         laplace_decay(env_a_pure, [2.0, 1.0], 5, 100, master_seed=0)
     with pytest.raises(ValueError):
         laplace_decay(env_a_pure, [-1.0, 2.0], 5, 100, master_seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        laplace_decay(env_a_pure, [1.0, math.nan], 5, 100, master_seed=0)
 
 
 # ----------------------------------------------------------------- moments

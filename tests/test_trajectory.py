@@ -426,7 +426,21 @@ def test_record_argument_validation(env_a):
             run(env_a, 5, 0, master_seed=0)
         with pytest.raises(ValueError, match="threads must be nonnegative"):
             run(env_a, 5, 10, master_seed=0, threads=-3)
+        # counts must be integers: a float or a bool would run as another count
+        for bad, named in (
+            ({"record": (2.5,)}, "record generation must be an integer"),
+            ({"record": (True, 3)}, "record generation must be an integer"),
+            ({"n": 2.5}, "n must be an integer"),
+            ({"replicates": 10.5}, "replicates must be an integer"),
+            ({"threads": 1.5}, "threads must be an integer"),
+        ):
+            with pytest.raises(ValueError, match=named):
+                run(env_a, **{"n": 5, "replicates": 10, "master_seed": 0, **bad})
         assert run(env_a, 5, 10, master_seed=0, threads=0).replicates == 10
+        assert run(env_a, np.int64(5), 10, master_seed=0,
+                   record=np.array([2, 5]), threads=np.int32(1)).record == (2, 5)
+    with pytest.raises(ValueError, match="threshold must be an integer"):
+        simulate_batch(env_a, 5, 10, master_seed=0, threshold=2**20 + 0.5)
 
 
 def _binomial_chi_square_p(j: np.ndarray, n: int, p: float) -> float:
