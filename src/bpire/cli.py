@@ -38,12 +38,13 @@ Exit codes:
   geometric offspring ``q`` below ``GEOMETRIC_Q_MIN``, about 1.492e-154),
   immigration tables past ``MAX_IMMIGRATION_TABLE_ENTRIES`` = 2**22
   entries over the distinct immigration laws, a failed environment check,
-  an unmet precondition of any experiment kind (such as a zero-variance environment in a rate experiment, ``r <= 0`` for
-  moments, ``q <= 0`` for decay, ``p <= 1`` for validate, or ``replicates``
-  = 1 for a kind that reports a standard error: rate, elogw, decay, laplace
-  and moments), or an arithmetic error in a run (such as a Laplace
-  ``t = exp(x)``, or a decay or moments mean of ``|.|^q`` or ``|.|^r`` or
-  its SE, beyond the float range);
+  an unmet precondition of any experiment kind (such as a zero-variance
+  environment in a rate experiment, an ``n_list`` that is not strictly
+  ascending, ``r <= 0`` for moments, ``q <= 0`` for decay, ``p <= 1`` for
+  validate, or ``replicates`` = 1 for a kind that reports a standard
+  error: rate, elogw, decay, laplace and moments), or an arithmetic
+  error in a run (such as a Laplace ``t = exp(x)``, or a decay or moments
+  mean of ``|.|^q`` or ``|.|^r`` or its SE, beyond the float range);
 * 3 -- statistics inconclusive or a statistical gate failed (decay SE gate,
   decay CI including 1, unstable Berry-Esseen constant, exploding Laplace
   column, unbounded moment ratio);

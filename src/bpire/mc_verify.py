@@ -7,6 +7,11 @@ are deterministic functions of ``(environment, parameters, master_seed)``;
 standardisation always uses the analytic ``mu`` and ``sigma`` of the
 environment, never sample moments.
 
+Inputs are checked before any batch runs: generations by the rule of a
+batch's ``record``, grids as nonempty, finite and ascending.  The CDF
+estimators share one pass over ``F_hat_n - Phi``, whose reductions compute
+their own warnings.
+
 Results and their rows are ``NamedTuple`` records, and a row record is its
 CSV row: the fields of ``RatePoint``, ``DecayRow``, ``BerryEsseenRow`` and
 ``LaplaceRow``, in declaration order, are the columns of the CLI's CSV
@@ -16,7 +21,7 @@ files, and the CLI writes each row as it is.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,43 +173,54 @@ class RateCurve(NamedTuple):
         raise KeyError((x, n))
 
 
+def _deviations(standardized: Mapping[int, np.ndarray], grid: np.ndarray
+                ) -> Iterator[tuple[int, EmpiricalCdf, np.ndarray]]:
+    """``(n, cdf, F_hat_n - Phi)`` on the checked ``grid`` for each key n of
+    ``standardized``, ascending and checked as generations; Phi is computed once."""
+    phi = np.array([std_normal_cdf(float(x)) for x in grid])
+    for n in _generations(sorted(standardized), 1, "standardized"):
+        cdf = empirical_cdf(standardized[n], grid)
+        yield n, cdf, cdf.values - phi
+
+
 def rate_curve_from_samples(
     standardized: Mapping[int, np.ndarray],
     x_grid: Sequence[float],
     moments: MomentSummary,
     e_log_w: float,
     e_log_w_se: float = 0.0,
-    warnings: Sequence[str] = (),
 ) -> RateCurve:
-    """Shared reduction: standardised samples per n -> RateCurve rows.
+    """Shared reduction: standardised samples per n -> RateCurve rows, with
+    a warning when a sample has fewer than 10^4 replicates.
 
     This is also the self-test entry point: exact standard normal samples
     must produce ``dhat`` compatible with 0 at every grid point.
     """
     rows: list[RatePoint] = []
-    for n in sorted(standardized):
-        cdf = empirical_cdf(standardized[n], x_grid)
+    for n, cdf, dev in _deviations(standardized, _grid(x_grid, "x_grid")):
         sqrt_n = math.sqrt(n)
-        for x, fhat in zip(cdf.grid, cdf.values):
-            x = float(x)
-            fhat = float(fhat)
-            se = sqrt_n * math.sqrt(fhat * (1.0 - fhat) / cdf.replicates)
+        for x, fhat, d in zip(cdf.grid.tolist(), cdf.values.tolist(), dev.tolist()):
             rows.append(
                 RatePoint(
                     x=x,
                     n=n,
-                    dhat=sqrt_n * (fhat - std_normal_cdf(x)),
-                    se=se,
+                    dhat=sqrt_n * d,
+                    se=sqrt_n * math.sqrt(fhat * (1.0 - fhat) / cdf.replicates),
                     g=limit_curve(x, moments, e_log_w),
                     q_only=edgeworth_q(x, moments),
                 )
             )
+    low = min(np.size(samples) for samples in standardized.values())
+    warnings = () if low >= 10**4 else (
+        f"replicates={low} is below 10^4; binomial confidence "
+        "intervals on dhat are too wide for rate comparisons",
+    )
     return RateCurve(
         rows=tuple(rows),
         e_log_w=e_log_w,
         e_log_w_se=e_log_w_se,
         moments=moments,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -212,7 +228,22 @@ def _standardize(values: np.ndarray, n: int, moments: MomentSummary) -> np.ndarr
     return (values - n * moments.mu) / (math.sqrt(n) * moments.sigma)
 
 
-def _require_sigma_positive(env: EnvironmentModel, what: str) -> MomentSummary:
+def _standardized_log_z(env: EnvironmentModel, moments: MomentSummary, ns: list[int],
+                        replicates: int, master_seed: int, threads: int, threshold: int
+                        ) -> dict[int, np.ndarray]:
+    """The standardised ``log Z_n`` of one batch at each generation of
+    ``ns``; the batch is released on return, before any later batch runs
+    (and forks its chunk workers)."""
+    batch = simulate_batch(env, ns[-1], replicates, master_seed, record=tuple(ns),
+                           threads=threads, threshold=threshold)
+    return {n: _standardize(batch.log_z_at(n), n, moments) for n in ns}
+
+
+def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
+                grid: Sequence[float], grid_name: str
+                ) -> tuple[MomentSummary, list[int], np.ndarray]:
+    """The checked inputs of a CDF estimator ``what``: the moments of an
+    environment with ``sigma > 0``, the generations and the grid."""
     moments = log_mean_moments(env)
     if not moments.sigma2 > 0.0:
         raise ValueError(
@@ -220,7 +251,7 @@ def _require_sigma_positive(env: EnvironmentModel, what: str) -> MomentSummary:
             "(standardisation divides by sigma); "
             f"Var(log m) = {moments.sigma2!r} (all atoms share one offspring mean)"
         )
-    return moments
+    return moments, _generations(n_list, 1, "n_list"), _grid(grid, grid_name)
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
@@ -246,33 +277,23 @@ def _power_mean_se(values: np.ndarray, power: float, what: str, name: str, n: in
 
 
 def _generations(n_list: Sequence[int], lowest: int, name: str) -> list[int]:
-    """The distinct generations of ``n_list`` in ascending order, all
-    integers (:func:`bpire.trajectory.as_int`) of at least ``lowest`` (0 or
-    1)."""
-    ns = sorted(set(as_int(n, f"{name} entry") for n in n_list))
-    if not ns or ns[0] < lowest:
+    """``n_list`` as ints (:func:`bpire.trajectory.as_int`), checked to be
+    nonempty, strictly ascending and at least ``lowest`` (0 or 1): the rule
+    :func:`bpire.trajectory.simulate_batch` applies to ``record``."""
+    ns = [as_int(n, f"{name} entry") for n in n_list]
+    if not ns or ns[0] < lowest or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(
-            f"{name} must contain {'positive' if lowest else 'nonnegative'} generations"
+            f"{name} must be ascending {'positive' if lowest else 'nonnegative'} generations"
         )
     return ns
 
 
-def _rate_inputs(n_list: Sequence[int], x_grid: Sequence[float], replicates: int
-                 ) -> tuple[list[int], np.ndarray, list[str]]:
-    """Check a rate curve's generations and grid, and warn when R is too
-    small for its confidence intervals."""
-    n_list = [as_int(n, "n_list entry") for n in n_list]
-    if (not n_list or n_list != sorted(n_list) or len(set(n_list)) != len(n_list)
-            or n_list[0] < 1):
-        raise ValueError("n_list must be ascending positive generations")
-    x_grid = _grid(x_grid, "x_grid")
-    warnings: list[str] = []
-    if replicates < 10**4:
-        warnings.append(
-            f"replicates={replicates} is below 10^4; binomial confidence "
-            "intervals on dhat are too wide for rate comparisons"
-        )
-    return n_list, x_grid, warnings
+def _horizon(horizon: int) -> int:
+    """``horizon`` as an int, checked to be nonnegative."""
+    horizon = as_int(horizon, "horizon")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    return horizon
 
 
 class ElogWConfig(NamedTuple):
@@ -311,8 +332,7 @@ def estimate_elogw(
     limit mean; the attached increment diagnostic quantifies the remaining
     horizon bias at the observable level.
     """
-    if as_int(horizon, "horizon") < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    horizon = _horizon(horizon)
     batch = simulate_batch(
         env,
         horizon + 1,
@@ -354,22 +374,9 @@ def clt_rate_experiment(
     range (ids from ``2**32``), so the whole curve remains a deterministic
     function of ``(env, parameters, master_seed)``.
     """
-    moments = _require_sigma_positive(env, "clt_rate_experiment")
-    n_list, x_grid, warnings = _rate_inputs(n_list, x_grid, replicates)
-    batch = simulate_batch(
-        env,
-        n_list[-1],
-        replicates,
-        master_seed,
-        record=tuple(n_list),
-        threads=threads,
-        threshold=threshold,
-    )
-    standardized = {
-        n: _standardize(batch.log_z_at(n), n, moments) for n in n_list
-    }
-    # released before the E log W batch runs (and forks its chunk workers)
-    del batch
+    moments, ns, x_grid = _cdf_inputs(env, "clt_rate_experiment", n_list, x_grid, "x_grid")
+    standardized = _standardized_log_z(env, moments, ns, replicates, master_seed, threads,
+                                       threshold)
     elogw = estimate_elogw(
         env,
         horizon=e_log_w_config.horizon,
@@ -385,7 +392,6 @@ def clt_rate_experiment(
         moments,
         e_log_w=elogw.mean,
         e_log_w_se=elogw.se,
-        warnings=warnings,
     )
 
 
@@ -404,15 +410,12 @@ def walk_oracle_rate(
     pinned to 0).  Subtracting this control curve from a branching rate
     curve isolates the ``-pdf(x) E log W / sigma`` contribution.
     """
-    moments = _require_sigma_positive(env, "walk_oracle_rate")
-    n_list, x_grid, warnings = _rate_inputs(n_list, x_grid, replicates)
+    moments, ns, x_grid = _cdf_inputs(env, "walk_oracle_rate", n_list, x_grid, "x_grid")
     batch = simulate_walk_batch(
-        env, n_list[-1], replicates, master_seed, record=tuple(n_list), threads=threads
+        env, ns[-1], replicates, master_seed, record=tuple(ns), threads=threads
     )
-    standardized = {n: _standardize(batch.s_at(n), n, moments) for n in n_list}
-    return rate_curve_from_samples(
-        standardized, x_grid, moments, e_log_w=0.0, e_log_w_se=0.0, warnings=warnings
-    )
+    standardized = {n: _standardize(batch.s_at(n), n, moments) for n in ns}
+    return rate_curve_from_samples(standardized, x_grid, moments, e_log_w=0.0, e_log_w_se=0.0)
 
 
 class DecayRow(NamedTuple):
@@ -558,10 +561,8 @@ def berry_esseen_sup_from_samples(
     grid_arr = _grid(grid, "grid")
     warnings = _grid_warnings(grid_arr)
     rows: list[BerryEsseenRow] = []
-    for n in sorted(standardized):
-        cdf = empirical_cdf(standardized[n], grid_arr)
-        phi = np.array([std_normal_cdf(float(x)) for x in grid_arr])
-        dev = np.abs(cdf.values - phi)
+    for n, cdf, dev in _deviations(standardized, grid_arr):
+        dev = np.abs(dev)
         i = int(np.argmax(dev))
         fhat = float(cdf.values[i])
         rows.append(
@@ -593,15 +594,10 @@ def berry_esseen_sup(
     """Sup-norm distance of the standardised ``log Z_n`` CDF from the
     normal, per n, with the implied constants ``sup * sqrt(n)`` and their
     stability across ``n_list`` (within a factor 2)."""
-    moments = _require_sigma_positive(env, "berry_esseen_sup")
-    ns = _generations(n_list, 1, "n_list")
-    grid = _grid(grid, "grid")
-    batch = simulate_batch(
-        env, ns[-1], replicates, master_seed, record=tuple(ns), threads=threads,
-        threshold=threshold,
+    moments, ns, grid = _cdf_inputs(env, "berry_esseen_sup", n_list, grid, "grid")
+    return berry_esseen_sup_from_samples(
+        _standardized_log_z(env, moments, ns, replicates, master_seed, threads, threshold), grid
     )
-    standardized = {n: _standardize(batch.log_z_at(n), n, moments) for n in ns}
-    return berry_esseen_sup_from_samples(standardized, grid)
 
 
 class LaplaceRow(NamedTuple):
@@ -656,9 +652,10 @@ def laplace_decay(
             "laplace_decay applies to the no-immigration martingale limit; "
             "the environment has immigration"
         )
-    ts = [float(t) for t in t_grid]
-    if ts != sorted(ts) or not all(0.0 <= t < math.inf for t in ts):
-        raise ValueError("t_grid must be nondecreasing finite nonnegative reals")
+    ts = _grid(t_grid, "t_grid").tolist()
+    if ts[0] < 0.0:
+        raise ValueError(f"t_grid must be nonnegative, got {ts[0]}")
+    horizon = _horizon(horizon)
     batch = simulate_batch(
         env, horizon, replicates, master_seed, record=(horizon,), threads=threads,
         threshold=threshold,

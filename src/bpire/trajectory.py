@@ -367,21 +367,21 @@ def as_int(value, name: str) -> int:
 
 def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
                  record: Sequence[int] | None, threads: int, threshold: int
-                 ) -> tuple[int, ...]:
-    """Check the arguments both batch functions share and return the
-    recorded generations as ints (default: only ``n``).  The counts and
-    the threshold must be integers; the key words must be unsigned 64-bit words:
-    ``master_seed`` itself, and ``stream_offset + r`` for every replicate
-    r."""
+                 ) -> tuple[int, int, tuple[int, ...]]:
+    """Check the arguments both batch functions share and return the key
+    words and the recorded generations (default: only ``n``) as Python
+    ints.  The counts, the key words and the threshold must be integers;
+    the key words must be unsigned 64-bit words: ``master_seed`` itself,
+    and ``stream_offset + r`` for every replicate r."""
     if as_int(threads, "threads") < 0:
         raise ValueError(f"threads must be nonnegative (0 = auto), got {threads}")
     if as_int(n, "n") < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if as_int(replicates, "replicates") <= 0:
+    replicates = as_int(replicates, "replicates")
+    if replicates <= 0:
         raise ValueError(f"replicates must be positive, got {replicates}")
-    for name, v in (("master_seed", master_seed), ("stream_offset", stream_offset)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{name} must be an int, got {v!r}")
+    master_seed = as_int(master_seed, "master_seed")
+    stream_offset = as_int(stream_offset, "stream_offset")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
     if not (0 <= stream_offset and stream_offset + replicates <= 2**64):
@@ -404,7 +404,7 @@ def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
             f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
             "exact counts may overflow int64"
         )
-    return rec
+    return master_seed, stream_offset, rec
 
 
 def _take(y: np.ndarray | None, cols: np.ndarray) -> np.ndarray | None:
@@ -669,18 +669,20 @@ def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, replicate
 
 def _run_batch(env: EnvironmentModel, n: int, replicates: int, master_seed: int,
                record: Sequence[int] | None, populations: int, threshold: int, threads: int,
-               stream_offset: int) -> tuple[tuple[int, ...], dict[str, np.ndarray]]:
+               stream_offset: int) -> dict:
     """Check the arguments of a batch with ``populations`` populations (see
-    :func:`_simulate_chunk`), run its chunks and return the recorded
-    generations and the output arrays.  The walk alone builds only its
-    :class:`_Walk`, not the immigration tables of :class:`_EnvTables`."""
-    rec = _check_batch(n, replicates, master_seed, stream_offset, record, threads, threshold)
+    :func:`_simulate_chunk`), run its chunks and return the fields of its
+    result: the key words, the recorded generations and the output arrays.
+    The walk alone builds only its :class:`_Walk`, not the immigration
+    tables of :class:`_EnvTables`."""
+    master_seed, stream_offset, rec = _check_batch(n, replicates, master_seed, stream_offset,
+                                                   record, threads, threshold)
     tab = _EnvTables(env) if populations else None
     walk = _Walk(env) if tab is None else tab.walk
     out = _run_chunks((walk, tab, master_seed, rec, populations, threshold),
                       ("s", "log_z", "log_zbar")[:populations + 1], len(rec), replicates,
                       stream_offset, threads)
-    return rec, out
+    return dict(master_seed=master_seed, stream_offset=stream_offset, record=rec, **out)
 
 
 def simulate_batch(
@@ -715,9 +717,8 @@ def simulate_batch(
     access.
     """
     populations = 2 if couple_no_immigration else 1
-    rec, out = _run_batch(env, n, replicates, master_seed, record, populations, threshold,
-                          threads, stream_offset)
-    return BatchResult(master_seed=master_seed, stream_offset=stream_offset, record=rec, **out)
+    return BatchResult(**_run_batch(env, n, replicates, master_seed, record, populations,
+                                    threshold, threads, stream_offset))
 
 
 def simulate_walk_batch(
@@ -737,6 +738,5 @@ def simulate_walk_batch(
     bytes, which the batch draws generation by generation until its chunk
     turns quiet.
     """
-    rec, out = _run_batch(env, n, replicates, master_seed, record, 0, PROMOTION_THRESHOLD,
-                          threads, stream_offset)
-    return WalkBatch(master_seed=master_seed, stream_offset=stream_offset, record=rec, **out)
+    return WalkBatch(**_run_batch(env, n, replicates, master_seed, record, 0,
+                                  PROMOTION_THRESHOLD, threads, stream_offset))

@@ -308,8 +308,13 @@ def test_bad_probability_mass_exits_two(tmp_path, capsys):
         {"kind": "moments", "r": -1.0, "n_list": [2]},
         {"kind": "decay", "q": 0.0, "n_list": [2, 3, 4]},
         {"kind": "validate", "p": 1.0},
+        {"kind": "berry-esseen", "n_list": [4, 2], "x_grid": {"min": -1.0, "max": 1.0,
+                                                            "step": 1.0}},
+        {"kind": "moments", "r": 2.0, "n_list": [2, 2]},
+        {"kind": "decay", "q": 1.0, "n_list": [3, 2]},
     ],
-    ids=["moments-r", "decay-q", "validate-p"],
+    ids=["moments-r", "decay-q", "validate-p", "berry-esseen-unsorted",
+         "moments-repeated", "decay-unsorted"],
 )
 def test_failed_precondition_exits_two_without_traceback(tmp_path, doc):
     proc = _run_cli(tmp_path, {**doc, "environment": _env_doc(), "replicates": 50})

@@ -111,6 +111,12 @@ def test_rate_pipeline_unbiased_on_exact_normals():
     )
     for row in curve.rows:
         assert abs(row.dhat) <= 3.0 * row.se, f"x={row.x}"
+    # the reduction warns from the samples it is given
+    assert curve.warnings == ()
+    small = rate_curve_from_samples({16: samples[16][:500]}, [0.0], moments, e_log_w=0.0)
+    assert any("replicates=500 is below 10^4" in w for w in small.warnings)
+    with pytest.raises(ValueError, match="standardized must be ascending positive"):
+        rate_curve_from_samples({}, [0.0], moments, e_log_w=0.0)
 
 
 def test_rate_prediction_decomposes_into_curve_plus_edgeworth(env_a):
@@ -211,6 +217,10 @@ def test_generation_estimators_reject_non_integer_generations_before_simulating(
     for ns in ([2.7, 5], [True, 5]):
         with pytest.raises(ValueError, match="entry must be an integer"):
             run(env_a, ns)
+    # one rule with record: strictly ascending, neither sorted nor deduplicated
+    for ns in ([5, 2], [2, 2]):
+        with pytest.raises(ValueError, match="must be ascending"):
+            run(env_a, ns)
 
 
 def test_cdf_estimators_reject_empty_or_unsorted_grid_before_simulating(no_batch, env_a):
@@ -292,11 +302,15 @@ def test_elogw_jensen_without_immigration(env_a_pure):
     assert est.mean + 3.0 * est.se < 0.0
 
 
-def test_elogw_rejects_negative_horizon(env_a):
-    with pytest.raises(ValueError):
-        estimate_elogw(env_a, horizon=-1, replicates=100, master_seed=0)
-    with pytest.raises(ValueError, match="horizon must be an integer"):
-        estimate_elogw(env_a, horizon=2.5, replicates=100, master_seed=0)
+def test_elogw_rejects_negative_horizon(no_batch, env_a, env_a_pure):
+    for run in (
+        lambda h: estimate_elogw(env_a, horizon=h, replicates=100, master_seed=0),
+        lambda h: laplace_decay(env_a_pure, [1.0], h, 100, master_seed=0),
+    ):
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            run(-1)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            run(2.5)
 
 
 @pytest.mark.parametrize(
@@ -361,6 +375,8 @@ def test_berry_esseen_on_exact_normals_is_dkw_small():
         assert row.sup_dev < 0.015  # DKW scale ~ sqrt(log/R) ~ 0.009
         assert row.c_fit == pytest.approx(row.sup_dev * math.sqrt(row.n))
     assert result.warnings == ()
+    with pytest.raises(ValueError, match="standardized must be ascending positive"):
+        berry_esseen_sup_from_samples({}, grid)
 
 
 def test_berry_esseen_grid_warnings():
@@ -412,6 +428,9 @@ def test_laplace_decay_rejects_unsorted_grid(env_a_pure):
         laplace_decay(env_a_pure, [-1.0, 2.0], 5, 100, master_seed=0)
     with pytest.raises(ValueError, match="finite"):
         laplace_decay(env_a_pure, [1.0, math.nan], 5, 100, master_seed=0)
+    # no rows would make a bounded gate that passes on no data
+    with pytest.raises(ValueError, match="t_grid must have at least one point"):
+        laplace_decay(env_a_pure, [], 5, 100, master_seed=0)
 
 
 # ----------------------------------------------------------------- moments

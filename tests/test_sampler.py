@@ -193,6 +193,7 @@ def test_stream_rejects_out_of_range_keys():
             ({"master_seed": 1.5}, "master_seed must be an int"),
             ({"master_seed": True}, "master_seed must be an int"),
             ({"stream_offset": 2.9}, "stream_offset must be an int"),
+            ({"master_seed": np.float64(3.0)}, "master_seed must be an int"),
             ({"master_seed": -1}, "master_seed must be an unsigned 64-bit integer"),
             ({"master_seed": top}, "master_seed must be an unsigned 64-bit integer"),
             ({"stream_offset": -5}, "stream_offset must be nonnegative"),
@@ -202,6 +203,17 @@ def test_stream_rejects_out_of_range_keys():
                 run(env, 2, **{"replicates": 4, "master_seed": 3, **keys})
         # the largest keys still run
         run(env, 2, 4, master_seed=top - 1, stream_offset=top - 4)
+        # numpy integers pass as key words and are held as the same Python
+        # ints: np.uint64(top - 4) + 4 would wrap to 0 in the range check
+        for keys in ({"master_seed": np.int64(3)}, {"stream_offset": np.uint64(top - 4)}):
+            wide = run(env, 2, 4, **{"master_seed": 0, **keys})
+            plain = run(env, 2, 4, **{"master_seed": 0, **{k: int(v) for k, v in keys.items()}})
+            assert type(wide.master_seed) is int and type(wide.stream_offset) is int
+            assert (wide.master_seed, wide.stream_offset) == (plain.master_seed,
+                                                              plain.stream_offset)
+            assert wide.s.tobytes() == plain.s.tobytes()
+            if run is simulate_batch:
+                assert wide.log_z.tobytes() == plain.log_z.tobytes()
 
 
 def test_substream_is_a_seed_sequence_spawn_key():
