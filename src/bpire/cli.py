@@ -40,11 +40,15 @@ Exit codes:
   entries over the distinct immigration laws, a failed environment check,
   an unmet precondition of any experiment kind (such as a zero-variance
   environment in a rate experiment, an ``n_list`` that is not strictly
-  ascending, ``r <= 0`` for moments, ``q <= 0`` for decay, ``p <= 1`` for
-  validate, or ``replicates`` = 1 for a kind that reports a standard
-  error: rate, elogw, decay, laplace and moments), or an arithmetic
-  error in a run (such as a Laplace ``t = exp(x)``, or a decay or moments
-  mean of ``|.|^q`` or ``|.|^r`` or its SE, beyond the float range);
+  ascending, a laplace grid with fewer than two points ``t >= e``, a
+  moments ``n_list`` with fewer than two generations ``n >= 10`` or a
+  berry-esseen ``n_list`` of one generation, each of which would leave a
+  gate with nothing to compare, ``r <= 0`` for moments, ``q <= 0`` for
+  decay, ``p <= 1`` for validate, or ``replicates`` = 1 for a kind that
+  reports a standard error: rate, elogw, decay, laplace and moments), or
+  an arithmetic error in a run (such as a Laplace ``t = exp(x)``, or a
+  decay or moments mean of ``|.|^q`` or ``|.|^r`` or its SE, beyond the
+  float range);
 * 3 -- statistics inconclusive or a statistical gate failed (decay SE gate,
   decay CI including 1, unstable Berry-Esseen constant, exploding Laplace
   column, unbounded moment ratio);
@@ -87,6 +91,7 @@ from .env_model import (
 from .analytics import hypothesis_report
 from .mc_verify import (
     ElogWConfig,
+    _generations,
     berry_esseen_sup,
     clt_rate_experiment,
     estimate_elogw,
@@ -472,7 +477,10 @@ _KINDS: dict[str, Kind] = {
     ),
     "decay": Kind(
         ("n_list",),
-        lambda cfg: increment_decay(q=cfg.q, n_range=cfg.n_list, **_common_args(cfg)),
+        # the estimator's n_range is the config's n_list: check it by the
+        # estimator's rule under the config's name
+        lambda cfg: increment_decay(q=cfg.q, n_range=_generations(cfg.n_list, 0, "n_list"),
+                                    **_common_args(cfg)),
         (
             Csv("decay.csv", "n,estimate,se,qualifies"),
             Csv(

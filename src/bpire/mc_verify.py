@@ -7,10 +7,19 @@ are deterministic functions of ``(environment, parameters, master_seed)``;
 standardisation always uses the analytic ``mu`` and ``sigma`` of the
 environment, never sample moments.
 
+No estimator holds the rows of a batch: it runs its batch through
+:func:`bpire.trajectory.reduce_batch`, and each chunk reduces its own rows
+where it runs.  The CDF estimators keep counts: a chunk standardises its
+rows and counts them at each grid point, and the counts of all chunks sum
+to those of one sort of the whole batch.  The mean estimators keep the
+rows of ``log W = log Z - S`` at the generations they read, and nothing
+else.
+
 Inputs are checked before any batch runs: generations by the rule of a
-batch's ``record``, grids as nonempty, finite and ascending.  The CDF
-estimators share one pass over ``F_hat_n - Phi``, whose reductions compute
-their own warnings.
+batch's ``record``, grids as nonempty, finite and ascending, and every gate
+has at least two values to compare.  One pass turns counts into ``F_hat_n -
+Phi`` for the CDF estimators and for the reductions of given samples,
+which compute their own warnings.
 
 Results and their rows are ``NamedTuple`` records, and a row record is its
 CSV row: the fields of ``RatePoint``, ``DecayRow``, ``BerryEsseenRow`` and
@@ -28,7 +37,7 @@ import numpy as np
 from .analytics import edgeworth_q, limit_curve, std_normal_cdf, std_normal_pdf
 from .env_model import EnvironmentModel, MomentSummary, log_mean_moments
 from .sampler import PROMOTION_THRESHOLD
-from .trajectory import as_int, simulate_batch, simulate_walk_batch
+from .trajectory import Reduction, as_int, reduce_batch
 
 #: 99% two-sided normal quantile used for every binomial confidence interval:
 #: ``scipy.special.ndtri(0.995)`` to the last bit, written out so that
@@ -129,21 +138,28 @@ def _grid(grid: Sequence[float], name: str) -> np.ndarray:
     return grid_arr
 
 
-def empirical_cdf(samples: np.ndarray, grid: Sequence[float]) -> EmpiricalCdf:
-    """``F_hat(x) = #{samples <= x} / R`` for each grid point.
+def _count(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``#{samples <= x}`` for each point x of the ascending ``grid``: one
+    sort plus a vectorised merge."""
+    return np.searchsorted(np.sort(samples), grid, side="right")
 
-    One sort plus a vectorised merge; grid must be nonempty and sorted
-    ascending.
-    """
+
+def _cdf(counts: np.ndarray, replicates: int, grid: np.ndarray) -> EmpiricalCdf:
+    """The empirical CDF of ``replicates`` samples of which ``counts`` lie at
+    or below each point of ``grid``."""
+    values = counts / replicates
+    ci = Z_99 * np.sqrt(values * (1.0 - values) / replicates)
+    return EmpiricalCdf(grid=grid, values=values, replicates=replicates, ci_halfwidth=ci)
+
+
+def empirical_cdf(samples: np.ndarray, grid: Sequence[float]) -> EmpiricalCdf:
+    """``F_hat(x) = #{samples <= x} / R`` for each grid point; grid must be
+    nonempty and sorted ascending."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("empirical_cdf requires a nonempty sample")
     grid_arr = _grid(grid, "grid")
-    r = samples.size
-    ordered = np.sort(samples)
-    values = np.searchsorted(ordered, grid_arr, side="right") / r
-    ci = Z_99 * np.sqrt(values * (1.0 - values) / r)
-    return EmpiricalCdf(grid=grid_arr, values=values, replicates=r, ci_halfwidth=ci)
+    return _cdf(_count(samples, grid_arr), samples.size, grid_arr)
 
 
 class RatePoint(NamedTuple):
@@ -173,14 +189,22 @@ class RateCurve(NamedTuple):
         raise KeyError((x, n))
 
 
-def _deviations(standardized: Mapping[int, np.ndarray], grid: np.ndarray
+def _sample_cdfs(standardized: Mapping[int, np.ndarray], grid: np.ndarray
+                 ) -> dict[int, EmpiricalCdf]:
+    """The empirical CDF on the checked ``grid`` of each sample of
+    ``standardized``."""
+    return {n: empirical_cdf(samples, grid) for n, samples in standardized.items()}
+
+
+def _deviations(cdfs: Mapping[int, EmpiricalCdf], grid: np.ndarray
                 ) -> Iterator[tuple[int, EmpiricalCdf, np.ndarray]]:
-    """``(n, cdf, F_hat_n - Phi)`` on the checked ``grid`` for each key n of
-    ``standardized``, ascending and checked as generations; Phi is computed once."""
+    """``(n, cdf, F_hat_n - Phi)`` for each key n of ``cdfs``, ascending and
+    checked as generations, where every cdf is on ``grid``; Phi is computed
+    once.  The one pass from counts (over R, by :func:`_cdf`) to deviations,
+    for the CDF estimators and for the reductions of given samples."""
     phi = np.array([std_normal_cdf(float(x)) for x in grid])
-    for n in _generations(sorted(standardized), 1, "standardized"):
-        cdf = empirical_cdf(standardized[n], grid)
-        yield n, cdf, cdf.values - phi
+    for n in _generations(sorted(cdfs), 1, "standardized"):
+        yield n, cdfs[n], cdfs[n].values - phi
 
 
 def rate_curve_from_samples(
@@ -196,8 +220,15 @@ def rate_curve_from_samples(
     This is also the self-test entry point: exact standard normal samples
     must produce ``dhat`` compatible with 0 at every grid point.
     """
+    x_grid = _grid(x_grid, "x_grid")
+    return _rate_curve(_sample_cdfs(standardized, x_grid), x_grid, moments, e_log_w, e_log_w_se)
+
+
+def _rate_curve(cdfs: Mapping[int, EmpiricalCdf], x_grid: np.ndarray, moments: MomentSummary,
+                e_log_w: float, e_log_w_se: float) -> RateCurve:
+    """The rows of a rate curve from the empirical CDFs on ``x_grid`` per n."""
     rows: list[RatePoint] = []
-    for n, cdf, dev in _deviations(standardized, _grid(x_grid, "x_grid")):
+    for n, cdf, dev in _deviations(cdfs, x_grid):
         sqrt_n = math.sqrt(n)
         for x, fhat, d in zip(cdf.grid.tolist(), cdf.values.tolist(), dev.tolist()):
             rows.append(
@@ -210,7 +241,7 @@ def rate_curve_from_samples(
                     q_only=edgeworth_q(x, moments),
                 )
             )
-    low = min(np.size(samples) for samples in standardized.values())
+    low = min(cdf.replicates for cdf in cdfs.values())
     warnings = () if low >= 10**4 else (
         f"replicates={low} is below 10^4; binomial confidence "
         "intervals on dhat are too wide for rate comparisons",
@@ -228,15 +259,41 @@ def _standardize(values: np.ndarray, n: int, moments: MomentSummary) -> np.ndarr
     return (values - n * moments.mu) / (math.sqrt(n) * moments.sigma)
 
 
-def _standardized_log_z(env: EnvironmentModel, moments: MomentSummary, ns: list[int],
-                        replicates: int, master_seed: int, threads: int, threshold: int
-                        ) -> dict[int, np.ndarray]:
-    """The standardised ``log Z_n`` of one batch at each generation of
-    ``ns``; the batch is released on return, before any later batch runs
-    (and forks its chunk workers)."""
-    batch = simulate_batch(env, ns[-1], replicates, master_seed, record=tuple(ns),
-                           threads=threads, threshold=threshold)
-    return {n: _standardize(batch.log_z_at(n), n, moments) for n in ns}
+def _batch_cdfs(env: EnvironmentModel, moments: MomentSummary, ns: list[int], grid: np.ndarray,
+                replicates: int, master_seed: int, threads: int,
+                threshold: int = PROMOTION_THRESHOLD, populations: int = 1
+                ) -> dict[int, EmpiricalCdf]:
+    """The empirical CDF on ``grid`` of the standardised ``log Z_n`` (of
+    ``S_n`` with ``populations`` 0) of one batch at each generation n of
+    ``ns``.  Each chunk standardises its own rows and counts them at each
+    grid point; the counts of all chunks sum to those of one sort of the
+    whole batch, so no row outlives its chunk."""
+    name = "log_z" if populations else "s"
+
+    def count(rows: dict[str, np.ndarray], views: dict[str, np.ndarray]) -> None:
+        for i, n in enumerate(ns):
+            views["counts"][i] = _count(_standardize(rows[name][i], n, moments), grid)
+
+    counts = reduce_batch(env, ns[-1], replicates, master_seed, ns,
+                          Reduction(count, {}, {"counts": (len(ns), len(grid))}), populations,
+                          threshold, threads)["counts"].sum(axis=0)
+    return {n: _cdf(counts[i], int(replicates), grid) for i, n in enumerate(ns)}
+
+
+def _log_w(env: EnvironmentModel, record: Sequence[int], replicates: int, master_seed: int,
+           threads: int, threshold: int, stream_offset: int = 0) -> dict[int, np.ndarray]:
+    """``log W_n = log Z_n - S_n`` of one batch at each generation n of the
+    checked ``record``, by the subtraction of
+    :meth:`bpire.trajectory.BatchResult.log_w_at`: each chunk simulates its
+    ``log Z`` rows straight into the batch's output and subtracts its own
+    ``S`` rows there, so that output holds ``log W``."""
+    def subtract_s(rows: dict[str, np.ndarray], views: dict[str, np.ndarray]) -> None:
+        np.subtract(rows["log_z"], rows["s"], out=rows["log_z"])
+
+    log_w = reduce_batch(env, record[-1], replicates, master_seed, record,
+                         Reduction(subtract_s, {"log_z": len(record)}), threshold=threshold,
+                         threads=threads, stream_offset=stream_offset)["log_z"]
+    return dict(zip(record, log_w))
 
 
 def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
@@ -333,19 +390,11 @@ def estimate_elogw(
     horizon bias at the observable level.
     """
     horizon = _horizon(horizon)
-    batch = simulate_batch(
-        env,
-        horizon + 1,
-        replicates,
-        master_seed,
-        record=(horizon, horizon + 1),
-        threads=threads,
-        stream_offset=stream_offset,
-        threshold=threshold,
-    )
-    w_n = batch.log_w_at(horizon)
+    log_w = _log_w(env, (horizon, horizon + 1), replicates, master_seed, threads, threshold,
+                   stream_offset)
+    w_n = log_w[horizon]
     mean, se = _mean_se(w_n)
-    increment_estimate, increment_se = _mean_se(np.abs(batch.log_w_at(horizon + 1) - w_n))
+    increment_estimate, increment_se = _mean_se(np.abs(log_w[horizon + 1] - w_n))
     return ElogWEstimate(
         mean=mean,
         se=se,
@@ -375,8 +424,7 @@ def clt_rate_experiment(
     function of ``(env, parameters, master_seed)``.
     """
     moments, ns, x_grid = _cdf_inputs(env, "clt_rate_experiment", n_list, x_grid, "x_grid")
-    standardized = _standardized_log_z(env, moments, ns, replicates, master_seed, threads,
-                                       threshold)
+    cdfs = _batch_cdfs(env, moments, ns, x_grid, replicates, master_seed, threads, threshold)
     elogw = estimate_elogw(
         env,
         horizon=e_log_w_config.horizon,
@@ -386,13 +434,7 @@ def clt_rate_experiment(
         threads=threads,
         threshold=threshold,
     )
-    return rate_curve_from_samples(
-        standardized,
-        x_grid,
-        moments,
-        e_log_w=elogw.mean,
-        e_log_w_se=elogw.se,
-    )
+    return _rate_curve(cdfs, x_grid, moments, elogw.mean, elogw.se)
 
 
 def walk_oracle_rate(
@@ -411,11 +453,9 @@ def walk_oracle_rate(
     curve isolates the ``-pdf(x) E log W / sigma`` contribution.
     """
     moments, ns, x_grid = _cdf_inputs(env, "walk_oracle_rate", n_list, x_grid, "x_grid")
-    batch = simulate_walk_batch(
-        env, ns[-1], replicates, master_seed, record=tuple(ns), threads=threads
-    )
-    standardized = {n: _standardize(batch.s_at(n), n, moments) for n in ns}
-    return rate_curve_from_samples(standardized, x_grid, moments, e_log_w=0.0, e_log_w_se=0.0)
+    cdfs = _batch_cdfs(env, moments, ns, x_grid, replicates, master_seed, threads,
+                       populations=0)
+    return _rate_curve(cdfs, x_grid, moments, 0.0, 0.0)
 
 
 class DecayRow(NamedTuple):
@@ -475,19 +515,11 @@ def increment_decay(
     if not (q > 0.0):
         raise ValueError(f"q must be positive, got {q}")
     ns = _generations(n_range, 0, "n_range")
-    record = sorted({n for n in ns} | {n + 1 for n in ns})
-    batch = simulate_batch(
-        env,
-        record[-1],
-        replicates,
-        master_seed,
-        record=tuple(record),
-        threads=threads,
-        threshold=threshold,
-    )
+    log_w = _log_w(env, sorted({n for n in ns} | {n + 1 for n in ns}), replicates, master_seed,
+                   threads, threshold)
     rows: list[DecayRow] = []
     for n in ns:
-        est, se = _power_mean_se(batch.log_w_at(n + 1) - batch.log_w_at(n), q,
+        est, se = _power_mean_se(log_w[n + 1] - log_w[n], q,
                                  "E|log W_(n+1) - log W_n|^q", "q", n)
         rows.append(DecayRow(n=n, estimate=est, se=se, qualifies=est > 5.0 * se))
 
@@ -558,10 +590,16 @@ def berry_esseen_sup_from_samples(
     grid: Sequence[float],
 ) -> BerryEsseenResult:
     """Reduction from standardised samples; also the normal self-test path."""
-    grid_arr = _grid(grid, "grid")
-    warnings = _grid_warnings(grid_arr)
+    grid = _grid(grid, "grid")
+    return _berry_esseen(_sample_cdfs(standardized, grid), grid)
+
+
+def _berry_esseen(cdfs: Mapping[int, EmpiricalCdf], grid: np.ndarray) -> BerryEsseenResult:
+    """The sup-distance rows and constants from the empirical CDFs on
+    ``grid`` per n, with the warnings of the grid."""
+    warnings = _grid_warnings(grid)
     rows: list[BerryEsseenRow] = []
-    for n, cdf, dev in _deviations(standardized, grid_arr):
+    for n, cdf, dev in _deviations(cdfs, grid):
         dev = np.abs(dev)
         i = int(np.argmax(dev))
         fhat = float(cdf.values[i])
@@ -593,10 +631,16 @@ def berry_esseen_sup(
 ) -> BerryEsseenResult:
     """Sup-norm distance of the standardised ``log Z_n`` CDF from the
     normal, per n, with the implied constants ``sup * sqrt(n)`` and their
-    stability across ``n_list`` (within a factor 2)."""
+    stability across ``n_list`` (within a factor 2), which takes at least
+    two generations."""
     moments, ns, grid = _cdf_inputs(env, "berry_esseen_sup", n_list, grid, "grid")
-    return berry_esseen_sup_from_samples(
-        _standardized_log_z(env, moments, ns, replicates, master_seed, threads, threshold), grid
+    if len(ns) < 2:
+        raise ValueError(
+            "n_list must have at least two generations: the stability of the constants "
+            f"compares them across n, got {ns}"
+        )
+    return _berry_esseen(
+        _batch_cdfs(env, moments, ns, grid, replicates, master_seed, threads, threshold), grid
     )
 
 
@@ -643,9 +687,9 @@ def laplace_decay(
     the limit; this is a sanity check on orders of magnitude, not an
     estimate of the true transform.  The claim being spot-checked is an
     upper bound -- ``(log t)^r * phi(t)`` stays bounded -- so the flag
-    tests for explosion: the weighted column over rows with ``t >= e`` may
-    not rise above 10 times its first value (with 3 SE slack each side).
-    A column that *decays* across the grid passes, as it should.
+    tests for explosion: the weighted column over rows with ``t >= e``, at
+    least two, may not rise above 10 times its first value (with 3 SE slack
+    each side).  A column that *decays* across the grid passes, as it should.
     """
     if env.has_immigration():
         raise ValueError(
@@ -656,11 +700,13 @@ def laplace_decay(
     if ts[0] < 0.0:
         raise ValueError(f"t_grid must be nonnegative, got {ts[0]}")
     horizon = _horizon(horizon)
-    batch = simulate_batch(
-        env, horizon, replicates, master_seed, record=(horizon,), threads=threads,
-        threshold=threshold,
-    )
-    w = np.exp(batch.log_w_at(horizon))
+    points = sum(t >= math.e for t in ts)
+    if points < 2:
+        raise ValueError(
+            "t_grid must have at least two points t >= e, which the boundedness check "
+            f"compares, got {points}"
+        )
+    w = np.exp(_log_w(env, (horizon,), replicates, master_seed, threads, threshold)[horizon])
     rows: list[LaplaceRow] = []
     for t in ts:
         phi_hat, se = _mean_se(np.exp(-t * w))
@@ -672,15 +718,11 @@ def laplace_decay(
         for row in rows
         if row.t >= math.e
     ]
-    if len(checked) >= 2:
-        hi, hi_se = max(checked)
-        lo, _ = min(checked)
-        first, first_se = checked[0]
-        ratio = math.inf if lo <= 0.0 else hi / lo
-        bounded = (hi - 3.0 * hi_se) <= 10.0 * (first + 3.0 * first_se)
-    else:
-        ratio = 1.0
-        bounded = True
+    hi, hi_se = max(checked)
+    lo, _ = min(checked)
+    first, first_se = checked[0]
+    ratio = math.inf if lo <= 0.0 else hi / lo
+    bounded = (hi - 3.0 * hi_se) <= 10.0 * (first + 3.0 * first_se)
     return LaplaceResult(rows=tuple(rows), r=r, bounded=bounded, ratio=ratio)
 
 
@@ -716,24 +758,23 @@ def moment_stability(
     threads: int = 1,
     threshold: int = PROMOTION_THRESHOLD,
 ) -> MomentStabilityResult:
-    """Per-n estimates of ``E |log W_n|^r`` with a stability flag."""
+    """Per-n estimates of ``E |log W_n|^r`` with a stability flag, which
+    compares at least two generations ``n >= 10``."""
     if not (r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     ns = _generations(n_list, 0, "n_list")
-    batch = simulate_batch(
-        env, ns[-1], replicates, master_seed,
-        record=tuple(ns), threads=threads, threshold=threshold,
-    )
-    rows = [MomentRow(n, *_power_mean_se(batch.log_w_at(n), r, "E|log W_n|^r", "r", n))
-            for n in ns]
+    compared = sum(n >= 10 for n in ns)
+    if compared < 2:
+        raise ValueError(
+            "n_list must have at least two generations n >= 10, which the stability check "
+            f"compares, got {compared}"
+        )
+    log_w = _log_w(env, ns, replicates, master_seed, threads, threshold)
+    rows = [MomentRow(n, *_power_mean_se(log_w[n], r, "E|log W_n|^r", "r", n)) for n in ns]
     tail = [row for row in rows if row.n >= 10]
-    if len(tail) >= 2:
-        hi = max(tail, key=lambda row: row.estimate)
-        lo = min(tail, key=lambda row: row.estimate)
-        denom = lo.estimate + 3.0 * lo.se
-        ratio = math.inf if denom <= 0.0 else (hi.estimate - 3.0 * hi.se) / denom
-        bounded = ratio <= 2.0
-    else:
-        ratio = 1.0
-        bounded = True
+    hi = max(tail, key=lambda row: row.estimate)
+    lo = min(tail, key=lambda row: row.estimate)
+    denom = lo.estimate + 3.0 * lo.se
+    ratio = math.inf if denom <= 0.0 else (hi.estimate - 3.0 * hi.se) / denom
+    bounded = ratio <= 2.0
     return MomentStabilityResult(r=r, rows=tuple(rows), bounded=bounded, ratio=ratio)

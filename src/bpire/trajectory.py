@@ -76,6 +76,17 @@ additivity of the aggregated offspring laws has exactly the
 branching-with-immigration distribution while guaranteeing ``Zbar <= Z``
 pathwise in both exact and log-space regimes (the log-space combination is
 ``logaddexp``, which never falls below either argument).
+
+Reductions
+----------
+What a batch keeps of its chunks is a :class:`Reduction`.  The identity,
+which :func:`simulate_batch` and :func:`simulate_walk_batch` run, keeps
+every recorded row: each chunk simulates straight into its columns of the
+batch arrays.  Any other reduction, run by :func:`reduce_batch`, lets each
+chunk simulate into rows of its own and reduce them where it runs, in the
+caller or in a forked worker, to its share of small outputs: its columns
+of derived rows, or its slot of per-chunk counts.  The draws are the same
+either way.
 """
 
 from __future__ import annotations
@@ -85,7 +96,7 @@ import operator
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator
@@ -580,21 +591,43 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, replicates: int,
-                stream_offset: int, threads: int) -> dict[str, np.ndarray]:
-    """Partition ``replicates`` columns into fixed-size chunks, fill the
-    batch arrays ``names`` of ``rows`` rows with :func:`_simulate_chunk`,
-    given its ``static_args``, and return them.  The partition and the
-    chunk keys do not depend on ``threads``, so neither do the arrays.
+class Reduction(NamedTuple):
+    """What a batch keeps of each chunk.
+
+    ``columns`` names float64 outputs with one column per replicate and
+    gives their row counts; ``slots`` names int64 outputs with one slot per
+    chunk, in stream order, and gives the shape of a slot.  A chunk first
+    simulates its recorded rows, keyed as :func:`_simulate_chunk` writes
+    them: a row named as a ``columns`` output straight into the chunk's
+    columns of that output, any other into an array of the chunk's own.
+    Then ``reduce(rows, views)``, unless it is ``None``, writes the chunk's
+    share of each output into ``views``: its columns of a ``columns``
+    output, which it may rewrite in place, and its slot of a ``slots``
+    output.  The identity keeps every recorded row: no ``reduce``, and a
+    ``columns`` output for each row."""
+
+    reduce: Callable[[dict[str, np.ndarray], dict[str, np.ndarray]], None] | None
+    columns: Mapping[str, int]
+    slots: Mapping[str, tuple[int, ...]] = {}
+
+
+def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, reduction: Reduction,
+                replicates: int, stream_offset: int, threads: int) -> dict[str, np.ndarray]:
+    """Partition ``replicates`` columns into fixed-size chunks, simulate the
+    recorded rows ``names`` (``rows`` each) of every chunk with
+    :func:`_simulate_chunk`, given its ``static_args``, reduce them by
+    ``reduction`` and return its outputs.  The partition and the chunk keys
+    do not depend on ``threads``, so neither do the outputs.
 
     There are W = ``min(threads or C, C, chunks)`` workers, C the CPUs
     this process may run on (its affinity mask where the OS reports one),
     or one without ``os.fork``.  Worker w runs chunks w, w + W, ... in
     stream order, up to the first that raises.  The caller is worker 0.
-    Every other worker is a forked child: it writes its columns straight
-    into the arrays, which then lie in one anonymous shared mapping, pipes
-    its failure, if any, to the caller pickled, and leaves by ``os._exit``.
-    So each row is held once, and nothing is copied back.
+    Every other worker is a forked child: it writes its share of the
+    outputs straight into them, which then lie in one anonymous shared
+    mapping, pipes its failure, if any, to the caller pickled, and leaves
+    by ``os._exit``.  So each output is held once, and nothing is copied
+    back; the rows a chunk holds of its own live only while it runs.
 
     The caller then reads and reaps each child, and raises the error of the
     earliest failing chunk in stream order; a child that leaves no report
@@ -604,24 +637,32 @@ def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, replicate
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(threads or cpus, cpus, len(starts)) if hasattr(os, "fork") else 1
+    shapes = {**{name: ((k, replicates), np.float64) for name, k in reduction.columns.items()},
+              **{name: ((len(starts), *slot), np.int64) for name, slot in reduction.slots.items()}}
     if workers == 1:
-        out = {name: np.empty((rows, replicates)) for name in names}
+        out = {name: np.empty(shape, dtype) for name, (shape, dtype) in shapes.items()}
     else:  # only a batch that forks loads these
         import mmap
         import signal
 
-        size = rows * replicates
-        mapping = mmap.mmap(-1, max(1, 8 * size * len(names)))  # no empty mapping exists
-        out = {name: np.frombuffer(mapping, count=size, offset=8 * size * i)
-               .reshape(rows, replicates) for i, name in enumerate(names)}
+        sizes = [math.prod(shape) for shape, _ in shapes.values()]
+        mapping = mmap.mmap(-1, max(1, 8 * sum(sizes)))  # no empty mapping exists
+        offsets = np.cumsum([0] + sizes).tolist()
+        out = {name: np.frombuffer(mapping, dtype, count=size, offset=8 * offset).reshape(shape)
+               for (name, (shape, dtype)), size, offset in zip(shapes.items(), sizes, offsets)}
 
     def run(worker: int) -> list[tuple[int, Exception]]:
         for c in range(worker, len(starts), workers):
             start = starts[c]
             cnt = min(_CHUNK, replicates - start)
+            views = {name: out[name][:, start:start + cnt] for name in reduction.columns}
+            views.update((name, out[name][c]) for name in reduction.slots)
+            recorded = {name: views[name] if name in reduction.columns else np.empty((rows, cnt))
+                        for name in names}
             try:
-                _simulate_chunk(stream_offset + start, cnt, *static_args,
-                                {k: v[:, start:start + cnt] for k, v in out.items()})
+                _simulate_chunk(stream_offset + start, cnt, *static_args, recorded)
+                if reduction.reduce is not None:
+                    reduction.reduce(recorded, views)
             except Exception as exc:
                 return [(c, exc)]
         return []
@@ -669,20 +710,45 @@ def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, replicate
 
 def _run_batch(env: EnvironmentModel, n: int, replicates: int, master_seed: int,
                record: Sequence[int] | None, populations: int, threshold: int, threads: int,
-               stream_offset: int) -> dict:
+               stream_offset: int, reduction: Reduction | None = None
+               ) -> tuple[int, int, tuple[int, ...], dict[str, np.ndarray]]:
     """Check the arguments of a batch with ``populations`` populations (see
-    :func:`_simulate_chunk`), run its chunks and return the fields of its
-    result: the key words, the recorded generations and the output arrays.
-    The walk alone builds only its :class:`_Walk`, not the immigration
-    tables of :class:`_EnvTables`."""
+    :func:`_simulate_chunk`), run its chunks, reduced by ``reduction``
+    (default: the identity), and return the key words, the recorded
+    generations and the outputs.  The walk alone builds only its
+    :class:`_Walk`, not the immigration tables of :class:`_EnvTables`."""
     master_seed, stream_offset, rec = _check_batch(n, replicates, master_seed, stream_offset,
                                                    record, threads, threshold)
     tab = _EnvTables(env) if populations else None
     walk = _Walk(env) if tab is None else tab.walk
-    out = _run_chunks((walk, tab, master_seed, rec, populations, threshold),
-                      ("s", "log_z", "log_zbar")[:populations + 1], len(rec), replicates,
+    names = ("s", "log_z", "log_zbar")[:populations + 1]
+    out = _run_chunks((walk, tab, master_seed, rec, populations, threshold), names, len(rec),
+                      reduction or Reduction(None, dict.fromkeys(names, len(rec))), replicates,
                       stream_offset, threads)
-    return dict(master_seed=master_seed, stream_offset=stream_offset, record=rec, **out)
+    return master_seed, stream_offset, rec, out
+
+
+def reduce_batch(
+    env: EnvironmentModel,
+    n: int,
+    replicates: int,
+    master_seed: int,
+    record: Sequence[int] | None,
+    reduction: Reduction,
+    populations: int = 1,
+    threshold: int = PROMOTION_THRESHOLD,
+    threads: int = 1,
+    stream_offset: int = 0,
+) -> dict[str, np.ndarray]:
+    """The outputs of ``reduction`` over the batch of :func:`simulate_walk_batch`
+    (``populations`` 0) or :func:`simulate_batch` (1; 2 when coupled), with
+    the same arguments, chunks and draws.  Each chunk reduces its own
+    recorded rows -- ``s``, ``log_z`` and, when coupled, ``log_zbar`` --
+    where it runs, so no worker ever holds the rows of the whole batch."""
+    if populations not in (0, 1, 2):
+        raise ValueError(f"populations must be 0, 1 or 2, got {populations!r}")
+    return _run_batch(env, n, replicates, master_seed, record, populations, threshold, threads,
+                      stream_offset, reduction)[-1]
 
 
 def simulate_batch(
@@ -717,8 +783,9 @@ def simulate_batch(
     access.
     """
     populations = 2 if couple_no_immigration else 1
-    return BatchResult(**_run_batch(env, n, replicates, master_seed, record, populations,
-                                    threshold, threads, stream_offset))
+    *keys, out = _run_batch(env, n, replicates, master_seed, record, populations, threshold,
+                            threads, stream_offset)
+    return BatchResult(*keys, **out)
 
 
 def simulate_walk_batch(
@@ -738,5 +805,6 @@ def simulate_walk_batch(
     bytes, which the batch draws generation by generation until its chunk
     turns quiet.
     """
-    return WalkBatch(**_run_batch(env, n, replicates, master_seed, record, 0,
-                                  PROMOTION_THRESHOLD, threads, stream_offset))
+    *keys, out = _run_batch(env, n, replicates, master_seed, record, 0, PROMOTION_THRESHOLD,
+                            threads, stream_offset)
+    return WalkBatch(*keys, **out)

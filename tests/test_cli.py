@@ -247,6 +247,45 @@ def test_unknown_key_exits_one(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def _atom0(**fields) -> dict:
+    """``_VALIDATE_DOC`` with ``fields`` set on its first atom."""
+    env = _env_doc()
+    env["atoms"][0].update(fields)
+    return {**_VALIDATE_DOC, "environment": env}
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[1, 2]", "config root must be a JSON object"),
+        (json.dumps({**_VALIDATE_DOC, "environment": []}), "environment must be an object"),
+        (json.dumps({**_VALIDATE_DOC, "x_grid": 3}), "config.x_grid must be an object"),
+        (json.dumps({**_VALIDATE_DOC, "environment": {"atoms": [1]}}),
+         "environment.atoms[0] must be an object"),
+        (json.dumps(_atom0(prob="half")), "environment.atoms[0].prob must be a number"),
+        (json.dumps(_atom0(prob=math.nan)), "environment.atoms[0].prob must be a finite number"),
+        (json.dumps(_atom0(offspring={"kind": "binomial", "lam": 1.0})),
+         "environment.atoms[0].offspring.kind must be"),
+        (json.dumps({**_VALIDATE_DOC, "environment": {"atoms": []}}),
+         "environment.atoms must be a nonempty array"),
+        (json.dumps({**_VALIDATE_DOC, "n_list": []}), "config.n_list must be a nonempty array"),
+        (json.dumps({**_VALIDATE_DOC, "kind": "moments"}),
+         "config.n_list is required for kind 'moments'"),
+        ('{"kind": "validate",', "malformed JSON at line 1"),
+    ],
+    ids=["non-object-root", "non-object-environment", "non-object-grid", "non-object-atom",
+         "non-number", "non-finite", "unknown-law-kind", "empty-atoms", "empty-n-list",
+         "missing-required-field", "bad-json"],
+)
+def test_parser_refusal_exits_one_without_traceback(tmp_path, capsys, text, named):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert "Traceback" not in err
+
+
 def test_degenerate_variance_exits_two_naming_requirement(tmp_path, capsys):
     doc = {
         "kind": "rate",
@@ -302,24 +341,36 @@ def test_bad_probability_mass_exits_two(tmp_path, capsys):
     assert "prob_sum" in capsys.readouterr().err
 
 
+_UNIT_GRID = {"min": -1.0, "max": 1.0, "step": 1.0}
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, named",
     [
-        {"kind": "moments", "r": -1.0, "n_list": [2]},
-        {"kind": "decay", "q": 0.0, "n_list": [2, 3, 4]},
-        {"kind": "validate", "p": 1.0},
-        {"kind": "berry-esseen", "n_list": [4, 2], "x_grid": {"min": -1.0, "max": 1.0,
-                                                            "step": 1.0}},
-        {"kind": "moments", "r": 2.0, "n_list": [2, 2]},
-        {"kind": "decay", "q": 1.0, "n_list": [3, 2]},
+        ({"kind": "moments", "r": -1.0, "n_list": [2]}, "r must be positive"),
+        ({"kind": "decay", "q": 0.0, "n_list": [2, 3, 4]}, "q must be positive"),
+        ({"kind": "validate", "p": 1.0}, "p must exceed 1"),
+        ({"kind": "berry-esseen", "n_list": [4, 2], "x_grid": _UNIT_GRID}, "n_list must be"),
+        ({"kind": "moments", "r": 2.0, "n_list": [2, 2]}, "n_list must be ascending"),
+        ({"kind": "decay", "q": 1.0, "n_list": [3, 2]}, "n_list must be ascending"),
+        # gates that would pass on no data
+        ({"kind": "moments", "r": 2.0, "n_list": [2, 10]}, "two generations n >= 10"),
+        ({"kind": "laplace", "x_grid": {"min": 0.0, "max": 1.0, "step": 0.5}},
+         "two points t >= e"),
+        ({"kind": "berry-esseen", "n_list": [4], "x_grid": _UNIT_GRID}, "two generations"),
     ],
     ids=["moments-r", "decay-q", "validate-p", "berry-esseen-unsorted",
-         "moments-repeated", "decay-unsorted"],
+         "moments-repeated", "decay-unsorted", "moments-one-generation-from-10",
+         "laplace-one-point-from-e", "berry-esseen-one-generation"],
 )
-def test_failed_precondition_exits_two_without_traceback(tmp_path, doc):
-    proc = _run_cli(tmp_path, {**doc, "environment": _env_doc(), "replicates": 50})
+def test_failed_precondition_exits_two_without_traceback(tmp_path, doc, named):
+    env = _env_doc("none" if doc["kind"] == "laplace" else "poisson")
+    proc = _run_cli(tmp_path, {**doc, "environment": env, "replicates": 50})
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert named in proc.stderr
+    # the config's key, not the estimator's argument
+    assert "n_range" not in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -379,7 +430,7 @@ def _with_lam(lam) -> dict:
             "overflows a double for q = 10000.0",
         ),
         (
-            {"kind": "moments", "r": 1000.0, "n_list": [1, 2], "replicates": 200},
+            {"kind": "moments", "r": 1000.0, "n_list": [10, 20], "replicates": 200},
             2,
             "overflows a double for r = 1000.0",
         ),
@@ -569,6 +620,10 @@ _KIND_DOCS = {
            "replicates": 200, "q": 1.0, "r": 3.0, "threads": 1}
     for kind in KINDS
 }
+# the moments and Laplace gates compare at least two generations n >= 10
+# and two points t >= e
+_KIND_DOCS["moments"]["n_list"] = [10, 12]
+_KIND_DOCS["laplace"]["x_grid"] = {"min": -1.0, "max": 2.0, "step": 1.0}
 
 
 #: Source, for a fresh interpreter, of ``watched()``: the loaded modules a run

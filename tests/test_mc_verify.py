@@ -3,7 +3,7 @@ decay/stability gates, determinism."""
 
 import math
 import time
-import weakref
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -26,10 +26,12 @@ from bpire import (
     moment_stability,
     rate_curve_from_samples,
     simulate_batch,
+    simulate_walk_batch,
     std_normal_pdf,
     walk_oracle_rate,
 )
 import bpire.mc_verify as mc_verify
+import bpire.trajectory as trajectory
 from bpire.mc_verify import _T_EXPANSION_DF, Z_99, ElogWConfig, _ols, student_t_99
 from conftest import make_env_a, make_skewed_env, without_immigration
 
@@ -190,8 +192,7 @@ def no_batch(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a batch ran before the arguments were checked")
 
-    for name in ("simulate_batch", "simulate_walk_batch"):
-        monkeypatch.setattr(mc_verify, name, refuse)
+    monkeypatch.setattr(mc_verify, "reduce_batch", refuse)
 
 
 def test_rate_estimators_reject_empty_n_list_before_simulating(no_batch, env_a):
@@ -233,6 +234,25 @@ def test_cdf_estimators_reject_empty_or_unsorted_grid_before_simulating(no_batch
             berry_esseen_sup(env_a, [4], 100, grid, master_seed=0)
         with pytest.raises(ValueError, match=f"grid must .*{message}"):
             berry_esseen_sup_from_samples({4: np.zeros(10)}, grid)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda env: laplace_decay(without_immigration(env), [0.0, 1.0, 2.0, math.e], 5, 100,
+                                   master_seed=0), "t_grid must have at least two points t >= e"),
+        (lambda env: moment_stability(env, 2.0, [0, 5, 10], 100, master_seed=0),
+         "n_list must have at least two generations n >= 10"),
+        (lambda env: berry_esseen_sup(env, [16], 100, [0.0], master_seed=0),
+         "n_list must have at least two generations"),
+    ],
+    ids=["laplace", "moments", "berry-esseen"],
+)
+def test_gates_refuse_inputs_they_cannot_compare_before_simulating(run, message, no_batch,
+                                                                   env_a):
+    # a gate over fewer than two values would pass on no data
+    with pytest.raises(ValueError, match=message):
+        run(env_a)
 
 
 def test_rate_experiment_requires_positive_variance():
@@ -320,9 +340,9 @@ def test_elogw_rejects_negative_horizon(no_batch, env_a, env_a_pure):
         lambda env: clt_rate_experiment(env, [0.0], [2], replicates=1, master_seed=0,
                                         e_log_w_config=ElogWConfig(horizon=2, replicates=1)),
         lambda env: increment_decay(env, q=1.0, n_range=[1, 2], replicates=1, master_seed=0),
-        lambda env: laplace_decay(without_immigration(env), [1.0, 3.0], horizon=2,
+        lambda env: laplace_decay(without_immigration(env), [3.0, 4.0], horizon=2,
                                   replicates=1, master_seed=0),
-        lambda env: moment_stability(env, r=2.0, n_list=[1, 2], replicates=1, master_seed=0),
+        lambda env: moment_stability(env, r=2.0, n_list=[10, 20], replicates=1, master_seed=0),
     ],
     ids=["elogw", "rate", "decay", "laplace", "moments"],
 )
@@ -437,7 +457,7 @@ def test_laplace_decay_rejects_unsorted_grid(env_a_pure):
 
 
 def test_moment_stability_generation_zero_exact(env_a):
-    result = moment_stability(env_a, 2.0, [0], 200, master_seed=0)
+    result = moment_stability(env_a, 2.0, [0, 10, 20], 200, master_seed=0)
     assert result.rows[0].estimate == 0.0
     assert result.rows[0].se == 0.0
 
@@ -476,22 +496,96 @@ def test_ols_matches_linregress_bitwise():
 
 
 def test_rate_experiment_releases_main_batch_before_elogw(monkeypatch, env_a):
-    # the main batch's rows are standardised and the batch dropped before
-    # the E log W batch runs
-    batches, alive = [], []
-    simulate, estimate = mc_verify.simulate_batch, mc_verify.estimate_elogw
+    # the main batch leaves only its counts, one slot per chunk, when the
+    # E log W batch runs; that batch leaves only its log W rows, which its
+    # chunks write over their log Z rows
+    monkeypatch.setattr(trajectory, "_CHUNK", 200)
+    outputs, seen = [], []
+    reduce, estimate = mc_verify.reduce_batch, mc_verify.estimate_elogw
 
     def recording(*args, **kwargs):
-        batch = simulate(*args, **kwargs)
-        batches.append(weakref.ref(batch))
-        return batch
+        outputs.append(reduce(*args, **kwargs))
+        return outputs[-1]
 
     def checking(*args, **kwargs):
-        alive.append(batches[0]() is not None)
+        seen.append({name: a.shape for out in outputs for name, a in out.items()})
         return estimate(*args, **kwargs)
 
-    monkeypatch.setattr(mc_verify, "simulate_batch", recording)
+    monkeypatch.setattr(mc_verify, "reduce_batch", recording)
     monkeypatch.setattr(mc_verify, "estimate_elogw", checking)
-    clt_rate_experiment(env_a, [0.0], [4, 8], 500, master_seed=3,
+    clt_rate_experiment(env_a, [-1.0, 0.0, 1.0], [4, 8], 500, master_seed=3,
                         e_log_w_config=ElogWConfig(horizon=4, replicates=500))
-    assert len(batches) == 2 and alive == [False]
+    assert seen == [{"counts": (3, 2, 3)}]
+    assert [{name: a.shape for name, a in out.items()} for out in outputs[1:]] == [
+        {"log_z": (2, 500)}]
+
+
+# ------------------------------------------------- chunk-local reductions
+
+
+@pytest.fixture
+def ragged_chunks(monkeypatch):
+    """Chunks of 64, so that 200 replicates are three full chunks and a
+    ragged one of 8, on three CPUs, so that threads = 3 forks two workers."""
+    monkeypatch.setattr(trajectory, "_CHUNK", 64)
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env_a_pure,
+                                                       threads):
+    # each chunk reduces its own rows; the results equal those of the whole
+    # batch's rows, reduced by the public functions and by _mean_se
+    r, seed, grid, ns = 200, 5, [-1.0, 0.0, 1.0], [4, 8]
+    moments = log_mean_moments(env_a)
+
+    def standardized(rows):
+        return {n: mc_verify._standardize(rows(n), n, moments) for n in ns}
+
+    batch = simulate_batch(env_a, 8, r, seed, record=ns)
+    walk = simulate_walk_batch(env_a, 8, r, seed, record=ns)
+    aside = simulate_batch(env_a, 5, r, seed, record=(4, 5),
+                           stream_offset=mc_verify.ELOGW_STREAM_OFFSET)
+    mean, se = mc_verify._mean_se(aside.log_w_at(4))
+    increment = mc_verify._mean_se(np.abs(aside.log_w_at(5) - aside.log_w_at(4)))
+
+    assert estimate_elogw(env_a, 4, r, seed, mc_verify.ELOGW_STREAM_OFFSET,
+                          threads) == (mean, se, 4, r, *increment)
+    assert clt_rate_experiment(env_a, grid, ns, r, seed, ElogWConfig(4, r), threads) == \
+        rate_curve_from_samples(standardized(batch.log_z_at), grid, moments, mean, se)
+    assert walk_oracle_rate(env_a, grid, ns, r, seed, threads) == \
+        rate_curve_from_samples(standardized(walk.s_at), grid, moments, 0.0)
+    assert berry_esseen_sup(env_a, ns, r, grid, seed, threads) == \
+        berry_esseen_sup_from_samples(standardized(batch.log_z_at), grid)
+
+    decay = simulate_batch(env_a, 4, r, seed, record=(2, 3, 4))
+    assert [row[1:3] for row in increment_decay(env_a, 1.0, [2, 3], r, seed, threads).rows] == [
+        mc_verify._power_mean_se(decay.log_w_at(n + 1) - decay.log_w_at(n), 1.0, "", "", n)
+        for n in (2, 3)]
+    pure = np.exp(simulate_batch(env_a_pure, 4, r, seed).log_w_at(4))
+    ts = [1.0, 3.0, 4.0]
+    assert [row[1:3] for row in laplace_decay(env_a_pure, ts, 4, r, seed, threads=threads).rows] \
+        == [mc_verify._mean_se(np.exp(-t * pure)) for t in ts]
+    moment = simulate_batch(env_a, 12, r, seed, record=(10, 12))
+    assert [row[1:] for row in moment_stability(env_a, 2.0, [10, 12], r, seed, threads).rows] == [
+        mc_verify._power_mean_se(moment.log_w_at(n), 2.0, "", "", n) for n in (10, 12)]
+
+
+def test_rate_experiment_memory_does_not_grow_with_the_main_batch(monkeypatch, env_a):
+    # eight chunks of the main batch cost no more than one: each chunk keeps
+    # counts alone; only the E log W rows may differ, and here they do not
+    monkeypatch.setattr(trajectory, "_CHUNK", 1024)
+    elogw = ElogWConfig(horizon=4, replicates=1024)
+
+    def peak(replicates):
+        tracemalloc.start()
+        try:
+            clt_rate_experiment(env_a, [-1.0, 0.0, 1.0], [16, 64, 256], replicates,
+                                master_seed=3, e_log_w_config=elogw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    log_w_rows = 2 * elogw.replicates * 8  # log W at the horizon and one after
+    assert peak(8 * 1024) - peak(1024) <= log_w_rows

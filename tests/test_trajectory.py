@@ -539,6 +539,19 @@ def test_replicate_count_and_rows(env_a):
     np.testing.assert_array_equal(batch.s_at(0), np.zeros(7))
 
 
+def test_reduce_batch_keeps_the_rows_of_simulate_batch_and_checks_populations(env_a):
+    # the identity reduction keeps every recorded row, drawn as a batch draws it
+    batch = simulate_batch(env_a, 4, 7, master_seed=0, record=(2, 4))
+    identity = trajectory.Reduction(None, {"s": 2, "log_z": 2})
+    kept = trajectory.reduce_batch(env_a, 4, 7, 0, (2, 4), identity)
+    assert kept.keys() == {"s", "log_z"}
+    np.testing.assert_array_equal(kept["s"], batch.s)
+    np.testing.assert_array_equal(kept["log_z"], batch.log_z)
+    for populations in (-1, 3):
+        with pytest.raises(ValueError, match="populations must be 0, 1 or 2"):
+            trajectory.reduce_batch(env_a, 4, 7, 0, (2, 4), identity, populations=populations)
+
+
 def test_threshold_below_minimum_is_rejected(env_a):
     with pytest.raises(ValueError, match="at least 1024.*log step"):
         simulate_batch(env_a, 5, 10, master_seed=1, threshold=2**10 - 1)
