@@ -54,6 +54,10 @@ Exit codes:
   column, unbounded moment ratio);
 * 4 -- I/O or process failure (unreadable config, unwritable output
   directory, a refused fork, a chunk worker killed by a signal).
+
+The output directory is created after the checks of the config and the
+environment and before the run, so a config those checks refuse leaves
+none, and an unwritable one fails before any batch runs.
 """
 
 from __future__ import annotations
@@ -544,7 +548,6 @@ KINDS = tuple(_KINDS)
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Run one configured experiment, write artifacts, return the exit code."""
     t0 = time.monotonic()
-    out_dir.mkdir(parents=True, exist_ok=True)
     kind = _KINDS[cfg.kind]
     if kind.checks_environment:
         required = {"prob_sum", "mean_log_positive", "offspring_nondegenerate"}
@@ -555,6 +558,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     for field in kind.requires:
         if getattr(cfg, field) is None:
             raise ConfigError(f"config.{field} is required for kind {cfg.kind!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = kind.run(cfg)
     except (ValueError, ArithmeticError) as exc:

@@ -8,12 +8,12 @@ standardisation always uses the analytic ``mu`` and ``sigma`` of the
 environment, never sample moments.
 
 No estimator holds the rows of a batch: it runs its batch through
-:func:`bpire.trajectory.reduce_batch`, and each chunk reduces its own rows
-where it runs.  The CDF estimators keep counts: a chunk standardises its
-rows and counts them at each grid point, and the counts of all chunks sum
-to those of one sort of the whole batch.  The mean estimators keep the
-rows of ``log W = log Z - S`` at the generations they read, and nothing
-else.
+:func:`bpire.trajectory.run_batch` with a ``keep`` function, to which each
+chunk hands every recorded generation where it runs.  The CDF estimators
+keep counts: a chunk standardises a generation's row and counts it at each
+grid point, and the counts of all chunks sum to those of one sort of the
+whole batch.  The mean estimators keep the rows of ``log W = log Z - S``
+at the generations they read, and nothing else.
 
 Inputs are checked before any batch runs: generations by the rule of a
 batch's ``record``, grids as nonempty, finite and ascending, and every gate
@@ -37,7 +37,7 @@ import numpy as np
 from .analytics import edgeworth_q, limit_curve, std_normal_cdf, std_normal_pdf
 from .env_model import EnvironmentModel, MomentSummary, log_mean_moments
 from .sampler import PROMOTION_THRESHOLD
-from .trajectory import Reduction, as_int, reduce_batch
+from .trajectory import Reduction, as_int, run_batch
 
 #: 99% two-sided normal quantile used for every binomial confidence interval:
 #: ``scipy.special.ndtri(0.995)`` to the last bit, written out so that
@@ -265,18 +265,17 @@ def _batch_cdfs(env: EnvironmentModel, moments: MomentSummary, ns: list[int], gr
                 ) -> dict[int, EmpiricalCdf]:
     """The empirical CDF on ``grid`` of the standardised ``log Z_n`` (of
     ``S_n`` with ``populations`` 0) of one batch at each generation n of
-    ``ns``.  Each chunk standardises its own rows and counts them at each
-    grid point; the counts of all chunks sum to those of one sort of the
-    whole batch, so no row outlives its chunk."""
-    name = "log_z" if populations else "s"
+    ``ns``.  Each chunk standardises its row of each generation and counts
+    it at each grid point; the counts of all chunks sum to those of one sort
+    of the whole batch, so no row outlives its chunk."""
+    def count(views: dict[str, np.ndarray], g: int, s: np.ndarray, log_z: np.ndarray | None,
+              log_zbar: np.ndarray | None) -> None:
+        row = log_z if populations else s
+        views["counts"][g] = _count(_standardize(row, ns[g], moments), grid)
 
-    def count(rows: dict[str, np.ndarray], views: dict[str, np.ndarray]) -> None:
-        for i, n in enumerate(ns):
-            views["counts"][i] = _count(_standardize(rows[name][i], n, moments), grid)
-
-    counts = reduce_batch(env, ns[-1], replicates, master_seed, ns,
-                          Reduction(count, {}, {"counts": (len(ns), len(grid))}), populations,
-                          threshold, threads)["counts"].sum(axis=0)
+    counts = run_batch(env, ns[-1], replicates, master_seed, ns,
+                       Reduction(count, (), {"counts": (len(ns), len(grid))}), populations,
+                       threshold, threads)[-1]["counts"].sum(axis=0)
     return {n: _cdf(counts[i], int(replicates), grid) for i, n in enumerate(ns)}
 
 
@@ -284,15 +283,15 @@ def _log_w(env: EnvironmentModel, record: Sequence[int], replicates: int, master
            threads: int, threshold: int, stream_offset: int = 0) -> dict[int, np.ndarray]:
     """``log W_n = log Z_n - S_n`` of one batch at each generation n of the
     checked ``record``, by the subtraction of
-    :meth:`bpire.trajectory.BatchResult.log_w_at`: each chunk simulates its
-    ``log Z`` rows straight into the batch's output and subtracts its own
-    ``S`` rows there, so that output holds ``log W``."""
-    def subtract_s(rows: dict[str, np.ndarray], views: dict[str, np.ndarray]) -> None:
-        np.subtract(rows["log_z"], rows["s"], out=rows["log_z"])
+    :meth:`bpire.trajectory.BatchResult.log_w_at`, which each chunk writes
+    into its columns of the one output."""
+    def subtract(views: dict[str, np.ndarray], g: int, s: np.ndarray, log_z: np.ndarray,
+                 log_zbar: np.ndarray | None) -> None:
+        np.subtract(log_z, s, out=views["log_w"][g])
 
-    log_w = reduce_batch(env, record[-1], replicates, master_seed, record,
-                         Reduction(subtract_s, {"log_z": len(record)}), threshold=threshold,
-                         threads=threads, stream_offset=stream_offset)["log_z"]
+    log_w = run_batch(env, record[-1], replicates, master_seed, record,
+                      Reduction(subtract, ("log_w",)), threshold=threshold, threads=threads,
+                      stream_offset=stream_offset)[-1]["log_w"]
     return dict(zip(record, log_w))
 
 
@@ -419,22 +418,19 @@ def clt_rate_experiment(
     ``log Z_n`` against the predicted limit curve.
 
     The limit prediction ``g(x) = -pdf(x) E log W / sigma + Q(x)`` uses
-    ``E log W`` estimated from the same master seed on a disjoint stream
-    range (ids from ``2**32``), so the whole curve remains a deterministic
-    function of ``(env, parameters, master_seed)``.
+    ``E log W`` estimated as :func:`estimate_elogw` does, by the mean of
+    ``log W_N`` at ``N = e_log_w_config.horizon``, from the same master seed
+    on a disjoint stream range (ids from ``2**32``), so the whole curve
+    remains a deterministic function of ``(env, parameters, master_seed)``.
+    Its batch records the horizon alone: the increment diagnostic is not
+    part of a rate curve.
     """
     moments, ns, x_grid = _cdf_inputs(env, "clt_rate_experiment", n_list, x_grid, "x_grid")
+    horizon = _horizon(e_log_w_config.horizon)
     cdfs = _batch_cdfs(env, moments, ns, x_grid, replicates, master_seed, threads, threshold)
-    elogw = estimate_elogw(
-        env,
-        horizon=e_log_w_config.horizon,
-        replicates=e_log_w_config.replicates,
-        master_seed=master_seed,
-        stream_offset=ELOGW_STREAM_OFFSET,
-        threads=threads,
-        threshold=threshold,
-    )
-    return _rate_curve(cdfs, x_grid, moments, elogw.mean, elogw.se)
+    log_w = _log_w(env, (horizon,), e_log_w_config.replicates, master_seed, threads, threshold,
+                   ELOGW_STREAM_OFFSET)[horizon]
+    return _rate_curve(cdfs, x_grid, moments, *_mean_se(log_w))
 
 
 def walk_oracle_rate(

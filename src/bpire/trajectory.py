@@ -79,18 +79,20 @@ pathwise in both exact and log-space regimes (the log-space combination is
 
 Reductions
 ----------
-What a batch keeps of its chunks is a :class:`Reduction`.  The identity,
-which :func:`simulate_batch` and :func:`simulate_walk_batch` run, keeps
-every recorded row: each chunk simulates straight into its columns of the
-batch arrays.  Any other reduction, run by :func:`reduce_batch`, lets each
-chunk simulate into rows of its own and reduce them where it runs, in the
-caller or in a forked worker, to its share of small outputs: its columns
-of derived rows, or its slot of per-chunk counts.  The draws are the same
-either way.
+Every batch runs through :func:`run_batch`, and what it keeps of its
+chunks is a :class:`Reduction`.  A chunk hands each recorded generation,
+once and in order, to the reduction's ``keep``, which writes that
+generation's share of the outputs where the chunk runs, in the caller or
+in a forked worker: rows into the chunk's columns, or counts into its
+slot.  The identity of :func:`simulate_batch` and
+:func:`simulate_walk_batch` copies every recorded row; the estimators of
+:mod:`bpire.mc_verify` keep ``log W`` rows or grid counts.  The draws do
+not depend on what a batch keeps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -535,17 +537,18 @@ def _simulate_chunk(
     record: tuple[int, ...],
     populations: int,
     threshold: int,
-    out: dict[str, np.ndarray],
+    keep: Callable[[int, np.ndarray, np.ndarray | None, np.ndarray | None], None],
 ) -> None:
     """Simulate the ``count`` columns of the chunk keyed ``(master_seed,
     key)`` with ``populations`` populations -- 0: the walk alone, 1: ``Z``,
-    2: ``Zbar`` and the surplus ``D`` -- and write the recorded rows into
-    ``out`` (generation 0 is ``log Z_0 = S_0 = 0``): row g of ``out["s"]``,
-    of ``out["log_z"]`` when there is a population and of
-    ``out["log_zbar"]`` when there are two, for generation ``record[g]``.
-    Once every population is quiet, from generation 0 for the walk alone,
-    the stretch to each recorded generation left is one jump of the walk.
-    ``tab`` is ``None`` for the walk alone."""
+    2: ``Zbar`` and the surplus ``D`` -- and hand each recorded generation
+    ``record[g]``, once and in order, to ``keep(g, s, log_z, log_zbar)``:
+    its ``S``, ``log Z`` and ``log Zbar`` rows, ``None`` for a population
+    the chunk does not have (generation 0 is ``log Z_0 = S_0 = 0``).  The
+    rows are the chunk's to read only while ``keep`` runs.  Once every
+    population is quiet, from generation 0 for the walk alone, the stretch
+    to each recorded generation left is one jump of the walk.  ``tab`` is
+    ``None`` for the walk alone."""
     gens = [substream(master_seed, key, i) for i in range(6)]
     # the primary population starts at 1, the surplus at 0; immigrants join
     # the last
@@ -554,7 +557,7 @@ def _simulate_chunk(
             for i, (exact, normals) in enumerate(streams)]
     s = np.zeros(count)
     k = 0
-    for row, r in enumerate(record):
+    for g, r in enumerate(record):
         while k < r and not all(pop.quiet for pop in pops):
             idx, lm = walk.step(gens[_ATOMS], count)
             s = s + lm
@@ -570,20 +573,20 @@ def _simulate_chunk(
             for pop in pops:
                 pop.log_z += gain
             k = r
-        out["s"][row] = s
-        if populations:
-            out["log_z"][row] = pops[0].log_size()
+        log_z = pops[0].log_size() if populations else None
+        log_zbar = None
         if populations == 2:
-            out["log_zbar"][row] = out["log_z"][row]
             # log(Zbar + D); D = 0 (-inf) leaves Zbar unchanged
-            np.logaddexp(out["log_zbar"][row], pops[1].log_size(), out=out["log_z"][row])
+            surplus = pops[1].log_size()
+            log_zbar, log_z = log_z, np.logaddexp(log_z, surplus, out=surplus)
+        keep(g, s, log_z, log_zbar)
 
 
 def __getattr__(name: str):
     """``ProcessPoolExecutor``, imported on first use.  No chunk runs on a
     pool; the outside-in tracer of the bench (``bench/traced.py``) alone
     reads and rebinds this name, until the in-program counters replace
-    that tracer (ROADMAP item 1)."""
+    that tracer (ROADMAP items 5 and 6)."""
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -594,30 +597,54 @@ def __getattr__(name: str):
 class Reduction(NamedTuple):
     """What a batch keeps of each chunk.
 
-    ``columns`` names float64 outputs with one column per replicate and
-    gives their row counts; ``slots`` names int64 outputs with one slot per
-    chunk, in stream order, and gives the shape of a slot.  A chunk first
-    simulates its recorded rows, keyed as :func:`_simulate_chunk` writes
-    them: a row named as a ``columns`` output straight into the chunk's
-    columns of that output, any other into an array of the chunk's own.
-    Then ``reduce(rows, views)``, unless it is ``None``, writes the chunk's
-    share of each output into ``views``: its columns of a ``columns``
-    output, which it may rewrite in place, and its slot of a ``slots``
-    output.  The identity keeps every recorded row: no ``reduce``, and a
-    ``columns`` output for each row."""
+    ``columns`` names float64 outputs with one row per recorded generation
+    and one column per replicate; ``slots`` names int64 outputs with one
+    slot per chunk, in stream order, and gives the shape of a slot.  For
+    each recorded generation a chunk calls ``keep(views, g, s, log_z,
+    log_zbar)`` with the rows :func:`_simulate_chunk` hands on, and ``keep``
+    writes generation g's share into ``views``: row g of the chunk's
+    columns of a ``columns`` output, or its slot of a ``slots`` output."""
 
-    reduce: Callable[[dict[str, np.ndarray], dict[str, np.ndarray]], None] | None
-    columns: Mapping[str, int]
+    keep: Callable[..., None]
+    columns: tuple[str, ...]
     slots: Mapping[str, tuple[int, ...]] = {}
 
 
-def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, reduction: Reduction,
-                replicates: int, stream_offset: int, threads: int) -> dict[str, np.ndarray]:
-    """Partition ``replicates`` columns into fixed-size chunks, simulate the
-    recorded rows ``names`` (``rows`` each) of every chunk with
-    :func:`_simulate_chunk`, given its ``static_args``, reduce them by
-    ``reduction`` and return its outputs.  The partition and the chunk keys
-    do not depend on ``threads``, so neither do the outputs.
+#: The rows a chunk hands on for each recorded generation, in order.
+_ROWS = ("s", "log_z", "log_zbar")
+
+
+def _copy_rows(views: dict[str, np.ndarray], g: int, *rows: np.ndarray | None) -> None:
+    """The ``keep`` of the identity: generation g's rows, copied into row g
+    of the outputs of the same names."""
+    for name, row in zip(_ROWS, rows):
+        if row is not None:
+            views[name][g] = row
+
+
+def run_batch(
+    env: EnvironmentModel,
+    n: int,
+    replicates: int,
+    master_seed: int,
+    record: Sequence[int] | None,
+    reduction: Reduction,
+    populations: int = 1,
+    threshold: int = PROMOTION_THRESHOLD,
+    threads: int = 1,
+    stream_offset: int = 0,
+) -> tuple[int, int, tuple[int, ...], dict[str, np.ndarray]]:
+    """Run the batch of :func:`simulate_walk_batch` (``populations`` 0) or
+    :func:`simulate_batch` (1; 2 when coupled), with the same arguments,
+    chunks and draws, and return its key words, its recorded generations
+    and the outputs of ``reduction``.  The walk alone builds only its
+    :class:`_Walk`, not the immigration tables of :class:`_EnvTables`.
+
+    The ``replicates`` columns are cut into fixed-size chunks, and each
+    chunk hands its recorded generations to ``reduction.keep`` with its
+    views of the outputs, so it reduces its own rows where it runs.  The
+    partition and the chunk keys do not depend on ``threads``, so neither
+    do the outputs.
 
     There are W = ``min(threads or C, C, chunks)`` workers, C the CPUs
     this process may run on (its affinity mask where the OS reports one),
@@ -627,17 +654,23 @@ def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, reduction
     outputs straight into them, which then lie in one anonymous shared
     mapping, pipes its failure, if any, to the caller pickled, and leaves
     by ``os._exit``.  So each output is held once, and nothing is copied
-    back; the rows a chunk holds of its own live only while it runs.
+    back; a chunk's rows of a generation live only until it takes the next.
 
     The caller then reads and reaps each child, and raises the error of the
     earliest failing chunk in stream order; a child that leaves no report
     (killed by a signal, say) fails as ``ChildProcessError``.  On any other
     way out, such as an interrupt, it kills and reaps the children left."""
+    if populations not in (0, 1, 2):
+        raise ValueError(f"populations must be 0, 1 or 2, got {populations!r}")
+    master_seed, stream_offset, rec = _check_batch(n, replicates, master_seed, stream_offset,
+                                                   record, threads, threshold)
+    tab = _EnvTables(env) if populations else None
+    walk = _Walk(env) if tab is None else tab.walk
     starts = range(0, replicates, _CHUNK)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(threads or cpus, cpus, len(starts)) if hasattr(os, "fork") else 1
-    shapes = {**{name: ((k, replicates), np.float64) for name, k in reduction.columns.items()},
+    shapes = {**{name: ((len(rec), replicates), np.float64) for name in reduction.columns},
               **{name: ((len(starts), *slot), np.int64) for name, slot in reduction.slots.items()}}
     if workers == 1:
         out = {name: np.empty(shape, dtype) for name, (shape, dtype) in shapes.items()}
@@ -657,12 +690,9 @@ def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, reduction
             cnt = min(_CHUNK, replicates - start)
             views = {name: out[name][:, start:start + cnt] for name in reduction.columns}
             views.update((name, out[name][c]) for name in reduction.slots)
-            recorded = {name: views[name] if name in reduction.columns else np.empty((rows, cnt))
-                        for name in names}
             try:
-                _simulate_chunk(stream_offset + start, cnt, *static_args, recorded)
-                if reduction.reduce is not None:
-                    reduction.reduce(recorded, views)
+                _simulate_chunk(stream_offset + start, cnt, walk, tab, master_seed, rec,
+                                populations, threshold, functools.partial(reduction.keep, views))
             except Exception as exc:
                 return [(c, exc)]
         return []
@@ -705,50 +735,7 @@ def _run_chunks(static_args: tuple, names: tuple[str, ...], rows: int, reduction
             os.waitpid(pid, 0)
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return out
-
-
-def _run_batch(env: EnvironmentModel, n: int, replicates: int, master_seed: int,
-               record: Sequence[int] | None, populations: int, threshold: int, threads: int,
-               stream_offset: int, reduction: Reduction | None = None
-               ) -> tuple[int, int, tuple[int, ...], dict[str, np.ndarray]]:
-    """Check the arguments of a batch with ``populations`` populations (see
-    :func:`_simulate_chunk`), run its chunks, reduced by ``reduction``
-    (default: the identity), and return the key words, the recorded
-    generations and the outputs.  The walk alone builds only its
-    :class:`_Walk`, not the immigration tables of :class:`_EnvTables`."""
-    master_seed, stream_offset, rec = _check_batch(n, replicates, master_seed, stream_offset,
-                                                   record, threads, threshold)
-    tab = _EnvTables(env) if populations else None
-    walk = _Walk(env) if tab is None else tab.walk
-    names = ("s", "log_z", "log_zbar")[:populations + 1]
-    out = _run_chunks((walk, tab, master_seed, rec, populations, threshold), names, len(rec),
-                      reduction or Reduction(None, dict.fromkeys(names, len(rec))), replicates,
-                      stream_offset, threads)
     return master_seed, stream_offset, rec, out
-
-
-def reduce_batch(
-    env: EnvironmentModel,
-    n: int,
-    replicates: int,
-    master_seed: int,
-    record: Sequence[int] | None,
-    reduction: Reduction,
-    populations: int = 1,
-    threshold: int = PROMOTION_THRESHOLD,
-    threads: int = 1,
-    stream_offset: int = 0,
-) -> dict[str, np.ndarray]:
-    """The outputs of ``reduction`` over the batch of :func:`simulate_walk_batch`
-    (``populations`` 0) or :func:`simulate_batch` (1; 2 when coupled), with
-    the same arguments, chunks and draws.  Each chunk reduces its own
-    recorded rows -- ``s``, ``log_z`` and, when coupled, ``log_zbar`` --
-    where it runs, so no worker ever holds the rows of the whole batch."""
-    if populations not in (0, 1, 2):
-        raise ValueError(f"populations must be 0, 1 or 2, got {populations!r}")
-    return _run_batch(env, n, replicates, master_seed, record, populations, threshold, threads,
-                      stream_offset, reduction)[-1]
 
 
 def simulate_batch(
@@ -783,8 +770,9 @@ def simulate_batch(
     access.
     """
     populations = 2 if couple_no_immigration else 1
-    *keys, out = _run_batch(env, n, replicates, master_seed, record, populations, threshold,
-                            threads, stream_offset)
+    *keys, out = run_batch(env, n, replicates, master_seed, record,
+                           Reduction(_copy_rows, _ROWS[:populations + 1]), populations, threshold,
+                           threads, stream_offset)
     return BatchResult(*keys, **out)
 
 
@@ -805,6 +793,6 @@ def simulate_walk_batch(
     bytes, which the batch draws generation by generation until its chunk
     turns quiet.
     """
-    *keys, out = _run_batch(env, n, replicates, master_seed, record, 0, PROMOTION_THRESHOLD,
-                            threads, stream_offset)
+    *keys, out = run_batch(env, n, replicates, master_seed, record, Reduction(_copy_rows, ("s",)),
+                           0, threads=threads, stream_offset=stream_offset)
     return WalkBatch(*keys, **out)

@@ -284,6 +284,7 @@ def test_parser_refusal_exits_one_without_traceback(tmp_path, capsys, text, name
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err, err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_degenerate_variance_exits_two_naming_requirement(tmp_path, capsys):
@@ -339,6 +340,7 @@ def test_bad_probability_mass_exits_two(tmp_path, capsys):
     code = main(["--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "prob_sum" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 _UNIT_GRID = {"min": -1.0, "max": 1.0, "step": 1.0}
@@ -843,6 +845,19 @@ def test_threshold_below_minimum_exits_one_with_reason(tmp_path):
 def test_unreadable_config_exits_four(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 4
+
+
+def test_output_directory_below_a_file_exits_four_before_any_batch(monkeypatch, tmp_path,
+                                                                   capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch ran before the output directory was made")
+
+    monkeypatch.setattr("bpire.mc_verify.run_batch", refuse)
+    (tmp_path / "file").write_text("")
+    doc = {"kind": "elogw", "environment": _env_doc(), "replicates": 50, "horizon": 2}
+    code = main(["--config", _write(tmp_path, doc), "--out", str(tmp_path / "file" / "o")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: I/O failure: ")
 
 
 def test_inconclusive_decay_exits_three(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Monte Carlo estimators: pipeline self-consistency, CI calibration,
 decay/stability gates, determinism."""
 
+import inspect
 import math
 import time
 import tracemalloc
@@ -192,7 +193,7 @@ def no_batch(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a batch ran before the arguments were checked")
 
-    monkeypatch.setattr(mc_verify, "reduce_batch", refuse)
+    monkeypatch.setattr(mc_verify, "run_batch", refuse)
 
 
 def test_rate_estimators_reject_empty_n_list_before_simulating(no_batch, env_a):
@@ -497,27 +498,26 @@ def test_ols_matches_linregress_bitwise():
 
 def test_rate_experiment_releases_main_batch_before_elogw(monkeypatch, env_a):
     # the main batch leaves only its counts, one slot per chunk, when the
-    # E log W batch runs; that batch leaves only its log W rows, which its
-    # chunks write over their log Z rows
+    # E log W batch runs; that batch records the horizon alone, on its own
+    # stream range, and leaves only its log W row
     monkeypatch.setattr(trajectory, "_CHUNK", 200)
-    outputs, seen = [], []
-    reduce, estimate = mc_verify.reduce_batch, mc_verify.estimate_elogw
+    calls, outputs = [], []
+    run = mc_verify.run_batch
 
     def recording(*args, **kwargs):
-        outputs.append(reduce(*args, **kwargs))
-        return outputs[-1]
+        bound = inspect.signature(run).bind(*args, **kwargs).arguments
+        calls.append((bound["record"], bound.get("stream_offset", 0),
+                      {name: a.shape for out in outputs for name, a in out.items()}))
+        result = run(*args, **kwargs)
+        outputs.append(result[-1])
+        return result
 
-    def checking(*args, **kwargs):
-        seen.append({name: a.shape for out in outputs for name, a in out.items()})
-        return estimate(*args, **kwargs)
-
-    monkeypatch.setattr(mc_verify, "reduce_batch", recording)
-    monkeypatch.setattr(mc_verify, "estimate_elogw", checking)
+    monkeypatch.setattr(mc_verify, "run_batch", recording)
     clt_rate_experiment(env_a, [-1.0, 0.0, 1.0], [4, 8], 500, master_seed=3,
                         e_log_w_config=ElogWConfig(horizon=4, replicates=500))
-    assert seen == [{"counts": (3, 2, 3)}]
-    assert [{name: a.shape for name, a in out.items()} for out in outputs[1:]] == [
-        {"log_z": (2, 500)}]
+    assert calls == [([4, 8], 0, {}),
+                     ((4,), mc_verify.ELOGW_STREAM_OFFSET, {"counts": (3, 2, 3)})]
+    assert {name: a.shape for name, a in outputs[1].items()} == {"log_w": (1, 500)}
 
 
 # ------------------------------------------------- chunk-local reductions

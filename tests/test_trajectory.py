@@ -539,17 +539,44 @@ def test_replicate_count_and_rows(env_a):
     np.testing.assert_array_equal(batch.s_at(0), np.zeros(7))
 
 
-def test_reduce_batch_keeps_the_rows_of_simulate_batch_and_checks_populations(env_a):
+def test_run_batch_keeps_the_rows_of_simulate_batch_and_checks_populations(env_a):
     # the identity reduction keeps every recorded row, drawn as a batch draws it
     batch = simulate_batch(env_a, 4, 7, master_seed=0, record=(2, 4))
-    identity = trajectory.Reduction(None, {"s": 2, "log_z": 2})
-    kept = trajectory.reduce_batch(env_a, 4, 7, 0, (2, 4), identity)
-    assert kept.keys() == {"s", "log_z"}
+    identity = trajectory.Reduction(trajectory._copy_rows, ("s", "log_z"))
+    *keys, kept = trajectory.run_batch(env_a, 4, 7, 0, (2, 4), identity)
+    assert keys == [0, 0, (2, 4)] and kept.keys() == {"s", "log_z"}
     np.testing.assert_array_equal(kept["s"], batch.s)
     np.testing.assert_array_equal(kept["log_z"], batch.log_z)
     for populations in (-1, 3):
         with pytest.raises(ValueError, match="populations must be 0, 1 or 2"):
-            trajectory.reduce_batch(env_a, 4, 7, 0, (2, 4), identity, populations=populations)
+            trajectory.run_batch(env_a, 4, 7, 0, (2, 4), identity, populations=populations)
+
+
+@pytest.mark.parametrize("populations", [0, 1, 2])
+def test_chunk_hands_each_recorded_generation_once_in_order(monkeypatch, env_a, populations):
+    # Chunks of 16: 40 replicates are two full chunks and a ragged one of 8.
+    # Every chunk of env_a turns quiet before generation 80, so it reaches
+    # 80 and 100 by jumps; generation 0 is handed on before any step.  Each
+    # chunk hands every recorded generation to keep once, in order, with
+    # its rows of the populations it has and None for the others.
+    monkeypatch.setattr(trajectory, "_CHUNK", 16)
+    jumps, calls = [], []
+    jump = trajectory._Walk.jump
+
+    def logged(self, gen, count, t):
+        jumps.append(t)
+        return jump(self, gen, count, t)
+
+    def keep(views, g, *rows):
+        calls.append((g, rows[0].size, tuple(row is None for row in rows)))
+
+    monkeypatch.setattr(trajectory._Walk, "jump", logged)
+    record = (0, 1, 4, 80, 100)
+    trajectory.run_batch(env_a, 100, 40, 3, record, trajectory.Reduction(keep, ()),
+                         populations=populations)
+    absent = (False,) * (populations + 1) + (True,) * (2 - populations)
+    assert calls == [(g, size, absent) for size in (16, 16, 8) for g in range(len(record))]
+    assert jumps.count(20) == 3  # the stretch from 80 to 100, one jump per chunk
 
 
 def test_threshold_below_minimum_is_rejected(env_a):
