@@ -12,8 +12,15 @@ No estimator holds the rows of a batch: it runs its batch through
 chunk hands every recorded generation where it runs.  The CDF estimators
 keep counts: a chunk standardises a generation's row and counts it at each
 grid point, and the counts of all chunks sum to those of one sort of the
-whole batch.  The mean estimators keep the rows of ``log W = log Z - S``
-at the generations they read, and nothing else.
+whole batch.  The mean estimators keep moments: a chunk computes each
+statistic they average, a function of its ``log W = log Z - S`` rows at
+one recorded generation or two consecutive ones, and keeps its count, mean
+and sum of squared deviations ``M2``.  The caller merges the moments of
+all chunks in stream order (Chan, Golub and LeVeque 1979), so no estimator
+holds an array that grows with the replicates, and the merged mean and
+standard error ``sqrt(M2 / (n - 1)) / sqrt(n)`` do not depend on the
+thread count.  They may differ by a few ulps from those of one pass over
+the whole batch, which sums in another order.
 
 Inputs are checked before any batch runs: generations by the rule of a
 batch's ``record``, grids as nonempty, finite and ascending, and every gate
@@ -30,7 +37,7 @@ files, and the CLI writes each row as it is.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -279,20 +286,56 @@ def _batch_cdfs(env: EnvironmentModel, moments: MomentSummary, ns: list[int], gr
     return {n: _cdf(counts[i], int(replicates), grid) for i, n in enumerate(ns)}
 
 
-def _log_w(env: EnvironmentModel, record: Sequence[int], replicates: int, master_seed: int,
-           threads: int, threshold: int, stream_offset: int = 0) -> dict[int, np.ndarray]:
-    """``log W_n = log Z_n - S_n`` of one batch at each generation n of the
-    checked ``record``, by the subtraction of
-    :meth:`bpire.trajectory.BatchResult.log_w_at`, which each chunk writes
-    into its columns of the one output."""
-    def subtract(views: dict[str, np.ndarray], g: int, s: np.ndarray, log_z: np.ndarray,
-                 log_zbar: np.ndarray | None) -> None:
-        np.subtract(log_z, s, out=views["log_w"][g])
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """``(count, mean, M2)`` of a nonempty array: the mean by ``np.mean``,
+    and the sum of squared deviations from it in a second pass."""
+    mean = np.mean(values)
+    dev = values - mean
+    return values.size, mean, np.sum(dev * dev)
 
-    log_w = run_batch(env, record[-1], replicates, master_seed, record,
-                      Reduction(subtract, ("log_w",)), threshold=threshold, threads=threads,
-                      stream_offset=stream_offset)[-1]["log_w"]
-    return dict(zip(record, log_w))
+
+def _merge(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold the ``(count, mean, M2)`` of consecutive parts, along axis 0
+    and in that order, into the count, mean and M2 of their union; the last
+    axis holds the three (Chan, Golub and LeVeque 1979).  A non-finite
+    statistic gives a non-finite mean or M2, which the callers refuse."""
+    count, mean, m2 = moments[0].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part_count, part_mean, part_m2 in moments[1:].transpose(0, 2, 1):
+            total = count + part_count
+            delta = part_mean - mean
+            mean = mean + delta * (part_count / total)
+            m2 = m2 + part_m2 + delta * delta * (count * part_count / total)
+            count = total
+    return count, mean, m2
+
+
+def _log_w_moments(env: EnvironmentModel, record: Sequence[int],
+                   statistics: Sequence[tuple[int, Callable[..., np.ndarray]]], replicates: int,
+                   master_seed: int, threads: int, threshold: int, stream_offset: int = 0
+                   ) -> list[tuple[float, float, float]]:
+    """The merged ``(count, mean, M2)`` of each statistic ``(g, f)`` of one
+    batch, in the order given.  ``f(log_w, previous)`` returns one value
+    per replicate from the ``log W`` rows, by the subtraction of
+    :meth:`bpire.trajectory.BatchResult.log_w_at`, at generation
+    ``record[g]`` of the checked ``record`` and at the recorded generation
+    before it (``None`` at g = 0).  Each chunk keeps the moments of every
+    statistic in its slot, and its ``log W`` row lives on only until its
+    next recorded generation."""
+    def keep(views: dict[str, np.ndarray], g: int, s: np.ndarray, log_z: np.ndarray,
+             log_zbar: np.ndarray | None) -> None:
+        log_w = log_z - s
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean raises later
+            for i, (at, statistic) in enumerate(statistics):
+                if at == g:
+                    views["moments"][i] = _moments(statistic(log_w, views.get("previous")))
+        views["previous"] = log_w
+
+    moments = run_batch(env, record[-1], replicates, master_seed, record,
+                        Reduction(keep, (), {"moments": (len(statistics), 3)}),
+                        threshold=threshold, threads=threads,
+                        stream_offset=stream_offset)[-1]["moments"]
+    return list(zip(*_merge(moments)))
 
 
 def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
@@ -310,21 +353,21 @@ def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
     return moments, _generations(n_list, 1, "n_list"), _grid(grid, grid_name)
 
 
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean of ``vals`` and its standard error, which needs at least
-    two values."""
-    if vals.size < 2:
-        raise ValueError(f"a standard error needs at least 2 replicates, got {vals.size}")
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+def _mean_se(count: float, mean: float, m2: float) -> tuple[float, float]:
+    """The sample mean and its standard error ``sqrt(M2 / (n - 1)) /
+    sqrt(n)`` from the merged moments of n values, which need n >= 2."""
+    if count < 2:
+        raise ValueError(f"a standard error needs at least 2 replicates, got {int(count)}")
+    return float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
-def _power_mean_se(values: np.ndarray, power: float, what: str, name: str, n: int
-                   ) -> tuple[float, float]:
-    """:func:`_mean_se` of ``|values|^power``, which a large ``power`` can
-    overflow: a mean or SE that is not a finite double raises ``ValueError``
-    naming ``what`` at ``n`` and the parameter ``name``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises
-        est, se = _mean_se(np.abs(values) ** power)
+def _power_mean_se(moments: tuple[float, float, float], power: float, what: str, name: str,
+                   n: int) -> tuple[float, float]:
+    """:func:`_mean_se` of the merged moments of ``|values|^power``, which a
+    large ``power`` can overflow: a mean or SE that is not a finite double
+    raises ``ValueError`` naming ``what`` at ``n`` and the parameter
+    ``name``."""
+    est, se = _mean_se(*moments)
     if not (math.isfinite(est) and math.isfinite(se)):
         raise ValueError(
             f"{what} at n = {n} or its SE overflows a double for {name} = {power!r}"
@@ -389,11 +432,12 @@ def estimate_elogw(
     horizon bias at the observable level.
     """
     horizon = _horizon(horizon)
-    log_w = _log_w(env, (horizon, horizon + 1), replicates, master_seed, threads, threshold,
-                   stream_offset)
-    w_n = log_w[horizon]
-    mean, se = _mean_se(w_n)
-    increment_estimate, increment_se = _mean_se(np.abs(log_w[horizon + 1] - w_n))
+    level, increment = _log_w_moments(
+        env, (horizon, horizon + 1),
+        [(0, lambda log_w, previous: log_w), (1, lambda log_w, previous: np.abs(log_w - previous))],
+        replicates, master_seed, threads, threshold, stream_offset)
+    mean, se = _mean_se(*level)
+    increment_estimate, increment_se = _mean_se(*increment)
     return ElogWEstimate(
         mean=mean,
         se=se,
@@ -428,9 +472,10 @@ def clt_rate_experiment(
     moments, ns, x_grid = _cdf_inputs(env, "clt_rate_experiment", n_list, x_grid, "x_grid")
     horizon = _horizon(e_log_w_config.horizon)
     cdfs = _batch_cdfs(env, moments, ns, x_grid, replicates, master_seed, threads, threshold)
-    log_w = _log_w(env, (horizon,), e_log_w_config.replicates, master_seed, threads, threshold,
-                   ELOGW_STREAM_OFFSET)[horizon]
-    return _rate_curve(cdfs, x_grid, moments, *_mean_se(log_w))
+    level, = _log_w_moments(env, (horizon,), [(0, lambda log_w, previous: log_w)],
+                            e_log_w_config.replicates, master_seed, threads, threshold,
+                            ELOGW_STREAM_OFFSET)
+    return _rate_curve(cdfs, x_grid, moments, *_mean_se(*level))
 
 
 def walk_oracle_rate(
@@ -511,12 +556,15 @@ def increment_decay(
     if not (q > 0.0):
         raise ValueError(f"q must be positive, got {q}")
     ns = _generations(n_range, 0, "n_range")
-    log_w = _log_w(env, sorted({n for n in ns} | {n + 1 for n in ns}), replicates, master_seed,
-                   threads, threshold)
+    record = sorted({n for n in ns} | {n + 1 for n in ns})
+    moments = _log_w_moments(
+        env, record,
+        [(record.index(n + 1), lambda log_w, previous: np.abs(log_w - previous) ** q)
+         for n in ns],
+        replicates, master_seed, threads, threshold)
     rows: list[DecayRow] = []
-    for n in ns:
-        est, se = _power_mean_se(log_w[n + 1] - log_w[n], q,
-                                 "E|log W_(n+1) - log W_n|^q", "q", n)
+    for n, increment in zip(ns, moments):
+        est, se = _power_mean_se(increment, q, "E|log W_(n+1) - log W_n|^q", "q", n)
         rows.append(DecayRow(n=n, estimate=est, se=se, qualifies=est > 5.0 * se))
 
     fit_rows = [r for r in rows if r.qualifies and r.estimate > 0.0]
@@ -702,10 +750,13 @@ def laplace_decay(
             "t_grid must have at least two points t >= e, which the boundedness check "
             f"compares, got {points}"
         )
-    w = np.exp(_log_w(env, (horizon,), replicates, master_seed, threads, threshold)[horizon])
+    moments = _log_w_moments(
+        env, (horizon,),
+        [(0, lambda log_w, previous, t=t: np.exp(-t * np.exp(log_w))) for t in ts],
+        replicates, master_seed, threads, threshold)
     rows: list[LaplaceRow] = []
-    for t in ts:
-        phi_hat, se = _mean_se(np.exp(-t * w))
+    for t, transform in zip(ts, moments):
+        phi_hat, se = _mean_se(*transform)
         weighted = math.log(t) ** r * phi_hat if t > 1.0 else math.nan
         rows.append(LaplaceRow(t=t, phi_hat=phi_hat, se=se, weighted=weighted))
 
@@ -765,8 +816,11 @@ def moment_stability(
             "n_list must have at least two generations n >= 10, which the stability check "
             f"compares, got {compared}"
         )
-    log_w = _log_w(env, ns, replicates, master_seed, threads, threshold)
-    rows = [MomentRow(n, *_power_mean_se(log_w[n], r, "E|log W_n|^r", "r", n)) for n in ns]
+    moments = _log_w_moments(env, ns, [(g, lambda log_w, previous: np.abs(log_w) ** r)
+                                       for g in range(len(ns))],
+                             replicates, master_seed, threads, threshold)
+    rows = [MomentRow(n, *_power_mean_se(power, r, "E|log W_n|^r", "r", n))
+            for n, power in zip(ns, moments)]
     tail = [row for row in rows if row.n >= 10]
     hi = max(tail, key=lambda row: row.estimate)
     lo = min(tail, key=lambda row: row.estimate)

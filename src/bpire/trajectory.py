@@ -83,11 +83,11 @@ Every batch runs through :func:`run_batch`, and what it keeps of its
 chunks is a :class:`Reduction`.  A chunk hands each recorded generation,
 once and in order, to the reduction's ``keep``, which writes that
 generation's share of the outputs where the chunk runs, in the caller or
-in a forked worker: rows into the chunk's columns, or counts into its
-slot.  The identity of :func:`simulate_batch` and
+in a forked worker: rows into the chunk's columns, or fixed-size
+statistics into its slot.  The identity of :func:`simulate_batch` and
 :func:`simulate_walk_batch` copies every recorded row; the estimators of
-:mod:`bpire.mc_verify` keep ``log W`` rows or grid counts.  The draws do
-not depend on what a batch keeps.
+:mod:`bpire.mc_verify` keep grid counts, or the count, mean and ``M2`` of
+statistics of ``log W``.  The draws do not depend on what a batch keeps.
 """
 
 from __future__ import annotations
@@ -597,13 +597,17 @@ def __getattr__(name: str):
 class Reduction(NamedTuple):
     """What a batch keeps of each chunk.
 
-    ``columns`` names float64 outputs with one row per recorded generation
-    and one column per replicate; ``slots`` names int64 outputs with one
-    slot per chunk, in stream order, and gives the shape of a slot.  For
-    each recorded generation a chunk calls ``keep(views, g, s, log_z,
+    Every output is float64.  ``columns`` names outputs with one row per
+    recorded generation and one column per replicate; ``slots`` names
+    outputs with one slot per chunk, in stream order, and gives the shape
+    of a slot, which may hold counts (exact below ``2**53``) or moments.
+    For each recorded generation a chunk calls ``keep(views, g, s, log_z,
     log_zbar)`` with the rows :func:`_simulate_chunk` hands on, and ``keep``
     writes generation g's share into ``views``: row g of the chunk's
-    columns of a ``columns`` output, or its slot of a ``slots`` output."""
+    columns of a ``columns`` output, or its slot of a ``slots`` output.
+    ``views`` is the chunk's own dict, so ``keep`` may also carry an array
+    of its own in it from one generation to the next, under a name that
+    is no output's."""
 
     keep: Callable[..., None]
     columns: tuple[str, ...]
@@ -644,7 +648,8 @@ def run_batch(
     chunk hands its recorded generations to ``reduction.keep`` with its
     views of the outputs, so it reduces its own rows where it runs.  The
     partition and the chunk keys do not depend on ``threads``, so neither
-    do the outputs.
+    do the outputs, nor what a caller folds from the slots in stream
+    order.
 
     There are W = ``min(threads or C, C, chunks)`` workers, C the CPUs
     this process may run on (its affinity mask where the OS reports one),
@@ -670,19 +675,19 @@ def run_batch(
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(threads or cpus, cpus, len(starts)) if hasattr(os, "fork") else 1
-    shapes = {**{name: ((len(rec), replicates), np.float64) for name in reduction.columns},
-              **{name: ((len(starts), *slot), np.int64) for name, slot in reduction.slots.items()}}
+    shapes = {**{name: (len(rec), replicates) for name in reduction.columns},
+              **{name: (len(starts), *slot) for name, slot in reduction.slots.items()}}
     if workers == 1:
-        out = {name: np.empty(shape, dtype) for name, (shape, dtype) in shapes.items()}
+        out = {name: np.empty(shape) for name, shape in shapes.items()}
     else:  # only a batch that forks loads these
         import mmap
         import signal
 
-        sizes = [math.prod(shape) for shape, _ in shapes.values()]
+        sizes = [math.prod(shape) for shape in shapes.values()]
         mapping = mmap.mmap(-1, max(1, 8 * sum(sizes)))  # no empty mapping exists
         offsets = np.cumsum([0] + sizes).tolist()
-        out = {name: np.frombuffer(mapping, dtype, count=size, offset=8 * offset).reshape(shape)
-               for (name, (shape, dtype)), size, offset in zip(shapes.items(), sizes, offsets)}
+        out = {name: np.frombuffer(mapping, count=size, offset=8 * offset).reshape(shape)
+               for (name, shape), size, offset in zip(shapes.items(), sizes, offsets)}
 
     def run(worker: int) -> list[tuple[int, Exception]]:
         for c in range(worker, len(starts), workers):

@@ -499,7 +499,8 @@ def test_ols_matches_linregress_bitwise():
 def test_rate_experiment_releases_main_batch_before_elogw(monkeypatch, env_a):
     # the main batch leaves only its counts, one slot per chunk, when the
     # E log W batch runs; that batch records the horizon alone, on its own
-    # stream range, and leaves only its log W row
+    # stream range, and leaves only the (count, mean, M2) of log W_N of
+    # each chunk
     monkeypatch.setattr(trajectory, "_CHUNK", 200)
     calls, outputs = [], []
     run = mc_verify.run_batch
@@ -517,7 +518,7 @@ def test_rate_experiment_releases_main_batch_before_elogw(monkeypatch, env_a):
                         e_log_w_config=ElogWConfig(horizon=4, replicates=500))
     assert calls == [([4, 8], 0, {}),
                      ((4,), mc_verify.ELOGW_STREAM_OFFSET, {"counts": (3, 2, 3)})]
-    assert {name: a.shape for name, a in outputs[1].items()} == {"log_w": (1, 500)}
+    assert {name: a.shape for name, a in outputs[1].items()} == {"moments": (3, 1, 3)}
 
 
 # ------------------------------------------------- chunk-local reductions
@@ -532,11 +533,20 @@ def ragged_chunks(monkeypatch):
                         raising=False)
 
 
+def _merged(values, chunk=64):
+    """The merged moments of ``values`` cut into chunks of ``chunk``, as a
+    batch's chunks reduce them."""
+    parts = np.array([[mc_verify._moments(values[c:c + chunk])]
+                      for c in range(0, values.size, chunk)])
+    return tuple(column[0] for column in mc_verify._merge(parts))
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env_a_pure,
                                                        threads):
     # each chunk reduces its own rows; the results equal those of the whole
-    # batch's rows, reduced by the public functions and by _mean_se
+    # batch's rows, reduced by the public functions (CDF kinds) or cut into
+    # the same chunks and merged by the estimators' own merge (mean kinds)
     r, seed, grid, ns = 200, 5, [-1.0, 0.0, 1.0], [4, 8]
     moments = log_mean_moments(env_a)
 
@@ -547,8 +557,8 @@ def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env
     walk = simulate_walk_batch(env_a, 8, r, seed, record=ns)
     aside = simulate_batch(env_a, 5, r, seed, record=(4, 5),
                            stream_offset=mc_verify.ELOGW_STREAM_OFFSET)
-    mean, se = mc_verify._mean_se(aside.log_w_at(4))
-    increment = mc_verify._mean_se(np.abs(aside.log_w_at(5) - aside.log_w_at(4)))
+    mean, se = mc_verify._mean_se(*_merged(aside.log_w_at(4)))
+    increment = mc_verify._mean_se(*_merged(np.abs(aside.log_w_at(5) - aside.log_w_at(4))))
 
     assert estimate_elogw(env_a, 4, r, seed, mc_verify.ELOGW_STREAM_OFFSET,
                           threads) == (mean, se, 4, r, *increment)
@@ -561,31 +571,90 @@ def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env
 
     decay = simulate_batch(env_a, 4, r, seed, record=(2, 3, 4))
     assert [row[1:3] for row in increment_decay(env_a, 1.0, [2, 3], r, seed, threads).rows] == [
-        mc_verify._power_mean_se(decay.log_w_at(n + 1) - decay.log_w_at(n), 1.0, "", "", n)
+        mc_verify._power_mean_se(
+            _merged(np.abs(decay.log_w_at(n + 1) - decay.log_w_at(n)) ** 1.0), 1.0, "", "", n)
         for n in (2, 3)]
     pure = np.exp(simulate_batch(env_a_pure, 4, r, seed).log_w_at(4))
     ts = [1.0, 3.0, 4.0]
     assert [row[1:3] for row in laplace_decay(env_a_pure, ts, 4, r, seed, threads=threads).rows] \
-        == [mc_verify._mean_se(np.exp(-t * pure)) for t in ts]
+        == [mc_verify._mean_se(*_merged(np.exp(-t * pure))) for t in ts]
     moment = simulate_batch(env_a, 12, r, seed, record=(10, 12))
     assert [row[1:] for row in moment_stability(env_a, 2.0, [10, 12], r, seed, threads).rows] == [
-        mc_verify._power_mean_se(moment.log_w_at(n), 2.0, "", "", n) for n in (10, 12)]
+        mc_verify._power_mean_se(_merged(np.abs(moment.log_w_at(n)) ** 2.0), 2.0, "", "", n)
+        for n in (10, 12)]
 
 
-def test_rate_experiment_memory_does_not_grow_with_the_main_batch(monkeypatch, env_a):
-    # eight chunks of the main batch cost no more than one: each chunk keeps
-    # counts alone; only the E log W rows may differ, and here they do not
-    monkeypatch.setattr(trajectory, "_CHUNK", 1024)
-    elogw = ElogWConfig(horizon=4, replicates=1024)
+# Ulps of the mean and of the SD by which a chunked merge may differ from one
+# pass over the whole sample: each side rounds O(log n) times in its sums,
+# and the merge adds a few roundings per part.
+_MERGE_ULPS = 16
 
+
+@pytest.mark.parametrize("sizes", [[1, 7, 64, 8192, 3, 1, 1000], [1, 1], [5000], [2, 1, 4096, 1]])
+def test_merge_of_ragged_chunks_matches_one_pass(sizes):
+    values = np.random.default_rng(len(sizes)).normal(0.4, 0.7, sum(sizes))
+    cuts = np.cumsum([0] + sizes)
+    parts = np.array([[mc_verify._moments(values[a:b])] for a, b in zip(cuts, cuts[1:])])
+    count, mean, m2 = (column[0] for column in mc_verify._merge(parts))
+    assert count == values.size
+    assert abs(mean - np.mean(values)) <= _MERGE_ULPS * np.spacing(abs(np.mean(values)))
+    sd = np.std(values, ddof=1)
+    assert abs(math.sqrt(m2 / (count - 1)) - sd) <= _MERGE_ULPS * np.spacing(sd)
+    est, se = mc_verify._mean_se(count, mean, m2)
+    assert (est, se) == (float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count))
+
+
+def test_merge_carries_an_infinite_statistic_to_a_refused_mean():
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = np.array([[mc_verify._moments(np.array([1.0, np.inf]))],
+                          [mc_verify._moments(np.array([2.0, 3.0]))]])
+    count, mean, m2 = (column[0] for column in mc_verify._merge(parts))
+    with pytest.raises(ValueError, match="overflows a double for q = 1000.0"):
+        mc_verify._power_mean_se((count, mean, m2), 1000.0, "E|x|^q", "q", 3)
+
+
+def _peak_growth(run):
+    """The tracemalloc peak of ``run(8 * 1024)`` above that of ``run(1024)``,
+    chunks of 1024: eight chunks against one, after a warm-up run."""
     def peak(replicates):
         tracemalloc.start()
         try:
-            clt_rate_experiment(env_a, [-1.0, 0.0, 1.0], [16, 64, 256], replicates,
-                                master_seed=3, e_log_w_config=elogw)
+            run(replicates)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    log_w_rows = 2 * elogw.replicates * 8  # log W at the horizon and one after
-    assert peak(8 * 1024) - peak(1024) <= log_w_rows
+    peak(1024)
+    return peak(8 * 1024) - peak(1024)
+
+
+# A bound on the growth of an estimator's peak from one chunk of 1024 to
+# eight that depends on neither batch's replicates: two chunks' float rows.
+# The slots of eight chunks take at most a few KB, and the interpreter's
+# free lists move the peak by several KB from run to run; one log W row of
+# the eight-chunk batch takes 64 KiB.
+_GROWTH_BOUND = 2 * 1024 * 8
+
+
+def test_rate_experiment_memory_does_not_grow_with_the_main_batch(monkeypatch, env_a):
+    # eight chunks of both batches cost no more than one: the main batch
+    # keeps counts per chunk and the E log W batch (count, mean, M2)
+    monkeypatch.setattr(trajectory, "_CHUNK", 1024)
+    assert _peak_growth(lambda replicates: clt_rate_experiment(
+        env_a, [-1.0, 0.0, 1.0], [16, 64, 256], replicates, master_seed=3,
+        e_log_w_config=ElogWConfig(horizon=4, replicates=replicates))) <= _GROWTH_BOUND
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda env, r: estimate_elogw(env, 30, r, 3),
+        lambda env, r: increment_decay(env, 1.0, list(range(2, 12)), r, 3),
+        lambda env, r: laplace_decay(without_immigration(env), [1.0, 3.0, 10.0, 30.0], 20, r, 3),
+        lambda env, r: moment_stability(env, 2.0, [10, 20, 40], r, 3),
+    ],
+    ids=["elogw", "decay", "laplace", "moments"],
+)
+def test_mean_estimator_memory_does_not_grow_with_replicates(monkeypatch, env_a, run):
+    monkeypatch.setattr(trajectory, "_CHUNK", 1024)
+    assert _peak_growth(lambda replicates: run(env_a, replicates)) <= _GROWTH_BOUND
