@@ -195,39 +195,22 @@ def hypothesis_report(
 
     # Each series is summed once per distinct law, in the order the atoms
     # first name it: the first to diverge is the one a sum per atom meets first.
-    try:
-        imm_moment = {law: _immigration_power_moment(law, delta)
-                      for law in dict.fromkeys(a.immigration for a in env.atoms)}
-        imm = math.fsum(
-            a.prob * imm_moment[a.immigration] / a.offspring.mean**delta for a in env.atoms
-        )
-        entries.append(
-            HypothesisEntry(
-                "E(Y0/m0)^delta", imm, math.isfinite(imm), f"series sum, delta={delta}"
-            )
-        )
-    except SeriesDivergence as exc:
-        entries.append(HypothesisEntry("E(Y0/m0)^delta", math.nan, False, str(exc)))
-
-    try:
-        off_moment = {law: _offspring_power_moment(law, p)
-                      for law in dict.fromkeys(a.offspring for a in env.atoms)}
-        off = math.fsum(
-            a.prob * (off_moment[a.offspring] / a.offspring.mean**p) ** delta
-            for a in env.atoms
-        )
-        entries.append(
-            HypothesisEntry(
-                "E(E_xi(X0/m0)^p)^delta",
-                off,
-                math.isfinite(off),
-                f"series sum, p={p}, delta={delta}",
-            )
-        )
-    except SeriesDivergence as exc:
-        entries.append(
-            HypothesisEntry("E(E_xi(X0/m0)^p)^delta", math.nan, False, str(exc))
-        )
+    series = (
+        ("E(Y0/m0)^delta", f"series sum, delta={delta}", "immigration",
+         lambda law: _immigration_power_moment(law, delta),
+         lambda a, moment: a.prob * moment / a.offspring.mean**delta),
+        ("E(E_xi(X0/m0)^p)^delta", f"series sum, p={p}, delta={delta}", "offspring",
+         lambda law: _offspring_power_moment(law, p),
+         lambda a, moment: a.prob * (moment / a.offspring.mean**p) ** delta),
+    )
+    for name, detail, which, law_moment, term in series:
+        try:
+            moment = {law: law_moment(law)
+                      for law in dict.fromkeys(getattr(a, which) for a in env.atoms)}
+            val = math.fsum(term(a, moment[getattr(a, which)]) for a in env.atoms)
+            entries.append(HypothesisEntry(name, val, math.isfinite(val), detail))
+        except SeriesDivergence as exc:
+            entries.append(HypothesisEntry(name, math.nan, False, str(exc)))
 
     entries.append(
         HypothesisEntry(

@@ -550,7 +550,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.monotonic()
     kind = _KINDS[cfg.kind]
     if kind.checks_environment:
-        required = {"prob_sum", "mean_log_positive", "offspring_nondegenerate"}
+        required = {"prob_sum", "mean_log_positive"}
         bad = [c for c in validate(cfg.environment).failures() if c.name in required]
         if bad:
             msgs = "; ".join(f"{c.name}: {c.detail}" for c in bad)

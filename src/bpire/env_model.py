@@ -12,10 +12,10 @@ one descendant (``P(X = 0) = 0``), which keeps the population alive and makes
 Each law has a ``count`` law, ``PoissonCount`` or ``GeometricCount``, which
 offspring laws shift by one; it gives the law's mean and variance and is the
 one home of its family's pmf.  Four readers use that pmf without asking for
-the family: the immigration CDF table, its bound
-(:func:`immigration_table_entries`), the audit's moment series
-(:mod:`bpire.analytics`) and the simulator, whose choice of offspring draw
-is the one family test.  ``Y = 0`` almost surely is a count with mean 0.
+the family: the immigration CDF table, its bound (the count law's
+``table_entries``), the audit's moment series (:mod:`bpire.analytics`) and
+the simulator, whose choice of offspring draw is the one family test.
+``Y = 0`` almost surely is a count with mean 0.
 
 Plain records, such as the count laws, :class:`MomentSummary` and the
 validation report, are ``NamedTuple`` classes, as are the results, rows
@@ -73,9 +73,13 @@ class PoissonCount(NamedTuple):
         return self.mean / (k + 1)
 
     def table_entries(self) -> int:
-        """See :func:`immigration_table_entries`.  The sum is at least 1/2
-        from ``k >= mean + 2``, past the median (below ``mean + 1/3``) and
-        the mode, from where the terms fall."""
+        """An upper bound on the length of this law's inversion table
+        (:func:`bpire.sampler.immigration_cdf_table`), found without building
+        it.  The table grows while the next pmf term still changes its sum,
+        so it has at most k + 1 entries for the first k whose term is below
+        ``_ROUNDS_AWAY`` while the sum before it is at least 1/2.  The sum
+        is at least 1/2 from ``k >= mean + 2``, past the median (below
+        ``mean + 1/3``) and the mode, from where the terms fall."""
         if self.mean == 0.0:
             return 1
         k = math.ceil(self.mean) + 2
@@ -111,8 +115,10 @@ class GeometricCount(NamedTuple):
         return 1.0 - self.p
 
     def table_entries(self) -> int:
-        """See :func:`immigration_table_entries`.  The sum is ``1 - (1-p)^k
-        >= 1/2`` once the term ``p (1-p)^k`` is below ``p / 2``."""
+        """An upper bound on the length of this law's inversion table, by the
+        stopping argument of :meth:`PoissonCount.table_entries`.  The sum is
+        ``1 - (1-p)^k >= 1/2`` once the term ``p (1-p)^k`` is below
+        ``p / 2``."""
         if self.p == 1.0:
             return 1
         return int(math.log(_ROUNDS_AWAY / self.p) / math.log1p(-self.p)) + 2
@@ -247,23 +253,11 @@ class NoImmigration(_CountLaw):
 ImmigrationLaw = Union[PoissonImmigration, GeometricImmigration, NoImmigration]
 
 #: Most entries the immigration tables of one environment may hold, summed
-#: over its distinct immigration laws (one table each, bounded by
-#: :func:`immigration_table_entries`): 32 MB of doubles, about 14 geometric
+#: over its distinct immigration laws (one table each, bounded by its count
+#: law's ``table_entries``): 32 MB of doubles, about 14 geometric
 #: laws at ``GEOMETRIC_S_MIN``.  Without it, 10^4 distinct geometric laws
 #: near ``GEOMETRIC_S_MIN`` would ask for about 20 GB.
 MAX_IMMIGRATION_TABLE_ENTRIES = 2**22
-
-
-def immigration_table_entries(law: ImmigrationLaw) -> int:
-    """An upper bound on the length of ``law``'s inversion table
-    (:func:`bpire.sampler.immigration_cdf_table`), found without building it.
-
-    The table grows while the next pmf term still changes its running sum,
-    so it ends by the first k whose term is below ``_ROUNDS_AWAY`` while
-    the sum before it is at least 1/2 (from which k, ``law.count`` says),
-    and has at most k + 1 entries.
-    """
-    return law.count.table_entries()
 
 
 @dataclass(frozen=True)
@@ -300,7 +294,7 @@ class EnvironmentModel:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         entries = 0
         for law in dict.fromkeys(a.immigration for a in self.atoms):
-            entries += immigration_table_entries(law)
+            entries += law.count.table_entries()
             if entries > MAX_IMMIGRATION_TABLE_ENTRIES:
                 raise ValueError(
                     "the immigration tables of the distinct immigration laws would hold "
@@ -392,9 +386,10 @@ def validate(env: EnvironmentModel) -> ValidationReport:
     * ``mean_log_positive`` -- ``E log m > 0`` (supercritical growth);
     * ``sigma_positive``  -- ``Var(log m) > 0``, i.e. at least two atoms with
       distinct offspring means (needed whenever results are standardised by
-      ``sigma``);
-    * ``offspring_nondegenerate`` -- every offspring law has a positive
-      variance, so ``P(X = 1) < 1`` (guaranteed by the law constructors).
+      ``sigma``).
+
+    No check asks for ``P(X = 1) < 1``: every offspring law's constructor
+    (``lam > 0``, ``q < 1``) makes its variance positive.
 
     Failures are returned as entries, not raised: a single-atom environment
     fails ``sigma_positive`` but is still perfectly usable for experiments
@@ -426,17 +421,6 @@ def validate(env: EnvironmentModel) -> ValidationReport:
             var > 0.0,
             f"Var(log m) = {var!r}"
             + ("" if var > 0.0 else " (all atoms share one offspring mean)"),
-        )
-    )
-
-    degenerate = [i for i, a in enumerate(env.atoms) if not a.offspring.variance > 0.0]
-    checks.append(
-        ValidationCheck(
-            "offspring_nondegenerate",
-            not degenerate,
-            "all offspring laws satisfy P(X=1) < 1"
-            if not degenerate
-            else f"atoms {degenerate} have X = 1 almost surely",
         )
     )
 

@@ -23,10 +23,11 @@ thread count.  They may differ by a few ulps from those of one pass over
 the whole batch, which sums in another order.
 
 Inputs are checked before any batch runs: generations by the rule of a
-batch's ``record``, grids as nonempty, finite and ascending, and every gate
-has at least two values to compare.  One pass turns counts into ``F_hat_n -
-Phi`` for the CDF estimators and for the reductions of given samples,
-which compute their own warnings.
+batch's ``record``, grids as nonempty, finite and ascending, the replicates
+of every standard error as at least 2, and every gate has at least two
+values to compare.  One pass turns counts into ``F_hat_n - Phi`` for the
+CDF estimators and for the reductions of given samples, which compute
+their own warnings.
 
 Results and their rows are ``NamedTuple`` records, and a row record is its
 CSV row: the fields of ``RatePoint``, ``DecayRow``, ``BerryEsseenRow`` and
@@ -353,11 +354,21 @@ def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
     return moments, _generations(n_list, 1, "n_list"), _grid(grid, grid_name)
 
 
+def _se_replicates(replicates: int) -> None:
+    """Check, before any batch runs, the ``replicates`` of a batch whose
+    moments :func:`_mean_se` reduces: an integer, positive as every batch
+    needs, and at least 2, as a standard error needs."""
+    replicates = as_int(replicates, "replicates")
+    if replicates < 1:
+        raise ValueError(f"replicates must be positive, got {replicates}")
+    if replicates < 2:
+        raise ValueError(f"a standard error needs at least 2 replicates, got {replicates}")
+
+
 def _mean_se(count: float, mean: float, m2: float) -> tuple[float, float]:
     """The sample mean and its standard error ``sqrt(M2 / (n - 1)) /
-    sqrt(n)`` from the merged moments of n values, which need n >= 2."""
-    if count < 2:
-        raise ValueError(f"a standard error needs at least 2 replicates, got {int(count)}")
+    sqrt(n)`` from the merged moments of n values, n >= 2
+    (:func:`_se_replicates`)."""
     return float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
@@ -432,6 +443,7 @@ def estimate_elogw(
     horizon bias at the observable level.
     """
     horizon = _horizon(horizon)
+    _se_replicates(replicates)
     level, increment = _log_w_moments(
         env, (horizon, horizon + 1),
         [(0, lambda log_w, previous: log_w), (1, lambda log_w, previous: np.abs(log_w - previous))],
@@ -471,6 +483,7 @@ def clt_rate_experiment(
     """
     moments, ns, x_grid = _cdf_inputs(env, "clt_rate_experiment", n_list, x_grid, "x_grid")
     horizon = _horizon(e_log_w_config.horizon)
+    _se_replicates(e_log_w_config.replicates)
     cdfs = _batch_cdfs(env, moments, ns, x_grid, replicates, master_seed, threads, threshold)
     level, = _log_w_moments(env, (horizon,), [(0, lambda log_w, previous: log_w)],
                             e_log_w_config.replicates, master_seed, threads, threshold,
@@ -556,6 +569,7 @@ def increment_decay(
     if not (q > 0.0):
         raise ValueError(f"q must be positive, got {q}")
     ns = _generations(n_range, 0, "n_range")
+    _se_replicates(replicates)
     record = sorted({n for n in ns} | {n + 1 for n in ns})
     moments = _log_w_moments(
         env, record,
@@ -750,6 +764,7 @@ def laplace_decay(
             "t_grid must have at least two points t >= e, which the boundedness check "
             f"compares, got {points}"
         )
+    _se_replicates(replicates)
     moments = _log_w_moments(
         env, (horizon,),
         [(0, lambda log_w, previous, t=t: np.exp(-t * np.exp(log_w))) for t in ts],
@@ -816,6 +831,7 @@ def moment_stability(
             "n_list must have at least two generations n >= 10, which the stability check "
             f"compares, got {compared}"
         )
+    _se_replicates(replicates)
     moments = _log_w_moments(env, ns, [(g, lambda log_w, previous: np.abs(log_w) ** r)
                                        for g in range(len(ns))],
                              replicates, master_seed, threads, threshold)

@@ -343,9 +343,20 @@ def test_hypothesis_report_series_divergence_entry(monkeypatch):
     def boom(law, power):
         raise SeriesDivergence("series did not converge within the term cap")
 
-    monkeypatch.setattr(analytics, "_offspring_power_moment", boom)
-    report = hypothesis_report(make_env_a(), p=2.0, delta=2.0, r=3.0)
-    entry = report.entry("E(E_xi(X0/m0)^p)^delta")
-    assert not entry.passed
-    assert math.isnan(entry.value)
-    assert not report.all_passed
+    rows = {"_immigration_power_moment": "E(Y0/m0)^delta",
+            "_offspring_power_moment": "E(E_xi(X0/m0)^p)^delta"}
+    clean = hypothesis_report(make_env_a(), p=2.0, delta=2.0, r=3.0)
+    for helper, name in rows.items():
+        with monkeypatch.context() as m:
+            m.setattr(analytics, helper, boom)
+            report = hypothesis_report(make_env_a(), p=2.0, delta=2.0, r=3.0)
+        # only the diverging series' entry changes, in place
+        assert [e.name for e in report.entries] == [e.name for e in clean.entries]
+        for got, before in zip(report.entries, clean.entries):
+            if got.name != name:
+                assert got == before
+        entry = report.entry(name)
+        assert not entry.passed
+        assert math.isnan(entry.value)
+        assert entry.detail == "series did not converge within the term cap"
+        assert not report.all_passed

@@ -409,6 +409,12 @@ def _with_lam(lam) -> dict:
             2,
             "s >= 0.0001",
         ),
+        (
+            {"kind": "validate", "environment": {"atoms": [{**_env_doc()["atoms"][0],
+                                                            "prob": -0.5}]}},
+            2,
+            "environment.atoms[0]: atom probability must lie in (0, 1], got -0.5",
+        ),
         ({"replicates": _LONG_INT}, 1, "4300 digits"),
         ({"replicates": _DEEP_ARRAY}, 1, "recursion depth"),
         ({"kind": "elogw", "horizon": 10**12}, 1, "config.horizon"),
@@ -439,8 +445,8 @@ def _with_lam(lam) -> dict:
     ],
     ids=["grid-min-inf", "grid-step-underflow", "grid-too-many-points", "moments-r-inf",
          "lam-nan", "lam-beyond-float", "laplace-t-overflow", "geometric-s-too-small",
-         "integer-beyond-digit-limit", "array-beyond-recursion-limit",
-         "horizon-beyond-max-generations",
+         "atom-probability-negative", "integer-beyond-digit-limit",
+         "array-beyond-recursion-limit", "horizon-beyond-max-generations",
          "n-list-beyond-max-generations", "threshold-beyond-int64-counts",
          "elogw-one-replicate", "offspring-total-beyond-float", "geometric-q-too-small",
          "decay-power-overflow", "moments-power-overflow"],

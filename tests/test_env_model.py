@@ -125,7 +125,6 @@ def test_validate_reference_environment():
     assert report.check("prob_sum").passed
     assert report.check("mean_log_positive").passed
     assert report.check("sigma_positive").passed
-    assert report.check("offspring_nondegenerate").passed
 
 
 def test_validate_flags_bad_probability_mass():

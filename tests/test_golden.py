@@ -45,7 +45,7 @@ from bpire import (
 )
 from bpire.analytics import _immigration_power_moment, _offspring_power_moment
 from bpire.cli import KINDS, _parse_environment, main
-from bpire.env_model import GEOMETRIC_S_MIN, immigration_table_entries
+from bpire.env_model import GEOMETRIC_S_MIN
 from bpire.sampler import immigration_cdf_table
 from conftest import BLAS_VARS, make_env_a
 
@@ -190,7 +190,7 @@ def _laws():
     return {
         "cdf_tables": np.concatenate(tables),
         "table_sizes": np.array([t.size for t in tables]),
-        "table_entries": np.array([immigration_table_entries(law) for law in imm]),
+        "table_entries": np.array([law.count.table_entries() for law in imm]),
         "immigration_moments": np.array(
             [[_immigration_power_moment(law, p) for p in (0.5, 2.0, 3.0)] for law in imm]),
         "offspring_moments": np.array(
@@ -339,7 +339,7 @@ GOLDEN = {
     },
     "validate": {
         "exit": 0,
-        "stdout": "722b9eeeee16236447f9b598e6b98134fbc9cb01862941260cae9b4ee05376b8",
+        "stdout": "de5a694154280914f142d162a7f54965ea548f1b48b6f564994adef0cfaa3094",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "run_manifest.json": "f901bb5a53ee259764acc584a810da228583ad79f815a3379552bb3e2de7a002"
@@ -347,7 +347,7 @@ GOLDEN = {
     },
     "validate-one-atom": {
         "exit": 2,
-        "stdout": "1f83639628234f3d969a354f114ace2fe01feec8ad9b04b498a469bb197da396",
+        "stdout": "6971de3ee7f301687b6df1a571e81cceb4920af372ad61ebc6f71080b43cb2fe",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "run_manifest.json": "d8a5976e96e50f552a608c25061fd0f25ed5dfad6d7b47223b4df962e1e1103c"

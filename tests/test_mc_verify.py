@@ -347,11 +347,25 @@ def test_elogw_rejects_negative_horizon(no_batch, env_a, env_a_pure):
     ],
     ids=["elogw", "rate", "decay", "laplace", "moments"],
 )
-def test_standard_error_needs_two_replicates(run, env_a):
+def test_standard_error_needs_two_replicates(run, no_batch, env_a):
     # one replicate has no sample variance: an error naming the count, not
-    # a NaN standard error
+    # a NaN standard error, before any batch runs
     with pytest.raises(ValueError, match="at least 2 replicates, got 1"):
         run(env_a)
+
+
+@pytest.mark.parametrize(
+    "replicates, message",
+    [(1, "at least 2 replicates, got 1"), (0, "replicates must be positive, got 0"),
+     (2.5, "replicates must be an integer, got 2.5")],
+    ids=["one", "zero", "non-integer"],
+)
+def test_rate_checks_elogw_replicates_before_the_main_batch(no_batch, env_a, replicates,
+                                                            message):
+    # the main batch's replicates are fine: only the E log W batch's are bad
+    with pytest.raises(ValueError, match=message):
+        clt_rate_experiment(env_a, [0.0], [16], 20_000, master_seed=1,
+                            e_log_w_config=ElogWConfig(horizon=30, replicates=replicates))
 
 
 # --------------------------------------------------------------- decay gate

@@ -25,7 +25,6 @@ from bpire.env_model import (
     MAX_IMMIGRATION_TABLE_ENTRIES,
     EnvAtom,
     EnvironmentModel,
-    immigration_table_entries,
 )
 from bpire.sampler import atom_cumulative, immigration_cdf_table, substream
 import bpire.trajectory as trajectory
@@ -267,7 +266,7 @@ def test_immigration_cdf_table_no_immigration():
     # Y = 0 almost surely goes through the same code as every other law
     for law in (NoImmigration(), PoissonImmigration(nu=0.0), GeometricImmigration(s=1.0)):
         assert immigration_cdf_table(law).tolist() == [1.0], law
-        assert immigration_table_entries(law) == 1, law
+        assert law.count.table_entries() == 1, law
         env = EnvironmentModel(atoms=(EnvAtom(offspring=ShiftedPoisson(lam=1.0),
                                               immigration=law, prob=1.0),))
         entry = hypothesis_report(env).entry("E(Y0/m0)^delta")
@@ -402,7 +401,7 @@ def test_immigration_table_entries_bound_the_tables():
             + [PoissonImmigration(nu=0.0), NoImmigration()])
     for law in laws:
         size = immigration_cdf_table(law).size
-        assert size <= immigration_table_entries(law) <= 1.1 * size + 10, law
+        assert size <= law.count.table_entries() <= 1.1 * size + 10, law
 
 
 def test_immigration_tables_past_their_limit_are_refused():
@@ -417,7 +416,7 @@ def test_immigration_tables_past_their_limit_are_refused():
     EnvironmentModel(atoms=tuple(
         EnvAtom(offspring=a.offspring, immigration=atoms[0].immigration, prob=a.prob)
         for a in atoms))
-    fits = MAX_IMMIGRATION_TABLE_ENTRIES // immigration_table_entries(atoms[0].immigration)
+    fits = MAX_IMMIGRATION_TABLE_ENTRIES // atoms[0].immigration.count.table_entries()
     EnvironmentModel(atoms=atoms[:fits])
     with pytest.raises(ValueError, match="MAX_IMMIGRATION_TABLE_ENTRIES"):
         EnvironmentModel(atoms=atoms[:fits + 1])
