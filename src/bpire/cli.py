@@ -95,7 +95,6 @@ from .env_model import (
 from .analytics import hypothesis_report
 from .mc_verify import (
     ElogWConfig,
-    _generations,
     berry_esseen_sup,
     clt_rate_experiment,
     estimate_elogw,
@@ -481,10 +480,7 @@ _KINDS: dict[str, Kind] = {
     ),
     "decay": Kind(
         ("n_list",),
-        # the estimator's n_range is the config's n_list: check it by the
-        # estimator's rule under the config's name
-        lambda cfg: increment_decay(q=cfg.q, n_range=_generations(cfg.n_list, 0, "n_list"),
-                                    **_common_args(cfg)),
+        lambda cfg: increment_decay(q=cfg.q, n_list=cfg.n_list, **_common_args(cfg)),
         (
             Csv("decay.csv", "n,estimate,se,qualifies"),
             Csv(

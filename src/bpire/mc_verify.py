@@ -548,7 +548,7 @@ def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
 def increment_decay(
     env: EnvironmentModel,
     q: float,
-    n_range: Sequence[int],
+    n_list: Sequence[int],
     replicates: int,
     master_seed: int,
     threads: int = 1,
@@ -568,7 +568,7 @@ def increment_decay(
     """
     if not (q > 0.0):
         raise ValueError(f"q must be positive, got {q}")
-    ns = _generations(n_range, 0, "n_range")
+    ns = _generations(n_list, 0, "n_list")
     _se_replicates(replicates)
     record = sorted({n for n in ns} | {n + 1 for n in ns})
     moments = _log_w_moments(

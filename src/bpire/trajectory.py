@@ -96,7 +96,6 @@ import functools
 import math
 import operator
 import os
-import pickle
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -657,14 +656,18 @@ def run_batch(
     stream order, up to the first that raises.  The caller is worker 0.
     Every other worker is a forked child: it writes its share of the
     outputs straight into them, which then lie in one anonymous shared
-    mapping, pipes its failure, if any, to the caller pickled, and leaves
-    by ``os._exit``.  So each output is held once, and nothing is copied
-    back; a chunk's rows of a generation live only until it takes the next.
+    mapping, and leaves by ``os._exit``, with status 0 once its whole share
+    has run and 1 otherwise; it sends nothing else.  So each output is held
+    once, and nothing is copied back; a chunk's rows of a generation live
+    only until it takes the next.
 
-    The caller then reads and reaps each child, and raises the error of the
-    earliest failing chunk in stream order; a child that leaves no report
-    (killed by a signal, say) fails as ``ChildProcessError``.  On any other
-    way out, such as an interrupt, it kills and reaps the children left."""
+    The caller then reaps each child.  A chunk is a pure function of its
+    key, so the caller runs the share of a child that exited nonzero
+    itself: that raises the child's error with its own type and args, or,
+    if nothing raises, fills the share.  It raises the error of the
+    earliest failing chunk in stream order; a child killed by a signal
+    fails as ``ChildProcessError``.  On any other way out, such as an
+    interrupt, it kills and reaps the children left."""
     if populations not in (0, 1, 2):
         raise ValueError(f"populations must be 0, 1 or 2, got {populations!r}")
     master_seed, stream_offset, rec = _check_batch(n, replicates, master_seed, stream_offset,
@@ -702,40 +705,30 @@ def run_batch(
                 return [(c, exc)]
         return []
 
-    children = []  # (worker, pid, read end of its pipe) of each child not yet reaped
+    children = []  # (worker, pid) of each child not yet reaped
     failures = []
     try:
         for w in range(1, workers):
-            read, write = os.pipe()
             pid = os.fork()
-            if pid == 0:  # the child: report, and never return
+            if pid == 0:  # the child: exit 0 only once its whole share has run
                 status = 1
                 try:
-                    with open(write, "wb") as sink:
-                        sink.write(pickle.dumps(run(w)))
-                    status = 0
+                    status = 1 if run(w) else 0
                 finally:
                     os._exit(status)
-            os.close(write)
-            children.append((w, pid, open(read, "rb")))
+            children.append((w, pid))
         failures += run(0)
         while children:
-            w, pid, pipe = children[-1]
-            with pipe:  # read before waitpid: a long report blocks its writer until read
-                report = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            w, pid = children[-1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop()
-            if report:
-                failures += pickle.loads(report)
-            else:
-                code = os.waitstatus_to_exitcode(status)
-                cause = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
-                         else f"exited with code {code}")
-                failures.append((w, ChildProcessError(f"chunk worker {w} {cause} "
-                                                      "before its report")))
+            if code < 0:
+                failures.append((w, ChildProcessError(
+                    f"chunk worker {w} was killed by signal {-code} ({signal.strsignal(-code)})")))
+            elif code:
+                failures += run(w)
     finally:
-        for _, pid, pipe in children:
-            pipe.close()
+        for _, pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if failures:

@@ -196,6 +196,9 @@ def test_hypothesis_report_reference_env():
     )
     assert report.entry("sigma2_positive").passed
     assert report.entry("non_lattice").value == pytest.approx(math.log(1.5), rel=1e-12)
+    with pytest.raises(KeyError) as info:
+        report.entry("lattice")
+    assert info.value.args == ("lattice",)
 
 
 def test_hypothesis_report_on_ten_thousand_atoms_is_fast():

@@ -340,7 +340,7 @@ def test_elogw_rejects_negative_horizon(no_batch, env_a, env_a_pure):
         lambda env: estimate_elogw(env, horizon=2, replicates=1),
         lambda env: clt_rate_experiment(env, [0.0], [2], replicates=1, master_seed=0,
                                         e_log_w_config=ElogWConfig(horizon=2, replicates=1)),
-        lambda env: increment_decay(env, q=1.0, n_range=[1, 2], replicates=1, master_seed=0),
+        lambda env: increment_decay(env, q=1.0, n_list=[1, 2], replicates=1, master_seed=0),
         lambda env: laplace_decay(without_immigration(env), [3.0, 4.0], horizon=2,
                                   replicates=1, master_seed=0),
         lambda env: moment_stability(env, r=2.0, n_list=[10, 20], replicates=1, master_seed=0),
@@ -429,6 +429,9 @@ def test_berry_esseen_stability_on_reference_env(env_a):
     assert result.stable
     assert result.c == max(r.c_fit for r in result.rows)
     assert result.row(8).n == 8
+    with pytest.raises(KeyError) as info:
+        result.row(12)
+    assert info.value.args == (12,)
 
 
 def test_berry_esseen_requires_positive_variance():
@@ -490,6 +493,9 @@ def test_moment_stability_flat_on_reference_env(env_a):
     assert result.bounded
     assert result.ratio <= 2.0
     assert result.row(20).n == 20
+    with pytest.raises(KeyError) as info:
+        result.row(30)
+    assert info.value.args == (30,)
 
 
 def test_moment_stability_rejects_bad_order(env_a):

@@ -199,9 +199,10 @@ def test_chunk_workers_write_the_batch_arrays_in_place(monkeypatch, tmp_path, en
 def recording_fork(monkeypatch):
     """Chunks of 100, and ``os.fork`` replaced by a recorder that never
     forks; returns the list it appends each call to.  The recorder hands
-    back a pid no process has, which ``os.waitpid`` reports as a clean
-    exit.  So the worker that pid stands for never reports, and a batch
-    that forks fails rather than return the columns no worker filled."""
+    back a pid no process has, which ``os.waitpid`` reports as exit status
+    1, as a child whose share did not run would leave.  So the caller runs
+    each such share itself, and a batch that forks returns the bytes of
+    the inline batch."""
     calls = []
     fake = 2**30  # above any pid_max
     waitpid = os.waitpid
@@ -213,27 +214,28 @@ def recording_fork(monkeypatch):
     monkeypatch.setattr(trajectory, "_CHUNK", 100)
     monkeypatch.setattr(trajectory.os, "fork", fork)
     monkeypatch.setattr(trajectory.os, "waitpid",
-                        lambda pid, options: (pid, 0) if pid > fake else waitpid(pid, options))
+                        lambda pid, options: (pid, 1 << 8) if pid > fake else waitpid(pid, options))
     return calls
 
 
 def test_workers_capped_at_cpus_and_chunks(monkeypatch, recording_fork, env_a):
     # Workers are min(threads, CPUs, chunks), the caller among them: on
     # 64 CPUs a million threads over three chunks fork two children, and
-    # on two CPUs one.  No process is started.
+    # on two CPUs one.  No process is started, so the caller runs every
+    # share.
     calls = recording_fork
     monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
     inline = simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=1)
     assert calls == []
-    with pytest.raises(ChildProcessError, match="chunk worker 1 exited with code 0 before"):
-        simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=10**6)
+    forked = simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=10**6)
     assert calls == [0, 1]
+    assert forked.log_z.tobytes() == inline.log_z.tobytes()
     calls.clear()
     monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(ChildProcessError, match="chunk worker 1 exited"):
-        simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=10**6)
+    forked = simulate_batch(env_a, 12, 300, 3, record=(6, 12), threads=10**6)
     assert calls == [0]
+    assert forked.log_z.tobytes() == inline.log_z.tobytes()
     calls.clear()
     # one chunk forks nothing, and without os.fork a batch runs inline
     one = simulate_batch(env_a, 12, 100, 3, record=(6, 12), threads=10**6)
@@ -248,7 +250,7 @@ def test_auto_threads_count_the_cpus_this_process_may_run_on(monkeypatch, record
                                                              env_a):
     # threads = 0 on a host of 64 CPUs: pinned to one of them, the batch
     # runs inline with the bytes of threads = 1; allowed two, it forks one
-    # worker.
+    # worker, whose share the caller runs.
     calls = recording_fork
     monkeypatch.setattr(trajectory.os, "cpu_count", lambda: 64)
     inline = simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=1)
@@ -257,9 +259,9 @@ def test_auto_threads_count_the_cpus_this_process_may_run_on(monkeypatch, record
     assert calls == []
     assert one_cpu.log_z.tobytes() == inline.log_z.tobytes()
     monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(ChildProcessError, match="chunk worker 1"):
-        simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=0)
+    two_cpus = simulate_batch(env_a, 12, 1050, 3, record=(6, 12), threads=0)
     assert calls == [0]
+    assert two_cpus.log_z.tobytes() == inline.log_z.tobytes()
 
 
 def test_forked_batch_of_no_recorded_generation_is_empty(env_a):
@@ -298,6 +300,40 @@ def test_chunk_error_keeps_its_type_and_the_earliest_chunk_wins(monkeypatch, env
             simulate_batch(env_a, 12, 400, 3, record=(6, 12), threads=2)
         assert info.value.args == (f"chunk {first}",)
         assert _no_child_left()
+
+
+class _TwoArgumentError(Exception):
+    """An error whose ``__init__`` takes two arguments but whose ``args``
+    hold one, so ``pickle`` cannot rebuild it from its ``args``."""
+
+    def __init__(self, chunk, why):
+        super().__init__(f"chunk {chunk}: {why}")
+
+
+def _error_holding_a_lambda(chunk):
+    """An error with an attribute ``pickle`` cannot serialize."""
+    error = ValueError(f"chunk {chunk}")
+    error.hook = lambda: chunk
+    return error
+
+
+@pytest.mark.parametrize("make", [lambda c: _TwoArgumentError(c, "fails"), _error_holding_a_lambda],
+                         ids=["two-argument-init", "holds-a-lambda"])
+def test_chunk_error_that_pickle_cannot_carry_raises_as_itself(monkeypatch, env_a, make):
+    # chunk 1 is the child's at two threads: its error is raised with its
+    # own type and args, as at one thread
+    def fail(c):
+        if c == 1:
+            raise make(c)
+
+    _failing(monkeypatch, fail)
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(Exception) as info:
+            simulate_batch(env_a, 12, 400, 3, record=(6, 12), threads=threads)
+        errors.append((type(info.value), info.value.args))
+        assert _no_child_left()
+    assert errors == [(type(make(1)), make(1).args)] * 2
 
 
 def test_offspring_overflow_raises_the_same_error_at_any_thread_count(monkeypatch):
