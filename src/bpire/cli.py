@@ -53,7 +53,8 @@ Exit codes:
   decay CI including 1, unstable Berry-Esseen constant, exploding Laplace
   column, unbounded moment ratio);
 * 4 -- I/O or process failure (unreadable config, unwritable output
-  directory, a refused fork, a chunk worker killed by a signal).
+  directory, batch outputs larger than the process may map, a refused
+  fork, a chunk worker killed by a signal).
 
 The output directory is created after the checks of the config and the
 environment and before the run, so a config those checks refuse leaves

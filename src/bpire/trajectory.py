@@ -94,8 +94,10 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import operator
 import os
+import signal
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -653,13 +655,13 @@ def run_batch(
     There are W = ``min(threads or C, C, chunks)`` workers, C the CPUs
     this process may run on (its affinity mask where the OS reports one),
     or one without ``os.fork``.  Worker w runs chunks w, w + W, ... in
-    stream order, up to the first that raises.  The caller is worker 0.
-    Every other worker is a forked child: it writes its share of the
-    outputs straight into them, which then lie in one anonymous shared
-    mapping, and leaves by ``os._exit``, with status 0 once its whole share
-    has run and 1 otherwise; it sends nothing else.  So each output is held
-    once, and nothing is copied back; a chunk's rows of a generation live
-    only until it takes the next.
+    stream order, up to the first that raises.  The outputs always lie in
+    one anonymous shared mapping, so their allocation fails alike at any W.
+    The caller is worker 0; every other worker is a forked child that
+    writes its share straight into the outputs and leaves by ``os._exit``,
+    with status 0 once its whole share has run and 1 otherwise; it sends
+    nothing else.  So each output is held once, and nothing is copied back;
+    a chunk's rows of a generation live only until it takes the next.
 
     The caller then reaps each child.  A chunk is a pure function of its
     key, so the caller runs the share of a child that exited nonzero
@@ -680,17 +682,11 @@ def run_batch(
     workers = min(threads or cpus, cpus, len(starts)) if hasattr(os, "fork") else 1
     shapes = {**{name: (len(rec), replicates) for name in reduction.columns},
               **{name: (len(starts), *slot) for name, slot in reduction.slots.items()}}
-    if workers == 1:
-        out = {name: np.empty(shape) for name, shape in shapes.items()}
-    else:  # only a batch that forks loads these
-        import mmap
-        import signal
-
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        mapping = mmap.mmap(-1, max(1, 8 * sum(sizes)))  # no empty mapping exists
-        offsets = np.cumsum([0] + sizes).tolist()
-        out = {name: np.frombuffer(mapping, count=size, offset=8 * offset).reshape(shape)
-               for (name, shape), size, offset in zip(shapes.items(), sizes, offsets)}
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    mapping = mmap.mmap(-1, max(1, 8 * sum(sizes)))  # no empty mapping exists
+    offsets = np.cumsum([0] + sizes).tolist()
+    out = {name: np.frombuffer(mapping, count=size, offset=8 * offset).reshape(shape)
+           for (name, shape), size, offset in zip(shapes.items(), sizes, offsets)}
 
     def run(worker: int) -> list[tuple[int, Exception]]:
         for c in range(worker, len(starts), workers):

@@ -363,3 +363,20 @@ def test_hypothesis_report_series_divergence_entry(monkeypatch):
         assert math.isnan(entry.value)
         assert entry.detail == "series did not converge within the term cap"
         assert not report.all_passed
+
+
+def test_hypothesis_report_real_series_reaches_the_term_cap():
+    # A valid law whose offspring series is too long for the term cap:
+    # ShiftedGeometric(q = 1e-5) has terms that shrink by 1 - q, so rtol 1e-12
+    # needs about 3.4 million of them.  The moment is finite, so this pins
+    # the documented cap, not a correct value; every other entry, the
+    # immigration series included, stays finite.
+    env = EnvironmentModel(atoms=tuple(
+        EnvAtom(offspring=offspring, immigration=PoissonImmigration(nu=1.0), prob=0.5)
+        for offspring in (ShiftedGeometric(q=1e-5), ShiftedPoisson(lam=1.0))
+    ))
+    report = hypothesis_report(env, p=2.0, delta=2.0, r=3.0)
+    entry = report.entry("E(E_xi(X0/m0)^p)^delta")
+    assert math.isnan(entry.value) and not entry.passed
+    assert entry.detail == "series did not reach rtol=1e-12 within 1000000 terms"
+    assert all(math.isfinite(e.value) for e in report.entries if e is not entry)

@@ -494,6 +494,23 @@ def test_chunk_worker_killed_by_a_signal_exits_four(monkeypatch, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "chunk worker 1 was killed by signal 9" in err
 
+
+def test_outputs_too_large_to_map_exit_four_alike_at_any_thread_count(tmp_path):
+    # 2**40 replicates hold more bytes of batch output than a process capped
+    # at 2 GiB of address space may map; the cap, set by the child on
+    # itself, makes the refusal deterministic whatever the host's overcommit
+    # policy, and the refusal comes before any chunk runs or forks
+    capped = ("import resource, runpy\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+              "runpy.run_module('bpire.cli', run_name='__main__')\n")
+    cfg = _write(tmp_path, {"kind": "elogw", "environment": _env_doc(), "replicates": 2**40})
+    seen = []
+    for threads in ("1", "2"):
+        proc = _python("-c", capped, "--config", cfg, "--out", str(tmp_path / threads),
+                       "--threads", threads)
+        seen.append((proc.returncode, proc.stderr))
+    assert seen == [(4, "error: I/O failure: [Errno 12] Cannot allocate memory\n")] * 2
+
 _OFFSPRING_DOCS = st.one_of(
     st.builds(lambda lam: {"kind": "shifted_poisson", "lam": lam},
               st.floats(0.0, sys.float_info.max, exclude_min=True)),

@@ -137,28 +137,37 @@ def test_batch_thread_count_does_not_change_bytes(monkeypatch, env_a):
 
 
 def test_batch_holds_each_row_once(monkeypatch, env_a):
-    # Inline chunks fill the batch arrays in place.  A batch of four
-    # chunks peaks above a batch of one by about the three chunks' share of
-    # the output (3/4 of its bytes); a list of chunk results joined by a
-    # copy, or a stored log W, would take it above the output's size.
+    # Inline or forked, the chunks fill the batch arrays in place: each
+    # output is a view of one anonymous mapping of exactly the outputs'
+    # bytes, which tracemalloc does not see.  So from one chunk to four the
+    # traced peak grows by less than one output's bytes: a list of chunk
+    # results joined by a copy, or a stored log W, would take it above.
     monkeypatch.setattr(trajectory, "_CHUNK", 1024)
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
 
-    def traced_peak(replicates, couple):
+    def traced_peak(replicates, couple, threads):
         tracemalloc.start()
         try:
             batch = simulate_batch(env_a, 64, replicates, 5, record=(16, 32, 64),
-                                   couple_no_immigration=couple)
+                                   couple_no_immigration=couple, threads=threads)
             return tracemalloc.get_traced_memory()[1], batch
         finally:
             tracemalloc.stop()
 
     for couple in (False, True):
-        traced_peak(1024, couple)  # warm up
-        one, _ = traced_peak(1024, couple)
-        four, batch = traced_peak(4096, couple)
-        arrays = [batch.log_z, batch.s] + ([batch.log_zbar] if couple else [])
-        assert all(a.shape == (3, 4096) for a in arrays)
-        assert four - one < sum(a.nbytes for a in arrays)
+        for threads in (1, 3):
+            traced_peak(1024, couple, threads)  # warm up
+            one, _ = traced_peak(1024, couple, threads)
+            four, batch = traced_peak(4096, couple, threads)
+            arrays = [batch.log_z, batch.s] + ([batch.log_zbar] if couple else [])
+            assert all(a.shape == (3, 4096) for a in arrays)
+            mapping = arrays[0].base.base.obj  # view -> flat array -> memoryview
+            assert isinstance(mapping, mmap.mmap)
+            assert all(a.base.base.obj is mapping for a in arrays)
+            assert len(mapping) == max(1, sum(a.nbytes for a in arrays))
+            assert four - one < arrays[0].nbytes
+    assert _no_child_left()
 
 
 def test_chunk_workers_write_the_batch_arrays_in_place(monkeypatch, tmp_path, env_a):
@@ -349,6 +358,20 @@ def test_offspring_overflow_raises_the_same_error_at_any_thread_count(monkeypatc
             simulate_batch(huge, 4, 60, 0, threads=threads)
         errors.append((type(info.value), str(info.value)))
     assert errors == [(ValueError, "an offspring total overflows a double")] * 2
+    assert _no_child_left()
+
+
+def test_outputs_too_large_to_map_fail_alike_at_any_thread_count(monkeypatch, env_a):
+    # 2**63 replicates hold more output bytes than an address space: the
+    # mapping is refused before anything is allocated or forked, with the
+    # same error at one thread and at two on two CPUs
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(Exception) as info:
+            simulate_batch(env_a, 1, 2**63, 1, threads=threads)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
     assert _no_child_left()
 
 
