@@ -120,7 +120,7 @@ def _t_upper_tail(df: int, t: float) -> float:
 
 #: Stream-id offset for the martingale-limit estimation batch inside
 #: clt_rate_experiment: same master seed, disjoint replicate stream range
-#: (main batches use ids [0, R), this starts at 2**32).
+#: (main batches use ids [0, R) with R <= 2**32, this starts at 2**32).
 ELOGW_STREAM_OFFSET = 2**32
 
 
@@ -311,18 +311,21 @@ def _merge(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return count, mean, m2
 
 
-def _log_w_moments(env: EnvironmentModel, record: Sequence[int],
-                   statistics: Sequence[tuple[int, Callable[..., np.ndarray]]], replicates: int,
-                   master_seed: int, threads: int, threshold: int, stream_offset: int = 0
-                   ) -> list[tuple[float, float, float]]:
-    """The merged ``(count, mean, M2)`` of each statistic ``(g, f)`` of one
-    batch, in the order given.  ``f(log_w, previous)`` returns one value
+def _log_w_means(env: EnvironmentModel, record: Sequence[int],
+                 statistics: Sequence[tuple[int, Callable[..., np.ndarray]]], replicates: int,
+                 master_seed: int, threads: int, threshold: int, stream_offset: int = 0
+                 ) -> list[tuple[float, float]]:
+    """The mean of each statistic ``(g, f)`` of one batch and its standard
+    error ``sqrt(M2 / (n - 1)) / sqrt(n)``, in the order given, from the
+    moments of all chunks merged.  ``f(log_w, previous)`` returns one value
     per replicate from the ``log W`` rows, by the subtraction of
     :meth:`bpire.trajectory.BatchResult.log_w_at`, at generation
     ``record[g]`` of the checked ``record`` and at the recorded generation
-    before it (``None`` at g = 0).  Each chunk keeps the moments of every
-    statistic in its slot, and its ``log W`` row lives on only until its
-    next recorded generation."""
+    before it (``None`` at g = 0).  :func:`_se_replicates` checks
+    ``replicates`` first.  Each chunk keeps the moments of every statistic
+    in its slot, and its ``log W`` row lives until its next recorded one."""
+    _se_replicates(replicates)
+
     def keep(views: dict[str, np.ndarray], g: int, s: np.ndarray, log_z: np.ndarray,
              log_zbar: np.ndarray | None) -> None:
         log_w = log_z - s
@@ -336,7 +339,8 @@ def _log_w_moments(env: EnvironmentModel, record: Sequence[int],
                         Reduction(keep, (), {"moments": (len(statistics), 3)}),
                         threshold=threshold, threads=threads,
                         stream_offset=stream_offset)[-1]["moments"]
-    return list(zip(*_merge(moments)))
+    return [(float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count))
+            for count, mean, m2 in zip(*_merge(moments))]
 
 
 def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
@@ -356,8 +360,8 @@ def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
 
 def _se_replicates(replicates: int) -> None:
     """Check, before any batch runs, the ``replicates`` of a batch whose
-    moments :func:`_mean_se` reduces: an integer, positive as every batch
-    needs, and at least 2, as a standard error needs."""
+    standard errors :func:`_log_w_means` forms: an integer, positive as
+    every batch needs, and at least 2, as a standard error needs."""
     replicates = as_int(replicates, "replicates")
     if replicates < 1:
         raise ValueError(f"replicates must be positive, got {replicates}")
@@ -365,20 +369,13 @@ def _se_replicates(replicates: int) -> None:
         raise ValueError(f"a standard error needs at least 2 replicates, got {replicates}")
 
 
-def _mean_se(count: float, mean: float, m2: float) -> tuple[float, float]:
-    """The sample mean and its standard error ``sqrt(M2 / (n - 1)) /
-    sqrt(n)`` from the merged moments of n values, n >= 2
-    (:func:`_se_replicates`)."""
-    return float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count)
-
-
-def _power_mean_se(moments: tuple[float, float, float], power: float, what: str, name: str,
+def _power_mean_se(mean_se: tuple[float, float], power: float, what: str, name: str,
                    n: int) -> tuple[float, float]:
-    """:func:`_mean_se` of the merged moments of ``|values|^power``, which a
-    large ``power`` can overflow: a mean or SE that is not a finite double
-    raises ``ValueError`` naming ``what`` at ``n`` and the parameter
+    """``mean_se``, the mean of ``|values|^power`` and its standard error,
+    which a large ``power`` can overflow: a mean or SE that is not a finite
+    double raises ``ValueError`` naming ``what`` at ``n`` and the parameter
     ``name``."""
-    est, se = _mean_se(*moments)
+    est, se = mean_se
     if not (math.isfinite(est) and math.isfinite(se)):
         raise ValueError(
             f"{what} at n = {n} or its SE overflows a double for {name} = {power!r}"
@@ -443,13 +440,10 @@ def estimate_elogw(
     horizon bias at the observable level.
     """
     horizon = _horizon(horizon)
-    _se_replicates(replicates)
-    level, increment = _log_w_moments(
+    (mean, se), (increment_estimate, increment_se) = _log_w_means(
         env, (horizon, horizon + 1),
         [(0, lambda log_w, previous: log_w), (1, lambda log_w, previous: np.abs(log_w - previous))],
         replicates, master_seed, threads, threshold, stream_offset)
-    mean, se = _mean_se(*level)
-    increment_estimate, increment_se = _mean_se(*increment)
     return ElogWEstimate(
         mean=mean,
         se=se,
@@ -473,22 +467,29 @@ def clt_rate_experiment(
     """Measure ``sqrt(n) (F_hat_n(x) - Phi(x))`` for the standardised
     ``log Z_n`` against the predicted limit curve.
 
-    The limit prediction ``g(x) = -pdf(x) E log W / sigma + Q(x)`` uses
-    ``E log W`` estimated as :func:`estimate_elogw` does, by the mean of
-    ``log W_N`` at ``N = e_log_w_config.horizon``, from the same master seed
-    on a disjoint stream range (ids from ``2**32``), so the whole curve
-    remains a deterministic function of ``(env, parameters, master_seed)``.
-    Its batch records the horizon alone: the increment diagnostic is not
-    part of a rate curve.
+    The limit prediction ``g(x) = -pdf(x) E log W / sigma + Q(x)`` takes
+    ``E log W`` and its SE from :func:`estimate_elogw` at
+    ``e_log_w_config``, with the same master seed on the stream ids from
+    ``ELOGW_STREAM_OFFSET = 2**32``.  The main batch uses the ids ``[0,
+    replicates)``, so ``replicates`` may be at most ``2**32``: the ranges
+    are disjoint, and the whole curve remains a deterministic function of
+    ``(env, parameters, master_seed)``.  Every argument is checked before
+    the main batch runs.
     """
     moments, ns, x_grid = _cdf_inputs(env, "clt_rate_experiment", n_list, x_grid, "x_grid")
-    horizon = _horizon(e_log_w_config.horizon)
+    _horizon(e_log_w_config.horizon)
     _se_replicates(e_log_w_config.replicates)
+    if as_int(replicates, "replicates") > ELOGW_STREAM_OFFSET:
+        raise ValueError(
+            f"replicates must be at most {ELOGW_STREAM_OFFSET}, where the stream ids of the "
+            f"E log W batch start (ELOGW_STREAM_OFFSET), got {replicates}"
+        )
     cdfs = _batch_cdfs(env, moments, ns, x_grid, replicates, master_seed, threads, threshold)
-    level, = _log_w_moments(env, (horizon,), [(0, lambda log_w, previous: log_w)],
-                            e_log_w_config.replicates, master_seed, threads, threshold,
-                            ELOGW_STREAM_OFFSET)
-    return _rate_curve(cdfs, x_grid, moments, *_mean_se(*level))
+    e_log_w = estimate_elogw(env, horizon=e_log_w_config.horizon,
+                             replicates=e_log_w_config.replicates, master_seed=master_seed,
+                             stream_offset=ELOGW_STREAM_OFFSET, threads=threads,
+                             threshold=threshold)
+    return _rate_curve(cdfs, x_grid, moments, e_log_w.mean, e_log_w.se)
 
 
 def walk_oracle_rate(
@@ -569,15 +570,14 @@ def increment_decay(
     if not (q > 0.0):
         raise ValueError(f"q must be positive, got {q}")
     ns = _generations(n_list, 0, "n_list")
-    _se_replicates(replicates)
     record = sorted({n for n in ns} | {n + 1 for n in ns})
-    moments = _log_w_moments(
+    means = _log_w_means(
         env, record,
         [(record.index(n + 1), lambda log_w, previous: np.abs(log_w - previous) ** q)
          for n in ns],
         replicates, master_seed, threads, threshold)
     rows: list[DecayRow] = []
-    for n, increment in zip(ns, moments):
+    for n, increment in zip(ns, means):
         est, se = _power_mean_se(increment, q, "E|log W_(n+1) - log W_n|^q", "q", n)
         rows.append(DecayRow(n=n, estimate=est, se=se, qualifies=est > 5.0 * se))
 
@@ -764,14 +764,12 @@ def laplace_decay(
             "t_grid must have at least two points t >= e, which the boundedness check "
             f"compares, got {points}"
         )
-    _se_replicates(replicates)
-    moments = _log_w_moments(
+    means = _log_w_means(
         env, (horizon,),
         [(0, lambda log_w, previous, t=t: np.exp(-t * np.exp(log_w))) for t in ts],
         replicates, master_seed, threads, threshold)
     rows: list[LaplaceRow] = []
-    for t, transform in zip(ts, moments):
-        phi_hat, se = _mean_se(*transform)
+    for t, (phi_hat, se) in zip(ts, means):
         weighted = math.log(t) ** r * phi_hat if t > 1.0 else math.nan
         rows.append(LaplaceRow(t=t, phi_hat=phi_hat, se=se, weighted=weighted))
 
@@ -831,12 +829,11 @@ def moment_stability(
             "n_list must have at least two generations n >= 10, which the stability check "
             f"compares, got {compared}"
         )
-    _se_replicates(replicates)
-    moments = _log_w_moments(env, ns, [(g, lambda log_w, previous: np.abs(log_w) ** r)
-                                       for g in range(len(ns))],
-                             replicates, master_seed, threads, threshold)
+    means = _log_w_means(env, ns, [(g, lambda log_w, previous: np.abs(log_w) ** r)
+                                   for g in range(len(ns))],
+                         replicates, master_seed, threads, threshold)
     rows = [MomentRow(n, *_power_mean_se(power, r, "E|log W_n|^r", "r", n))
-            for n, power in zip(ns, moments)]
+            for n, power in zip(ns, means)]
     tail = [row for row in rows if row.n >= 10]
     hi = max(tail, key=lambda row: row.estimate)
     lo = min(tail, key=lambda row: row.estimate)

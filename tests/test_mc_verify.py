@@ -368,6 +368,15 @@ def test_rate_checks_elogw_replicates_before_the_main_batch(no_batch, env_a, rep
                             e_log_w_config=ElogWConfig(horizon=30, replicates=replicates))
 
 
+def test_rate_refuses_main_stream_ids_reaching_the_elogw_range(no_batch, env_a):
+    # the main batch's ids [0, R) and the E log W batch's ids from 2**32 are
+    # disjoint only for R <= 2**32; past it the two would share paths
+    with pytest.raises(ValueError, match=r"replicates must be at most 4294967296, .* "
+                                         r"got 4294967297"):
+        clt_rate_experiment(env_a, [0.0], [16], 2**32 + 1, master_seed=1,
+                            e_log_w_config=ElogWConfig(horizon=30, replicates=100))
+
+
 # --------------------------------------------------------------- decay gate
 
 
@@ -518,9 +527,9 @@ def test_ols_matches_linregress_bitwise():
 
 def test_rate_experiment_releases_main_batch_before_elogw(monkeypatch, env_a):
     # the main batch leaves only its counts, one slot per chunk, when the
-    # E log W batch runs; that batch records the horizon alone, on its own
-    # stream range, and leaves only the (count, mean, M2) of log W_N of
-    # each chunk
+    # E log W batch of estimate_elogw runs; that batch records the horizon
+    # and the generation after it, on its own stream range, and leaves only
+    # the (count, mean, M2) of log W_N and of the increment of each chunk
     monkeypatch.setattr(trajectory, "_CHUNK", 200)
     calls, outputs = [], []
     run = mc_verify.run_batch
@@ -537,8 +546,8 @@ def test_rate_experiment_releases_main_batch_before_elogw(monkeypatch, env_a):
     clt_rate_experiment(env_a, [-1.0, 0.0, 1.0], [4, 8], 500, master_seed=3,
                         e_log_w_config=ElogWConfig(horizon=4, replicates=500))
     assert calls == [([4, 8], 0, {}),
-                     ((4,), mc_verify.ELOGW_STREAM_OFFSET, {"counts": (3, 2, 3)})]
-    assert {name: a.shape for name, a in outputs[1].items()} == {"moments": (3, 1, 3)}
+                     ((4, 5), mc_verify.ELOGW_STREAM_OFFSET, {"counts": (3, 2, 3)})]
+    assert {name: a.shape for name, a in outputs[1].items()} == {"moments": (3, 2, 3)}
 
 
 # ------------------------------------------------- chunk-local reductions
@@ -561,6 +570,12 @@ def _merged(values, chunk=64):
     return tuple(column[0] for column in mc_verify._merge(parts))
 
 
+def _mean_se(count, mean, m2):
+    """The mean and its standard error ``sqrt(M2 / (n - 1)) / sqrt(n)`` from
+    the merged moments of n values."""
+    return float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env_a_pure,
                                                        threads):
@@ -577,8 +592,8 @@ def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env
     walk = simulate_walk_batch(env_a, 8, r, seed, record=ns)
     aside = simulate_batch(env_a, 5, r, seed, record=(4, 5),
                            stream_offset=mc_verify.ELOGW_STREAM_OFFSET)
-    mean, se = mc_verify._mean_se(*_merged(aside.log_w_at(4)))
-    increment = mc_verify._mean_se(*_merged(np.abs(aside.log_w_at(5) - aside.log_w_at(4))))
+    mean, se = _mean_se(*_merged(aside.log_w_at(4)))
+    increment = _mean_se(*_merged(np.abs(aside.log_w_at(5) - aside.log_w_at(4))))
 
     assert estimate_elogw(env_a, 4, r, seed, mc_verify.ELOGW_STREAM_OFFSET,
                           threads) == (mean, se, 4, r, *increment)
@@ -591,16 +606,15 @@ def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env
 
     decay = simulate_batch(env_a, 4, r, seed, record=(2, 3, 4))
     assert [row[1:3] for row in increment_decay(env_a, 1.0, [2, 3], r, seed, threads).rows] == [
-        mc_verify._power_mean_se(
-            _merged(np.abs(decay.log_w_at(n + 1) - decay.log_w_at(n)) ** 1.0), 1.0, "", "", n)
+        _mean_se(*_merged(np.abs(decay.log_w_at(n + 1) - decay.log_w_at(n)) ** 1.0))
         for n in (2, 3)]
     pure = np.exp(simulate_batch(env_a_pure, 4, r, seed).log_w_at(4))
     ts = [1.0, 3.0, 4.0]
     assert [row[1:3] for row in laplace_decay(env_a_pure, ts, 4, r, seed, threads=threads).rows] \
-        == [mc_verify._mean_se(*_merged(np.exp(-t * pure))) for t in ts]
+        == [_mean_se(*_merged(np.exp(-t * pure))) for t in ts]
     moment = simulate_batch(env_a, 12, r, seed, record=(10, 12))
     assert [row[1:] for row in moment_stability(env_a, 2.0, [10, 12], r, seed, threads).rows] == [
-        mc_verify._power_mean_se(_merged(np.abs(moment.log_w_at(n)) ** 2.0), 2.0, "", "", n)
+        _mean_se(*_merged(np.abs(moment.log_w_at(n)) ** 2.0))
         for n in (10, 12)]
 
 
@@ -620,8 +634,6 @@ def test_merge_of_ragged_chunks_matches_one_pass(sizes):
     assert abs(mean - np.mean(values)) <= _MERGE_ULPS * np.spacing(abs(np.mean(values)))
     sd = np.std(values, ddof=1)
     assert abs(math.sqrt(m2 / (count - 1)) - sd) <= _MERGE_ULPS * np.spacing(sd)
-    est, se = mc_verify._mean_se(count, mean, m2)
-    assert (est, se) == (float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count))
 
 
 def test_merge_carries_an_infinite_statistic_to_a_refused_mean():
@@ -630,7 +642,7 @@ def test_merge_carries_an_infinite_statistic_to_a_refused_mean():
                           [mc_verify._moments(np.array([2.0, 3.0]))]])
     count, mean, m2 = (column[0] for column in mc_verify._merge(parts))
     with pytest.raises(ValueError, match="overflows a double for q = 1000.0"):
-        mc_verify._power_mean_se((count, mean, m2), 1000.0, "E|x|^q", "q", 3)
+        mc_verify._power_mean_se(_mean_se(count, mean, m2), 1000.0, "E|x|^q", "q", 3)
 
 
 def _peak_growth(run):
