@@ -46,7 +46,6 @@ _PUBLIC = {
         "std_normal_pdf",
     ),
     "mc_verify": (
-        "ElogWConfig",
         "berry_esseen_sup",
         "berry_esseen_sup_from_samples",
         "clt_rate_experiment",

@@ -96,7 +96,6 @@ from .env_model import (
 )
 from .analytics import hypothesis_report
 from .mc_verify import (
-    ElogWConfig,
     berry_esseen_sup,
     clt_rate_experiment,
     estimate_elogw,
@@ -453,7 +452,8 @@ _KINDS: dict[str, Kind] = {
         lambda cfg: clt_rate_experiment(
             x_grid=cfg.x_grid.values(),
             n_list=cfg.n_list,
-            e_log_w_config=ElogWConfig(horizon=cfg.horizon, replicates=cfg.replicates),
+            horizon=cfg.horizon,
+            e_log_w_replicates=cfg.replicates,
             **_common_args(cfg),
         ),
     ),

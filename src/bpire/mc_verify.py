@@ -16,11 +16,13 @@ whole batch.  The mean estimators keep moments: a chunk computes each
 statistic they average, a function of its ``log W = log Z - S`` rows at
 one recorded generation or two consecutive ones, and keeps its count, mean
 and sum of squared deviations ``M2``.  The caller merges the moments of
-all chunks in stream order (Chan, Golub and LeVeque 1979), so no estimator
-holds an array that grows with the replicates, and the merged mean and
-standard error ``sqrt(M2 / (n - 1)) / sqrt(n)`` do not depend on the
-thread count.  They may differ by a few ulps from those of one pass over
-the whole batch, which sums in another order.
+all chunks in stream order (Chan, Golub and LeVeque 1979), and the merged
+mean and standard error ``sqrt(M2 / (n - 1)) / sqrt(n)`` do not depend on
+the thread count.  They may differ by a few ulps from those of one pass over
+the whole batch, which sums in another order.  Each estimator keeps one slot
+per chunk of 8192 replicates: three floats per statistic for the mean
+estimators, and a ``(len(n_list), len(grid))`` float64 array for the CDF
+estimators, whose memory therefore grows with the replicates times the grid.
 
 Inputs are checked before any batch runs: generations by the rule of a
 batch's ``record``, grids as nonempty, finite and ascending, the replicates
@@ -403,14 +405,6 @@ def _horizon(horizon: int) -> int:
     return horizon
 
 
-class ElogWConfig(NamedTuple):
-    """How to estimate ``E log W`` inside clt_rate_experiment: the horizon N
-    at which ``log W_N`` proxies the limit, and the replicate count."""
-
-    horizon: int = 30
-    replicates: int = 100_000
-
-
 class ElogWEstimate(NamedTuple):
     """``E log W_N`` with SE plus the last-increment diagnostic: the mean of
     ``|log W_{N+1} - log W_N|``, which should sit far below ``se`` when the
@@ -460,7 +454,8 @@ def clt_rate_experiment(
     n_list: Sequence[int],
     replicates: int,
     master_seed: int,
-    e_log_w_config: ElogWConfig = ElogWConfig(),
+    horizon: int = 30,
+    e_log_w_replicates: int = 100_000,
     threads: int = 1,
     threshold: int = PROMOTION_THRESHOLD,
 ) -> RateCurve:
@@ -468,8 +463,8 @@ def clt_rate_experiment(
     ``log Z_n`` against the predicted limit curve.
 
     The limit prediction ``g(x) = -pdf(x) E log W / sigma + Q(x)`` takes
-    ``E log W`` and its SE from :func:`estimate_elogw` at
-    ``e_log_w_config``, with the same master seed on the stream ids from
+    ``E log W`` and its SE from :func:`estimate_elogw` at ``horizon`` with
+    ``e_log_w_replicates``, and the same master seed on the stream ids from
     ``ELOGW_STREAM_OFFSET = 2**32``.  The main batch uses the ids ``[0,
     replicates)``, so ``replicates`` may be at most ``2**32``: the ranges
     are disjoint, and the whole curve remains a deterministic function of
@@ -477,18 +472,17 @@ def clt_rate_experiment(
     the main batch runs.
     """
     moments, ns, x_grid = _cdf_inputs(env, "clt_rate_experiment", n_list, x_grid, "x_grid")
-    _horizon(e_log_w_config.horizon)
-    _se_replicates(e_log_w_config.replicates)
+    _horizon(horizon)
+    _se_replicates(e_log_w_replicates)
     if as_int(replicates, "replicates") > ELOGW_STREAM_OFFSET:
         raise ValueError(
             f"replicates must be at most {ELOGW_STREAM_OFFSET}, where the stream ids of the "
             f"E log W batch start (ELOGW_STREAM_OFFSET), got {replicates}"
         )
     cdfs = _batch_cdfs(env, moments, ns, x_grid, replicates, master_seed, threads, threshold)
-    e_log_w = estimate_elogw(env, horizon=e_log_w_config.horizon,
-                             replicates=e_log_w_config.replicates, master_seed=master_seed,
-                             stream_offset=ELOGW_STREAM_OFFSET, threads=threads,
-                             threshold=threshold)
+    e_log_w = estimate_elogw(env, horizon=horizon, replicates=e_log_w_replicates,
+                             master_seed=master_seed, stream_offset=ELOGW_STREAM_OFFSET,
+                             threads=threads, threshold=threshold)
     return _rate_curve(cdfs, x_grid, moments, e_log_w.mean, e_log_w.se)
 
 

@@ -382,7 +382,7 @@ def as_int(value, name: str) -> int:
 def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
                  record: Sequence[int] | None, threads: int, threshold: int
                  ) -> tuple[int, int, tuple[int, ...]]:
-    """Check the arguments both batch functions share and return the key
+    """Check the arguments of :func:`run_batch` and return the key
     words and the recorded generations (default: only ``n``) as Python
     ints.  The counts, the key words and the threshold must be integers;
     the key words must be unsigned 64-bit words: ``master_seed`` itself,

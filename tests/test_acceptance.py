@@ -1,9 +1,9 @@
 """Acceptance gate: ten criteria at full scale, one printed line each.
 
 The heavy Monte Carlo runs (R = 10^6) are built once in session fixtures
-and shared: the branching rate curve feeds criteria 4 and 5, the
-environment-walk control run feeds criterion 5, and the skewed-walk run
-feeds criterion 3 alone.  Each criterion reports a `ACCEPTANCE k [PASS|FAIL]`
+and shared: the branching rate curve, with the ``E log W`` estimate its run
+made, feeds criteria 4 and 5, the environment-walk control run feeds
+criterion 5, and the skewed-walk run feeds criterion 3 alone.  Each criterion reports a `ACCEPTANCE k [PASS|FAIL]`
 line on the real stdout (bypassing capture) with the measured values, then
 asserts.
 
@@ -19,6 +19,7 @@ left red rather than loosened; the printed lines carry the measured values.
 
 import math
 import time
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -26,12 +27,12 @@ import pytest
 from scipy import stats
 
 from bpire import (
+    PROMOTION_THRESHOLD,
     ShiftedGeometric,
     ShiftedPoisson,
     berry_esseen_sup,
     clt_rate_experiment,
     edgeworth_q,
-    estimate_elogw,
     increment_decay,
     log_mean_moments,
     moment_stability,
@@ -40,8 +41,9 @@ from bpire import (
     std_normal_pdf,
     walk_oracle_rate,
 )
+import bpire.mc_verify as mc_verify
 from bpire.cli import main as cli_main
-from bpire.mc_verify import ELOGW_STREAM_OFFSET, ElogWConfig
+from bpire.mc_verify import ELOGW_STREAM_OFFSET
 from conftest import make_env_a, make_skewed_env, one_generation_totals
 
 X_GRID = [-1.0, 0.0, 1.0]
@@ -59,16 +61,35 @@ def _report(capsys, line: str) -> None:
 
 @pytest.fixture(scope="session")
 def rate_run():
+    """The criterion-4 curve and the one ``E log W`` estimate its run made,
+    recorded in passing so that no test runs that batch a second time."""
+    env = make_env_a()
+    calls = []
+    original = mc_verify.estimate_elogw
+
+    def record(*args, **kwargs):
+        estimate = original(*args, **kwargs)
+        calls.append((args, kwargs, estimate))
+        return estimate
+
     t0 = time.monotonic()
-    curve = clt_rate_experiment(
-        make_env_a(),
-        X_GRID,
-        N_LIST,
-        10**6,
-        master_seed=RATE_SEED,
-        e_log_w_config=ElogWConfig(horizon=30, replicates=10**5),
-    )
-    return curve, time.monotonic() - t0
+    with mock.patch.object(mc_verify, "estimate_elogw", record):
+        curve = clt_rate_experiment(
+            env,
+            X_GRID,
+            N_LIST,
+            10**6,
+            master_seed=RATE_SEED,
+            horizon=30,
+            e_log_w_replicates=10**5,
+        )
+    seconds = time.monotonic() - t0
+    [(args, kwargs, estimate)] = calls
+    assert args == (env,)
+    assert kwargs == dict(horizon=30, replicates=10**5, master_seed=RATE_SEED,
+                          stream_offset=ELOGW_STREAM_OFFSET, threads=1,
+                          threshold=PROMOTION_THRESHOLD)
+    return curve, estimate, seconds
 
 
 @pytest.fixture(scope="session")
@@ -199,19 +220,11 @@ def test_criterion_03_skewed_walk_exact_rate(skewed_walk_run, capsys):
 
 
 def test_criterion_04_main_rate_trend(rate_run, capsys):
-    curve, build_s = rate_run
+    curve, est, build_s = rate_run
     t0 = time.monotonic()
-    env = make_env_a()
 
-    # the E log W plug-in must replay bit-identically with its diagnostic
-    est = estimate_elogw(
-        env,
-        horizon=30,
-        replicates=10**5,
-        master_seed=RATE_SEED,
-        stream_offset=ELOGW_STREAM_OFFSET,
-    )
-    assert est.mean == curve.e_log_w
+    # the E log W plug-in is the recorded estimate, whose diagnostic is read here
+    assert (est.mean, est.se) == (curve.e_log_w, curve.e_log_w_se)
     increment_ok = est.increment_estimate < 0.1 * est.se
 
     sigma = curve.moments.sigma
@@ -253,7 +266,7 @@ def test_criterion_04_main_rate_trend(rate_run, capsys):
 
 
 def test_criterion_05_decomposition_identity(rate_run, control_walk_run, capsys):
-    curve, rate_s = rate_run
+    curve, _, rate_s = rate_run
     walk, walk_s = control_walk_run
     t0 = time.monotonic()
     sigma = curve.moments.sigma

@@ -33,7 +33,7 @@ from bpire import (
 )
 import bpire.mc_verify as mc_verify
 import bpire.trajectory as trajectory
-from bpire.mc_verify import _T_EXPANSION_DF, Z_99, ElogWConfig, _ols, student_t_99
+from bpire.mc_verify import _T_EXPANSION_DF, Z_99, _ols, student_t_99
 from conftest import make_env_a, make_skewed_env, without_immigration
 
 
@@ -129,7 +129,7 @@ def test_rate_prediction_decomposes_into_curve_plus_edgeworth(env_a):
         [4, 8],
         20_000,
         master_seed=77,
-        e_log_w_config=ElogWConfig(horizon=10, replicates=5_000),
+        horizon=10, e_log_w_replicates=5_000,
     )
     sigma = curve.moments.sigma
     for row in curve.rows:
@@ -145,7 +145,7 @@ def test_rate_curve_at_accessor(env_a):
         [4],
         10_000,
         master_seed=1,
-        e_log_w_config=ElogWConfig(horizon=5, replicates=2_000),
+        horizon=5, e_log_w_replicates=2_000,
     )
     assert curve.at(0.0, 4).n == 4
     with pytest.raises(KeyError):
@@ -158,7 +158,7 @@ def test_rate_experiment_is_deterministic(env_a):
         n_list=[4, 8],
         replicates=12_000,
         master_seed=99,
-        e_log_w_config=ElogWConfig(horizon=8, replicates=3_000),
+        horizon=8, e_log_w_replicates=3_000,
     )
     a = clt_rate_experiment(env_a, **kwargs)
     b = clt_rate_experiment(env_a, **kwargs)
@@ -174,7 +174,7 @@ def test_rate_experiment_warns_on_small_replicates(env_a):
         [2],
         500,
         master_seed=3,
-        e_log_w_config=ElogWConfig(horizon=4, replicates=500),
+        horizon=4, e_log_w_replicates=500,
     )
     assert any("below 10^4" in w for w in curve.warnings)
 
@@ -339,7 +339,7 @@ def test_elogw_rejects_negative_horizon(no_batch, env_a, env_a_pure):
     [
         lambda env: estimate_elogw(env, horizon=2, replicates=1),
         lambda env: clt_rate_experiment(env, [0.0], [2], replicates=1, master_seed=0,
-                                        e_log_w_config=ElogWConfig(horizon=2, replicates=1)),
+                                        horizon=2, e_log_w_replicates=1),
         lambda env: increment_decay(env, q=1.0, n_list=[1, 2], replicates=1, master_seed=0),
         lambda env: laplace_decay(without_immigration(env), [3.0, 4.0], horizon=2,
                                   replicates=1, master_seed=0),
@@ -365,7 +365,7 @@ def test_rate_checks_elogw_replicates_before_the_main_batch(no_batch, env_a, rep
     # the main batch's replicates are fine: only the E log W batch's are bad
     with pytest.raises(ValueError, match=message):
         clt_rate_experiment(env_a, [0.0], [16], 20_000, master_seed=1,
-                            e_log_w_config=ElogWConfig(horizon=30, replicates=replicates))
+                            horizon=30, e_log_w_replicates=replicates)
 
 
 def test_rate_refuses_main_stream_ids_reaching_the_elogw_range(no_batch, env_a):
@@ -374,7 +374,7 @@ def test_rate_refuses_main_stream_ids_reaching_the_elogw_range(no_batch, env_a):
     with pytest.raises(ValueError, match=r"replicates must be at most 4294967296, .* "
                                          r"got 4294967297"):
         clt_rate_experiment(env_a, [0.0], [16], 2**32 + 1, master_seed=1,
-                            e_log_w_config=ElogWConfig(horizon=30, replicates=100))
+                            horizon=30, e_log_w_replicates=100)
 
 
 # --------------------------------------------------------------- decay gate
@@ -544,7 +544,7 @@ def test_rate_experiment_releases_main_batch_before_elogw(monkeypatch, env_a):
 
     monkeypatch.setattr(mc_verify, "run_batch", recording)
     clt_rate_experiment(env_a, [-1.0, 0.0, 1.0], [4, 8], 500, master_seed=3,
-                        e_log_w_config=ElogWConfig(horizon=4, replicates=500))
+                        horizon=4, e_log_w_replicates=500)
     assert calls == [([4, 8], 0, {}),
                      ((4, 5), mc_verify.ELOGW_STREAM_OFFSET, {"counts": (3, 2, 3)})]
     assert {name: a.shape for name, a in outputs[1].items()} == {"moments": (3, 2, 3)}
@@ -597,7 +597,8 @@ def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env
 
     assert estimate_elogw(env_a, 4, r, seed, mc_verify.ELOGW_STREAM_OFFSET,
                           threads) == (mean, se, 4, r, *increment)
-    assert clt_rate_experiment(env_a, grid, ns, r, seed, ElogWConfig(4, r), threads) == \
+    assert clt_rate_experiment(env_a, grid, ns, r, seed, horizon=4, e_log_w_replicates=r,
+                               threads=threads) == \
         rate_curve_from_samples(standardized(batch.log_z_at), grid, moments, mean, se)
     assert walk_oracle_rate(env_a, grid, ns, r, seed, threads) == \
         rate_curve_from_samples(standardized(walk.s_at), grid, moments, 0.0)
@@ -674,7 +675,7 @@ def test_rate_experiment_memory_does_not_grow_with_the_main_batch(monkeypatch, e
     monkeypatch.setattr(trajectory, "_CHUNK", 1024)
     assert _peak_growth(lambda replicates: clt_rate_experiment(
         env_a, [-1.0, 0.0, 1.0], [16, 64, 256], replicates, master_seed=3,
-        e_log_w_config=ElogWConfig(horizon=4, replicates=replicates))) <= _GROWTH_BOUND
+        horizon=4, e_log_w_replicates=replicates)) <= _GROWTH_BOUND
 
 
 @pytest.mark.parametrize(

@@ -1066,3 +1066,11 @@ def test_immigrants_log_size_rounds_immigrants_away_for_good(env):
     noise = (trajectory._NORMAL_BOUND * tab.sd_over_m / (np.minimum(tab.logm, 1.0) / 2)).max()
     tight = max(noise * math.exp(-size / 2), y_max * math.exp(-size) / 2.0**-56)
     assert size == 1.0 or tight == pytest.approx(1.0)
+
+
+def test_module_hook_serves_the_pool_class_alone():
+    import concurrent.futures
+
+    assert trajectory.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    with pytest.raises(AttributeError, match=r"module 'bpire\.trajectory' has no attribute 'Pool'"):
+        trajectory.Pool
