@@ -47,14 +47,12 @@ _PUBLIC = {
     ),
     "mc_verify": (
         "berry_esseen_sup",
-        "berry_esseen_sup_from_samples",
         "clt_rate_experiment",
         "empirical_cdf",
         "estimate_elogw",
         "increment_decay",
         "laplace_decay",
         "moment_stability",
-        "rate_curve_from_samples",
         "walk_oracle_rate",
     ),
 }

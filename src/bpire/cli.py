@@ -45,11 +45,10 @@ Exit codes:
   berry-esseen ``n_list`` of one generation, each of which would leave a
   gate with nothing to compare, ``r <= 0`` for moments, ``q <= 0`` for
   decay, ``p <= 1`` for validate, ``replicates`` = 1 for a kind that
-  reports a standard error: rate, elogw, decay, laplace and moments, or a
-  rate ``replicates`` above 2**32, where the stream ids of its ``E log W``
-  batch start), or an arithmetic error in a run (such as a Laplace ``t =
-  exp(x)``, or a decay or moments mean of ``|.|^q`` or ``|.|^r`` or its
-  SE, beyond the float range);
+  reports a standard error: rate, elogw, decay, laplace and moments), or
+  an arithmetic error in a run (such as a Laplace ``t = exp(x)``, or a
+  decay or moments mean of ``|.|^q`` or ``|.|^r`` or its SE, beyond the
+  float range);
 * 3 -- statistics inconclusive or a statistical gate failed (decay SE gate,
   decay CI including 1, unstable Berry-Esseen constant, exploding Laplace
   column, unbounded moment ratio);
@@ -453,7 +452,6 @@ _KINDS: dict[str, Kind] = {
             x_grid=cfg.x_grid.values(),
             n_list=cfg.n_list,
             horizon=cfg.horizon,
-            e_log_w_replicates=cfg.replicates,
             **_common_args(cfg),
         ),
     ),

@@ -7,7 +7,7 @@ are deterministic functions of ``(environment, parameters, master_seed)``;
 standardisation always uses the analytic ``mu`` and ``sigma`` of the
 environment, never sample moments.
 
-No estimator holds the rows of a batch: it runs its batch through
+No estimator holds the rows of a batch: each runs one batch through
 :func:`bpire.trajectory.run_batch` with a ``keep`` function, to which each
 chunk hands every recorded generation where it runs.  The CDF estimators
 keep counts: a chunk standardises a generation's row and counts it at each
@@ -19,17 +19,22 @@ and sum of squared deviations ``M2``.  The caller merges the moments of
 all chunks in stream order (Chan, Golub and LeVeque 1979), and the merged
 mean and standard error ``sqrt(M2 / (n - 1)) / sqrt(n)`` do not depend on
 the thread count.  They may differ by a few ulps from those of one pass over
-the whole batch, which sums in another order.  Each estimator keeps one slot
-per chunk of 8192 replicates: three floats per statistic for the mean
-estimators, and a ``(len(n_list), len(grid))`` float64 array for the CDF
-estimators, whose memory therefore grows with the replicates times the grid.
+the whole batch, which sums in another order.  The rate experiment keeps
+both from its one batch: counts at ``n_list`` and the moments of
+:func:`estimate_elogw` at its horizon, so its ``E log W`` and its CDFs
+share their replicates.  A standard error that adds their variances as
+independent, as acceptance criteria 4 and 5 do, is therefore slightly
+conservative, until the paired SE of ROADMAP item 16.  Each estimator
+keeps one slot per chunk of 8192 replicates: three floats per statistic
+for the mean estimators, and a ``(len(n_list), len(grid))`` float64 array
+for the CDF estimators, whose memory therefore grows with the replicates
+times the grid.
 
 Inputs are checked before any batch runs: generations by the rule of a
 batch's ``record``, grids as nonempty, finite and ascending, the replicates
 of every standard error as at least 2, and every gate has at least two
 values to compare.  One pass turns counts into ``F_hat_n - Phi`` for the
-CDF estimators and for the reductions of given samples, which compute
-their own warnings.
+CDF estimators.
 
 Results and their rows are ``NamedTuple`` records, and a row record is its
 CSV row: the fields of ``RatePoint``, ``DecayRow``, ``BerryEsseenRow`` and
@@ -120,12 +125,6 @@ def _t_upper_tail(df: int, t: float) -> float:
     return w * total
 
 
-#: Stream-id offset for the martingale-limit estimation batch inside
-#: clt_rate_experiment: same master seed, disjoint replicate stream range
-#: (main batches use ids [0, R) with R <= 2**32, this starts at 2**32).
-ELOGW_STREAM_OFFSET = 2**32
-
-
 class EmpiricalCdf(NamedTuple):
     """Empirical CDF of a sample on a fixed grid with 99% binomial CIs."""
 
@@ -186,9 +185,14 @@ class RatePoint(NamedTuple):
 
 
 class RateCurve(NamedTuple):
+    """The rows of a rate curve and the ``E log W`` of its limit, with its
+    SE and the increment diagnostic of :class:`ElogWEstimate`
+    (``e_log_w_increment``); all three are 0 for the walk oracle."""
+
     rows: tuple[RatePoint, ...]
     e_log_w: float
     e_log_w_se: float
+    e_log_w_increment: float
     moments: MomentSummary
     warnings: tuple[str, ...] = ()
 
@@ -199,43 +203,18 @@ class RateCurve(NamedTuple):
         raise KeyError((x, n))
 
 
-def _sample_cdfs(standardized: Mapping[int, np.ndarray], grid: np.ndarray
-                 ) -> dict[int, EmpiricalCdf]:
-    """The empirical CDF on the checked ``grid`` of each sample of
-    ``standardized``."""
-    return {n: empirical_cdf(samples, grid) for n, samples in standardized.items()}
-
-
 def _deviations(cdfs: Mapping[int, EmpiricalCdf], grid: np.ndarray
                 ) -> Iterator[tuple[int, EmpiricalCdf, np.ndarray]]:
-    """``(n, cdf, F_hat_n - Phi)`` for each key n of ``cdfs``, ascending and
-    checked as generations, where every cdf is on ``grid``; Phi is computed
-    once.  The one pass from counts (over R, by :func:`_cdf`) to deviations,
-    for the CDF estimators and for the reductions of given samples."""
+    """``(n, cdf, F_hat_n - Phi)`` for each generation n of ``cdfs``, in
+    its order, where every cdf is on ``grid``; Phi is computed once.  The
+    one pass from counts (over R, by :func:`_cdf`) to deviations."""
     phi = np.array([std_normal_cdf(float(x)) for x in grid])
-    for n in _generations(sorted(cdfs), 1, "standardized"):
-        yield n, cdfs[n], cdfs[n].values - phi
-
-
-def rate_curve_from_samples(
-    standardized: Mapping[int, np.ndarray],
-    x_grid: Sequence[float],
-    moments: MomentSummary,
-    e_log_w: float,
-    e_log_w_se: float = 0.0,
-) -> RateCurve:
-    """Shared reduction: standardised samples per n -> RateCurve rows, with
-    a warning when a sample has fewer than 10^4 replicates.
-
-    This is also the self-test entry point: exact standard normal samples
-    must produce ``dhat`` compatible with 0 at every grid point.
-    """
-    x_grid = _grid(x_grid, "x_grid")
-    return _rate_curve(_sample_cdfs(standardized, x_grid), x_grid, moments, e_log_w, e_log_w_se)
+    for n, cdf in cdfs.items():
+        yield n, cdf, cdf.values - phi
 
 
 def _rate_curve(cdfs: Mapping[int, EmpiricalCdf], x_grid: np.ndarray, moments: MomentSummary,
-                e_log_w: float, e_log_w_se: float) -> RateCurve:
+                e_log_w: float, e_log_w_se: float, e_log_w_increment: float) -> RateCurve:
     """The rows of a rate curve from the empirical CDFs on ``x_grid`` per n."""
     rows: list[RatePoint] = []
     for n, cdf, dev in _deviations(cdfs, x_grid):
@@ -260,6 +239,7 @@ def _rate_curve(cdfs: Mapping[int, EmpiricalCdf], x_grid: np.ndarray, moments: M
         rows=tuple(rows),
         e_log_w=e_log_w,
         e_log_w_se=e_log_w_se,
+        e_log_w_increment=e_log_w_increment,
         moments=moments,
         warnings=warnings,
     )
@@ -267,26 +247,6 @@ def _rate_curve(cdfs: Mapping[int, EmpiricalCdf], x_grid: np.ndarray, moments: M
 
 def _standardize(values: np.ndarray, n: int, moments: MomentSummary) -> np.ndarray:
     return (values - n * moments.mu) / (math.sqrt(n) * moments.sigma)
-
-
-def _batch_cdfs(env: EnvironmentModel, moments: MomentSummary, ns: list[int], grid: np.ndarray,
-                replicates: int, master_seed: int, threads: int,
-                threshold: int = PROMOTION_THRESHOLD, populations: int = 1
-                ) -> dict[int, EmpiricalCdf]:
-    """The empirical CDF on ``grid`` of the standardised ``log Z_n`` (of
-    ``S_n`` with ``populations`` 0) of one batch at each generation n of
-    ``ns``.  Each chunk standardises its row of each generation and counts
-    it at each grid point; the counts of all chunks sum to those of one sort
-    of the whole batch, so no row outlives its chunk."""
-    def count(views: dict[str, np.ndarray], g: int, s: np.ndarray, log_z: np.ndarray | None,
-              log_zbar: np.ndarray | None) -> None:
-        row = log_z if populations else s
-        views["counts"][g] = _count(_standardize(row, ns[g], moments), grid)
-
-    counts = run_batch(env, ns[-1], replicates, master_seed, ns,
-                       Reduction(count, (), {"counts": (len(ns), len(grid))}), populations,
-                       threshold, threads)[-1]["counts"].sum(axis=0)
-    return {n: _cdf(counts[i], int(replicates), grid) for i, n in enumerate(ns)}
 
 
 def _moments(values: np.ndarray) -> tuple[int, float, float]:
@@ -313,36 +273,66 @@ def _merge(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return count, mean, m2
 
 
-def _log_w_means(env: EnvironmentModel, record: Sequence[int],
-                 statistics: Sequence[tuple[int, Callable[..., np.ndarray]]], replicates: int,
-                 master_seed: int, threads: int, threshold: int, stream_offset: int = 0
-                 ) -> list[tuple[float, float]]:
-    """The mean of each statistic ``(g, f)`` of one batch and its standard
-    error ``sqrt(M2 / (n - 1)) / sqrt(n)``, in the order given, from the
-    moments of all chunks merged.  ``f(log_w, previous)`` returns one value
-    per replicate from the ``log W`` rows, by the subtraction of
-    :meth:`bpire.trajectory.BatchResult.log_w_at`, at generation
-    ``record[g]`` of the checked ``record`` and at the recorded generation
-    before it (``None`` at g = 0).  :func:`_se_replicates` checks
-    ``replicates`` first.  Each chunk keeps the moments of every statistic
-    in its slot, and its ``log W`` row lives until its next recorded one."""
-    _se_replicates(replicates)
+#: A statistic of a mean estimator, ``(n, f)``: ``f(log_w, previous)``
+#: returns one value per replicate from the ``log W`` rows, by the
+#: subtraction of :meth:`bpire.trajectory.BatchResult.log_w_at`, at the
+#: recorded generation n and at the one recorded before it (``None`` at the
+#: first).
+Statistic = tuple[int, Callable[[np.ndarray, np.ndarray | None], np.ndarray]]
 
-    def keep(views: dict[str, np.ndarray], g: int, s: np.ndarray, log_z: np.ndarray,
+
+def _batch(env: EnvironmentModel, record: list[int], replicates: int, master_seed: int,
+           threads: int, threshold: int = PROMOTION_THRESHOLD, *,
+           cdf: tuple[MomentSummary, list[int], np.ndarray] | None = None,
+           statistics: Sequence[Statistic] = (), populations: int = 1
+           ) -> tuple[dict[int, EmpiricalCdf], list[tuple[float, float]]]:
+    """Run one batch that records the checked ``record`` and return what
+    its chunks keep: the empirical CDFs and the means.
+
+    With ``cdf = (moments, ns, grid)``, each chunk standardises its ``log
+    Z_n`` row (its ``S_n`` row with ``populations`` 0) at each generation n
+    of ``ns`` and counts it at each point of ``grid``; the counts of all
+    chunks sum to those of one sort of the whole batch, and the CDFs are
+    keyed by ``ns`` in its order.  Each chunk keeps the moments of every
+    statistic at its generation, and its ``log W`` row lives until its next
+    recorded one; the means are those of ``statistics`` in the order given,
+    each with its standard error ``sqrt(M2 / (n - 1)) / sqrt(n)``, from the
+    moments of all chunks merged.  With statistics, :func:`_se_replicates`
+    checks ``replicates`` first."""
+    moments, ns, grid = cdf or (None, [], None)
+    counted = {n: i for i, n in enumerate(ns)}
+    slots = {}
+    if ns:
+        slots["counts"] = (len(ns), len(grid))
+    if statistics:
+        _se_replicates(replicates)
+        slots["moments"] = (len(statistics), 3)
+
+    def keep(views: dict[str, np.ndarray], g: int, s: np.ndarray, log_z: np.ndarray | None,
              log_zbar: np.ndarray | None) -> None:
-        log_w = log_z - s
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean raises later
-            for i, (at, statistic) in enumerate(statistics):
-                if at == g:
-                    views["moments"][i] = _moments(statistic(log_w, views.get("previous")))
-        views["previous"] = log_w
+        n = record[g]
+        if n in counted:
+            views["counts"][counted[n]] = _count(
+                _standardize(log_z if populations else s, n, moments), grid)
+        if statistics:
+            log_w = log_z - s
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean raises later
+                for i, (at, statistic) in enumerate(statistics):
+                    if at == n:
+                        views["moments"][i] = _moments(statistic(log_w, views.get("previous")))
+            views["previous"] = log_w
 
-    moments = run_batch(env, record[-1], replicates, master_seed, record,
-                        Reduction(keep, (), {"moments": (len(statistics), 3)}),
-                        threshold=threshold, threads=threads,
-                        stream_offset=stream_offset)[-1]["moments"]
-    return [(float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count))
-            for count, mean, m2 in zip(*_merge(moments))]
+    out = run_batch(env, record[-1], replicates, master_seed, record,
+                    Reduction(keep, (), slots), populations, threshold, threads)[-1]
+    cdfs = {}
+    if ns:
+        counts = out["counts"].sum(axis=0)
+        cdfs = {n: _cdf(counts[i], int(replicates), grid) for i, n in enumerate(ns)}
+    means = []
+    if statistics:
+        means = [(float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count))
+                 for count, mean, m2 in zip(*_merge(out["moments"]))]
+    return cdfs, means
 
 
 def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
@@ -362,7 +352,7 @@ def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
 
 def _se_replicates(replicates: int) -> None:
     """Check, before any batch runs, the ``replicates`` of a batch whose
-    standard errors :func:`_log_w_means` forms: an integer, positive as
+    standard errors :func:`_batch` forms: an integer, positive as
     every batch needs, and at least 2, as a standard error needs."""
     replicates = as_int(replicates, "replicates")
     if replicates < 1:
@@ -418,12 +408,19 @@ class ElogWEstimate(NamedTuple):
     increment_se: float
 
 
+def _elogw_statistics(horizon: int) -> list[Statistic]:
+    """The statistics of ``E log W`` at ``horizon``, whose generation and
+    the next must be recorded: ``log W_h`` and the increment ``|log W_{h+1}
+    - log W_h|``."""
+    return [(horizon, lambda log_w, previous: log_w),
+            (horizon + 1, lambda log_w, previous: np.abs(log_w - previous))]
+
+
 def estimate_elogw(
     env: EnvironmentModel,
     horizon: int = 30,
     replicates: int = 100_000,
     master_seed: int = 0,
-    stream_offset: int = 0,
     threads: int = 1,
     threshold: int = PROMOTION_THRESHOLD,
 ) -> ElogWEstimate:
@@ -434,10 +431,9 @@ def estimate_elogw(
     horizon bias at the observable level.
     """
     horizon = _horizon(horizon)
-    (mean, se), (increment_estimate, increment_se) = _log_w_means(
-        env, (horizon, horizon + 1),
-        [(0, lambda log_w, previous: log_w), (1, lambda log_w, previous: np.abs(log_w - previous))],
-        replicates, master_seed, threads, threshold, stream_offset)
+    _, ((mean, se), (increment_estimate, increment_se)) = _batch(
+        env, [horizon, horizon + 1], replicates, master_seed, threads, threshold,
+        statistics=_elogw_statistics(horizon))
     return ElogWEstimate(
         mean=mean,
         se=se,
@@ -455,7 +451,6 @@ def clt_rate_experiment(
     replicates: int,
     master_seed: int,
     horizon: int = 30,
-    e_log_w_replicates: int = 100_000,
     threads: int = 1,
     threshold: int = PROMOTION_THRESHOLD,
 ) -> RateCurve:
@@ -463,27 +458,21 @@ def clt_rate_experiment(
     ``log Z_n`` against the predicted limit curve.
 
     The limit prediction ``g(x) = -pdf(x) E log W / sigma + Q(x)`` takes
-    ``E log W`` and its SE from :func:`estimate_elogw` at ``horizon`` with
-    ``e_log_w_replicates``, and the same master seed on the stream ids from
-    ``ELOGW_STREAM_OFFSET = 2**32``.  The main batch uses the ids ``[0,
-    replicates)``, so ``replicates`` may be at most ``2**32``: the ranges
-    are disjoint, and the whole curve remains a deterministic function of
-    ``(env, parameters, master_seed)``.  Every argument is checked before
-    the main batch runs.
+    ``E log W``, its SE and the increment diagnostic from the same batch,
+    which records ``n_list``, ``horizon`` and ``horizon + 1``: they are
+    those :func:`estimate_elogw` returns for ``(env, horizon, replicates,
+    master_seed)``, different only by rounding where a chunk turns quiet
+    before ``horizon + 1``.  So ``E log W`` and the CDFs share their
+    replicates; a standard error that adds their variances as independent
+    is slightly conservative.  Every argument is checked before the batch
+    runs.
     """
     moments, ns, x_grid = _cdf_inputs(env, "clt_rate_experiment", n_list, x_grid, "x_grid")
-    _horizon(horizon)
-    _se_replicates(e_log_w_replicates)
-    if as_int(replicates, "replicates") > ELOGW_STREAM_OFFSET:
-        raise ValueError(
-            f"replicates must be at most {ELOGW_STREAM_OFFSET}, where the stream ids of the "
-            f"E log W batch start (ELOGW_STREAM_OFFSET), got {replicates}"
-        )
-    cdfs = _batch_cdfs(env, moments, ns, x_grid, replicates, master_seed, threads, threshold)
-    e_log_w = estimate_elogw(env, horizon=horizon, replicates=e_log_w_replicates,
-                             master_seed=master_seed, stream_offset=ELOGW_STREAM_OFFSET,
-                             threads=threads, threshold=threshold)
-    return _rate_curve(cdfs, x_grid, moments, e_log_w.mean, e_log_w.se)
+    horizon = _horizon(horizon)
+    cdfs, ((e_log_w, e_log_w_se), (increment, _)) = _batch(
+        env, sorted({*ns, horizon, horizon + 1}), replicates, master_seed, threads, threshold,
+        cdf=(moments, ns, x_grid), statistics=_elogw_statistics(horizon))
+    return _rate_curve(cdfs, x_grid, moments, e_log_w, e_log_w_se, increment)
 
 
 def walk_oracle_rate(
@@ -502,9 +491,9 @@ def walk_oracle_rate(
     curve isolates the ``-pdf(x) E log W / sigma`` contribution.
     """
     moments, ns, x_grid = _cdf_inputs(env, "walk_oracle_rate", n_list, x_grid, "x_grid")
-    cdfs = _batch_cdfs(env, moments, ns, x_grid, replicates, master_seed, threads,
-                       populations=0)
-    return _rate_curve(cdfs, x_grid, moments, 0.0, 0.0)
+    cdfs, _ = _batch(env, ns, replicates, master_seed, threads, cdf=(moments, ns, x_grid),
+                     populations=0)
+    return _rate_curve(cdfs, x_grid, moments, 0.0, 0.0, 0.0)
 
 
 class DecayRow(NamedTuple):
@@ -565,11 +554,9 @@ def increment_decay(
         raise ValueError(f"q must be positive, got {q}")
     ns = _generations(n_list, 0, "n_list")
     record = sorted({n for n in ns} | {n + 1 for n in ns})
-    means = _log_w_means(
-        env, record,
-        [(record.index(n + 1), lambda log_w, previous: np.abs(log_w - previous) ** q)
-         for n in ns],
-        replicates, master_seed, threads, threshold)
+    _, means = _batch(
+        env, record, replicates, master_seed, threads, threshold,
+        statistics=[(n + 1, lambda log_w, previous: np.abs(log_w - previous) ** q) for n in ns])
     rows: list[DecayRow] = []
     for n, increment in zip(ns, means):
         est, se = _power_mean_se(increment, q, "E|log W_(n+1) - log W_n|^q", "q", n)
@@ -637,15 +624,6 @@ def _grid_warnings(grid: np.ndarray) -> list[str]:
     return warnings
 
 
-def berry_esseen_sup_from_samples(
-    standardized: Mapping[int, np.ndarray],
-    grid: Sequence[float],
-) -> BerryEsseenResult:
-    """Reduction from standardised samples; also the normal self-test path."""
-    grid = _grid(grid, "grid")
-    return _berry_esseen(_sample_cdfs(standardized, grid), grid)
-
-
 def _berry_esseen(cdfs: Mapping[int, EmpiricalCdf], grid: np.ndarray) -> BerryEsseenResult:
     """The sup-distance rows and constants from the empirical CDFs on
     ``grid`` per n, with the warnings of the grid."""
@@ -691,9 +669,9 @@ def berry_esseen_sup(
             "n_list must have at least two generations: the stability of the constants "
             f"compares them across n, got {ns}"
         )
-    return _berry_esseen(
-        _batch_cdfs(env, moments, ns, grid, replicates, master_seed, threads, threshold), grid
-    )
+    cdfs, _ = _batch(env, ns, replicates, master_seed, threads, threshold,
+                     cdf=(moments, ns, grid))
+    return _berry_esseen(cdfs, grid)
 
 
 class LaplaceRow(NamedTuple):
@@ -758,10 +736,10 @@ def laplace_decay(
             "t_grid must have at least two points t >= e, which the boundedness check "
             f"compares, got {points}"
         )
-    means = _log_w_means(
-        env, (horizon,),
-        [(0, lambda log_w, previous, t=t: np.exp(-t * np.exp(log_w))) for t in ts],
-        replicates, master_seed, threads, threshold)
+    _, means = _batch(
+        env, [horizon], replicates, master_seed, threads, threshold,
+        statistics=[(horizon, lambda log_w, previous, t=t: np.exp(-t * np.exp(log_w)))
+                    for t in ts])
     rows: list[LaplaceRow] = []
     for t, (phi_hat, se) in zip(ts, means):
         weighted = math.log(t) ** r * phi_hat if t > 1.0 else math.nan
@@ -823,9 +801,8 @@ def moment_stability(
             "n_list must have at least two generations n >= 10, which the stability check "
             f"compares, got {compared}"
         )
-    means = _log_w_means(env, ns, [(g, lambda log_w, previous: np.abs(log_w) ** r)
-                                   for g in range(len(ns))],
-                         replicates, master_seed, threads, threshold)
+    _, means = _batch(env, ns, replicates, master_seed, threads, threshold,
+                      statistics=[(n, lambda log_w, previous: np.abs(log_w) ** r) for n in ns])
     rows = [MomentRow(n, *_power_mean_se(power, r, "E|log W_n|^r", "r", n))
             for n, power in zip(ns, means)]
     tail = [row for row in rows if row.n >= 10]

@@ -710,7 +710,7 @@ def test_every_public_name_imports():
         "         getattr(importlib.import_module('bpire.' + bpire._MODULE_OF[n]), n)]\n"
         "print(json.dumps([len(bpire.__all__), wrong, sorted(set(bpire.__all__) - set(dir(bpire)))]))\n"
     ))
-    assert json.loads(proc.stdout) == [30, [], []], proc.stderr
+    assert json.loads(proc.stdout) == [28, [], []], proc.stderr
 
 
 def test_dir_lists_every_public_name():
@@ -886,23 +886,6 @@ def test_output_directory_below_a_file_exits_four_before_any_batch(monkeypatch, 
     code = main(["--config", _write(tmp_path, doc), "--out", str(tmp_path / "file" / "o")])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: I/O failure: ")
-
-
-def test_rate_replicates_past_the_elogw_stream_range_exit_two_before_any_batch(
-        monkeypatch, tmp_path, capsys):
-    # the config's replicates run both the main batch, on stream ids [0, R),
-    # and the E log W batch, on ids from 2**32: R = 2**32 + 1 would overlap
-    def refuse(*args, **kwargs):
-        raise AssertionError("a batch ran before the replicates were checked")
-
-    monkeypatch.setattr("bpire.mc_verify.run_batch", refuse)
-    doc = {"kind": "rate", "environment": _env_doc(), "x_grid": _UNIT_GRID, "n_list": [4],
-           "replicates": 2**32 + 1, "horizon": 2}
-    code = main(["--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: replicates must be at most 4294967296, where the stream ids of the "
-        "E log W batch start (ELOGW_STREAM_OFFSET), got 4294967297\n")
 
 
 def test_inconclusive_decay_exits_three(tmp_path, capsys):

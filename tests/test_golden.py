@@ -330,10 +330,10 @@ GOLDEN = {
     },
     "rate": {
         "exit": 0,
-        "stdout": "a50258482b571eb200f49681a532373ceba081bd6330b3ed4d41e8d844c37587",
+        "stdout": "ccc74c052d96e1b0211eb3daaef0e6fff0f15e008c23740ccd8928c3358cd306",
         "stderr": "7a3f17010d97734b732c09b6d4ab15edd33e83bedd2635b93af162d11576352b",
         "files": {
-            "rate.csv": "0bc8b7bdf5162c75eb3a410e94fd7adfe21c6d2bd83d42e95c6aca459e6ddb9c",
+            "rate.csv": "fcdfdbc04281eb5c56d0db55c0cb80d16f02b9b9779611029675d0e366ab659b",
             "run_manifest.json": "be353cf64a7bc02492189baf968aa5e7d92b8727e62b50f8f2a36b6c252b0857"
         }
     },

@@ -17,7 +17,6 @@ from bpire import (
     NoImmigration,
     ShiftedPoisson,
     berry_esseen_sup,
-    berry_esseen_sup_from_samples,
     clt_rate_experiment,
     empirical_cdf,
     estimate_elogw,
@@ -25,7 +24,6 @@ from bpire import (
     laplace_decay,
     log_mean_moments,
     moment_stability,
-    rate_curve_from_samples,
     simulate_batch,
     simulate_walk_batch,
     std_normal_pdf,
@@ -103,6 +101,30 @@ def test_empirical_cdf_monotone_in_grid():
 # --------------------------------------------------------------- rate curve
 
 
+def _sample_cdfs(standardized, grid):
+    """The empirical CDF on the checked ``grid`` of each sample of
+    ``standardized``, keyed by generations checked as an ``n_list`` is."""
+    mc_verify._generations(sorted(standardized), 1, "standardized")
+    return {n: empirical_cdf(samples, grid) for n, samples in sorted(standardized.items())}
+
+
+def rate_curve_from_samples(standardized, x_grid, moments, e_log_w, e_log_w_se=0.0,
+                            e_log_w_increment=0.0):
+    """The reference reduction of the rate estimators: standardised samples
+    per n, counted by sorting, to a rate curve, with a warning when a sample
+    has fewer than 10^4 replicates."""
+    x_grid = mc_verify._grid(x_grid, "x_grid")
+    return mc_verify._rate_curve(_sample_cdfs(standardized, x_grid), x_grid, moments, e_log_w,
+                                 e_log_w_se, e_log_w_increment)
+
+
+def berry_esseen_sup_from_samples(standardized, grid):
+    """The reference reduction of :func:`berry_esseen_sup` from standardised
+    samples per n, with the warnings of the grid."""
+    grid = mc_verify._grid(grid, "grid")
+    return mc_verify._berry_esseen(_sample_cdfs(standardized, grid), grid)
+
+
 def test_rate_pipeline_unbiased_on_exact_normals():
     # feeding exact standard normals must give dhat compatible with 0:
     # the reduction introduces no bias of its own
@@ -129,7 +151,7 @@ def test_rate_prediction_decomposes_into_curve_plus_edgeworth(env_a):
         [4, 8],
         20_000,
         master_seed=77,
-        horizon=10, e_log_w_replicates=5_000,
+        horizon=10,
     )
     sigma = curve.moments.sigma
     for row in curve.rows:
@@ -145,7 +167,7 @@ def test_rate_curve_at_accessor(env_a):
         [4],
         10_000,
         master_seed=1,
-        horizon=5, e_log_w_replicates=2_000,
+        horizon=5,
     )
     assert curve.at(0.0, 4).n == 4
     with pytest.raises(KeyError):
@@ -158,7 +180,7 @@ def test_rate_experiment_is_deterministic(env_a):
         n_list=[4, 8],
         replicates=12_000,
         master_seed=99,
-        horizon=8, e_log_w_replicates=3_000,
+        horizon=8,
     )
     a = clt_rate_experiment(env_a, **kwargs)
     b = clt_rate_experiment(env_a, **kwargs)
@@ -174,7 +196,7 @@ def test_rate_experiment_warns_on_small_replicates(env_a):
         [2],
         500,
         master_seed=3,
-        horizon=4, e_log_w_replicates=500,
+        horizon=4,
     )
     assert any("below 10^4" in w for w in curve.warnings)
 
@@ -339,7 +361,7 @@ def test_elogw_rejects_negative_horizon(no_batch, env_a, env_a_pure):
     [
         lambda env: estimate_elogw(env, horizon=2, replicates=1),
         lambda env: clt_rate_experiment(env, [0.0], [2], replicates=1, master_seed=0,
-                                        horizon=2, e_log_w_replicates=1),
+                                        horizon=2),
         lambda env: increment_decay(env, q=1.0, n_list=[1, 2], replicates=1, master_seed=0),
         lambda env: laplace_decay(without_immigration(env), [3.0, 4.0], horizon=2,
                                   replicates=1, master_seed=0),
@@ -362,19 +384,10 @@ def test_standard_error_needs_two_replicates(run, no_batch, env_a):
 )
 def test_rate_checks_elogw_replicates_before_the_main_batch(no_batch, env_a, replicates,
                                                             message):
-    # the main batch's replicates are fine: only the E log W batch's are bad
+    # E log W comes from the main batch's replicates, whose standard error
+    # needs them checked before that batch runs
     with pytest.raises(ValueError, match=message):
-        clt_rate_experiment(env_a, [0.0], [16], 20_000, master_seed=1,
-                            horizon=30, e_log_w_replicates=replicates)
-
-
-def test_rate_refuses_main_stream_ids_reaching_the_elogw_range(no_batch, env_a):
-    # the main batch's ids [0, R) and the E log W batch's ids from 2**32 are
-    # disjoint only for R <= 2**32; past it the two would share paths
-    with pytest.raises(ValueError, match=r"replicates must be at most 4294967296, .* "
-                                         r"got 4294967297"):
-        clt_rate_experiment(env_a, [0.0], [16], 2**32 + 1, master_seed=1,
-                            horizon=30, e_log_w_replicates=100)
+        clt_rate_experiment(env_a, [0.0], [16], replicates, master_seed=1, horizon=30)
 
 
 # --------------------------------------------------------------- decay gate
@@ -525,29 +538,23 @@ def test_ols_matches_linregress_bitwise():
         assert stderr == fit.stderr or (math.isnan(stderr) and math.isnan(fit.stderr))
 
 
-def test_rate_experiment_releases_main_batch_before_elogw(monkeypatch, env_a):
-    # the main batch leaves only its counts, one slot per chunk, when the
-    # E log W batch of estimate_elogw runs; that batch records the horizon
-    # and the generation after it, on its own stream range, and leaves only
-    # the (count, mean, M2) of log W_N and of the increment of each chunk
+def test_rate_experiment_runs_one_batch(monkeypatch, env_a):
+    # one batch records n_list, the horizon and the generation after it,
+    # and leaves only the counts and the (count, mean, M2) of log W_N and of
+    # the increment of each chunk
     monkeypatch.setattr(trajectory, "_CHUNK", 200)
-    calls, outputs = [], []
+    calls = []
     run = mc_verify.run_batch
 
     def recording(*args, **kwargs):
         bound = inspect.signature(run).bind(*args, **kwargs).arguments
-        calls.append((bound["record"], bound.get("stream_offset", 0),
-                      {name: a.shape for out in outputs for name, a in out.items()}))
         result = run(*args, **kwargs)
-        outputs.append(result[-1])
+        calls.append((bound["record"], {name: a.shape for name, a in result[-1].items()}))
         return result
 
     monkeypatch.setattr(mc_verify, "run_batch", recording)
-    clt_rate_experiment(env_a, [-1.0, 0.0, 1.0], [4, 8], 500, master_seed=3,
-                        horizon=4, e_log_w_replicates=500)
-    assert calls == [([4, 8], 0, {}),
-                     ((4, 5), mc_verify.ELOGW_STREAM_OFFSET, {"counts": (3, 2, 3)})]
-    assert {name: a.shape for name, a in outputs[1].items()} == {"moments": (3, 2, 3)}
+    clt_rate_experiment(env_a, [-1.0, 0.0, 1.0], [4, 8], 500, master_seed=3, horizon=4)
+    assert calls == [([4, 5, 8], {"counts": (3, 2, 3), "moments": (3, 2, 3)})]
 
 
 # ------------------------------------------------- chunk-local reductions
@@ -588,18 +595,15 @@ def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env
     def standardized(rows):
         return {n: mc_verify._standardize(rows(n), n, moments) for n in ns}
 
-    batch = simulate_batch(env_a, 8, r, seed, record=ns)
+    batch = simulate_batch(env_a, 8, r, seed, record=(4, 5, 8))
     walk = simulate_walk_batch(env_a, 8, r, seed, record=ns)
-    aside = simulate_batch(env_a, 5, r, seed, record=(4, 5),
-                           stream_offset=mc_verify.ELOGW_STREAM_OFFSET)
-    mean, se = _mean_se(*_merged(aside.log_w_at(4)))
-    increment = _mean_se(*_merged(np.abs(aside.log_w_at(5) - aside.log_w_at(4))))
+    mean, se = _mean_se(*_merged(batch.log_w_at(4)))
+    increment = _mean_se(*_merged(np.abs(batch.log_w_at(5) - batch.log_w_at(4))))
 
-    assert estimate_elogw(env_a, 4, r, seed, mc_verify.ELOGW_STREAM_OFFSET,
-                          threads) == (mean, se, 4, r, *increment)
-    assert clt_rate_experiment(env_a, grid, ns, r, seed, horizon=4, e_log_w_replicates=r,
-                               threads=threads) == \
-        rate_curve_from_samples(standardized(batch.log_z_at), grid, moments, mean, se)
+    assert estimate_elogw(env_a, 4, r, seed, threads) == (mean, se, 4, r, *increment)
+    assert clt_rate_experiment(env_a, grid, ns, r, seed, horizon=4, threads=threads) == \
+        rate_curve_from_samples(standardized(batch.log_z_at), grid, moments, mean, se,
+                                increment[0])
     assert walk_oracle_rate(env_a, grid, ns, r, seed, threads) == \
         rate_curve_from_samples(standardized(walk.s_at), grid, moments, 0.0)
     assert berry_esseen_sup(env_a, ns, r, grid, seed, threads) == \
@@ -617,6 +621,17 @@ def test_estimators_equal_the_reductions_of_batch_rows(ragged_chunks, env_a, env
     assert [row[1:] for row in moment_stability(env_a, 2.0, [10, 12], r, seed, threads).rows] == [
         _mean_se(*_merged(np.abs(moment.log_w_at(n)) ** 2.0))
         for n in (10, 12)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_rate_elogw_is_the_elogw_estimate(ragged_chunks, env_a, threads):
+    # the rate kind's E log W comes from its own batch, whose replicates at
+    # the horizon and the next generation are those estimate_elogw simulates
+    curve = clt_rate_experiment(env_a, [-1.0, 0.0, 1.0], [4, 8], 200, master_seed=5, horizon=4,
+                                threads=threads)
+    estimate = estimate_elogw(env_a, horizon=4, replicates=200, master_seed=5, threads=threads)
+    assert (curve.e_log_w, curve.e_log_w_se, curve.e_log_w_increment) == \
+        (estimate.mean, estimate.se, estimate.increment_estimate)
 
 
 # Ulps of the mean and of the SD by which a chunked merge may differ from one
@@ -670,12 +685,12 @@ _GROWTH_BOUND = 2 * 1024 * 8
 
 
 def test_rate_experiment_memory_does_not_grow_with_the_main_batch(monkeypatch, env_a):
-    # eight chunks of both batches cost no more than one: the main batch
-    # keeps counts per chunk and the E log W batch (count, mean, M2)
+    # eight chunks cost no more than one: the batch keeps counts and the
+    # (count, mean, M2) of the E log W statistics per chunk
     monkeypatch.setattr(trajectory, "_CHUNK", 1024)
     assert _peak_growth(lambda replicates: clt_rate_experiment(
         env_a, [-1.0, 0.0, 1.0], [16, 64, 256], replicates, master_seed=3,
-        horizon=4, e_log_w_replicates=replicates)) <= _GROWTH_BOUND
+        horizon=4)) <= _GROWTH_BOUND
 
 
 @pytest.mark.parametrize(

@@ -277,6 +277,25 @@ def test_auto_threads_count_the_cpus_this_process_may_run_on(monkeypatch, record
     assert two_cpus.log_z.tobytes() == inline.log_z.tobytes()
 
 
+def test_auto_threads_fall_back_to_the_cpu_count(monkeypatch, recording_fork, env_a):
+    # threads = 0 where the OS reports no affinity mask: os.cpu_count()
+    # CPUs, or one when it does not know.  Four chunks on one worker fork
+    # nothing; on three CPUs they fork two workers, whose shares the caller
+    # runs.
+    calls = recording_fork
+    inline = simulate_batch(env_a, 12, 350, 3, record=(6, 12), threads=1)
+    monkeypatch.delattr(trajectory.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(trajectory.os, "cpu_count", lambda: None)
+    unknown = simulate_batch(env_a, 12, 350, 3, record=(6, 12), threads=0)
+    assert calls == []
+    monkeypatch.setattr(trajectory.os, "cpu_count", lambda: 3)
+    three = simulate_batch(env_a, 12, 350, 3, record=(6, 12), threads=0)
+    assert calls == [0, 1]
+    for batch in (unknown, three):
+        assert batch.log_z.tobytes() == inline.log_z.tobytes()
+        assert batch.s.tobytes() == inline.s.tobytes()
+
+
 def test_forked_batch_of_no_recorded_generation_is_empty(env_a):
     # an empty record still has one column per replicate, and its shared
     # arrays hold no byte
