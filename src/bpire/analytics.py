@@ -168,7 +168,6 @@ def hypothesis_report(
     * ``E|log m0|^r``        -- finite sum over atoms, ``r >= 3`` expected;
     * ``E (Y0/m0)^delta``    -- immigration moment, 0 without immigration;
     * ``E (E_xi (X0/m0)^p)^delta`` -- environment-averaged offspring moment;
-    * ``sigma2_positive``    -- strict positivity of ``Var(log m0)``;
     * ``non_lattice``        -- passes when :func:`lattice_span` finds no
       span; its value is the span, or NaN when there is none or fewer than
       two distinct values of ``log m0``.
@@ -211,15 +210,6 @@ def hypothesis_report(
             entries.append(HypothesisEntry(name, val, math.isfinite(val), detail))
         except SeriesDivergence as exc:
             entries.append(HypothesisEntry(name, math.nan, False, str(exc)))
-
-    entries.append(
-        HypothesisEntry(
-            "sigma2_positive",
-            moments.sigma2,
-            moments.sigma2 > 0.0,
-            "Var(log m0) must be positive for standardised limits",
-        )
-    )
 
     span = lattice_span(env)
     if span is None:

@@ -33,8 +33,9 @@ times the grid.
 Inputs are checked before any batch runs: generations by the rule of a
 batch's ``record``, grids as nonempty, finite and ascending, the replicates
 of every standard error as at least 2, and every gate has at least two
-values to compare.  One pass turns counts into ``F_hat_n - Phi`` for the
-CDF estimators.
+values to compare.  The CDF estimators read their rows from one matrix
+``fhat``, the summed counts over R with a row per generation and a column
+per grid point, and from ``fhat - Phi``.
 
 Results and their rows are ``NamedTuple`` records, and a row record is its
 CSV row: the fields of ``RatePoint``, ``DecayRow``, ``BerryEsseenRow`` and
@@ -45,11 +46,11 @@ files, and the CLI writes each row as it is.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import edgeworth_q, limit_curve, std_normal_cdf, std_normal_pdf
+from .analytics import edgeworth_q, limit_curve, std_normal_cdf
 from .env_model import EnvironmentModel, MomentSummary, log_mean_moments
 from .sampler import PROMOTION_THRESHOLD
 from .trajectory import Reduction, as_int, run_batch
@@ -153,14 +154,6 @@ def _count(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.sort(samples), grid, side="right")
 
 
-def _cdf(counts: np.ndarray, replicates: int, grid: np.ndarray) -> EmpiricalCdf:
-    """The empirical CDF of ``replicates`` samples of which ``counts`` lie at
-    or below each point of ``grid``."""
-    values = counts / replicates
-    ci = Z_99 * np.sqrt(values * (1.0 - values) / replicates)
-    return EmpiricalCdf(grid=grid, values=values, replicates=replicates, ci_halfwidth=ci)
-
-
 def empirical_cdf(samples: np.ndarray, grid: Sequence[float]) -> EmpiricalCdf:
     """``F_hat(x) = #{samples <= x} / R`` for each grid point; grid must be
     nonempty and sorted ascending."""
@@ -168,7 +161,9 @@ def empirical_cdf(samples: np.ndarray, grid: Sequence[float]) -> EmpiricalCdf:
     if samples.size == 0:
         raise ValueError("empirical_cdf requires a nonempty sample")
     grid_arr = _grid(grid, "grid")
-    return _cdf(_count(samples, grid_arr), samples.size, grid_arr)
+    values = _count(samples, grid_arr) / samples.size
+    ci = Z_99 * np.sqrt(values * (1.0 - values) / samples.size)
+    return EmpiricalCdf(grid=grid_arr, values=values, replicates=samples.size, ci_halfwidth=ci)
 
 
 class RatePoint(NamedTuple):
@@ -203,36 +198,28 @@ class RateCurve(NamedTuple):
         raise KeyError((x, n))
 
 
-def _deviations(cdfs: Mapping[int, EmpiricalCdf], grid: np.ndarray
-                ) -> Iterator[tuple[int, EmpiricalCdf, np.ndarray]]:
-    """``(n, cdf, F_hat_n - Phi)`` for each generation n of ``cdfs``, in
-    its order, where every cdf is on ``grid``; Phi is computed once.  The
-    one pass from counts (over R, by :func:`_cdf`) to deviations."""
-    phi = np.array([std_normal_cdf(float(x)) for x in grid])
-    for n, cdf in cdfs.items():
-        yield n, cdf, cdf.values - phi
-
-
-def _rate_curve(cdfs: Mapping[int, EmpiricalCdf], x_grid: np.ndarray, moments: MomentSummary,
-                e_log_w: float, e_log_w_se: float, e_log_w_increment: float) -> RateCurve:
-    """The rows of a rate curve from the empirical CDFs on ``x_grid`` per n."""
+def _rate_curve(ns: list[int], x_grid: np.ndarray, fhat: np.ndarray, replicates: int,
+                moments: MomentSummary, e_log_w: float, e_log_w_se: float,
+                e_log_w_increment: float) -> RateCurve:
+    """The rows of a rate curve from ``fhat``, the empirical CDFs of
+    ``replicates`` samples on ``x_grid``, one row per generation of ``ns``."""
+    phi = np.array([std_normal_cdf(float(x)) for x in x_grid])
     rows: list[RatePoint] = []
-    for n, cdf, dev in _deviations(cdfs, x_grid):
+    for n, values, dev in zip(ns, fhat.tolist(), (fhat - phi).tolist()):
         sqrt_n = math.sqrt(n)
-        for x, fhat, d in zip(cdf.grid.tolist(), cdf.values.tolist(), dev.tolist()):
+        for x, f, d in zip(x_grid.tolist(), values, dev):
             rows.append(
                 RatePoint(
                     x=x,
                     n=n,
                     dhat=sqrt_n * d,
-                    se=sqrt_n * math.sqrt(fhat * (1.0 - fhat) / cdf.replicates),
+                    se=sqrt_n * math.sqrt(f * (1.0 - f) / replicates),
                     g=limit_curve(x, moments, e_log_w),
                     q_only=edgeworth_q(x, moments),
                 )
             )
-    low = min(cdf.replicates for cdf in cdfs.values())
-    warnings = () if low >= 10**4 else (
-        f"replicates={low} is below 10^4; binomial confidence "
+    warnings = () if replicates >= 10**4 else (
+        f"replicates={replicates} is below 10^4; binomial confidence "
         "intervals on dhat are too wide for rate comparisons",
     )
     return RateCurve(
@@ -285,15 +272,16 @@ def _batch(env: EnvironmentModel, record: list[int], replicates: int, master_see
            threads: int, threshold: int = PROMOTION_THRESHOLD, *,
            cdf: tuple[MomentSummary, list[int], np.ndarray] | None = None,
            statistics: Sequence[Statistic] = (), populations: int = 1
-           ) -> tuple[dict[int, EmpiricalCdf], list[tuple[float, float]]]:
+           ) -> tuple[np.ndarray | None, list[tuple[float, float]]]:
     """Run one batch that records the checked ``record`` and return what
-    its chunks keep: the empirical CDFs and the means.
+    its chunks keep: the empirical CDFs ``fhat`` and the means.
 
     With ``cdf = (moments, ns, grid)``, each chunk standardises its ``log
     Z_n`` row (its ``S_n`` row with ``populations`` 0) at each generation n
     of ``ns`` and counts it at each point of ``grid``; the counts of all
-    chunks sum to those of one sort of the whole batch, and the CDFs are
-    keyed by ``ns`` in its order.  Each chunk keeps the moments of every
+    chunks sum to those of one sort of the whole batch, and ``fhat`` is
+    their sum over ``replicates``, one row per generation of ``ns`` (None
+    without ``cdf``).  Each chunk keeps the moments of every
     statistic at its generation, and its ``log W`` row lives until its next
     recorded one; the means are those of ``statistics`` in the order given,
     each with its standard error ``sqrt(M2 / (n - 1)) / sqrt(n)``, from the
@@ -324,15 +312,12 @@ def _batch(env: EnvironmentModel, record: list[int], replicates: int, master_see
 
     out = run_batch(env, record[-1], replicates, master_seed, record,
                     Reduction(keep, (), slots), populations, threshold, threads)[-1]
-    cdfs = {}
-    if ns:
-        counts = out["counts"].sum(axis=0)
-        cdfs = {n: _cdf(counts[i], int(replicates), grid) for i, n in enumerate(ns)}
+    fhat = out["counts"].sum(axis=0) / int(replicates) if ns else None
     means = []
     if statistics:
         means = [(float(mean), math.sqrt(m2 / (count - 1)) / math.sqrt(count))
                  for count, mean, m2 in zip(*_merge(out["moments"]))]
-    return cdfs, means
+    return fhat, means
 
 
 def _cdf_inputs(env: EnvironmentModel, what: str, n_list: Sequence[int],
@@ -469,10 +454,11 @@ def clt_rate_experiment(
     """
     moments, ns, x_grid = _cdf_inputs(env, "clt_rate_experiment", n_list, x_grid, "x_grid")
     horizon = _horizon(horizon)
-    cdfs, ((e_log_w, e_log_w_se), (increment, _)) = _batch(
+    fhat, ((e_log_w, e_log_w_se), (increment, _)) = _batch(
         env, sorted({*ns, horizon, horizon + 1}), replicates, master_seed, threads, threshold,
         cdf=(moments, ns, x_grid), statistics=_elogw_statistics(horizon))
-    return _rate_curve(cdfs, x_grid, moments, e_log_w, e_log_w_se, increment)
+    return _rate_curve(ns, x_grid, fhat, int(replicates), moments, e_log_w, e_log_w_se,
+                       increment)
 
 
 def walk_oracle_rate(
@@ -491,9 +477,9 @@ def walk_oracle_rate(
     curve isolates the ``-pdf(x) E log W / sigma`` contribution.
     """
     moments, ns, x_grid = _cdf_inputs(env, "walk_oracle_rate", n_list, x_grid, "x_grid")
-    cdfs, _ = _batch(env, ns, replicates, master_seed, threads, cdf=(moments, ns, x_grid),
+    fhat, _ = _batch(env, ns, replicates, master_seed, threads, cdf=(moments, ns, x_grid),
                      populations=0)
-    return _rate_curve(cdfs, x_grid, moments, 0.0, 0.0, 0.0)
+    return _rate_curve(ns, x_grid, fhat, int(replicates), moments, 0.0, 0.0, 0.0)
 
 
 class DecayRow(NamedTuple):
@@ -624,20 +610,22 @@ def _grid_warnings(grid: np.ndarray) -> list[str]:
     return warnings
 
 
-def _berry_esseen(cdfs: Mapping[int, EmpiricalCdf], grid: np.ndarray) -> BerryEsseenResult:
-    """The sup-distance rows and constants from the empirical CDFs on
-    ``grid`` per n, with the warnings of the grid."""
+def _berry_esseen(ns: list[int], grid: np.ndarray, fhat: np.ndarray,
+                  replicates: int) -> BerryEsseenResult:
+    """The sup-distance rows and constants from ``fhat``, the empirical CDFs
+    of ``replicates`` samples on ``grid``, one row per generation of ``ns``,
+    with the warnings of the grid."""
     warnings = _grid_warnings(grid)
+    phi = np.array([std_normal_cdf(float(x)) for x in grid])
     rows: list[BerryEsseenRow] = []
-    for n, cdf, dev in _deviations(cdfs, grid):
-        dev = np.abs(dev)
+    for n, values, dev in zip(ns, fhat, np.abs(fhat - phi)):
         i = int(np.argmax(dev))
-        fhat = float(cdf.values[i])
+        f = float(values[i])
         rows.append(
             BerryEsseenRow(
                 n=n,
                 sup_dev=float(dev[i]),
-                se_max=math.sqrt(fhat * (1.0 - fhat) / cdf.replicates),
+                se_max=math.sqrt(f * (1.0 - f) / replicates),
                 c_fit=float(dev[i]) * math.sqrt(n),
             )
         )
@@ -669,9 +657,9 @@ def berry_esseen_sup(
             "n_list must have at least two generations: the stability of the constants "
             f"compares them across n, got {ns}"
         )
-    cdfs, _ = _batch(env, ns, replicates, master_seed, threads, threshold,
+    fhat, _ = _batch(env, ns, replicates, master_seed, threads, threshold,
                      cdf=(moments, ns, grid))
-    return _berry_esseen(cdfs, grid)
+    return _berry_esseen(ns, grid, fhat, int(replicates))
 
 
 class LaplaceRow(NamedTuple):

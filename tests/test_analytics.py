@@ -194,7 +194,6 @@ def test_hypothesis_report_reference_env():
     assert report.entry("E(E_xi(X0/m0)^p)^delta").value == pytest.approx(
         expected, rel=1e-10
     )
-    assert report.entry("sigma2_positive").passed
     assert report.entry("non_lattice").value == pytest.approx(math.log(1.5), rel=1e-12)
     with pytest.raises(KeyError) as info:
         report.entry("lattice")
@@ -278,8 +277,7 @@ def test_hypothesis_report_single_poisson_atom_inner_moment():
     # no immigration: E(Y0/m0)^delta = 0 exactly
     assert report.entry("E(Y0/m0)^delta").value == 0.0
     assert report.entry("E(Y0/m0)^delta").passed
-    # sigma = 0 and a single atom: those entries fail but are reported
-    assert not report.entry("sigma2_positive").passed
+    # a single atom: the non_lattice entry fails but is reported
     assert not report.entry("non_lattice").passed
     assert math.isnan(report.entry("non_lattice").value)
     assert not report.all_passed

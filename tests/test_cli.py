@@ -382,83 +382,105 @@ def _with_lam(lam) -> dict:
     return env
 
 
-@pytest.mark.parametrize(
-    "doc, code, named",
-    [
-        ({"x_grid": {"min": -math.inf, "max": 1.0, "step": 1.0}}, 1, "x_grid.min"),
-        ({"x_grid": {"min": -1.0, "max": 1.0, "step": 1e-320}}, 1, "x_grid"),
-        ({"x_grid": {"min": -4.0, "max": 4.0, "step": 1e-12}}, 1, "x_grid"),
-        ({"kind": "moments", "r": math.inf}, 1, "config.r"),
-        ({"kind": "validate", "environment": _with_lam(math.nan)}, 1, "offspring.lam"),
-        ({"kind": "validate", "environment": _with_lam(10**400)}, 1, "offspring.lam"),
-        (
-            {
-                "kind": "laplace",
-                "environment": _env_doc("none"),
-                "x_grid": {"min": 1.0, "max": 1000.0, "step": 999.0},
-            },
-            2,
-            "range",
-        ),
-        (
-            {
-                "kind": "validate",
-                "environment": {"atoms": [{**_env_doc()["atoms"][0], "prob": 1.0,
-                                           "immigration": {"kind": "geometric", "s": 1e-5}}]},
-            },
-            2,
-            "s >= 0.0001",
-        ),
-        (
-            {"kind": "validate", "environment": {"atoms": [{**_env_doc()["atoms"][0],
-                                                            "prob": -0.5}]}},
-            2,
-            "environment.atoms[0]: atom probability must lie in (0, 1], got -0.5",
-        ),
-        ({"replicates": _LONG_INT}, 1, "4300 digits"),
-        ({"replicates": _DEEP_ARRAY}, 1, "recursion depth"),
-        ({"kind": "elogw", "horizon": 10**12}, 1, "config.horizon"),
-        ({"kind": "moments", "n_list": [10**12]}, 1, "config.n_list"),
-        ({"kind": "elogw", "promotion_threshold": 2**62}, 1, "at most 2305843009213693952"),
-        ({"kind": "elogw", "replicates": 1}, 2, "at least 2 replicates, got 1"),
-        ({"kind": "elogw", "environment": _with_lam(1e308)}, 2, "overflows a double"),
-        (
-            {
-                "kind": "elogw",
-                "environment": {"atoms": [{**_env_doc()["atoms"][0], "prob": 1.0,
-                                           "offspring": {"kind": "shifted_geometric",
-                                                         "q": 1e-200}}]},
-            },
-            2,
-            "atoms[0].offspring: ShiftedGeometric requires q >= 1.492e-154",
-        ),
-        (
-            {"kind": "decay", "q": 10000.0, "n_list": [0, 1, 2], "replicates": 200},
-            2,
-            "overflows a double for q = 10000.0",
-        ),
-        (
-            {"kind": "moments", "r": 1000.0, "n_list": [10, 20], "replicates": 200},
-            2,
-            "overflows a double for r = 1000.0",
-        ),
-    ],
-    ids=["grid-min-inf", "grid-step-underflow", "grid-too-many-points", "moments-r-inf",
-         "lam-nan", "lam-beyond-float", "laplace-t-overflow", "geometric-s-too-small",
-         "atom-probability-negative", "integer-beyond-digit-limit",
-         "array-beyond-recursion-limit", "horizon-beyond-max-generations",
-         "n-list-beyond-max-generations", "threshold-beyond-int64-counts",
-         "elogw-one-replicate", "offspring-total-beyond-float", "geometric-q-too-small",
-         "decay-power-overflow", "moments-power-overflow"],
-)
+#: The refusals of numbers the JSON parser accepts, by test id: the config
+#: keys over those of ``_REFUSAL_BASE``, the exit code and a part of the
+#: one-line message.
+_REFUSALS = {
+    "grid-min-inf": ({"x_grid": {"min": -math.inf, "max": 1.0, "step": 1.0}}, 1, "x_grid.min"),
+    "grid-step-underflow": ({"x_grid": {"min": -1.0, "max": 1.0, "step": 1e-320}}, 1, "x_grid"),
+    "grid-too-many-points": ({"x_grid": {"min": -4.0, "max": 4.0, "step": 1e-12}}, 1, "x_grid"),
+    "moments-r-inf": ({"kind": "moments", "r": math.inf}, 1, "config.r"),
+    "lam-nan": ({"kind": "validate", "environment": _with_lam(math.nan)}, 1, "offspring.lam"),
+    "lam-beyond-float": ({"kind": "validate", "environment": _with_lam(10**400)}, 1,
+                         "offspring.lam"),
+    "laplace-t-overflow": (
+        {
+            "kind": "laplace",
+            "environment": _env_doc("none"),
+            "x_grid": {"min": 1.0, "max": 1000.0, "step": 999.0},
+        },
+        2,
+        "range",
+    ),
+    "geometric-s-too-small": (
+        {
+            "kind": "validate",
+            "environment": {"atoms": [{**_env_doc()["atoms"][0], "prob": 1.0,
+                                       "immigration": {"kind": "geometric", "s": 1e-5}}]},
+        },
+        2,
+        "s >= 0.0001",
+    ),
+    "atom-probability-negative": (
+        {"kind": "validate", "environment": {"atoms": [{**_env_doc()["atoms"][0],
+                                                        "prob": -0.5}]}},
+        2,
+        "environment.atoms[0]: atom probability must lie in (0, 1], got -0.5",
+    ),
+    "atom-probability-above-one": (
+        {"kind": "validate", "environment": {"atoms": [{**_env_doc()["atoms"][0],
+                                                        "prob": 1.5}]}},
+        2,
+        "environment.atoms[0]: atom probability must lie in (0, 1], got 1.5",
+    ),
+    "integer-beyond-digit-limit": ({"replicates": _LONG_INT}, 1, "4300 digits"),
+    "array-beyond-recursion-limit": ({"replicates": _DEEP_ARRAY}, 1, "recursion depth"),
+    "horizon-beyond-max-generations": ({"kind": "elogw", "horizon": 10**12}, 1,
+                                       "config.horizon"),
+    "n-list-beyond-max-generations": ({"kind": "moments", "n_list": [10**12]}, 1,
+                                      "config.n_list"),
+    "threshold-beyond-int64-counts": ({"kind": "elogw", "promotion_threshold": 2**62}, 1,
+                                      "at most 2305843009213693952"),
+    "elogw-one-replicate": ({"kind": "elogw", "replicates": 1}, 2,
+                            "at least 2 replicates, got 1"),
+    "offspring-total-beyond-float": ({"kind": "elogw", "environment": _with_lam(1e308)}, 2,
+                                     "overflows a double"),
+    "geometric-q-too-small": (
+        {
+            "kind": "elogw",
+            "environment": {"atoms": [{**_env_doc()["atoms"][0], "prob": 1.0,
+                                       "offspring": {"kind": "shifted_geometric",
+                                                     "q": 1e-200}}]},
+        },
+        2,
+        "atoms[0].offspring: ShiftedGeometric requires q >= 1.492e-154",
+    ),
+    "decay-power-overflow": (
+        {"kind": "decay", "q": 10000.0, "n_list": [0, 1, 2], "replicates": 200},
+        2,
+        "overflows a double for q = 10000.0",
+    ),
+    "moments-power-overflow": (
+        {"kind": "moments", "r": 1000.0, "n_list": [10, 20], "replicates": 200},
+        2,
+        "overflows a double for r = 1000.0",
+    ),
+}
+_REFUSAL_BASE = {"kind": "walk-oracle", "environment": _env_doc(), "n_list": [2],
+                 "replicates": 50, "horizon": 2}
+
+
+@pytest.mark.parametrize("doc, code, named", list(_REFUSALS.values()), ids=list(_REFUSALS))
 def test_accepted_number_exits_with_its_code_without_traceback(tmp_path, doc, code, named):
-    base = {"kind": "walk-oracle", "environment": _env_doc(), "n_list": [2], "replicates": 50,
-            "horizon": 2}
-    proc = _run_cli(tmp_path, {**base, **doc})
+    proc = _run_cli(tmp_path, {**_REFUSAL_BASE, **doc})
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["integer-beyond-digit-limit", "array-beyond-recursion-limit",
+                                  "atom-probability-negative", "atom-probability-above-one"])
+def test_refusal_exits_in_process_with_one_error_line(tmp_path, capsys, case):
+    # cli.main's handlers of malformed JSON and of an atom's probability,
+    # run in this process as well as in a fresh one
+    doc, code, named = _REFUSALS[case]
+    cfg, out = _write(tmp_path, {**_REFUSAL_BASE, **doc}), tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
+    assert not out.exists()
 
 
 

@@ -339,7 +339,7 @@ GOLDEN = {
     },
     "validate": {
         "exit": 0,
-        "stdout": "de5a694154280914f142d162a7f54965ea548f1b48b6f564994adef0cfaa3094",
+        "stdout": "283ee96292a9e397241bd506db1e3277b4b8c29921f2910aeb5336da8c94b309",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "run_manifest.json": "f901bb5a53ee259764acc584a810da228583ad79f815a3379552bb3e2de7a002"
@@ -347,7 +347,7 @@ GOLDEN = {
     },
     "validate-one-atom": {
         "exit": 2,
-        "stdout": "6971de3ee7f301687b6df1a571e81cceb4920af372ad61ebc6f71080b43cb2fe",
+        "stdout": "6befb079f6d4c24d80b93b1c9e1f5eccafd32f2164ca0979ad2001448971954c",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "run_manifest.json": "d8a5976e96e50f552a608c25061fd0f25ed5dfad6d7b47223b4df962e1e1103c"

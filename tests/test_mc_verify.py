@@ -101,11 +101,14 @@ def test_empirical_cdf_monotone_in_grid():
 # --------------------------------------------------------------- rate curve
 
 
-def _sample_cdfs(standardized, grid):
-    """The empirical CDF on the checked ``grid`` of each sample of
-    ``standardized``, keyed by generations checked as an ``n_list`` is."""
-    mc_verify._generations(sorted(standardized), 1, "standardized")
-    return {n: empirical_cdf(samples, grid) for n, samples in sorted(standardized.items())}
+def _sample_fhat(standardized, grid):
+    """The generations of ``standardized``, checked as an ``n_list`` is, the
+    empirical CDFs of their samples on the checked ``grid`` stacked in that
+    order, and the size R that the samples share."""
+    ns = mc_verify._generations(sorted(standardized), 1, "standardized")
+    cdfs = [empirical_cdf(standardized[n], grid) for n in ns]
+    (replicates,) = {cdf.replicates for cdf in cdfs}
+    return ns, np.stack([cdf.values for cdf in cdfs]), replicates
 
 
 def rate_curve_from_samples(standardized, x_grid, moments, e_log_w, e_log_w_se=0.0,
@@ -114,15 +117,17 @@ def rate_curve_from_samples(standardized, x_grid, moments, e_log_w, e_log_w_se=0
     per n, counted by sorting, to a rate curve, with a warning when a sample
     has fewer than 10^4 replicates."""
     x_grid = mc_verify._grid(x_grid, "x_grid")
-    return mc_verify._rate_curve(_sample_cdfs(standardized, x_grid), x_grid, moments, e_log_w,
-                                 e_log_w_se, e_log_w_increment)
+    ns, fhat, replicates = _sample_fhat(standardized, x_grid)
+    return mc_verify._rate_curve(ns, x_grid, fhat, replicates, moments, e_log_w, e_log_w_se,
+                                 e_log_w_increment)
 
 
 def berry_esseen_sup_from_samples(standardized, grid):
     """The reference reduction of :func:`berry_esseen_sup` from standardised
     samples per n, with the warnings of the grid."""
     grid = mc_verify._grid(grid, "grid")
-    return mc_verify._berry_esseen(_sample_cdfs(standardized, grid), grid)
+    ns, fhat, replicates = _sample_fhat(standardized, grid)
+    return mc_verify._berry_esseen(ns, grid, fhat, replicates)
 
 
 def test_rate_pipeline_unbiased_on_exact_normals():
