@@ -203,19 +203,22 @@ def _rate_curve(ns: list[int], x_grid: np.ndarray, fhat: np.ndarray, replicates:
                 e_log_w_increment: float) -> RateCurve:
     """The rows of a rate curve from ``fhat``, the empirical CDFs of
     ``replicates`` samples on ``x_grid``, one row per generation of ``ns``."""
-    phi = np.array([std_normal_cdf(float(x)) for x in x_grid])
+    xs = x_grid.tolist()
+    phi = np.array([std_normal_cdf(x) for x in xs])
+    g = [limit_curve(x, moments, e_log_w) for x in xs]
+    q = [edgeworth_q(x, moments) for x in xs]
     rows: list[RatePoint] = []
     for n, values, dev in zip(ns, fhat.tolist(), (fhat - phi).tolist()):
         sqrt_n = math.sqrt(n)
-        for x, f, d in zip(x_grid.tolist(), values, dev):
+        for x, f, d, g_x, q_x in zip(xs, values, dev, g, q):
             rows.append(
                 RatePoint(
                     x=x,
                     n=n,
                     dhat=sqrt_n * d,
                     se=sqrt_n * math.sqrt(f * (1.0 - f) / replicates),
-                    g=limit_curve(x, moments, e_log_w),
-                    q_only=edgeworth_q(x, moments),
+                    g=g_x,
+                    q_only=q_x,
                 )
             )
     warnings = () if replicates >= 10**4 else (

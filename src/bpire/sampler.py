@@ -5,11 +5,11 @@ Reproducibility contract
 Every random quantity in this package is drawn from a PCG64DXSM generator
 (O'Neill, 2014) seeded through numpy's ``SeedSequence`` by a master seed
 and a spawn key.  The simulator keys each chunk of a batch by
-``(master_seed, stream_offset + first replicate of the chunk)`` and draws
-each kind of number from its own substream of that key (:func:`substream`;
-the layout is in :mod:`bpire.trajectory`, whose batch functions reject a
-``master_seed`` or a ``stream_offset + replicates`` that is not an
-unsigned 64-bit word).  A replicate is the triple ``(master_seed, chunk
+``(master_seed, first replicate of the chunk)`` and draws each kind of
+number from its own substream of that key (:func:`substream`; the layout
+is in :mod:`bpire.trajectory`, whose batch functions reject a
+``master_seed`` that is not an unsigned 64-bit word and more than
+``2**64`` replicates).  A replicate is the triple ``(master_seed, chunk
 key, column)``: its numbers are a pure function of that triple, of the
 chunk's size and of the recorded generations -- no global state, no
 seeding order, no thread identity is involved -- and rebuilding a generator

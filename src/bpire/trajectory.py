@@ -16,12 +16,11 @@ Draw layout (version 4, ``DRAW_LAYOUT``)
 A batch is cut into chunks of ``_CHUNK`` replicates, and each chunk runs as
 arrays: one array step per generation over all of its columns.  The chunk
 that starts at replicate ``c`` of a batch owns the key ``(master_seed,
-stream_offset + c)``; the replicate in its column ``j`` is the triple
-``(master_seed, stream_offset + c, j)``, replayed by any chunk of the same
-key, size and recorded generations.  Substream k of a key is a PCG64DXSM
-generator seeded by the spawn key ``(key, k)`` of the master seed
-(:func:`bpire.sampler.substream`), and each kind of draw has its own
-substream:
+c)``; the replicate in its column ``j`` is the triple ``(master_seed, c,
+j)``, replayed by any chunk of the same key, size and recorded
+generations.  Substream k of a key is a PCG64DXSM generator seeded by the
+spawn key ``(key, k)`` of the master seed (:func:`bpire.sampler.substream`),
+and each kind of draw has its own substream:
 
 0. the walk: atom uniforms, ``count`` per generation, until every
    population of the chunk is quiet; from then on, for the stretch to each
@@ -121,7 +120,7 @@ DRAW_LAYOUT = 4
 #: Replicates per chunk, the unit of work of a chunk worker.  Fixed so
 #: the partition of a batch into chunks never depends on the worker count:
 #: batch output is a pure function of (environment, n, replicates,
-#: master_seed, stream_offset, record, couple_no_immigration, threshold).
+#: master_seed, record, couple_no_immigration, threshold).
 _CHUNK = 8192
 
 # Substreams of a chunk key (see "Draw layout").
@@ -150,7 +149,6 @@ class WalkBatch:
     is ``S_{record[g]}`` of replicate r."""
 
     master_seed: int
-    stream_offset: int
     record: tuple[int, ...]
     s: np.ndarray
 
@@ -379,14 +377,13 @@ def as_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
-                 record: Sequence[int] | None, threads: int, threshold: int
-                 ) -> tuple[int, int, tuple[int, ...]]:
-    """Check the arguments of :func:`run_batch` and return the key
-    words and the recorded generations (default: only ``n``) as Python
-    ints.  The counts, the key words and the threshold must be integers;
-    the key words must be unsigned 64-bit words: ``master_seed`` itself,
-    and ``stream_offset + r`` for every replicate r."""
+def _check_batch(n: int, replicates: int, master_seed: int, record: Sequence[int] | None,
+                 threads: int, threshold: int) -> tuple[int, tuple[int, ...]]:
+    """Check the arguments of :func:`run_batch` and return ``master_seed``
+    and the recorded generations (default: only ``n``) as Python ints.
+    The counts, the seed and the threshold must be integers; the key words
+    must be unsigned 64-bit words: ``master_seed`` itself, and every chunk
+    key, the first replicate of its chunk, so ``replicates <= 2**64``."""
     if as_int(threads, "threads") < 0:
         raise ValueError(f"threads must be nonnegative (0 = auto), got {threads}")
     if as_int(n, "n") < 0:
@@ -394,15 +391,11 @@ def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
     replicates = as_int(replicates, "replicates")
     if replicates <= 0:
         raise ValueError(f"replicates must be positive, got {replicates}")
+    if replicates > 2**64:
+        raise ValueError(f"replicates must be at most 2**64, got {replicates}")
     master_seed = as_int(master_seed, "master_seed")
-    stream_offset = as_int(stream_offset, "stream_offset")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
-    if not (0 <= stream_offset and stream_offset + replicates <= 2**64):
-        raise ValueError(
-            f"stream_offset must be nonnegative with stream_offset + replicates <= 2**64, "
-            f"got {stream_offset} and {replicates}"
-        )
     rec = tuple(as_int(g, "record generation") for g in (record if record is not None else (n,)))
     if list(rec) != sorted(set(rec)):
         raise ValueError("record generations must be strictly increasing")
@@ -418,7 +411,7 @@ def _check_batch(n: int, replicates: int, master_seed: int, stream_offset: int,
             f"promotion threshold must be at most {MAX_PROMOTION_THRESHOLD}: above it "
             "exact counts may overflow int64"
         )
-    return master_seed, stream_offset, rec
+    return master_seed, rec
 
 
 def _take(y: np.ndarray | None, cols: np.ndarray) -> np.ndarray | None:
@@ -637,13 +630,13 @@ def run_batch(
     populations: int = 1,
     threshold: int = PROMOTION_THRESHOLD,
     threads: int = 1,
-    stream_offset: int = 0,
-) -> tuple[int, int, tuple[int, ...], dict[str, np.ndarray]]:
+) -> tuple[int, tuple[int, ...], dict[str, np.ndarray]]:
     """Run the batch of :func:`simulate_walk_batch` (``populations`` 0) or
     :func:`simulate_batch` (1; 2 when coupled), with the same arguments,
-    chunks and draws, and return its key words, its recorded generations
-    and the outputs of ``reduction``.  The walk alone builds only its
-    :class:`_Walk`, not the immigration tables of :class:`_EnvTables`.
+    chunks and draws, and return its ``master_seed``, its recorded
+    generations and the outputs of ``reduction``.  The walk alone builds
+    only its :class:`_Walk`, not the immigration tables of
+    :class:`_EnvTables`.
 
     The ``replicates`` columns are cut into fixed-size chunks, and each
     chunk hands its recorded generations to ``reduction.keep`` with its
@@ -672,8 +665,7 @@ def run_batch(
     interrupt, it kills and reaps the children left."""
     if populations not in (0, 1, 2):
         raise ValueError(f"populations must be 0, 1 or 2, got {populations!r}")
-    master_seed, stream_offset, rec = _check_batch(n, replicates, master_seed, stream_offset,
-                                                   record, threads, threshold)
+    master_seed, rec = _check_batch(n, replicates, master_seed, record, threads, threshold)
     tab = _EnvTables(env) if populations else None
     walk = _Walk(env) if tab is None else tab.walk
     starts = range(0, replicates, _CHUNK)
@@ -695,8 +687,8 @@ def run_batch(
             views = {name: out[name][:, start:start + cnt] for name in reduction.columns}
             views.update((name, out[name][c]) for name in reduction.slots)
             try:
-                _simulate_chunk(stream_offset + start, cnt, walk, tab, master_seed, rec,
-                                populations, threshold, functools.partial(reduction.keep, views))
+                _simulate_chunk(start, cnt, walk, tab, master_seed, rec, populations, threshold,
+                                functools.partial(reduction.keep, views))
             except Exception as exc:
                 return [(c, exc)]
         return []
@@ -729,7 +721,7 @@ def run_batch(
             os.waitpid(pid, 0)
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return master_seed, stream_offset, rec, out
+    return master_seed, rec, out
 
 
 def simulate_batch(
@@ -741,19 +733,19 @@ def simulate_batch(
     couple_no_immigration: bool = False,
     threshold: int = PROMOTION_THRESHOLD,
     threads: int = 1,
-    stream_offset: int = 0,
 ) -> BatchResult:
     """Simulate ``replicates`` independent paths, recording the generations
     in ``record`` (default: only generation ``n``).
 
     Replicate r is column ``r % _CHUNK`` of the chunk keyed
-    ``(master_seed, stream_offset + r - r % _CHUNK)``.  Output is
-    bit-identical for any ``threads`` value because the chunk partition and
-    the chunk keys are fixed.  ``threads`` caps the chunk workers, the
+    ``(master_seed, r - r % _CHUNK)``.  Output is bit-identical for any
+    ``threads`` value because the chunk partition and the chunk keys are
+    fixed.  ``threads`` caps the chunk workers, the
     caller and its forked children (0 = one per CPU this process may run
     on); there are never more than those CPUs or the chunks.  A single
     path, every generation of it, is column 0 of ``simulate_batch(env, n,
-    1, master_seed, record=range(n + 1), stream_offset=key)``.  Columns do
+    1, master_seed, record=range(n + 1))``, the one-column chunk keyed
+    ``(master_seed, 0)``; other seeds give independent paths.  Columns do
     not depend on the recorded generations until their chunk turns quiet,
     and from then on only by the draws of the jumps between them (see
     "Draw layout").
@@ -766,7 +758,7 @@ def simulate_batch(
     populations = 2 if couple_no_immigration else 1
     *keys, out = run_batch(env, n, replicates, master_seed, record,
                            Reduction(_copy_rows, _ROWS[:populations + 1]), populations, threshold,
-                           threads, stream_offset)
+                           threads)
     return BatchResult(*keys, **out)
 
 
@@ -777,7 +769,6 @@ def simulate_walk_batch(
     master_seed: int,
     record: Sequence[int] | None = None,
     threads: int = 1,
-    stream_offset: int = 0,
 ) -> WalkBatch:
     """Simulate the environment walk ``S_n`` alone (no branching).
 
@@ -788,5 +779,5 @@ def simulate_walk_batch(
     turns quiet.
     """
     *keys, out = run_batch(env, n, replicates, master_seed, record, Reduction(_copy_rows, ("s",)),
-                           0, threads=threads, stream_offset=stream_offset)
+                           0, threads=threads)
     return WalkBatch(*keys, **out)

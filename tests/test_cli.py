@@ -433,6 +433,8 @@ _REFUSALS = {
                                       "at most 2305843009213693952"),
     "elogw-one-replicate": ({"kind": "elogw", "replicates": 1}, 2,
                             "at least 2 replicates, got 1"),
+    "replicates-beyond-the-key-range": ({"kind": "elogw", "replicates": 2**64 + 1}, 2,
+                                        "replicates must be at most 2**64"),
     "offspring-total-beyond-float": ({"kind": "elogw", "environment": _with_lam(1e308)}, 2,
                                      "overflows a double"),
     "geometric-q-too-small": (
@@ -467,6 +469,7 @@ def test_accepted_number_exits_with_its_code_without_traceback(tmp_path, doc, co
     assert proc.stderr.startswith("error: ")
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "stream_offset" not in proc.stderr
 
 
 @pytest.mark.parametrize("case", ["integer-beyond-digit-limit", "array-beyond-recursion-limit",

@@ -163,7 +163,7 @@ def _path(couple: bool):
     # one path: column 0 of a one-replicate batch recording every generation
     batch = simulate_batch(
         _parse_environment(_MIXED_ENV), 40, 1, master_seed=5, record=range(41),
-        couple_no_immigration=couple, threshold=2**10, stream_offset=3,
+        couple_no_immigration=couple, threshold=2**10,
     )
     return {"log_z": batch.log_z[:, 0], "s": batch.s[:, 0],
             "log_zbar": batch.log_zbar[:, 0] if couple else None}
@@ -171,9 +171,8 @@ def _path(couple: bool):
 
 def _walk():
     # two chunks, the second partial: no CLI kind calls the walk batch at
-    # more than one chunk or at a nonzero stream offset
-    batch = simulate_walk_batch(make_env_a(), 64, 9000, master_seed=11, record=(0, 1, 7, 64),
-                                stream_offset=3)
+    # more than one chunk
+    batch = simulate_walk_batch(make_env_a(), 64, 9000, master_seed=11, record=(0, 1, 7, 64))
     return {"s": batch.s}
 
 
@@ -308,16 +307,16 @@ GOLDEN = {
         "s": "ae6711c503c710b7d50b9f0593aa7a6970589278cc3edc448ea56a6f937b46a2"
     },
     "lib-path": {
-        "log_z": "825dc81bae74b149d4c88346a478fbe064f75da5406e34f4dba561f6256712d2",
-        "s": "c38bc95b86d97afd25af822aabbf82ddacfd3ab7525fdead227d51a208867c30"
+        "log_z": "214b3eebcb93abab6af03e3e0f9e5d5065246e049dcc9d64c017db8ec7e2ba5e",
+        "s": "b9bf8d836168926c721750bfa071c1e9f8b7f9cf0ac25683b5a2ba12abebaded"
     },
     "lib-path-coupled": {
-        "log_z": "e8c17e3dcf69c7f7f0106dcb0d7c92fd66ef812bf35304f640189389bd872445",
-        "log_zbar": "b7d8b48748fd74d38592fadb8cfa168fce4e8c9f881fe2b8b59ca3c07c021168",
-        "s": "c38bc95b86d97afd25af822aabbf82ddacfd3ab7525fdead227d51a208867c30"
+        "log_z": "ff35a09182c66abc2c81dffdbd7d6b9c73b97ccecb710a9c445db9c47246dde9",
+        "log_zbar": "c26740276cd233cf63fac234c5e6fc7ce67e27fdcb233fbe9834c08a9df456b9",
+        "s": "b9bf8d836168926c721750bfa071c1e9f8b7f9cf0ac25683b5a2ba12abebaded"
     },
     "lib-walk": {
-        "s": "e42c77795a980e7cb52307ea845118a83f406df118f2627d8846446c4e46cb90"
+        "s": "684210a72841af9bad937f7b7bb99ed9287ff54a25b73c5940fac50b7934a612"
     },
     "moments": {
         "exit": 0,

@@ -183,36 +183,32 @@ def test_gaussian_log_step_algebra():
 
 def test_stream_rejects_out_of_range_keys():
     # Key words are unsigned 64-bit ints: a float or a bool would be cast
-    # (1.5 and True to seed 1, 2.9 to offset 2), and a word outside the
-    # range, in any chunk's key, would overflow inside numpy.
+    # (1.5 and True to seed 1), and a word outside the range would overflow
+    # inside numpy.  A chunk's key is its first replicate, so a batch holds
+    # at most 2**64 replicates, refused before any batch runs.
     env = make_env_a()
     top = 2**64
     for run in (simulate_batch, simulate_walk_batch):
         for keys, named in (
             ({"master_seed": 1.5}, "master_seed must be an int"),
             ({"master_seed": True}, "master_seed must be an int"),
-            ({"stream_offset": 2.9}, "stream_offset must be an int"),
             ({"master_seed": np.float64(3.0)}, "master_seed must be an int"),
             ({"master_seed": -1}, "master_seed must be an unsigned 64-bit integer"),
             ({"master_seed": top}, "master_seed must be an unsigned 64-bit integer"),
-            ({"stream_offset": -5}, "stream_offset must be nonnegative"),
-            ({"stream_offset": top - 8192, "replicates": 8193}, "stream_offset \\+ replicates"),
+            ({"replicates": top + 1}, "replicates must be at most 2\\*\\*64"),
         ):
             with pytest.raises(ValueError, match=named):
                 run(env, 2, **{"replicates": 4, "master_seed": 3, **keys})
-        # the largest keys still run
-        run(env, 2, 4, master_seed=top - 1, stream_offset=top - 4)
+        # the largest seed still runs
+        run(env, 2, 4, master_seed=top - 1)
         # numpy integers pass as key words and are held as the same Python
-        # ints: np.uint64(top - 4) + 4 would wrap to 0 in the range check
-        for keys in ({"master_seed": np.int64(3)}, {"stream_offset": np.uint64(top - 4)}):
-            wide = run(env, 2, 4, **{"master_seed": 0, **keys})
-            plain = run(env, 2, 4, **{"master_seed": 0, **{k: int(v) for k, v in keys.items()}})
-            assert type(wide.master_seed) is int and type(wide.stream_offset) is int
-            assert (wide.master_seed, wide.stream_offset) == (plain.master_seed,
-                                                              plain.stream_offset)
-            assert wide.s.tobytes() == plain.s.tobytes()
-            if run is simulate_batch:
-                assert wide.log_z.tobytes() == plain.log_z.tobytes()
+        # ints
+        wide = run(env, 2, 4, master_seed=np.int64(3))
+        plain = run(env, 2, 4, master_seed=3)
+        assert type(wide.master_seed) is int and wide.master_seed == plain.master_seed
+        assert wide.s.tobytes() == plain.s.tobytes()
+        if run is simulate_batch:
+            assert wide.log_z.tobytes() == plain.log_z.tobytes()
 
 
 def test_substream_is_a_seed_sequence_spawn_key():

@@ -32,7 +32,7 @@ from conftest import make_env_a, make_mixed_env, make_skewed_env, without_immigr
 
 
 # A single path is column 0 of a one-replicate batch that records every
-# generation: the chunk keyed (master_seed, stream_offset).
+# generation: the chunk keyed (master_seed, 0).
 
 
 def test_path_generation_zero(env_a):
@@ -43,14 +43,14 @@ def test_path_generation_zero(env_a):
 
 
 def test_path_is_pure_function_of_key(env_a):
-    a = simulate_batch(env_a, 12, 1, master_seed=9, record=range(13), stream_offset=4)
-    b = simulate_batch(env_a, 12, 1, master_seed=9, record=range(13), stream_offset=4)
+    a = simulate_batch(env_a, 12, 1, master_seed=9, record=range(13))
+    b = simulate_batch(env_a, 12, 1, master_seed=9, record=range(13))
     np.testing.assert_array_equal(a.log_z, b.log_z)
     np.testing.assert_array_equal(a.s, b.s)
 
 
 def test_log_w_identity(env_a):
-    path = simulate_batch(env_a, 20, 1, master_seed=2, record=range(21), stream_offset=7)
+    path = simulate_batch(env_a, 20, 1, master_seed=2, record=range(21))
     np.testing.assert_array_equal(path.log_w, path.log_z - path.s)
 
 
@@ -82,15 +82,15 @@ def test_immigration_lifts_normalized_mean(env_a):
 
 def test_batch_columns_replay_single_paths(monkeypatch, env_a):
     # A replicate is (master_seed, chunk key, column).  With one-column
-    # chunks, column r of a batch is the chunk keyed r, i.e. the path of
-    # the one-replicate batch at offset r.
+    # chunks, column r of a batch is the chunk keyed r, i.e. the last
+    # column of the (r + 1)-replicate batch.
     monkeypatch.setattr(trajectory, "_CHUNK", 1)
     batch = simulate_batch(env_a, 10, 5, master_seed=31, record=(3, 10))
     for r in range(5):
-        path = simulate_batch(env_a, 10, 1, master_seed=31, record=range(11), stream_offset=r)
-        assert batch.log_z_at(3)[r] == path.log_z_at(3)[0]
-        assert batch.log_z_at(10)[r] == path.log_z_at(10)[0]
-        assert batch.s_at(10)[r] == path.s_at(10)[0]
+        path = simulate_batch(env_a, 10, r + 1, master_seed=31, record=range(11))
+        assert batch.log_z_at(3)[r] == path.log_z_at(3)[r]
+        assert batch.log_z_at(10)[r] == path.log_z_at(10)[r]
+        assert batch.s_at(10)[r] == path.s_at(10)[r]
 
 
 def test_batch_columns_do_not_depend_on_recorded_generations(env_a):
@@ -431,16 +431,14 @@ def test_interrupt_in_the_callers_share_kills_and_reaps_the_children(monkeypatch
     assert _no_child_left()
 
 
-def test_batch_stream_offset_shifts_columns(monkeypatch, env_a):
+def test_batch_of_whole_chunks_is_a_prefix_of_a_longer_batch(monkeypatch, env_a):
     # chunks of 10: the base batch's chunks are keyed 0, 10 and 20, so a
-    # batch at offset 20 (or 10) replays its last chunk (or last two)
+    # batch of 10 (or 20) replicates replays its first chunk (or first two)
     monkeypatch.setattr(trajectory, "_CHUNK", 10)
     base = simulate_batch(env_a, 6, 30, master_seed=41, record=(6,))
-    for offset in (10, 20):
-        shifted = simulate_batch(
-            env_a, 6, 30 - offset, master_seed=41, record=(6,), stream_offset=offset
-        )
-        np.testing.assert_array_equal(base.log_z_at(6)[offset:], shifted.log_z_at(6))
+    for replicates in (10, 20):
+        prefix = simulate_batch(env_a, 6, replicates, master_seed=41, record=(6,))
+        np.testing.assert_array_equal(base.log_z_at(6)[:replicates], prefix.log_z_at(6))
 
 
 def test_different_seeds_same_distribution(env_a):
@@ -626,7 +624,7 @@ def test_run_batch_keeps_the_rows_of_simulate_batch_and_checks_populations(env_a
     batch = simulate_batch(env_a, 4, 7, master_seed=0, record=(2, 4))
     identity = trajectory.Reduction(trajectory._copy_rows, ("s", "log_z"))
     *keys, kept = trajectory.run_batch(env_a, 4, 7, 0, (2, 4), identity)
-    assert keys == [0, 0, (2, 4)] and kept.keys() == {"s", "log_z"}
+    assert keys == [0, (2, 4)] and kept.keys() == {"s", "log_z"}
     np.testing.assert_array_equal(kept["s"], batch.s)
     np.testing.assert_array_equal(kept["log_z"], batch.log_z)
     for populations in (-1, 3):
@@ -682,10 +680,6 @@ def test_threshold_at_maximum_keeps_counts_in_int64():
 
 
 def test_tables_are_built_once_per_batch(monkeypatch, env_a):
-    separate = [
-        simulate_batch(env_a, 3, 4, master_seed=2, couple_no_immigration=True, stream_offset=c)
-        for c in (0, 4, 8)
-    ]
     calls = []
     build = trajectory.immigration_cdf_table
 
@@ -697,10 +691,12 @@ def test_tables_are_built_once_per_batch(monkeypatch, env_a):
     monkeypatch.setattr(trajectory, "_CHUNK", 4)
     batch = simulate_batch(env_a, 3, 12, master_seed=2, couple_no_immigration=True)
     assert calls == [PoissonImmigration(nu=1.0)]  # one table per distinct law
-    # three chunks of 4 replicates give the bytes of three one-chunk
-    # batches at offsets 0, 4 and 8
-    np.testing.assert_array_equal(batch.log_z, np.hstack([b.log_z for b in separate]))
-    np.testing.assert_array_equal(batch.log_zbar, np.hstack([b.log_zbar for b in separate]))
+    # three chunks of 4 replicates: the batches of 4 and 8 replicates are
+    # its first one and two chunks
+    for replicates in (4, 8):
+        prefix = simulate_batch(env_a, 3, replicates, master_seed=2, couple_no_immigration=True)
+        np.testing.assert_array_equal(batch.log_z[:, :replicates], prefix.log_z)
+        np.testing.assert_array_equal(batch.log_zbar[:, :replicates], prefix.log_zbar)
     calls.clear()
     simulate_walk_batch(env_a, 3, 12, master_seed=2)
     assert calls == []
